@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import __version__
 from .mdp import (
@@ -84,11 +83,16 @@ class InputError(ValueError):
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    _atomic_replace(path, lambda fh: fh.write(text.encode()))
+
+
+def _atomic_replace(path: Path, write) -> None:
+    """Call write(binary file) on a temp file beside path, then rename it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -240,7 +244,7 @@ def cmd_train(args) -> int:
         "feature_dim": dataset.manifest.feature_dim,
         "states": dataset.manifest.states,
     }
-    np.savez(model_path, theta=theta, meta=json.dumps(meta))
+    _atomic_replace(model_path, lambda fh: np.savez(fh, theta=theta, meta=json.dumps(meta)))
     _atomic_write(out / "result.json", json.dumps(meta, indent=2) + "\n")
     print(f"best lr={lr} seed={seed} val={val_value:.6f}; wrote {model_path}")
     return EXIT_OK
@@ -355,10 +359,11 @@ def cmd_bench(args) -> int:
     dataset_path = Path(args.dataset)
     if not dataset_path.exists():
         raise InputError(f"dataset not found: {dataset_path}")
+    if args.repeats < 1:
+        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
     dataset = load_dataset(dataset_path)
-    repeats = max(args.repeats, 5)
     epoch_times = bench_epoch_times(
-        dataset, args.losses, repeats, args.seed, args.trajectories
+        dataset, args.losses, args.repeats, args.seed, args.trajectories
     )
     scaling = bench_layer_scaling(seed=args.seed, gamma=dataset.manifest.gamma)
     out = _out_dir(args.out)
@@ -475,6 +480,8 @@ def check_truthful_optimality(seed: int, cohorts: int = 20, alternatives: int = 
 
 def decomposed_lp_value(tables: ReturnsTable, cfg: SolverConfig) -> float:
     """Unregularized decomposed optimum by linear programming."""
+    from scipy.optimize import linprog  # only verify needs scipy; keep start-up light
+
     n, p = tables.j_pred.shape
     c = -tables.j_pred.reshape(-1)
     a_eq = np.zeros((n, n * p))
@@ -496,6 +503,8 @@ def decomposed_lp_value(tables: ReturnsTable, cfg: SolverConfig) -> float:
 
 def joint_mixture_lp_value(tables: ReturnsTable, cfg: SolverConfig) -> float:
     """Unregularized optimum over mixtures of joint (product) policies."""
+    from scipy.optimize import linprog
+
     n, p = tables.j_pred.shape
     combos = list(itertools.product(range(p), repeat=n))
     j = np.array([sum(tables.j_pred[i, k[i]] for i in range(n)) for k in combos])

@@ -5,8 +5,10 @@ maximizing predicted return subject to an expected-budget constraint that
 is evaluated on the true transitions. The entropy-regularized problem is
 solved in the forward direction by bisection on the budget multiplier
 (each inner maximization is a row softmax) and differentiated in closed
-form through the KKT conditions. A slow projected-gradient reference
-solver doubles as the correctness oracle and as the L2-regularized path.
+form through the KKT conditions. A slow reference solver doubles as the
+correctness oracle and as the L2-regularized path: its inner maximization
+is a damped Newton solve of the per-row KKT equations for entropy and
+projected-gradient ascent for L2, never the softmax closed form.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import numpy as np
 from .mdp import (
     NumericError,
     RewardSpec,
-    TransitionTensor,
     DiscountedSetup,
-    batched_policy_returns,
-    batched_returns_gradients,
+    solve_policies,
+    stack_tensors,
 )
 from .mdp import BUDGET, ENGAGEMENT
 
@@ -130,17 +131,24 @@ def eval_lambda(
 def forward_pass(
     tables: ReturnsTable, reg: RegularizerConfig, cfg: SolverConfig
 ) -> DualSolution:
-    """Bisection on the budget residual over [-r_max, r_max]/(1-gamma).
+    """Bisection on the budget residual, from [-r_max, r_max]/(1-gamma).
 
     The root is unique by monotonicity; a negative root means the budget
-    is slack and the multiplier clamps to 0.
+    is slack and the multiplier clamps to 0. The budget is feasible exactly
+    when the cheapest policy of every arm fits under the cap together; the
+    top of the bracket then doubles until the residual there is <= 0.
     """
+    if float(np.sum(tables.j_budget.min(axis=1))) > cfg.budget_cap:
+        raise InfeasibleBudgetError(
+            "budget infeasible: the least budget usage of every arm exceeds the cap"
+        )
     lo, hi = -cfg.dual_bound, cfg.dual_bound
     residual_hi, _ = eval_lambda(tables, hi, reg, cfg)
-    if residual_hi > 0:
-        raise InfeasibleBudgetError(
-            f"budget residual {residual_hi:.3g} still positive at the dual bracket top"
-        )
+    while residual_hi > 0:
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            raise NumericError("dual bracket grew without the budget residual turning <= 0")
+        residual_hi, _ = eval_lambda(tables, hi, reg, cfg)
     while hi - lo > cfg.epsilon:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -194,16 +202,17 @@ def _inner_maximize(
     tol: float = 1e-8,
     max_iters: int = 12,
 ) -> np.ndarray:
-    """Projected-gradient ascent on the lagrangian's Z-block at a fixed multiplier.
+    """Maximize the lagrangian's Z-block at a fixed multiplier, from Z0.
 
     Deliberately avoids the closed-form softmax so the reference solver
-    stays an independent check on the fast path. Steps are Barzilai-Borwein
-    with an Armijo backtracking safeguard; for entropy, the iterate is then
-    refined by a damped Newton solve of the per-row KKT equations (plain
-    first-order ascent cannot reach tight residuals on the steep entropy
-    barrier in float64).
+    stays an independent check on the fast path. For entropy, a damped
+    Newton solve of the per-row KKT equations converges from the warm
+    start. For L2, projected-gradient ascent with Barzilai-Borwein steps and
+    an Armijo backtracking safeguard.
     """
     linear = tables.j_pred - lam * tables.j_budget
+    if reg.kind == ENTROPY:
+        return _newton_refine_rows(linear, reg.alpha, Z0)
     Z = np.clip(Z0, 1e-12, None)
     Z = Z / Z.sum(axis=1, keepdims=True)
 
@@ -242,8 +251,6 @@ def _inner_maximize(
         Z_prev, grad_prev = Z, grad
         Z, value = Z_new, new_value
         grad = linear + _regularizer_grad(Z, reg)
-    if reg.kind == ENTROPY:
-        Z = _newton_refine_rows(linear, reg.alpha, Z)
     return Z
 
 
@@ -290,8 +297,9 @@ def solve_reference(
     dual_tol: float = 1e-9,
     max_outer: int = 200,
 ) -> DualSolution:
-    """Slow reference solve: bisection on the multiplier with an inner
-    projected-gradient ascent over the product of simplices.
+    """Slow reference solve: bisection on the multiplier, with the inner
+    maximization over the product of simplices solved by _inner_maximize
+    (damped Newton for entropy, projected-gradient ascent for L2).
 
     Handles both entropy and L2 regularization; the residual of the inner
     optimum is nonincreasing in the multiplier because the dual function
@@ -412,6 +420,13 @@ def _backward_dense(
     return grad_j_pred, grad_j_budget
 
 
+def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:
+    """(j_true, j_budget): engagement and budget returns of every policy
+    on the true transitions, from one solve."""
+    solved = solve_policies(truth, setup)
+    return solved.returns(RewardSpec(ENGAGEMENT)), solved.returns(RewardSpec(BUDGET))
+
+
 def build_returns_table(
     pred: np.ndarray,
     truth: np.ndarray,
@@ -423,20 +438,12 @@ def build_returns_table(
     budget_on="pred" evaluates the budget constraint on the predicted
     transitions (the uncorrected relaxation, kept for counterexamples).
     """
-    reward = RewardSpec(ENGAGEMENT)
-    budget_reward = RewardSpec(BUDGET)
-    j_pred = batched_policy_returns(pred, reward, setup)
-    j_true = batched_policy_returns(truth, reward, setup)
-    budget_source = pred if budget_on == "pred" else truth
-    j_budget = batched_policy_returns(budget_source, budget_reward, setup)
-    return ReturnsTable(j_pred=j_pred, j_true=j_true, j_budget=j_budget)
-
-
-def _stack(tensors) -> np.ndarray:
-    if isinstance(tensors, np.ndarray):
-        return tensors
-    return np.stack(
-        [t.probs if isinstance(t, TransitionTensor) else np.asarray(t) for t in tensors]
+    pred_solve = solve_policies(pred, setup)
+    j_true, j_budget = returns_on_truth(truth, setup)
+    if budget_on == "pred":
+        j_budget = pred_solve.returns(RewardSpec(BUDGET))
+    return ReturnsTable(
+        j_pred=pred_solve.returns(RewardSpec(ENGAGEMENT)), j_true=j_true, j_budget=j_budget
     )
 
 
@@ -446,23 +453,29 @@ def dec_dfl_loss(
     reg: RegularizerConfig,
     cfg: SolverConfig,
     setup: DiscountedSetup,
+    true_returns: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Decomposed decision-quality loss and its gradient w.r.t. predictions.
 
     Runs the forward dual solve on the predicted-return table, scores the
     mixture on the true returns, and chains the closed-form layer backward
     pass through the per-policy return gradients onto predicted transition
-    entries. Returns (loss, (N, S, 2, S) gradient array).
+    entries; returns and gradients of the predictions come from one solve.
+    true_returns, the returns_on_truth tables of `truth` when the caller
+    keeps them (Cohort.true_returns), saves solving the truth again.
+    Returns (loss, (N, S, 2, S) gradient array).
     """
-    pred_arr = _stack(pred)
-    truth_arr = _stack(truth)
+    pred_arr = stack_tensors(pred)
+    truth_arr = stack_tensors(truth)
     if pred_arr.shape != truth_arr.shape:
         raise ValueError(f"shape mismatch: pred {pred_arr.shape} vs truth {truth_arr.shape}")
-    tables = build_returns_table(pred_arr, truth_arr, setup)
+    if true_returns is None:
+        true_returns = returns_on_truth(truth_arr, setup)
+    j_true, j_budget = true_returns
+    engagement = RewardSpec(ENGAGEMENT)
+    pred_solve = solve_policies(pred_arr, setup, values=engagement)
+    tables = ReturnsTable(j_pred=pred_solve.returns(engagement), j_true=j_true, j_budget=j_budget)
     sol = forward_pass(tables, reg, cfg)
     loss = float(np.sum(sol.z_star * tables.j_true))
     grad_j_pred, _ = backward_pass(sol, tables, reg, cfg, upstream=tables.j_true)
-    grad_pred = batched_returns_gradients(
-        pred_arr, grad_j_pred, RewardSpec(ENGAGEMENT), setup
-    )
-    return loss, grad_pred
+    return loss, pred_solve.gradient(grad_j_pred)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dec_layer
-from .dec_layer import RegularizerConfig, SolverConfig, forward_pass, build_returns_table
+from .dec_layer import RegularizerConfig, ReturnsTable, SolverConfig, forward_pass
 from .mdp import (
     DiscountedSetup,
     RewardSpec,
@@ -172,7 +172,9 @@ def dec_dfl_cohort_loss(
     """Decomposed decision loss of one cohort (a return; maximize)."""
     if cfg is None:
         cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
-    return dec_layer.dec_dfl_loss(pred, cohort.tensors, reg, cfg, cohort.setup)
+    return dec_layer.dec_dfl_loss(
+        pred, cohort.tensors, reg, cfg, cohort.setup, true_returns=cohort.true_returns
+    )
 
 
 # -- SIM-DFL ----------------------------------------------------------------
@@ -537,10 +539,12 @@ class DQReport:
     normalized_decomposed_dq: float | None
 
 
-def _decomposed_dq(pred: np.ndarray, cohort: Cohort, alpha: float = 1e-3) -> float:
+def _decomposed_dq(j_pred: np.ndarray, cohort: Cohort, alpha: float = 1e-3) -> float:
+    """True return of the decomposed solve on the (N, P) predicted returns."""
     cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
     reg = RegularizerConfig(kind="entropy", alpha=alpha)
-    tables = build_returns_table(pred, cohort.tensors, cohort.setup)
+    j_true, j_budget = cohort.true_returns
+    tables = ReturnsTable(j_pred=j_pred, j_true=j_true, j_budget=j_budget)
     sol = forward_pass(tables, reg, cfg)
     return float(np.sum(sol.z_star * tables.j_true))
 
@@ -581,14 +585,13 @@ def evaluate_dq(
         pred = predictions[k]
         if trajectories > 0:
             joint += _joint_dq(pred, cohort, trajectories, seed + k)
-        decomposed += _decomposed_dq(pred, cohort, alpha)
-        j_true_passive = batched_policy_returns(
-            cohort.tensors, reward_spec, cohort.setup
-        )[:, 0]
-        never += float(j_true_passive.sum())
+        j_pred = batched_policy_returns(pred, reward_spec, cohort.setup)
+        decomposed += _decomposed_dq(j_pred, cohort, alpha)
+        j_true = cohort.true_returns[0]
+        never += float(j_true[:, 0].sum())
         if trajectories > 0:
             perfect_joint += _joint_dq(cohort.tensors, cohort, trajectories, seed + k)
-        perfect_dec += _decomposed_dq(cohort.tensors, cohort, alpha)
+        perfect_dec += _decomposed_dq(j_true, cohort, alpha)
     n = max(len(cohorts), 1)
     joint, decomposed, never = joint / n, decomposed / n, never / n
     perfect_joint, perfect_dec = perfect_joint / n, perfect_dec / n

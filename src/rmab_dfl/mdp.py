@@ -3,7 +3,10 @@ policy evaluation, return gradients, and Whittle indices.
 
 Each arm is a small MDP with binary actions (act / don't act). All
 evaluation is exact (direct linear solves of the Bellman equations), so
-none of the downstream machinery needs Monte Carlo rollouts.
+none of the downstream machinery needs Monte Carlo rollouts. The returns
+engine, solve_policies, solves every policy of every arm at once; the
+scalar get_returns / returns_gradient and value_iteration are the
+independent oracles it is tested against.
 """
 
 from __future__ import annotations
@@ -199,30 +202,145 @@ def returns_gradient(
     return grad
 
 
+def stack_tensors(tensors) -> np.ndarray:
+    """(N, S, 2, S) array from an array or a sequence of tensors / arrays."""
+    if isinstance(tensors, np.ndarray):
+        return tensors
+    return np.stack(
+        [t.probs if isinstance(t, TransitionTensor) else np.asarray(t) for t in tensors]
+    )
+
+
+# Entries of I - gamma*T_pi factored at once (2 MB). Arms are solved in
+# chunks this small so that each elimination step runs in cache; it also
+# bounds the transient factor (one 12-state arm, 4.7 MB, is a chunk alone).
+_CHUNK_ENTRIES = 1 << 18
+
+
+@dataclass(frozen=True)
+class PolicySolve:
+    """Every deterministic policy of every arm, solved from one factorization.
+
+    Arrays are batch-last. occupancy[s, j, i] is the initial-state-weighted
+    discounted occupancy d = mu0^T (I - gamma T_pi)^{-1} of state s under
+    policy j on arm i; values[s, j, i], when requested, is V_pi(s) under the
+    reward given to solve_policies.
+    """
+
+    gamma: float
+    actions: np.ndarray  # (P, S) action bits, row j = policy j
+    occupancy: np.ndarray  # (S, P, N)
+    values: np.ndarray | None = None  # (S, P, N)
+
+    def returns(self, R: RewardSpec) -> np.ndarray:
+        """(N, P) returns d . r_pi of every policy under reward R."""
+        num_states = self.actions.shape[1]
+        rewards = np.broadcast_to(R.per_step(num_states, self.actions), self.actions.shape)
+        return np.ascontiguousarray(np.einsum("sjn,js->nj", self.occupancy, rewards))
+
+    def gradient(self, policy_weights: np.ndarray) -> np.ndarray:
+        """(N, S, 2, S): sum_j policy_weights[i, j] * dJ_i(pi_j)/dT_i(s, a, s').
+
+        The closed form of returns_gradient, gamma * d(s) * V(s') on the
+        action each policy takes in s, contracted over policies.
+        """
+        if self.values is None:
+            raise ValueError("return gradients need the values: solve with values=R")
+        weighted = self.occupancy * (self.gamma * np.asarray(policy_weights, dtype=float).T)
+        acted = weighted * self.actions.T[:, :, None]  # (S, P, N)
+        weighted -= acted  # what remains is the passive action's share
+        n_arms, num_states = self.occupancy.shape[2], self.occupancy.shape[0]
+        grad = np.empty((n_arms, num_states, 2, num_states))
+        grad[:, :, 1, :] = np.einsum("sjn,tjn->nst", acted, self.values)
+        grad[:, :, 0, :] = np.einsum("sjn,tjn->nst", weighted, self.values)
+        return grad
+
+
+def _factor_in_place(M: np.ndarray) -> None:
+    """LU of a batch-last stack of (S, S) matrices, in place.
+
+    Afterwards M holds U on and above the diagonal and the multipliers of
+    the unit lower-triangular L below it.
+
+    No pivoting: every I - gamma*T_pi is strictly row diagonally dominant
+    with margin 1 - gamma, because the rows of T_pi sum to 1 and gamma < 1.
+    Each Schur complement keeps that margin, so every pivot is at least
+    1 - gamma and the growth factor of elimination is at most 2.
+    """
+    for k in range(M.shape[0] - 1):
+        M[k + 1 :, k] /= M[k, k]
+        M[k + 1 :, k + 1 :] -= M[k + 1 :, k, None] * M[k, None, k + 1 :]
+
+
+def _solve_right(LU: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with (L U) x = rhs, batch-last."""
+    x = np.array(np.broadcast_to(rhs, LU.shape[1:]))
+    num_states = LU.shape[0]
+    for k in range(num_states - 1):
+        x[k + 1 :] -= LU[k + 1 :, k] * x[k]
+    for k in range(num_states - 1, -1, -1):
+        x[k] /= LU[k, k]
+        x[:k] -= LU[:k, k] * x[k]
+    return x
+
+
+def _solve_left(LU: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with x^T (L U) = rhs^T, i.e. U^T L^T x = rhs, batch-last."""
+    x = np.array(np.broadcast_to(rhs, LU.shape[1:]))
+    num_states = LU.shape[0]
+    for k in range(num_states):
+        x[k] /= LU[k, k]
+        x[k + 1 :] -= LU[k, k + 1 :] * x[k]
+    for k in range(num_states - 1, 0, -1):
+        x[:k] -= LU[k, :k] * x[k]
+    return x
+
+
+def solve_policies(
+    tensors: np.ndarray, setup: DiscountedSetup, values: RewardSpec | None = None
+) -> PolicySolve:
+    """Solve all 2^|S| deterministic policies of every arm at once.
+
+    tensors has shape (N, |S|, 2, |S|). I - gamma*T_pi of every (policy,
+    arm) pair is stacked batch-last and factored once; one left solve gives
+    the occupancy, from which the returns under any reward follow, and
+    values=R adds one right solve for V under R, which return gradients need.
+    """
+    tensors = stack_tensors(tensors).astype(float, copy=False)
+    n_arms, num_states = tensors.shape[0], tensors.shape[1]
+    actions = policy_action_matrix(num_states)
+    n_policies = actions.shape[0]
+    # scaled[s, t, a, i] = -gamma * T_i(s, a, t), contiguous over arms
+    scaled = np.ascontiguousarray(tensors.transpose(1, 3, 2, 0)) * -setup.gamma
+    s = np.arange(num_states)
+    by_policy = (s[:, None, None], s[None, :, None], actions.T[:, None, :])
+    initial = setup.initial_dist[:, None, None]
+    if values is not None:
+        rewards = np.broadcast_to(values.per_step(num_states, actions), actions.shape)
+        rewards = rewards.T[:, :, None]
+    occupancy = np.empty((num_states, n_policies, n_arms))
+    V = None if values is None else np.empty_like(occupancy)
+    chunk = max(1, _CHUNK_ENTRIES // (num_states * num_states * n_policies))
+    for start in range(0, n_arms, chunk):
+        arms = slice(start, start + chunk)
+        M = scaled[by_policy + (arms,)]  # (S, S, P, chunk): -gamma * T_pi
+        for k in range(num_states):
+            M[k, k] += 1.0
+        _factor_in_place(M)
+        occupancy[:, :, arms] = _solve_left(M, initial)
+        if V is not None:
+            V[:, :, arms] = _solve_right(M, rewards)
+    return PolicySolve(gamma=setup.gamma, actions=actions, occupancy=occupancy, values=V)
+
+
 def batched_policy_returns(
     tensors: np.ndarray, R: RewardSpec, setup: DiscountedSetup
 ) -> np.ndarray:
     """(N, 2^|S|) returns of every deterministic policy for every arm.
 
-    tensors has shape (N, |S|, 2, |S|). One batched linear solve per
-    policy; this is the hot path of the decomposed loss.
+    tensors has shape (N, |S|, 2, |S|). A view of solve_policies.
     """
-    tensors = np.asarray(tensors, dtype=float)
-    n_arms, num_states = tensors.shape[0], tensors.shape[1]
-    action_matrix = policy_action_matrix(num_states)
-    n_policies = action_matrix.shape[0]
-    gamma = setup.gamma
-    eye = np.eye(num_states)
-    out = np.empty((n_arms, n_policies))
-    s_idx = np.arange(num_states)
-    for j in range(n_policies):
-        actions = action_matrix[j]
-        T_pi = tensors[:, s_idx, actions, :]  # (N, S, S)
-        rewards = R.per_step(num_states, actions)
-        rhs = np.broadcast_to(rewards, (n_arms, num_states))
-        V = np.linalg.solve(eye[None] - gamma * T_pi, rhs[..., None])[..., 0]
-        out[:, j] = V @ setup.initial_dist
-    return out
+    return solve_policies(tensors, setup).returns(R)
 
 
 def batched_returns_gradients(
@@ -235,31 +353,10 @@ def batched_returns_gradients(
 
     Returns (N, |S|, 2, |S|) with entry sum_j policy_weights[i, j] *
     dJ_i(pi_j)/dT_i(s, a, s'). Used to chain a loss gradient w.r.t. the
-    per-policy returns back onto predicted transition entries.
+    per-policy returns back onto predicted transition entries. A view of
+    solve_policies.
     """
-    tensors = np.asarray(tensors, dtype=float)
-    n_arms, num_states = tensors.shape[0], tensors.shape[1]
-    action_matrix = policy_action_matrix(num_states)
-    gamma = setup.gamma
-    eye = np.eye(num_states)
-    s_idx = np.arange(num_states)
-    grad = np.zeros_like(tensors)
-    for j in range(action_matrix.shape[0]):
-        w = policy_weights[:, j]
-        if not np.any(w):
-            continue
-        actions = action_matrix[j]
-        T_pi = tensors[:, s_idx, actions, :]
-        rewards = R.per_step(num_states, actions)
-        rhs = np.broadcast_to(rewards, (n_arms, num_states))
-        V = np.linalg.solve(eye[None] - gamma * T_pi, rhs[..., None])[..., 0]
-        occ_rhs = np.broadcast_to(setup.initial_dist, (n_arms, num_states))
-        occupancy = np.linalg.solve(
-            eye[None] - gamma * np.swapaxes(T_pi, 1, 2), occ_rhs[..., None]
-        )[..., 0]
-        outer = gamma * occupancy[:, :, None] * V[:, None, :] * w[:, None, None]
-        grad[:, s_idx, actions, :] += outer
-    return grad
+    return solve_policies(tensors, setup, values=R).gradient(policy_weights)
 
 
 @dataclass(frozen=True)

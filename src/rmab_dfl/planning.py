@@ -9,7 +9,8 @@ solver for tiny instances, and the budget audit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .dec_layer import (
     ReturnsTable,
     SolverConfig,
     forward_pass,
+    returns_on_truth,
 )
 from .mdp import (
     BUDGET,
@@ -26,11 +28,10 @@ from .mdp import (
     CapacityError,
     DiscountedSetup,
     RewardSpec,
-    TransitionTensor,
     WhittleTable,
-    batched_policy_returns,
     engagement_rewards,
     policy_action_matrix,
+    solve_policies,
 )
 
 MAX_JOINT_STATES = 4096
@@ -58,6 +59,18 @@ class Cohort:
     @property
     def num_states(self) -> int:
         return self.tensors.shape[1]
+
+    @cached_property
+    def true_returns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(j_true, j_budget) of every per-arm policy on the true tensors.
+
+        Solved on first use and kept, read-only: the true tensors never
+        change, while training and evaluation read these tables every pass.
+        """
+        tables = returns_on_truth(self.tensors, self.setup)
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
 
 @dataclass(frozen=True)
@@ -224,11 +237,10 @@ def uncorrected_policy(
     """
     if reg is None:
         reg = RegularizerConfig(kind="entropy", alpha=1e-3)
-    pred = _as_array(pred)
-    reward = RewardSpec(ENGAGEMENT)
-    j_pred = batched_policy_returns(pred, reward, setup)
-    j_budget_pred = batched_policy_returns(pred, RewardSpec(BUDGET), setup)
-    tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget_pred)
+    solved = solve_policies(pred, setup)
+    j_pred = solved.returns(RewardSpec(ENGAGEMENT))
+    j_budget = solved.returns(RewardSpec(BUDGET))
+    tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget)
     return forward_pass(tables, reg, cfg)
 
 
@@ -240,10 +252,7 @@ def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> f
     denominator is the per-step budget B, the overshoot factor quoted for
     the mismatched-prediction failure case.
     """
-    j_budget_true = batched_policy_returns(
-        cohort.tensors, RewardSpec(BUDGET), cohort.setup
-    )
-    used = float(np.sum(sol.z_star * j_budget_true))
+    used = float(np.sum(sol.z_star * cohort.true_returns[1]))
     denom = cohort.budget if per_step else cohort.budget / (1.0 - cohort.setup.gamma)
     return used / denom
 
@@ -292,11 +301,3 @@ def brute_force_joint(cohort: Cohort, budget: int) -> tuple[float, dict]:
         state_tuples[si]: actions_feasible[best_actions[si]] for si in range(joint_states)
     }
     return value, policy
-
-
-def _as_array(tensors) -> np.ndarray:
-    if isinstance(tensors, np.ndarray):
-        return tensors
-    return np.stack(
-        [t.probs if isinstance(t, TransitionTensor) else np.asarray(t) for t in tensors]
-    )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rmab_dfl import cli
 from rmab_dfl.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -146,6 +147,23 @@ class TestTrainEvalExport:
         b = np.load(tmp_path / "parallel" / "model.npz")["theta"]
         assert np.array_equal(a, b)
 
+    def test_model_write_is_atomic(self, tiny_dataset, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        argv = ["train", "--dataset", str(tiny_dataset), "--out", str(run), "--loss", "mse",
+                "--lr", "1e-2", "--epochs", "1", "--overwrite"]
+        assert main(argv) == EXIT_OK
+        before = (run / "model.npz").read_bytes()
+
+        def failing_savez(file, **arrays):
+            file.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError):
+            main(argv + ["--seed", "1"])
+        assert (run / "model.npz").read_bytes() == before
+        assert not [p.name for p in run.iterdir() if p.name.startswith("model.npz.")]
+
     def test_missing_dataset_is_input_error(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nope.json"), "--loss", "mse"])
         assert code == EXIT_INPUT
@@ -181,6 +199,23 @@ class TestBench:
         assert len(table) == 4
         scaling = (out / "layer_scaling.csv").read_text().splitlines()
         assert scaling[1] == "num_arms,forward_seconds,backward_seconds"
+
+
+    def test_repeats_are_honored(self, tiny_dataset, tmp_path, monkeypatch):
+        seen = []
+        original = cli.bench_epoch_times
+
+        def recording(dataset, losses, repeats, *args):
+            seen.append(repeats)
+            return original(dataset, losses, repeats, *args)
+
+        monkeypatch.setattr(cli, "bench_epoch_times", recording)
+        argv = ["bench", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "bench"),
+                "--losses", "mse"]
+        assert main(argv + ["--repeats", "2"]) == EXIT_OK
+        assert seen == [2]
+        assert main(argv + ["--repeats", "0"]) == EXIT_INPUT
+        assert seen == [2]
 
 
 class TestVerify:

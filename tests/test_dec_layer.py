@@ -114,6 +114,21 @@ class TestForwardPass:
             forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
 
 
+    def test_bracket_grows_for_feasible_tight_budget(self):
+        # at alpha = 10 the multiplier that meets B = 1 lies above the
+        # initial bracket top r_max/(1-gamma) = 10, but never acting uses no
+        # budget, so the instance is feasible and must be solved
+        rng = np.random.default_rng(2024)
+        truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+        setup = uniform_setup(2, 0.9)
+        cfg = SolverConfig(budget=1.0, gamma=0.9)
+        tables = build_returns_table(truth, truth, setup)
+        sol = forward_pass(tables, RegularizerConfig(alpha=10.0), cfg)
+        assert sol.lambda_star > cfg.dual_bound
+        used = float(np.sum(sol.z_star * tables.j_budget))
+        assert used <= cfg.budget_cap * (1 + 1e-6)
+
+
 class TestReferenceSolver:
     def test_agrees_with_forward_pass(self):
         rng = np.random.default_rng(4)

@@ -27,7 +27,7 @@ from rmab_dfl.learning import (
     whittle_index_gradient,
 )
 from rmab_dfl.mdp import ENGAGEMENT, RewardSpec, TransitionTensor, whittle_index
-from rmab_dfl.dec_layer import RegularizerConfig
+from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
 
 
 def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
@@ -257,3 +257,14 @@ class TestDecisionQuality:
         value, grad = dec_dfl_cohort_loss(pred, cohort, RegularizerConfig(alpha=1.0))
         assert np.isfinite(value)
         assert grad.shape == pred.shape
+
+    def test_cohort_loss_matches_uncached_loss(self):
+        rng = np.random.default_rng(16)
+        cohort = _cohort(rng, n=6, states=3)
+        pred = rng.dirichlet(np.ones(3), size=(6, 3, 2))
+        reg = RegularizerConfig(alpha=0.5)
+        cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
+        cached = dec_dfl_cohort_loss(pred, cohort, reg, cfg)
+        direct = dec_dfl_loss(pred, cohort.tensors, reg, cfg, cohort.setup)
+        assert cached[0] == direct[0]
+        assert np.array_equal(cached[1], direct[1])

@@ -18,11 +18,13 @@ from rmab_dfl import (
     uniform_setup,
     whittle_index,
 )
+from rmab_dfl import mdp
 from rmab_dfl.mdp import (
     BUDGET,
     ENGAGEMENT,
     batched_returns_gradients,
     policy_action_matrix,
+    solve_policies,
     value_iteration,
 )
 
@@ -181,6 +183,65 @@ class TestBatchedReturns:
                 for j in range(4)
             )
             assert np.allclose(batched[i], manual, atol=1e-12)
+
+    @staticmethod
+    def _max_errors(tensors, setup, kind, rng):
+        """Largest deviation of the batched returns and weighted gradients
+        from the scalar np.linalg.solve oracles, over every arm and policy."""
+        reward = RewardSpec(kind)
+        n, states = tensors.shape[0], tensors.shape[1]
+        weights = rng.normal(size=(n, 2 ** states))
+        table = batched_policy_returns(tensors, reward, setup)
+        grads = batched_returns_gradients(tensors, weights, reward, setup)
+        returns_err = grad_err = 0.0
+        for i in range(n):
+            arm = TransitionTensor(tensors[i])
+            manual = np.zeros_like(tensors[i])
+            for pi in enumerate_policies(states):
+                expected = get_returns(arm, reward, pi, setup)
+                returns_err = max(returns_err, abs(table[i, pi.index] - expected))
+                manual += weights[i, pi.index] * returns_gradient(arm, reward, pi, setup)
+            grad_err = max(grad_err, float(np.max(np.abs(grads[i] - manual))))
+        return returns_err, grad_err
+
+    @pytest.mark.parametrize("kind", [ENGAGEMENT, BUDGET])
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_engine_matches_scalar_oracles(self, states, kind):
+        rng = np.random.default_rng(10 * states + (kind == BUDGET))
+        tensors = rng.dirichlet(np.ones(states), size=(5, states, 2))
+        setup = DiscountedSetup(0.9, rng.dirichlet(np.ones(states)))
+        returns_err, grad_err = self._max_errors(tensors, setup, kind, rng)
+        assert returns_err <= 1e-12
+        assert grad_err <= 1e-12
+
+    @pytest.mark.parametrize("kind", [ENGAGEMENT, BUDGET])
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_engine_near_deterministic_long_horizon(self, states, kind):
+        # sparse Dirichlet rows put almost all mass on one successor; at
+        # gamma = 0.999 every pivot of the unpivoted LU is near 1 - gamma
+        rng = np.random.default_rng(20 * states + (kind == BUDGET))
+        gamma = 0.999
+        tensors = rng.dirichlet(np.full(states, 0.02), size=(5, states, 2))
+        setup = DiscountedSetup(gamma, rng.dirichlet(np.ones(states)))
+        returns_err, grad_err = self._max_errors(tensors, setup, kind, rng)
+        # returns scale as 1/(1-gamma), gradients as 1/(1-gamma)^2
+        assert returns_err * (1 - gamma) <= 1e-12
+        assert grad_err * (1 - gamma) ** 2 <= 1e-12
+
+    def test_engine_solves_arms_in_chunks(self, monkeypatch):
+        # a chunk budget below one arm's systems forces one chunk per arm;
+        # the results must not depend on the chunking
+        rng = np.random.default_rng(30)
+        tensors = rng.dirichlet(np.ones(3), size=(6, 3, 2))
+        setup = uniform_setup(3, 0.9)
+        reward = RewardSpec(ENGAGEMENT)
+        weights = rng.normal(size=(6, 8))
+        whole = solve_policies(tensors, setup, values=reward)
+        assert mdp._CHUNK_ENTRIES >= 6 * 3 * 3 * 8  # all six arms fit one chunk
+        monkeypatch.setattr(mdp, "_CHUNK_ENTRIES", 1)
+        blocked = solve_policies(tensors, setup, values=reward)
+        assert np.array_equal(whole.returns(reward), blocked.returns(reward))
+        assert np.array_equal(whole.gradient(weights), blocked.gradient(weights))
 
 
 class TestWhittleIndex:

@@ -23,6 +23,7 @@ from rmab_dfl import (
     whittle_top_b_step,
 )
 from rmab_dfl.mdp import ENGAGEMENT, CapacityError, RewardSpec
+from rmab_dfl import planning
 from rmab_dfl.planning import simulation_horizon
 
 
@@ -160,6 +161,33 @@ class TestBruteForce:
         cohort = _cohort(rng, n=7, states=4, budget=1.0)
         with pytest.raises(CapacityError):
             brute_force_joint(cohort, budget=1)
+
+
+class TestCohortReturnsCache:
+    def test_cached_tables_match_build_returns_table(self):
+        rng = np.random.default_rng(11)
+        cohort = _cohort(rng, n=5, states=3)
+        tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
+        j_true, j_budget = cohort.true_returns
+        assert np.array_equal(j_true, tables.j_true)
+        assert np.array_equal(j_budget, tables.j_budget)
+
+    def test_solved_once_on_first_use(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        calls = []
+        original = planning.returns_on_truth
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(planning, "returns_on_truth", counting)
+        cohort = _cohort(rng, n=3)
+        assert not calls  # nothing is solved at construction
+        first = cohort.true_returns
+        assert cohort.true_returns is first
+        assert len(calls) == 1
+        assert not first[0].flags.writeable
 
 
 class TestCohortValidation:
