@@ -70,7 +70,6 @@ from .learning import (
     PredictiveModel,
     TrainingConfig,
     evaluate_dq,
-    grid_search,
     mse_loss,
     nll_loss,
     predict,

@@ -10,7 +10,7 @@ is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,12 @@ class DatasetManifest:
     trajectory_actions: str = "uniform"  # action policy when rolling trajectories
 
     def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not 0.0 < self.budget <= self.arms_per_cohort:
+            raise ValueError(
+                f"budget must lie in (0, arms_per_cohort={self.arms_per_cohort}], got {self.budget}"
+            )
         if sum(self.split_sizes) != self.cohorts:
             raise ValueError("split sizes must sum to the cohort count")
 

@@ -5,10 +5,10 @@ maximizing predicted return subject to an expected-budget constraint that
 is evaluated on the true transitions. The entropy-regularized problem is
 solved in the forward direction by bisection on the budget multiplier
 (each inner maximization is a row softmax) and differentiated in closed
-form through the KKT conditions. A slow reference solver doubles as the
-correctness oracle and as the L2-regularized path: its inner maximization
-is a damped Newton solve of the per-row KKT equations for entropy and
-projected-gradient ascent for L2, never the softmax closed form.
+form through the KKT conditions, eliminating the single budget row against
+the per-arm blocks in O(N * P). A slow reference solver is the correctness
+oracle: its inner maximization is a damped Newton solve of the per-row KKT
+equations, never the softmax closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .mdp import (
 from .mdp import BUDGET, ENGAGEMENT
 
 ENTROPY = "entropy"
-L2 = "l2"
 
 
 class InfeasibleBudgetError(NumericError):
@@ -66,8 +65,8 @@ class RegularizerConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (ENTROPY, L2):
-            raise ValueError(f"unknown regularizer {self.kind!r}")
+        if self.kind != ENTROPY:
+            raise ValueError(f"unknown regularizer {self.kind!r}; only {ENTROPY!r} is supported")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -110,8 +109,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def mixture_at(tables: ReturnsTable, lam: float, reg: RegularizerConfig) -> np.ndarray:
     """Row softmax of (j_pred - lam * j_budget) / alpha."""
-    if reg.kind != ENTROPY:
-        raise ValueError("the closed-form inner solution holds for entropy regularization only")
     return _softmax_rows((tables.j_pred - lam * tables.j_budget) / reg.alpha)
 
 
@@ -128,27 +125,37 @@ def eval_lambda(
     return residual, Z
 
 
+def _check_feasible(tables: ReturnsTable, cfg: SolverConfig) -> None:
+    """The budget is feasible exactly when the cheapest policy of every arm
+    fits under the cap together."""
+    if float(np.sum(tables.j_budget.min(axis=1))) > cfg.budget_cap:
+        raise InfeasibleBudgetError(
+            "budget infeasible: the least budget usage of every arm exceeds the cap"
+        )
+
+
+def _grow_bracket(residual, lo: float, hi: float) -> tuple[float, float]:
+    """Double the top of the dual bracket [lo, hi] until residual(hi) <= 0."""
+    while residual(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            raise NumericError("dual bracket grew without the budget residual turning <= 0")
+    return lo, hi
+
+
 def forward_pass(
     tables: ReturnsTable, reg: RegularizerConfig, cfg: SolverConfig
 ) -> DualSolution:
     """Bisection on the budget residual, from [-r_max, r_max]/(1-gamma).
 
     The root is unique by monotonicity; a negative root means the budget
-    is slack and the multiplier clamps to 0. The budget is feasible exactly
-    when the cheapest policy of every arm fits under the cap together; the
-    top of the bracket then doubles until the residual there is <= 0.
+    is slack and the multiplier clamps to 0. An infeasible budget raises;
+    otherwise the top of the bracket doubles until the residual there is <= 0.
     """
-    if float(np.sum(tables.j_budget.min(axis=1))) > cfg.budget_cap:
-        raise InfeasibleBudgetError(
-            "budget infeasible: the least budget usage of every arm exceeds the cap"
-        )
-    lo, hi = -cfg.dual_bound, cfg.dual_bound
-    residual_hi, _ = eval_lambda(tables, hi, reg, cfg)
-    while residual_hi > 0:
-        lo, hi = hi, 2.0 * hi
-        if not np.isfinite(hi):
-            raise NumericError("dual bracket grew without the budget residual turning <= 0")
-        residual_hi, _ = eval_lambda(tables, hi, reg, cfg)
+    _check_feasible(tables, cfg)
+    lo, hi = _grow_bracket(
+        lambda lam: eval_lambda(tables, lam, reg, cfg)[0], -cfg.dual_bound, cfg.dual_bound
+    )
     while hi - lo > cfg.epsilon:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -163,95 +170,10 @@ def forward_pass(
     return DualSolution(lambda_star=lam, slack_xi=-residual, z_star=Z)
 
 
-def _project_rows_to_simplex(Z: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    n, p = Z.shape
-    srt = np.sort(Z, axis=1)[:, ::-1]
-    cumsum = np.cumsum(srt, axis=1) - 1.0
-    ks = np.arange(1, p + 1)
-    cond = srt - cumsum / ks > 0
-    rho = p - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = cumsum[np.arange(n), rho] / (rho + 1)
-    return np.maximum(Z - theta[:, None], 0.0)
-
-
-def _regularizer_value(Z: np.ndarray, reg: RegularizerConfig) -> float:
-    if reg.kind == ENTROPY:
-        Zc = np.clip(Z, 1e-300, None)
-        return float(-reg.alpha * np.sum(Z * np.log(Zc)))
-    return float(-reg.alpha * np.sum(Z * Z))
-
-
-def _regularizer_grad(Z: np.ndarray, reg: RegularizerConfig) -> np.ndarray:
-    if reg.kind == ENTROPY:
-        Zc = np.clip(Z, 1e-300, None)
-        return -reg.alpha * (np.log(Zc) + 1.0)
-    return -2.0 * reg.alpha * Z
-
-
 def objective_value(tables: ReturnsTable, Z: np.ndarray, reg: RegularizerConfig) -> float:
-    """Regularized objective sum Z * j_pred + Phi(Z)."""
-    return float(np.sum(Z * tables.j_pred)) + _regularizer_value(Z, reg)
-
-
-def _inner_maximize(
-    tables: ReturnsTable,
-    lam: float,
-    reg: RegularizerConfig,
-    Z0: np.ndarray,
-    tol: float = 1e-8,
-    max_iters: int = 12,
-) -> np.ndarray:
-    """Maximize the lagrangian's Z-block at a fixed multiplier, from Z0.
-
-    Deliberately avoids the closed-form softmax so the reference solver
-    stays an independent check on the fast path. For entropy, a damped
-    Newton solve of the per-row KKT equations converges from the warm
-    start. For L2, projected-gradient ascent with Barzilai-Borwein steps and
-    an Armijo backtracking safeguard.
-    """
-    linear = tables.j_pred - lam * tables.j_budget
-    if reg.kind == ENTROPY:
-        return _newton_refine_rows(linear, reg.alpha, Z0)
-    Z = np.clip(Z0, 1e-12, None)
-    Z = Z / Z.sum(axis=1, keepdims=True)
-
-    def value_of(z: np.ndarray) -> float:
-        return float(np.sum(z * linear)) + _regularizer_value(z, reg)
-
-    value = value_of(Z)
-    grad = linear + _regularizer_grad(Z, reg)
-    step = 1.0 / max(1.0, float(np.max(np.abs(grad))))
-    Z_prev = grad_prev = None
-    for _ in range(max_iters):
-        # stationarity: unit-step projected gradient has stopped moving
-        probe = _project_rows_to_simplex(Z + grad) - Z
-        if np.max(np.abs(probe)) < tol:
-            break
-        if Z_prev is not None:
-            dZ = Z - Z_prev
-            dG = grad - grad_prev
-            denom = -float(np.sum(dZ * dG))  # positive by concavity
-            if denom > 1e-18:
-                step = float(np.sum(dZ * dZ)) / denom
-            step = min(max(step, 1e-12), 1e8)
-        accepted = False
-        for _ in range(100):
-            Z_new = _project_rows_to_simplex(Z + step * grad)
-            ascent = float(np.sum(grad * (Z_new - Z)))
-            if ascent <= 0.0:
-                break  # no ascent direction left at this scale
-            new_value = value_of(Z_new)
-            if new_value >= value + 1e-4 * ascent:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        Z_prev, grad_prev = Z, grad
-        Z, value = Z_new, new_value
-        grad = linear + _regularizer_grad(Z, reg)
-    return Z
+    """Regularized objective sum Z * j_pred + alpha * H(Z)."""
+    Zc = np.clip(Z, 1e-300, None)
+    return float(np.sum(Z * tables.j_pred)) - reg.alpha * float(np.sum(Z * np.log(Zc)))
 
 
 def _newton_refine_rows(
@@ -298,28 +220,28 @@ def solve_reference(
     max_outer: int = 200,
 ) -> DualSolution:
     """Slow reference solve: bisection on the multiplier, with the inner
-    maximization over the product of simplices solved by _inner_maximize
-    (damped Newton for entropy, projected-gradient ascent for L2).
+    maximization over the product of simplices solved by damped Newton on
+    the per-row KKT equations (_newton_refine_rows), warm-started from the
+    previous multiplier's mixture.
 
-    Handles both entropy and L2 regularization; the residual of the inner
-    optimum is nonincreasing in the multiplier because the dual function
-    of a concave program is convex.
+    The residual of the inner optimum is nonincreasing in the multiplier
+    because the dual function of a concave program is convex. Feasibility
+    and the growing bracket follow the same rule as forward_pass.
     """
+    _check_feasible(tables, cfg)
     n, p = tables.j_pred.shape
     Z0 = np.full((n, p), 1.0 / p)
 
     def residual_at(lam: float, Z_init: np.ndarray) -> tuple[float, np.ndarray]:
-        Z = _inner_maximize(tables, lam, reg, Z_init)
+        linear = tables.j_pred - lam * tables.j_budget
+        Z = _newton_refine_rows(linear, reg.alpha, Z_init)
         return float(np.sum(Z * tables.j_budget) - cfg.budget_cap), Z
 
-    lo, hi = -cfg.dual_bound, cfg.dual_bound
     residual_zero, Z_zero = residual_at(0.0, Z0)
     if residual_zero <= 0:
         return DualSolution(lambda_star=0.0, slack_xi=-residual_zero, z_star=Z_zero)
-    residual_hi, Z_hi = residual_at(hi, Z0)
-    if residual_hi > 1e-9:
-        raise InfeasibleBudgetError("budget infeasible at the dual bracket top")
-    lo, Z = 0.0, Z_zero
+    lo, hi = _grow_bracket(lambda lam: residual_at(lam, Z0)[0], 0.0, cfg.dual_bound)
+    Z = Z_zero
     for _ in range(max_outer):
         if hi - lo <= dual_tol:
             break
@@ -336,10 +258,6 @@ def solve_reference(
     return DualSolution(lambda_star=lam, slack_xi=-residual, z_star=Z)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=1)
-
-
 def backward_pass(
     sol: DualSolution,
     tables: ReturnsTable,
@@ -350,74 +268,27 @@ def backward_pass(
     """Closed-form gradients of a scalar loss through the entropy layer.
 
     upstream is dloss/dZ*. Differentiates the KKT system of the
-    regularized program: the single budget row is eliminated against the
-    N independent per-arm softmax blocks, so the work is O(N * P).
+    regularized program: the N row-sum multipliers are eliminated against
+    the diagonal mixture block, then the budget row (with its -xi corner)
+    against the rest, so the work is O(N * P) at any multiplier.
     Returns (dloss/dj_pred, dloss/dj_budget).
     """
-    if reg.kind != ENTROPY:
-        raise ValueError("closed-form backward pass requires entropy regularization")
     Z = sol.z_star
-    G = tables.j_budget
     u = np.asarray(upstream, dtype=float)
-    alpha = reg.alpha
-    zu = _row_dot(Z, u)
-    softmax_jvp = Z * (u - zu[:, None]) / alpha
-    if sol.lambda_star <= 0.0:
+    w = Z / reg.alpha
+    u_centered = u - np.sum(Z * u, axis=1, keepdims=True)
+    dz = w * u_centered
+    lam = sol.lambda_star
+    if lam <= 0.0:
         # slack budget: the constraint row is inactive and contributes nothing
-        return softmax_jvp, np.zeros_like(Z)
-    zg = _row_dot(Z, G)
-    g_centered = G - zg[:, None]
-    schur = float(np.sum(Z * G * G) - np.sum(zg * zg))  # sum of per-arm variances
-    if abs(sol.lambda_star * schur) < 1e-12:
-        return _backward_dense(sol, tables, reg, upstream, ridge=1e-10)
-    coupling = float(np.sum(zg * zu) - np.sum(Z * G * u))  # -sum of per-arm covariances
-    dlam_scale = coupling / schur
-    grad_j_pred = softmax_jvp + (dlam_scale / alpha) * Z * g_centered
-    grad_j_budget = (
-        -sol.lambda_star * softmax_jvp
-        + dlam_scale * Z
-        - (sol.lambda_star * dlam_scale / alpha) * Z * g_centered
-    )
-    return grad_j_pred, grad_j_budget
-
-
-def _backward_dense(
-    sol: DualSolution,
-    tables: ReturnsTable,
-    reg: RegularizerConfig,
-    upstream: np.ndarray,
-    ridge: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense solve of the full KKT linear system; oracle for backward_pass.
-
-    Builds the (N*P + N + 1) arrow system over the mixture block, the N
-    row-sum multipliers, and the budget multiplier, then solves it
-    directly. O((N*P)^3): only for small instances and fallbacks.
-    """
-    Z = sol.z_star
-    n, p = Z.shape
-    G = tables.j_budget.reshape(-1)
-    z = Z.reshape(-1)
-    u = np.asarray(upstream, dtype=float).reshape(-1)
-    lam, xi = sol.lambda_star, sol.slack_xi
-    dim = n * p + n + 1
-    K = np.zeros((dim, dim))
-    K[: n * p, : n * p] = np.diag(-reg.alpha / np.clip(z, 1e-300, None) - ridge)
-    for i in range(n):
-        rows = slice(i * p, (i + 1) * p)
-        K[rows, n * p + i] = 1.0
-        K[n * p + i, rows] = 1.0
-    K[: n * p, -1] = lam * G
-    K[-1, : n * p] = lam * G
-    K[-1, -1] = -xi
-    rhs = np.zeros(dim)
-    rhs[: n * p] = -u
-    d = np.linalg.solve(K, rhs)
-    d_z = d[: n * p]
-    d_lam = d[-1]
-    grad_j_pred = d_z.reshape(n, p)
-    grad_j_budget = -lam * (d_z - d_lam * z).reshape(n, p)
-    return grad_j_pred, grad_j_budget
+        return dz, np.zeros_like(Z)
+    G = tables.j_budget
+    g_centered = G - np.sum(Z * G, axis=1, keepdims=True)
+    coupling = float(np.sum(w * g_centered * u))
+    variance = float(np.sum(w * g_centered * g_centered))
+    dlam = lam * coupling / (sol.slack_xi - lam * lam * variance)
+    dz += (lam * dlam) * w * g_centered
+    return dz, -lam * (dz - dlam * Z)
 
 
 def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:

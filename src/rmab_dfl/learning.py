@@ -10,7 +10,7 @@ gradients; the models are small enough that this is both fast and exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .mdp import (
     DiscountedSetup,
     RewardSpec,
     TransitionTensor,
-    WhittleTable,
     batched_policy_returns,
     engagement_rewards,
     whittle_index,
@@ -43,13 +42,6 @@ class ModelSpec:
     kind: str = "linear"  # "linear" | "mlp"
     layers: int = 2
     hidden_dim: int = 64
-
-
-MODEL_CAPACITIES = {
-    "small": ModelSpec(kind="linear"),
-    "medium": ModelSpec(kind="mlp", layers=2, hidden_dim=64),
-    "large": ModelSpec(kind="mlp", layers=4, hidden_dim=500),
-}
 
 
 class PredictiveModel:
@@ -322,22 +314,24 @@ def sim_dfl_loss(
 # Training
 
 
+LOSSES = ("mse", "nll", "sim-dfl", "fast-dec-dfl")
+
+
 @dataclass(frozen=True)
 class LossSpec:
-    name: str  # mse | nll | sim-dfl | dec-dfl | fast-dec-dfl
+    name: str  # one of LOSSES
     trajectories: int = 100
-    regularizer: str = "entropy"
     alpha: float = 1.0
     temperature: float = 0.1
     epsilon: float = 1e-6  # dual-bisection tolerance of the decomposed layer
 
     def __post_init__(self):
-        if self.name not in ("mse", "nll", "sim-dfl", "dec-dfl", "fast-dec-dfl"):
+        if self.name not in LOSSES:
             raise ValueError(f"unknown loss {self.name!r}")
 
     @property
     def maximize(self) -> bool:
-        return self.name in ("sim-dfl", "dec-dfl", "fast-dec-dfl")
+        return self.name in ("sim-dfl", "fast-dec-dfl")
 
 
 @dataclass(frozen=True)
@@ -399,8 +393,8 @@ def _cohort_loss(
         if trajs is None:
             raise ValueError("nll loss needs trajectory data")
         value, grad = nll_loss(tensors, trajs)
-    elif name in ("dec-dfl", "fast-dec-dfl"):
-        reg = RegularizerConfig(kind=spec.regularizer, alpha=spec.alpha)
+    elif name == "fast-dec-dfl":
+        reg = RegularizerConfig(alpha=spec.alpha)
         cfg = SolverConfig(
             budget=cohort.budget, gamma=cohort.setup.gamma, epsilon=spec.epsilon
         )
@@ -495,33 +489,6 @@ def train(
                 break
     model.set_theta(best_theta)
     return model, log
-
-
-def grid_search(
-    base: TrainingConfig,
-    learning_rates: list[float],
-    data: DatasetSplits,
-    seeds: list[int] | None = None,
-) -> tuple[PredictiveModel, TrainingConfig, list[dict]]:
-    """Train over the hyperparameter grid and keep the best validation run."""
-    seeds = seeds if seeds is not None else [base.seed]
-    best = None
-    all_logs: list[dict] = []
-    for lr in learning_rates:
-        for seed in seeds:
-            config = replace(base, learning_rate=lr, seed=seed)
-            model, log = train(config, data)
-            val_value = run_epoch(
-                model, None, data.val, data.val_trajectories, config.loss, seed
-            )
-            score = -val_value if config.loss.maximize else val_value
-            for rec in log:
-                rec.update({"lr": lr, "seed": seed})
-            all_logs.extend(log)
-            if best is None or score < best[0]:
-                best = (score, model, config)
-    _, model, config = best
-    return model, config, all_logs
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Acceptance suite: twelve end-to-end criteria, one test each.
 
 Each test prints a single CRITERION line with the measured quantities and
-asserts the stated tolerance and time budget. Oracles are independent of
+asserts the stated tolerance and time budget. Criteria 1-4 and 6 measure
+with the `rmab-dfl verify` checks of rmab_dfl.checks, each under its own
+seed, size, threshold and time bound. Oracles are independent of
 the code paths they check: value iteration vs direct linear solves,
 dense-grid dual search vs bisection, LP enumeration vs the decomposed
 layer, central finite differences vs closed-form gradients.
 """
 
-import itertools
 import time
 
 import numpy as np
-from scipy.optimize import linprog
 
 from rmab_dfl import (
     Cohort,
@@ -26,15 +26,19 @@ from rmab_dfl import (
     TransitionTensor,
     backward_pass,
     batched_policy_returns,
-    budget_audit,
     build_returns_table,
-    eval_lambda,
     evaluate_dq,
     forward_pass,
     get_returns,
-    solve_reference,
     train,
-    uncorrected_policy,
+)
+from rmab_dfl.checks import (
+    _random_cohort,
+    check_budget_overshoot,
+    check_mixture_equivalence,
+    check_residual_monotonicity,
+    check_spurious_minimum,
+    check_truthful_optimality,
 )
 from rmab_dfl.dec_layer import dec_dfl_loss
 from rmab_dfl.learning import Adam, ModelSpec, PredictiveModel, run_epoch
@@ -51,42 +55,9 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {num} ({name}) failed: {detail}"
 
 
-# Fixed 2-state arms used by the counterexample criteria.
-T_OPT = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]])
-T_ABSORBING = np.array([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])
-T_GOOD = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
-T_BAD = np.array([[[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [1.0, 0.0]]])
-
-
-def _random_cohort(rng, n, states=2, gamma=GAMMA):
-    tensors = rng.dirichlet(np.ones(states), size=(n, states, 2))
-    budget = float(rng.uniform(0.2, 0.8)) * n * (1 - gamma)
-    setup = DiscountedSetup(gamma, np.full(states, 1.0 / states))
-    return tensors, SolverConfig(budget=budget, gamma=gamma), setup
-
-
-def _score(pred, truth, cfg, setup, reg, budget_on="truth", dual_tol=None):
-    """True-return score of the layer's mixture for the given predictions."""
-    tables = build_returns_table(pred, truth, setup, budget_on=budget_on)
-    if dual_tol is None:
-        sol = forward_pass(tables, reg, cfg)
-    else:
-        sol = solve_reference(tables, reg, cfg, dual_tol=dual_tol)
-    return float(np.sum(sol.z_star * tables.j_true))
-
-
 def test_criterion_01_budget_overshoot():
     start = time.perf_counter()
-    setup = DiscountedSetup(GAMMA, np.array([1.0, 0.0]))
-    cfg = SolverConfig(budget=1.0 - GAMMA, gamma=GAMMA)
-    sol = uncorrected_policy(T_OPT[None], cfg, setup)
-    cohort = Cohort(
-        features=np.zeros((1, 1)),
-        tensors=T_ABSORBING[None],
-        budget=1.0 - GAMMA,
-        setup=setup,
-    )
-    ratio = budget_audit(cohort, sol, per_step=True)
+    ratio = check_budget_overshoot()["overshoot_ratio"]
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -98,13 +69,7 @@ def test_criterion_01_budget_overshoot():
 
 def test_criterion_02_spurious_optimum_counterexample():
     start = time.perf_counter()
-    setup = DiscountedSetup(GAMMA, np.array([1.0, 0.0]))
-    cfg = SolverConfig(budget=1.0 / (1.0 + GAMMA), gamma=GAMMA)
-    reg = RegularizerConfig(kind="entropy", alpha=1e-3)
-    truth = np.stack([T_GOOD, T_BAD])
-    truthful = _score(truth, truth, cfg, setup, reg, budget_on="pred")
-    wrong = _score(np.stack([T_OPT, T_OPT]), truth, cfg, setup, reg, budget_on="pred")
-    gap = wrong - truthful
+    gap = check_spurious_minimum()["loss_gap"]
     elapsed = time.perf_counter() - start
     _report(
         2,
@@ -116,15 +81,7 @@ def test_criterion_02_spurious_optimum_counterexample():
 
 def test_criterion_03_truthful_optimality():
     start = time.perf_counter()
-    rng = np.random.default_rng(3)
-    reg = RegularizerConfig(kind="entropy", alpha=1e-3)
-    worst = np.inf
-    for _ in range(100):
-        truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 6)))
-        truthful = _score(truth, truth, cfg, setup, reg, dual_tol=1e-8)
-        for _ in range(20):
-            other = rng.dirichlet(np.ones(truth.shape[1]), size=truth.shape[:-1])
-            worst = min(worst, truthful - _score(other, truth, cfg, setup, reg, dual_tol=1e-8))
+    worst = check_truthful_optimality(seed=3, cohorts=100, alternatives=20)["worst_margin"]
     elapsed = time.perf_counter() - start
     _report(
         3,
@@ -134,50 +91,9 @@ def test_criterion_03_truthful_optimality():
     )
 
 
-def _decomposed_lp(tables, cfg):
-    n, p = tables.j_pred.shape
-    a_eq = np.zeros((n, n * p))
-    for i in range(n):
-        a_eq[i, i * p : (i + 1) * p] = 1.0
-    res = linprog(
-        -tables.j_pred.reshape(-1),
-        A_ub=tables.j_budget.reshape(1, -1),
-        b_ub=[cfg.budget_cap],
-        A_eq=a_eq,
-        b_eq=np.ones(n),
-        bounds=(0, None),
-        method="highs",
-    )
-    assert res.success, res.message
-    return -res.fun
-
-
-def _joint_mixture_lp(tables, cfg):
-    n, p = tables.j_pred.shape
-    combos = list(itertools.product(range(p), repeat=n))
-    j = np.array([sum(tables.j_pred[i, k[i]] for i in range(n)) for k in combos])
-    g = np.array([sum(tables.j_budget[i, k[i]] for i in range(n)) for k in combos])
-    res = linprog(
-        -j,
-        A_ub=g.reshape(1, -1),
-        b_ub=[cfg.budget_cap],
-        A_eq=np.ones((1, len(combos))),
-        b_eq=[1.0],
-        bounds=(0, None),
-        method="highs",
-    )
-    assert res.success, res.message
-    return -res.fun
-
-
 def test_criterion_04_decomposed_joint_mixture_equivalence():
     start = time.perf_counter()
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(25):
-        truth, cfg, setup = _random_cohort(rng, n=2)
-        tables = build_returns_table(truth, truth, setup)
-        worst = max(worst, abs(_decomposed_lp(tables, cfg) - _joint_mixture_lp(tables, cfg)))
+    worst = check_mixture_equivalence(seed=4, instances=25)["max_gap"]
     elapsed = time.perf_counter() - start
     _report(
         4,
@@ -240,22 +156,7 @@ def test_criterion_05_forward_pass_vs_grid_oracle():
 
 def test_criterion_06_residual_monotonicity():
     start = time.perf_counter()
-    rng = np.random.default_rng(6)
-    violations = 0
-    for _ in range(10_000):
-        n, p = int(rng.integers(1, 6)), int(2 ** rng.integers(1, 4))
-        tables = ReturnsTable(
-            j_pred=rng.normal(scale=5.0, size=(n, p)),
-            j_true=np.zeros((n, p)),
-            j_budget=rng.uniform(0.0, 10.0, size=(n, p)),
-        )
-        reg = RegularizerConfig(kind="entropy", alpha=float(rng.uniform(0.01, 2.0)))
-        cfg = SolverConfig(budget=1.0, gamma=GAMMA)
-        lam_lo, lam_hi = np.sort(rng.uniform(-10.0, 10.0, size=2))
-        r_lo, _ = eval_lambda(tables, lam_lo, reg, cfg)
-        r_hi, _ = eval_lambda(tables, lam_hi, reg, cfg)
-        if r_hi > r_lo + 1e-12:
-            violations += 1
+    violations = check_residual_monotonicity(seed=6, draws=10_000)["violations"]
     elapsed = time.perf_counter() - start
     _report(
         6,

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from rmab_dfl import cli
+from rmab_dfl.checks import run_verification
 from rmab_dfl.cli import (
     EXIT_INPUT,
     EXIT_OK,
     OUTPUT_ROOT_ENV,
     main,
-    run_verification,
 )
 
 
@@ -63,6 +63,15 @@ class TestGenerate:
                      "--states", "2"])
         assert code == EXIT_OK
         assert (tmp_path / "envroot" / "dataset.json").exists()
+
+    def test_invalid_manifest_is_input_error(self, tmp_path):
+        base = ["generate", "--cohorts", "3", "--arms", "2"]
+        out = tmp_path / "bad-gamma"
+        assert main(base + ["--out", str(out), "--gamma", "1.5"]) == EXIT_INPUT
+        assert not (out / "dataset.json").exists()
+        out = tmp_path / "bad-budget"
+        assert main(base + ["--out", str(out), "--budget", "3"]) == EXIT_INPUT
+        assert not (out / "dataset.json").exists()
 
 
 class TestTrainEvalExport:
@@ -163,6 +172,32 @@ class TestTrainEvalExport:
             main(argv + ["--seed", "1"])
         assert (run / "model.npz").read_bytes() == before
         assert not [p.name for p in run.iterdir() if p.name.startswith("model.npz.")]
+
+    def test_grid_keeps_best_validation_run(self, tiny_dataset, tmp_path):
+        run = tmp_path / "run"
+        code = main(["train", "--dataset", str(tiny_dataset), "--out", str(run), "--loss", "mse",
+                     "--lr", "1e-2", "1e-5", "--epochs", "5", "--seed", "0"])
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in (run / "log.jsonl").read_text().splitlines()]
+        assert {rec["lr"] for rec in records} == {1e-2, 1e-5}
+        # train restores each run's best validation epoch, so a run's
+        # validation value is the least one it logged
+        best_val = {}
+        for rec in records:
+            if rec["split"] == "val":
+                best_val[rec["lr"]] = min(best_val.get(rec["lr"], np.inf), rec["value"])
+        best_lr = min(best_val, key=best_val.get)
+        result = json.loads((run / "result.json").read_text())
+        assert result["lr"] == best_lr
+        assert result["val_value"] == pytest.approx(best_val[best_lr], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags", [["--loss", "dec-dfl"], ["--loss", "fast-dec-dfl", "--regularizer", "l2"]]
+    )
+    def test_removed_options_rejected(self, tiny_dataset, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", str(tiny_dataset)] + flags)
+        assert exc.value.code == 2
 
     def test_missing_dataset_is_input_error(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nope.json"), "--loss", "mse"])

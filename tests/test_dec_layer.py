@@ -14,11 +14,43 @@ from rmab_dfl import (
     dec_dfl_loss,
     eval_lambda,
     forward_pass,
-    mixture_at,
     solve_reference,
     uniform_setup,
 )
-from rmab_dfl.dec_layer import _backward_dense, _project_rows_to_simplex, objective_value
+from rmab_dfl.dec_layer import DualSolution, mixture_at, objective_value
+
+
+def _backward_dense(sol, tables, reg, upstream):
+    """Dense solve of the full KKT linear system; oracle for backward_pass.
+
+    Builds the (N*P + N + 1) arrow system over the mixture block, the N
+    row-sum multipliers, and the budget multiplier (with its -xi corner),
+    then solves it directly. O((N*P)^3): small instances only.
+    """
+    Z = sol.z_star
+    n, p = Z.shape
+    G = tables.j_budget.reshape(-1)
+    z = Z.reshape(-1)
+    u = np.asarray(upstream, dtype=float).reshape(-1)
+    lam, xi = sol.lambda_star, sol.slack_xi
+    dim = n * p + n + 1
+    K = np.zeros((dim, dim))
+    K[: n * p, : n * p] = np.diag(-reg.alpha / np.clip(z, 1e-300, None))
+    for i in range(n):
+        rows = slice(i * p, (i + 1) * p)
+        K[rows, n * p + i] = 1.0
+        K[n * p + i, rows] = 1.0
+    K[: n * p, -1] = lam * G
+    K[-1, : n * p] = lam * G
+    K[-1, -1] = -xi
+    rhs = np.zeros(dim)
+    rhs[: n * p] = -u
+    d = np.linalg.solve(K, rhs)
+    d_z = d[: n * p]
+    d_lam = d[-1]
+    grad_j_pred = d_z.reshape(n, p)
+    grad_j_budget = -lam * (d_z - d_lam * z).reshape(n, p)
+    return grad_j_pred, grad_j_budget
 
 
 def _random_instance(rng, n=3, states=2, gamma=0.9):
@@ -142,13 +174,20 @@ class TestReferenceSolver:
             assert abs(fast.lambda_star - ref.lambda_star) <= 2e-5
             assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-4
 
-    def test_l2_regularizer_supported(self):
-        rng = np.random.default_rng(5)
-        truth, cfg, setup = _random_instance(rng, n=2)
+    def test_grown_bracket_matches_forward_pass(self):
+        # the feasible tight-budget instance whose multiplier lies above the
+        # initial bracket top: the oracle grows its bracket like forward_pass
+        rng = np.random.default_rng(2024)
+        truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+        setup = uniform_setup(2, 0.9)
+        cfg = SolverConfig(budget=1.0, gamma=0.9, epsilon=1e-9)
         tables = build_returns_table(truth, truth, setup)
-        sol = solve_reference(tables, RegularizerConfig(kind="l2", alpha=0.1), cfg)
-        assert np.allclose(sol.z_star.sum(axis=1), 1.0, atol=1e-6)
-        assert float(np.sum(sol.z_star * tables.j_budget)) <= cfg.budget_cap + 1e-4
+        reg = RegularizerConfig(alpha=10.0)
+        fast = forward_pass(tables, reg, cfg)
+        ref = solve_reference(tables, reg, cfg)
+        assert ref.lambda_star == pytest.approx(10.8002085, abs=1e-6)
+        assert abs(fast.lambda_star - ref.lambda_star) <= 1e-8
+        assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-9
 
     def test_objective_not_below_feasible_candidates(self):
         rng = np.random.default_rng(6)
@@ -161,20 +200,6 @@ class TestReferenceSolver:
             cand = rng.dirichlet(np.ones(tables.num_policies), size=tables.num_arms)
             if float(np.sum(cand * tables.j_budget)) <= cfg.budget_cap:
                 assert objective_value(tables, cand, reg) <= best + 1e-6
-
-
-class TestSimplexProjection:
-    def test_projects_onto_simplex(self):
-        rng = np.random.default_rng(7)
-        Z = rng.normal(size=(10, 6))
-        P = _project_rows_to_simplex(Z)
-        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(P >= 0)
-
-    def test_fixed_point_on_simplex(self):
-        rng = np.random.default_rng(8)
-        Z = rng.dirichlet(np.ones(5), size=4)
-        assert np.allclose(_project_rows_to_simplex(Z), Z, atol=1e-12)
 
 
 class TestBackwardPass:
@@ -192,6 +217,27 @@ class TestBackwardPass:
             assert np.max(np.abs(fast[0] - dense[0])) <= 1e-8
             assert np.max(np.abs(fast[1] - dense[1])) <= 1e-8
 
+    def test_tiny_multiplier_keeps_slack_corner(self):
+        # at lambda = 1e-13 the -xi corner of the KKT system dominates the
+        # budget row; dropping it would blow the multiplier step up by 1/lambda
+        rng = np.random.default_rng(16)
+        tables = ReturnsTable(
+            j_pred=rng.normal(size=(3, 4)),
+            j_true=np.zeros((3, 4)),
+            j_budget=rng.uniform(0, 10, size=(3, 4)),
+        )
+        reg = RegularizerConfig(alpha=1.0)
+        cfg = SolverConfig(budget=1.0, gamma=0.9)
+        lam = 1e-13
+        sol = DualSolution(
+            lambda_star=lam, slack_xi=3e-7, z_star=mixture_at(tables, lam, reg)
+        )
+        upstream = rng.normal(size=(3, 4))
+        fast = backward_pass(sol, tables, reg, cfg, upstream)
+        dense = _backward_dense(sol, tables, reg, upstream)
+        assert np.max(np.abs(fast[0] - dense[0])) <= 1e-10
+        assert np.max(np.abs(fast[1] - dense[1])) <= 1e-10
+
     def test_slack_budget_kills_budget_gradient(self):
         rng = np.random.default_rng(10)
         truth = rng.dirichlet(np.ones(2), size=(2, 2, 2))
@@ -205,13 +251,10 @@ class TestBackwardPass:
         assert np.all(g_budget == 0.0)
 
     def test_requires_entropy(self):
-        tables = ReturnsTable(
-            j_pred=np.zeros((1, 2)), j_true=np.zeros((1, 2)), j_budget=np.zeros((1, 2))
-        )
-        cfg = SolverConfig(budget=0.1, gamma=0.9)
-        sol = forward_pass(tables, RegularizerConfig(alpha=1.0), cfg)
+        # the closed-form backward holds for entropy only, and no other
+        # regularizer can be configured
         with pytest.raises(ValueError):
-            backward_pass(sol, tables, RegularizerConfig(kind="l2", alpha=1.0), cfg, tables.j_true)
+            RegularizerConfig(kind="l2", alpha=1.0)
 
 
 class TestLossWrapper:

@@ -22,7 +22,6 @@ from rmab_dfl.datasets import trajectory_data
 from rmab_dfl.learning import (
     Adam,
     dec_dfl_cohort_loss,
-    grid_search,
     run_epoch,
     whittle_index_gradient,
 )
@@ -209,14 +208,6 @@ class TestTraining:
         final_val = run_epoch(model, None, data.val, None, config.loss, 0)
         assert final_val == pytest.approx(best_val, abs=1e-12)
 
-    def test_grid_search_picks_best_validation(self):
-        rng = np.random.default_rng(10)
-        data = self._splits(rng, "mse")
-        base = TrainingConfig(loss=LossSpec(name="mse"), epochs=5, seed=0)
-        model, config, logs = grid_search(base, [1e-2, 1e-5], data)
-        assert config.learning_rate in (1e-2, 1e-5)
-        assert any(rec["lr"] == 1e-5 for rec in logs)
-
     def test_nll_requires_trajectories(self):
         rng = np.random.default_rng(11)
         cohorts = [_cohort(rng)]
@@ -228,6 +219,8 @@ class TestTraining:
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
             LossSpec(name="huber")
+        with pytest.raises(ValueError):
+            LossSpec(name="dec-dfl")
 
 
 class TestDecisionQuality:
