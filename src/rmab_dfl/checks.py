@@ -180,7 +180,7 @@ def check_mixture_equivalence(seed: int, instances: int = 25) -> dict:
 
 
 def check_dual_solver(seed: int, instances: int = 100) -> dict:
-    """Fast bisection forward pass agrees with the slow damped-Newton
+    """Fast bracketed-Newton forward pass agrees with the slow damped-Newton
     reference solve, and satisfies complementary slackness.
     """
     rng = np.random.default_rng(seed)
@@ -218,8 +218,8 @@ def check_residual_monotonicity(seed: int, draws: int = 10_000) -> dict:
         reg = RegularizerConfig(kind="entropy", alpha=float(rng.uniform(0.01, 2.0)))
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         lam_pair = np.sort(rng.uniform(-10.0, 10.0, size=2))
-        r_lo, _ = eval_lambda(tables, lam_pair[0], reg, cfg)
-        r_hi, _ = eval_lambda(tables, lam_pair[1], reg, cfg)
+        r_lo, _, _ = eval_lambda(tables, lam_pair[0], reg, cfg)
+        r_hi, _, _ = eval_lambda(tables, lam_pair[1], reg, cfg)
         if r_hi > r_lo + 1e-12:
             violations += 1
     return {

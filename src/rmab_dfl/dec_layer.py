@@ -3,12 +3,13 @@
 Optimizes a per-arm mixture Z over all deterministic per-arm policies,
 maximizing predicted return subject to an expected-budget constraint that
 is evaluated on the true transitions. The entropy-regularized problem is
-solved in the forward direction by bisection on the budget multiplier
-(each inner maximization is a row softmax) and differentiated in closed
-form through the KKT conditions, eliminating the single budget row against
-the per-arm blocks in O(N * P). A slow reference solver is the correctness
-oracle: its inner maximization is a damped Newton solve of the per-row KKT
-equations, never the softmax closed form.
+solved in the forward direction by a bracketed Newton iteration on the
+budget multiplier (each inner maximization is a row softmax, and the
+residual's slope is the summed per-arm variance of the budget usage) and
+differentiated in closed form through the KKT conditions, eliminating the
+single budget row against the per-arm blocks in O(N * P). A slow reference
+solver is the correctness oracle: its inner maximization is a damped Newton
+solve of the per-row KKT equations, never the softmax closed form.
 """
 
 from __future__ import annotations
@@ -99,12 +100,15 @@ class DualSolution:
     lambda_star: float
     slack_xi: float
     z_star: np.ndarray  # (N, P), rows on the simplex
+    evaluations: int = 0  # residual evaluations the solve used
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Row softmax, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def mixture_at(tables: ReturnsTable, lam: float, reg: RegularizerConfig) -> np.ndarray:
@@ -114,15 +118,20 @@ def mixture_at(tables: ReturnsTable, lam: float, reg: RegularizerConfig) -> np.n
 
 def eval_lambda(
     tables: ReturnsTable, lam: float, reg: RegularizerConfig, cfg: SolverConfig
-) -> tuple[float, np.ndarray]:
-    """Budget residual and mixture at a candidate multiplier.
+) -> tuple[float, float, np.ndarray]:
+    """Budget residual, its slope and the mixture at a candidate multiplier.
 
-    residual = sum_ij Z_ij * j_budget_ij - B/(1-gamma); nonincreasing in
-    lam, so a sign change brackets the optimal multiplier.
+    residual = sum_ij Z_ij * j_budget_ij - B/(1-gamma), nonincreasing in
+    lam, so a sign change brackets the optimal multiplier. Its slope is
+    -sum_i Var_{Z_i}(j_budget_i) / alpha (the variance term of
+    backward_pass), formed from the same products Z * j_budget.
     """
     Z = mixture_at(tables, lam, reg)
-    residual = float(np.sum(Z * tables.j_budget) - cfg.budget_cap)
-    return residual, Z
+    used = Z * tables.j_budget
+    row_used = np.einsum("ij->i", used)
+    variance = float(np.vdot(used, tables.j_budget)) - float(row_used @ row_used)
+    residual = float(np.sum(used)) - cfg.budget_cap
+    return residual, -max(variance, 0.0) / reg.alpha, Z
 
 
 def _check_feasible(tables: ReturnsTable, cfg: SolverConfig) -> None:
@@ -134,40 +143,79 @@ def _check_feasible(tables: ReturnsTable, cfg: SolverConfig) -> None:
         )
 
 
-def _grow_bracket(residual, lo: float, hi: float) -> tuple[float, float]:
-    """Double the top of the dual bracket [lo, hi] until residual(hi) <= 0."""
-    while residual(hi) > 0:
+def _grow_bracket(evaluate, lo: float, hi: float) -> tuple[float, float, tuple]:
+    """Double the top of the dual bracket [lo, hi] until the residual there is <= 0.
+
+    evaluate(lam) returns a tuple led by the residual; the result is the
+    grown bracket and evaluate(hi).
+    """
+    at_hi = evaluate(hi)
+    while at_hi[0] > 0:
         lo, hi = hi, 2.0 * hi
         if not np.isfinite(hi):
             raise NumericError("dual bracket grew without the budget residual turning <= 0")
-    return lo, hi
+        at_hi = evaluate(hi)
+    return lo, hi, at_hi
 
 
 def forward_pass(
     tables: ReturnsTable, reg: RegularizerConfig, cfg: SolverConfig
 ) -> DualSolution:
-    """Bisection on the budget residual, from [-r_max, r_max]/(1-gamma).
+    """Bracketed Newton solve of the budget residual for the multiplier.
 
-    The root is unique by monotonicity; a negative root means the budget
-    is slack and the multiplier clamps to 0. An infeasible budget raises;
-    otherwise the top of the bracket doubles until the residual there is <= 0.
+    A budget that is slack at lam = 0 returns lam = 0 after one residual
+    evaluation, and an infeasible one raises. Otherwise the top of the
+    bracket [0, r_max/(1-gamma)] doubles until the residual there is <= 0,
+    and Newton steps with the exact slope from eval_lambda run inside it
+    from lam = 0 (from the top if the bracket grew). They are safeguarded
+    as in rtsafe (Numerical Recipes): a step is taken only if it lands
+    inside the bracket and is at most half the step before last, and the
+    bracket is bisected otherwise. At small alpha the residual is a
+    staircase whose flat runs have slope 0; those cost bisection steps,
+    never a false convergence. The solve ends at a feasible iterate
+    (residual <= 0) whose Newton step is within epsilon, or when the
+    bracket is narrower than epsilon, and returns the feasible end of the
+    bracket, so the realized budget never exceeds the cap.
     """
     _check_feasible(tables, cfg)
-    lo, hi = _grow_bracket(
-        lambda lam: eval_lambda(tables, lam, reg, cfg)[0], -cfg.dual_bound, cfg.dual_bound
-    )
-    while hi - lo > cfg.epsilon:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # bracket is at machine resolution
-        residual_mid, _ = eval_lambda(tables, mid, reg, cfg)
-        if residual_mid > 0:
-            lo = mid
+    evaluations = 0
+
+    def evaluate(lam: float) -> tuple[float, float, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
+        return eval_lambda(tables, lam, reg, cfg)
+
+    residual, slope, Z = evaluate(0.0)
+    if residual <= 0:
+        return DualSolution(0.0, -residual, Z, evaluations)
+    lo, hi, at_hi = _grow_bracket(evaluate, 0.0, cfg.dual_bound)
+    lam = 0.0
+    if lo > 0.0:  # the bracket grew: start from its top
+        lam, (residual, slope, _) = hi, at_hi
+    step = step_before = hi - lo
+    eps = cfg.epsilon
+    while hi - lo > eps and not (residual <= 0 and abs(residual) <= eps * abs(slope)):
+        delta = -residual / slope if slope < 0 else np.inf  # the Newton step
+        if 0 < delta <= eps:
+            # where the residual is convex, Newton closes in from the
+            # infeasible side: probe just past its point to land feasible
+            nxt = lam + 1.01 * delta + 4.0 * np.spacing(lam)
+        elif lo < lam + delta < hi and abs(delta) <= 0.5 * step_before:
+            nxt = lam + delta
         else:
-            hi = mid
-    lam = max(0.5 * (lo + hi), 0.0)
-    residual, Z = eval_lambda(tables, lam, reg, cfg)
-    return DualSolution(lambda_star=lam, slack_xi=-residual, z_star=Z)
+            delta = 0.5 * (hi - lo)
+            nxt = lo + delta
+        step_before, step = step, abs(delta)
+        if not lo < nxt < hi:
+            break  # the bracket is at machine resolution
+        lam = nxt
+        residual, slope, Z = evaluate(lam)
+        if residual > 0:
+            lo = lam
+        else:
+            hi, at_hi = lam, (residual, slope, Z)
+    residual, _, Z = at_hi
+    return DualSolution(hi, -residual, Z, evaluations)
 
 
 def objective_value(tables: ReturnsTable, Z: np.ndarray, reg: RegularizerConfig) -> float:
@@ -240,7 +288,7 @@ def solve_reference(
     residual_zero, Z_zero = residual_at(0.0, Z0)
     if residual_zero <= 0:
         return DualSolution(lambda_star=0.0, slack_xi=-residual_zero, z_star=Z_zero)
-    lo, hi = _grow_bracket(lambda lam: residual_at(lam, Z0)[0], 0.0, cfg.dual_bound)
+    lo, hi, _ = _grow_bracket(lambda lam: residual_at(lam, Z0), 0.0, cfg.dual_bound)
     Z = Z_zero
     for _ in range(max_outer):
         if hi - lo <= dual_tol:

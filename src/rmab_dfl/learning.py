@@ -27,7 +27,7 @@ from .mdp import (
     _policy_chain,
 )
 from .mdp import ENGAGEMENT
-from .planning import Cohort, WhittleTopB, simulate_joint, simulation_horizon
+from .planning import Cohort, SimulationResult, WhittleTopB, simulate_joint, simulation_horizon
 from .datasets import TrajectoryData
 
 
@@ -323,7 +323,7 @@ class LossSpec:
     trajectories: int = 100
     alpha: float = 1.0
     temperature: float = 0.1
-    epsilon: float = 1e-6  # dual-bisection tolerance of the decomposed layer
+    epsilon: float = 1e-6  # multiplier tolerance of the decomposed layer
 
     def __post_init__(self):
         if self.name not in LOSSES:
@@ -498,9 +498,11 @@ def train(
 @dataclass(frozen=True)
 class DQReport:
     joint_dq: float
+    joint_dq_se: float  # standard error of joint_dq over the rollouts
     decomposed_dq: float
     never_act_dq: float
     perfect_joint_dq: float
+    perfect_joint_dq_se: float
     perfect_decomposed_dq: float
     normalized_joint_dq: float | None
     normalized_decomposed_dq: float | None
@@ -516,14 +518,13 @@ def _decomposed_dq(j_pred: np.ndarray, cohort: Cohort, alpha: float = 1e-3) -> f
     return float(np.sum(sol.z_star * tables.j_true))
 
 
-def _joint_dq(pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int) -> float:
+def _joint_dq(pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int) -> SimulationResult:
     reward_spec = RewardSpec(ENGAGEMENT)
     tables = [
         whittle_index(TransitionTensor(p), reward_spec, cohort.setup) for p in pred
     ]
     policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
-    result = simulate_joint(cohort, policy, trajectories, seed)
-    return result.mean_return
+    return simulate_joint(cohort, policy, trajectories, seed)
 
 
 def evaluate_dq(
@@ -538,32 +539,39 @@ def evaluate_dq(
 
     Either a model or explicit per-cohort prediction arrays must be given.
     Normalized values rescale so never-act maps to 0 and planning with the
-    true tensors maps to 1; a degenerate rescale is reported as None.
-    trajectories=0 skips the (slow) simulated joint evaluation and reports
-    NaN for the joint columns.
+    true tensors maps to 1; a degenerate rescale is reported as None. The
+    joint columns are means over cohorts of rollout estimates, with
+    standard errors sqrt(sum_k se_k^2) / n. trajectories=0 skips the (slow)
+    simulated joint evaluation and reports NaN for the joint columns.
     """
     if predictions is None:
         if model is None:
             raise ValueError("need a model or explicit predictions")
         predictions = [model.forward(c.features)[0] for c in cohorts]
     joint = decomposed = never = perfect_joint = perfect_dec = 0.0
+    joint_var = perfect_joint_var = 0.0
     reward_spec = RewardSpec(ENGAGEMENT)
     for k, cohort in enumerate(cohorts):
         pred = predictions[k]
         if trajectories > 0:
-            joint += _joint_dq(pred, cohort, trajectories, seed + k)
+            result = _joint_dq(pred, cohort, trajectories, seed + k)
+            joint += result.mean_return
+            joint_var += result.std_error**2
         j_pred = batched_policy_returns(pred, reward_spec, cohort.setup)
         decomposed += _decomposed_dq(j_pred, cohort, alpha)
         j_true = cohort.true_returns[0]
         never += float(j_true[:, 0].sum())
         if trajectories > 0:
-            perfect_joint += _joint_dq(cohort.tensors, cohort, trajectories, seed + k)
+            result = _joint_dq(cohort.tensors, cohort, trajectories, seed + k)
+            perfect_joint += result.mean_return
+            perfect_joint_var += result.std_error**2
         perfect_dec += _decomposed_dq(j_true, cohort, alpha)
     n = max(len(cohorts), 1)
     joint, decomposed, never = joint / n, decomposed / n, never / n
     perfect_joint, perfect_dec = perfect_joint / n, perfect_dec / n
+    joint_se, perfect_joint_se = joint_var**0.5 / n, perfect_joint_var**0.5 / n
     if trajectories <= 0:
-        joint = perfect_joint = float("nan")
+        joint = perfect_joint = joint_se = perfect_joint_se = float("nan")
 
     def _norm(value, perfect):
         span = perfect - never
@@ -573,9 +581,11 @@ def evaluate_dq(
 
     return DQReport(
         joint_dq=joint,
+        joint_dq_se=joint_se,
         decomposed_dq=decomposed,
         never_act_dq=never,
         perfect_joint_dq=perfect_joint,
+        perfect_joint_dq_se=perfect_joint_se,
         perfect_decomposed_dq=perfect_dec,
         normalized_joint_dq=_norm(joint, perfect_joint),
         normalized_decomposed_dq=_norm(decomposed, perfect_dec),

@@ -5,8 +5,8 @@ asserts the stated tolerance and time budget. Criteria 1-4 and 6 measure
 with the `rmab-dfl verify` checks of rmab_dfl.checks, each under its own
 seed, size, threshold and time bound. Oracles are independent of
 the code paths they check: value iteration vs direct linear solves,
-dense-grid dual search vs bisection, LP enumeration vs the decomposed
-layer, central finite differences vs closed-form gradients.
+dense-grid dual search vs the Newton dual solve, LP enumeration vs the
+decomposed layer, central finite differences vs closed-form gradients.
 """
 
 import time
@@ -106,8 +106,8 @@ def test_criterion_04_decomposed_joint_mixture_equivalence():
 def _grid_dual_oracle(tables, reg, cfg):
     """Dual multiplier by dense grid search with local refinement.
 
-    Independent of the bisection code path: the inner softmax and residual
-    are recomputed here from scratch.
+    Independent of the forward-pass code path: the inner softmax and
+    residual are recomputed here from scratch.
     """
 
     def residual(lam):

@@ -117,6 +117,7 @@ class TestTrainEvalExport:
         assert code == EXIT_OK
         dq = json.loads((run / "dq.json").read_text())
         assert "normalized_decomposed_dq" in dq
+        assert dq["joint_dq_se"] > 0 and dq["perfect_joint_dq_se"] > 0
         assert dq["split"] == "test"
 
         code = main(["export", "--kind", "dq_table", "--results", str(run), "--out", str(run)])

@@ -17,6 +17,7 @@ from rmab_dfl import (
     solve_reference,
     uniform_setup,
 )
+from rmab_dfl import dec_layer
 from rmab_dfl.dec_layer import DualSolution, mixture_at, objective_value
 
 
@@ -110,6 +111,23 @@ class TestInnerSolution:
         residuals = [eval_lambda(tables, l, reg, cfg)[0] for l in lams]
         assert np.all(np.diff(residuals) <= 1e-12)
 
+    def test_slope_matches_finite_difference(self):
+        rng = np.random.default_rng(18)
+        tables = ReturnsTable(
+            j_pred=rng.normal(size=(5, 4)),
+            j_true=np.zeros((5, 4)),
+            j_budget=rng.uniform(0, 5, size=(5, 4)),
+        )
+        reg = RegularizerConfig(alpha=0.5)
+        cfg = SolverConfig(budget=0.5, gamma=0.9)
+        h = 1e-6
+        _, slope, _ = eval_lambda(tables, 0.7, reg, cfg)
+        central = (
+            eval_lambda(tables, 0.7 + h, reg, cfg)[0] - eval_lambda(tables, 0.7 - h, reg, cfg)[0]
+        ) / (2 * h)
+        assert slope < 0
+        assert slope == pytest.approx(central, rel=1e-6)
+
 
 class TestForwardPass:
     def test_budget_met_at_optimum(self):
@@ -130,6 +148,7 @@ class TestForwardPass:
         tables = build_returns_table(truth, truth, setup)
         sol = forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
         assert sol.lambda_star == 0.0
+        assert sol.evaluations == 1
 
     def test_infeasible_budget_raises(self):
         # force positive budget usage under every policy: acting usage is
@@ -161,6 +180,102 @@ class TestForwardPass:
         assert used <= cfg.budget_cap * (1 + 1e-6)
 
 
+class TestNewtonDualSolve:
+    """The bracketed Newton solve: feasible end, traps of the safeguard, work counts."""
+
+    def test_budget_never_over_cap_on_random_instances(self):
+        rng = np.random.default_rng(17)
+        for k in range(500):
+            alpha = (1e-3, 0.1, 1.0, 10.0)[k % 4]
+            n = int(np.exp(rng.uniform(np.log(2), np.log(201))))
+            states = int(rng.integers(2, 4))
+            truth = rng.dirichlet(np.ones(states), size=(n, states, 2))
+            pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
+            cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
+            tables = build_returns_table(pred, truth, uniform_setup(states, 0.9))
+            reg = RegularizerConfig(alpha=alpha)
+            sol = forward_pass(tables, reg, cfg)
+            assert sol.slack_xi >= 0.0
+            assert float(np.sum(sol.z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
+            assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+
+    def test_flat_residual_is_not_convergence(self):
+        # at alpha = 1e-3 every row is one-hot at the bracket top, so the
+        # residual's slope there is exactly 0 while the residual is
+        # negative; bisection's 27 evaluations are the ceiling on this
+        # staircase
+        setup = uniform_setup(2, 0.9)
+        cfg = SolverConfig(budget=10.0, gamma=0.9)
+        reg = RegularizerConfig(alpha=1e-3)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+            pred = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+            tables = build_returns_table(pred, truth, setup)
+            residual_top, slope_top, _ = eval_lambda(tables, cfg.dual_bound, reg, cfg)
+            assert residual_top < 0 and slope_top == 0.0
+            sol = forward_pass(tables, reg, cfg)
+            assert 0 < sol.evaluations <= 27
+            assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+
+    def test_newton_from_infeasible_side_ends_feasible(self):
+        # the residual is convex left of the root here: a Newton step from
+        # the infeasible side stops short of the root, so the solve has to
+        # step past it to end on the feasible side
+        rng = np.random.default_rng(51)
+        n = int(rng.integers(2, 50))
+        truth = rng.dirichlet(np.ones(2), size=(n, 2, 2))
+        pred = rng.dirichlet(np.ones(2), size=(n, 2, 2))
+        cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
+        tables = build_returns_table(pred, truth, uniform_setup(2, 0.9))
+        reg = RegularizerConfig(alpha=1.0)
+        ref = solve_reference(tables, reg, cfg)
+        start = ref.lambda_star - 0.05
+        residual, slope, _ = eval_lambda(tables, start, reg, cfg)
+        assert residual > 0
+        assert eval_lambda(tables, start - residual / slope, reg, cfg)[0] > 0
+        sol = forward_pass(tables, reg, cfg)
+        assert sol.slack_xi >= 0.0
+        assert abs(sol.lambda_star * sol.slack_xi) <= 1e-6 * cfg.budget_cap
+        assert abs(sol.lambda_star - ref.lambda_star) <= 2e-5
+
+    def test_budget_just_above_least_usage_solves(self):
+        rng = np.random.default_rng(7)
+        j_budget = rng.uniform(1.0, 10.0, size=(50, 4))
+        tables = ReturnsTable(
+            j_pred=rng.normal(size=(50, 4)), j_true=np.zeros((50, 4)), j_budget=j_budget
+        )
+        cap = 1.001 * float(j_budget.min(axis=1).sum())
+        cfg = SolverConfig(budget=cap * (1 - 0.9), gamma=0.9)
+        reg = RegularizerConfig(alpha=0.1)
+        sol = forward_pass(tables, reg, cfg)
+        assert sol.slack_xi >= 0.0
+        assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+
+    def test_evaluations_count_every_residual(self, monkeypatch):
+        calls = []
+        original = dec_layer.eval_lambda
+        monkeypatch.setattr(
+            dec_layer, "eval_lambda", lambda *args: calls.append(args[1]) or original(*args)
+        )
+        rng = np.random.default_rng(2)
+        truth, cfg, setup = _random_instance(rng, n=20)
+        sol = forward_pass(build_returns_table(truth, truth, setup), RegularizerConfig(alpha=1.0), cfg)
+        assert sol.lambda_star > 0.0
+        assert sol.evaluations == len(calls)
+
+    def test_evaluation_ceiling_at_scale_out(self):
+        setup = uniform_setup(4, 0.9)
+        cfg = SolverConfig(budget=1000.0, gamma=0.9)
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            truth = rng.dirichlet(np.ones(4), size=(10_000, 4, 2))
+            pred = rng.dirichlet(np.ones(4), size=(10_000, 4, 2))
+            tables = build_returns_table(pred, truth, setup)
+            sol = forward_pass(tables, RegularizerConfig(alpha=1.0), cfg)
+            assert 0 < sol.evaluations <= 12
+
+
 class TestReferenceSolver:
     def test_agrees_with_forward_pass(self):
         rng = np.random.default_rng(4)
@@ -175,19 +290,22 @@ class TestReferenceSolver:
             assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-4
 
     def test_grown_bracket_matches_forward_pass(self):
-        # the feasible tight-budget instance whose multiplier lies above the
-        # initial bracket top: the oracle grows its bracket like forward_pass
-        rng = np.random.default_rng(2024)
-        truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+        # feasible tight-budget instances (alpha = 10, B = 1) whose multiplier
+        # lies above the initial bracket top: the oracle grows its bracket
+        # like forward_pass
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=1.0, gamma=0.9, epsilon=1e-9)
-        tables = build_returns_table(truth, truth, setup)
         reg = RegularizerConfig(alpha=10.0)
-        fast = forward_pass(tables, reg, cfg)
-        ref = solve_reference(tables, reg, cfg)
-        assert ref.lambda_star == pytest.approx(10.8002085, abs=1e-6)
-        assert abs(fast.lambda_star - ref.lambda_star) <= 1e-8
-        assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-9
+        for seed in (2024, 2025, 2026):
+            truth = np.random.default_rng(seed).dirichlet(np.ones(2), size=(100, 2, 2))
+            tables = build_returns_table(truth, truth, setup)
+            fast = forward_pass(tables, reg, cfg)
+            ref = solve_reference(tables, reg, cfg)
+            if seed == 2024:
+                assert ref.lambda_star == pytest.approx(10.8002085, abs=1e-6)
+            assert fast.lambda_star > cfg.dual_bound
+            assert abs(fast.lambda_star - ref.lambda_star) <= 1e-8
+            assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-9
 
     def test_objective_not_below_feasible_candidates(self):
         rng = np.random.default_rng(6)

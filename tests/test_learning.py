@@ -27,6 +27,7 @@ from rmab_dfl.learning import (
 )
 from rmab_dfl.mdp import ENGAGEMENT, RewardSpec, TransitionTensor, whittle_index
 from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
+from rmab_dfl.planning import WhittleTopB, simulate_joint
 
 
 def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
@@ -236,6 +237,31 @@ class TestDecisionQuality:
         cohort = _cohort(rng, n=2)
         report = evaluate_dq(None, [cohort], trajectories=0, predictions=[cohort.tensors])
         assert np.isnan(report.joint_dq)
+        assert np.isnan(report.joint_dq_se) and np.isnan(report.perfect_joint_dq_se)
+
+    def test_joint_standard_errors_combine_cohorts(self):
+        rng = np.random.default_rng(16)
+        cohorts = [_cohort(rng, n=4, budget=1.0), _cohort(rng, n=5, budget=2.0)]
+        preds = [rng.dirichlet(np.ones(2), size=(c.num_arms, 2, 2)) for c in cohorts]
+        report = evaluate_dq(None, cohorts, trajectories=30, seed=7, predictions=preds)
+
+        def rollout(tensors, cohort, seed):
+            tables = [
+                whittle_index(TransitionTensor(t), RewardSpec(ENGAGEMENT), cohort.setup)
+                for t in tensors
+            ]
+            policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
+            return simulate_joint(cohort, policy, 30, seed)
+
+        for tensors_of, mean, se in (
+            (lambda k: preds[k], report.joint_dq, report.joint_dq_se),
+            (lambda k: cohorts[k].tensors, report.perfect_joint_dq, report.perfect_joint_dq_se),
+        ):
+            results = [rollout(tensors_of(k), c, 7 + k) for k, c in enumerate(cohorts)]
+            assert mean == pytest.approx(np.mean([r.mean_return for r in results]), rel=1e-12)
+            expected = np.sqrt(sum(r.std_error**2 for r in results)) / 2
+            assert expected > 0
+            assert se == pytest.approx(expected, rel=1e-12)
 
     def test_model_or_predictions_required(self):
         rng = np.random.default_rng(14)
