@@ -22,7 +22,9 @@ from .mdp import (
     returns_gradient,
     batched_policy_returns,
     uniform_setup,
+    whittle_gradients,
     whittle_index,
+    whittle_indices,
 )
 from .dec_layer import (
     DualSolution,
@@ -47,8 +49,8 @@ from .planning import (
     brute_force_joint,
     budget_audit,
     simulate_joint,
+    top_b_actions,
     uncorrected_policy,
-    whittle_top_b_step,
 )
 from .datasets import (
     Dataset,

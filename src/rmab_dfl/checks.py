@@ -23,6 +23,7 @@ from .dec_layer import (
     build_returns_table,
     eval_lambda,
     forward_pass,
+    returns_on_truth,
     solve_reference,
 )
 from .planning import Cohort, budget_audit, uncorrected_policy
@@ -64,10 +65,8 @@ def check_budget_overshoot() -> dict:
 
 
 def _uncorrected_loss(pred: np.ndarray, truth: np.ndarray, cfg: SolverConfig, setup) -> float:
-    tables = build_returns_table(pred, truth, setup, budget_on="pred")
-    reg = RegularizerConfig(kind="entropy", alpha=1e-3)
-    sol = forward_pass(tables, reg, cfg)
-    return float(np.sum(sol.z_star * tables.j_true))
+    sol = uncorrected_policy(pred, cfg, setup)
+    return float(np.sum(sol.z_star * returns_on_truth(truth, setup)[0]))
 
 
 def check_spurious_minimum() -> dict:

@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,14 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mdp import (
-    ENGAGEMENT,
-    DiscountedSetup,
-    NumericError,
-    RewardSpec,
-    TransitionTensor,
-    whittle_index,
-)
+from .mdp import DiscountedSetup, NumericError, whittle_indices
 from .dec_layer import (
     RegularizerConfig,
     SolverConfig,
@@ -45,6 +37,7 @@ from .dec_layer import (
 from .checks import run_verification
 from .datasets import (
     DatasetManifest,
+    atomic_replace,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -62,6 +55,7 @@ from .learning import (
     run_epoch,
     train as train_model,
 )
+from .planning import top_b_actions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -80,21 +74,7 @@ class InputError(ValueError):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    _atomic_replace(path, lambda fh: fh.write(text.encode()))
-
-
-def _atomic_replace(path: Path, write) -> None:
-    """Call write(binary file) on a temp file beside path, then rename it over path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_replace(path, lambda fh: fh.write(text.encode()))
 
 
 def _check_overwrite(path: Path, overwrite: bool) -> None:
@@ -148,7 +128,6 @@ def cmd_generate(args) -> int:
     out = _out_dir(args.out) / "dataset.json"
     _check_overwrite(out, args.overwrite)
     dataset = generate_synthetic(manifest)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
     print(f"wrote {out} ({manifest.cohorts} cohorts, hash {_manifest_hash(manifest)})")
     return EXIT_OK
@@ -185,14 +164,11 @@ def _loss_spec(args) -> LossSpec:
 
 
 def _train_one(payload):
-    dataset_path, loss_spec, model_spec, lr, seed, epochs = payload
-    dataset = load_dataset(dataset_path)
-    data = _build_splits(dataset, loss_spec.name)
-    config = TrainingConfig(
-        loss=loss_spec, learning_rate=lr, epochs=epochs, seed=seed, model=model_spec
-    )
+    dataset_path, config = payload
+    lr, seed = config.learning_rate, config.seed
+    data = _build_splits(load_dataset(dataset_path), config.loss.name)
     model, log = train_model(config, data)
-    val_value = run_epoch(model, None, data.val, data.val_trajectories, loss_spec, seed)
+    val_value = run_epoch(model, None, data.val, data.val_trajectories, config.loss, seed)
     for rec in log:
         rec.update({"lr": lr, "seed": seed})
     return lr, seed, val_value, model.get_theta(), log
@@ -205,14 +181,18 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     model_path = out / "model.npz"
     _check_overwrite(model_path, args.overwrite)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     dataset = load_dataset(dataset_path)
     spec = _loss_spec(args)
     model_spec = MODEL_FLAGS[args.model]
-    jobs = [
-        (str(dataset_path), spec, model_spec, lr, seed, args.epochs)
+    # every run's configuration is checked before any run starts
+    configs = [
+        TrainingConfig(loss=spec, learning_rate=lr, epochs=args.epochs, seed=seed, model=model_spec)
         for lr in args.lr
         for seed in args.seed
     ]
+    jobs = [(str(dataset_path), config) for config in configs]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_train_one, jobs))
@@ -240,7 +220,7 @@ def cmd_train(args) -> int:
         "feature_dim": dataset.manifest.feature_dim,
         "states": dataset.manifest.states,
     }
-    _atomic_replace(model_path, lambda fh: np.savez(fh, theta=theta, meta=json.dumps(meta)))
+    atomic_replace(model_path, lambda fh: np.savez(fh, theta=theta, meta=json.dumps(meta)))
     _atomic_write(out / "result.json", json.dumps(meta, indent=2) + "\n")
     print(f"best lr={lr} seed={seed} val={val_value:.6f}; wrote {model_path}")
     return EXIT_OK
@@ -470,21 +450,13 @@ def _export_wi_scatter(args, out: Path) -> None:
     dataset = load_dataset(args.dataset)
     model, meta = _load_model(Path(args.model))
     cohorts = dataset.cohort_objects(args.split)
-    reward = RewardSpec(ENGAGEMENT)
     rows = []
     arm_id = 0
     for cohort in cohorts:
         pred, _ = model.forward(cohort.features)
-        true_wi = np.array(
-            [whittle_index(TransitionTensor(t), reward, cohort.setup).wi[0] for t in cohort.tensors]
-        )
-        pred_wi = np.array(
-            [whittle_index(TransitionTensor(t), reward, cohort.setup).wi[0] for t in pred]
-        )
-        b = int(round(cohort.budget))
-        chosen = np.argsort(-pred_wi, kind="stable")[:b]
-        selected = np.zeros(cohort.num_arms, dtype=int)
-        selected[chosen] = 1
+        true_wi = whittle_indices(cohort.tensors, cohort.setup)[:, 0]
+        pred_wi = whittle_indices(pred, cohort.setup)[:, 0]
+        selected = top_b_actions(pred_wi, int(round(cohort.budget)))
         for i in range(cohort.num_arms):
             rows.append([arm_id, f"{true_wi[i]:.8f}", f"{pred_wi[i]:.8f}", selected[i]])
             arm_id += 1

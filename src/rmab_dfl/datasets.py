@@ -10,6 +10,8 @@ is exact.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -159,7 +161,22 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     return Dataset(manifest=manifest, cohorts=records, split_assignment=split_assignment)
 
 
+def atomic_replace(path: Path, write) -> None:
+    """Call write(binary file) on a temp file beside path, then rename it over path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write the dataset atomically: a failed write leaves any old file intact."""
     payload = {
         "format_version": FORMAT_VERSION,
         "manifest": asdict(dataset.manifest),
@@ -173,7 +190,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             for rec in dataset.cohorts
         ],
     }
-    Path(path).write_text(json.dumps(payload))
+    atomic_replace(Path(path), lambda fh: fh.write(json.dumps(payload).encode()))
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -77,7 +77,6 @@ class SolverConfig:
     budget: float
     gamma: float
     epsilon: float = 1e-6
-    r_max: float = 1.0
 
     def __post_init__(self):
         if self.budget <= 0:
@@ -92,7 +91,8 @@ class SolverConfig:
 
     @property
     def dual_bound(self) -> float:
-        return self.r_max / (1.0 - self.gamma)
+        # engagement rewards lie in [0, 1], so no return exceeds 1/(1-gamma)
+        return 1.0 / (1.0 - self.gamma)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def forward_pass(
 
     A budget that is slack at lam = 0 returns lam = 0 after one residual
     evaluation, and an infeasible one raises. Otherwise the top of the
-    bracket [0, r_max/(1-gamma)] doubles until the residual there is <= 0,
+    bracket [0, 1/(1-gamma)] doubles until the residual there is <= 0,
     and Newton steps with the exact slope from eval_lambda run inside it
     from lam = 0 (from the top if the bracket grew). They are safeguarded
     as in rtsafe (Numerical Recipes): a step is taken only if it lands
@@ -347,22 +347,15 @@ def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndar
 
 
 def build_returns_table(
-    pred: np.ndarray,
-    truth: np.ndarray,
-    setup: DiscountedSetup,
-    budget_on: str = "truth",
+    pred: np.ndarray, truth: np.ndarray, setup: DiscountedSetup
 ) -> ReturnsTable:
-    """Assemble the three (N, P) return tables from transition tensors.
-
-    budget_on="pred" evaluates the budget constraint on the predicted
-    transitions (the uncorrected relaxation, kept for counterexamples).
-    """
-    pred_solve = solve_policies(pred, setup)
+    """Assemble the three (N, P) return tables from transition tensors;
+    the budget side is evaluated on the true transitions."""
     j_true, j_budget = returns_on_truth(truth, setup)
-    if budget_on == "pred":
-        j_budget = pred_solve.returns(RewardSpec(BUDGET))
     return ReturnsTable(
-        j_pred=pred_solve.returns(RewardSpec(ENGAGEMENT)), j_true=j_true, j_budget=j_budget
+        j_pred=solve_policies(pred, setup).returns(RewardSpec(ENGAGEMENT)),
+        j_true=j_true,
+        j_budget=j_budget,
     )
 
 

@@ -17,16 +17,16 @@ import numpy as np
 from . import dec_layer
 from .dec_layer import RegularizerConfig, ReturnsTable, SolverConfig, forward_pass
 from .mdp import (
-    DiscountedSetup,
+    ENGAGEMENT,
+    NumericError,
     RewardSpec,
     TransitionTensor,
+    WhittleTable,
     batched_policy_returns,
     engagement_rewards,
-    whittle_index,
-    _optimal_subsidized_values,
-    _policy_chain,
+    whittle_gradients,
+    whittle_indices,
 )
-from .mdp import ENGAGEMENT
 from .planning import Cohort, SimulationResult, WhittleTopB, simulate_joint, simulation_horizon
 from .datasets import TrajectoryData
 
@@ -172,45 +172,6 @@ def dec_dfl_cohort_loss(
 # -- SIM-DFL ----------------------------------------------------------------
 
 
-def whittle_index_gradient(
-    T: np.ndarray, wi: np.ndarray, R: RewardSpec, setup: DiscountedSetup
-) -> np.ndarray:
-    """d WI[s] / d T(s~, a~, s~') by implicit differentiation of the
-    indifference condition at each index point.
-
-    Returns (S, S, 2, S): leading axis is the indexed state.
-    """
-    T = np.asarray(T, dtype=float)
-    num_states = T.shape[0]
-    gamma = setup.gamma
-    rewards = R.per_step(num_states, np.zeros(num_states, dtype=int))
-    eye = np.eye(num_states)
-    grad = np.zeros((num_states,) + T.shape)
-    tensor = TransitionTensor(T)
-    for s in range(num_states):
-        m = wi[s]
-        Q = _optimal_subsidized_values(tensor, rewards, m, gamma)
-        actions = np.where(Q[:, 1] > Q[:, 0] + 1e-14, 1, 0)
-        T_pi = _policy_chain(tensor, actions)
-        M = eye - gamma * T_pi
-        r_pi = rewards + m * (1 - actions)
-        V = np.linalg.solve(M, r_pi)
-        dV_dm = np.linalg.solve(M, (1 - actions).astype(float))
-        delta = T[s, 1, :] - T[s, 0, :]
-        dF_dm = -1.0 + gamma * delta @ dV_dm
-        if abs(dF_dm) < 1e-12:
-            continue  # degenerate indifference; leave gradient at zero
-        # direct dependence of Q(s,1) - Q(s,0) on the rows of state s
-        dF_dT = np.zeros_like(T)
-        dF_dT[s, 1, :] += gamma * V
-        dF_dT[s, 0, :] -= gamma * V
-        # dependence through the value function: only rows the policy uses
-        h = np.linalg.solve(M.T, gamma * delta)
-        dF_dT[np.arange(num_states), actions, :] += gamma * np.outer(h, V)
-        grad[s] = -dF_dT / dF_dm
-    return grad
-
-
 def _soft_top_b_probs(scores: np.ndarray, budget: float, temperature: float):
     """Soft top-B marginals p_i = sigmoid((w_i - theta) / tau) with theta
     chosen per row so that sum_i p_i = B. Returns (p, dtheta/dw weights).
@@ -233,12 +194,8 @@ def _soft_top_b_probs(scores: np.ndarray, budget: float, temperature: float):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, without a mask
+    return np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
 
 
 def sim_dfl_loss(
@@ -259,13 +216,8 @@ def sim_dfl_loss(
     pred = np.asarray(pred, dtype=float)
     n, num_states = pred.shape[0], pred.shape[1]
     setup = cohort.setup
-    reward_spec = RewardSpec(ENGAGEMENT)
-    wi = np.empty((n, num_states))
-    wi_grads = np.empty((n, num_states) + pred.shape[1:])
-    for i in range(n):
-        table = whittle_index(TransitionTensor(pred[i]), reward_spec, setup)
-        wi[i] = table.wi
-        wi_grads[i] = whittle_index_gradient(pred[i], table.wi, reward_spec, setup)
+    wi = whittle_indices(pred, setup)
+    wi_grads = whittle_gradients(pred, setup, wi)
 
     rng = np.random.default_rng(seed)
     horizon = simulation_horizon(setup, n)
@@ -328,6 +280,8 @@ class LossSpec:
     def __post_init__(self):
         if self.name not in LOSSES:
             raise ValueError(f"unknown loss {self.name!r}")
+        if self.trajectories < 1:
+            raise ValueError(f"trajectories must be at least 1, got {self.trajectories}")
 
     @property
     def maximize(self) -> bool:
@@ -343,6 +297,12 @@ class TrainingConfig:
     patience: int = 10
     model: ModelSpec = field(default_factory=ModelSpec)
 
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+
 
 @dataclass
 class DatasetSplits:
@@ -353,7 +313,7 @@ class DatasetSplits:
     val_trajectories: list[TrajectoryData] | None = None
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(NumericError):
     pass
 
 
@@ -519,10 +479,7 @@ def _decomposed_dq(j_pred: np.ndarray, cohort: Cohort, alpha: float = 1e-3) -> f
 
 
 def _joint_dq(pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int) -> SimulationResult:
-    reward_spec = RewardSpec(ENGAGEMENT)
-    tables = [
-        whittle_index(TransitionTensor(p), reward_spec, cohort.setup) for p in pred
-    ]
+    tables = [WhittleTable(wi=wi) for wi in whittle_indices(pred, cohort.setup)]
     policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
     return simulate_joint(cohort, policy, trajectories, seed)
 

@@ -4,9 +4,12 @@ policy evaluation, return gradients, and Whittle indices.
 Each arm is a small MDP with binary actions (act / don't act). All
 evaluation is exact (direct linear solves of the Bellman equations), so
 none of the downstream machinery needs Monte Carlo rollouts. The returns
-engine, solve_policies, solves every policy of every arm at once; the
-scalar get_returns / returns_gradient and value_iteration are the
-independent oracles it is tested against.
+engine, solve_policies, solves every policy of every arm at once; Whittle
+indices and their gradients are read off its values. The oracles it is
+tested against are independent of it: the scalar get_returns /
+returns_gradient and value_iteration for returns and return gradients,
+and value iteration on the subsidized Bellman equation (acting and
+staying passive are worth the same at each index) for Whittle indices.
 """
 
 from __future__ import annotations
@@ -343,22 +346,6 @@ def batched_policy_returns(
     return solve_policies(tensors, setup).returns(R)
 
 
-def batched_returns_gradients(
-    tensors: np.ndarray,
-    policy_weights: np.ndarray,
-    R: RewardSpec,
-    setup: DiscountedSetup,
-) -> np.ndarray:
-    """Weighted sum over policies of per-policy return gradients.
-
-    Returns (N, |S|, 2, |S|) with entry sum_j policy_weights[i, j] *
-    dJ_i(pi_j)/dT_i(s, a, s'). Used to chain a loss gradient w.r.t. the
-    per-policy returns back onto predicted transition entries. A view of
-    solve_policies.
-    """
-    return solve_policies(tensors, setup, values=R).gradient(policy_weights)
-
-
 @dataclass(frozen=True)
 class WhittleTable:
     """Per-state Whittle indices of one arm (same scale as the reward)."""
@@ -366,70 +353,103 @@ class WhittleTable:
     wi: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _optimal_subsidized_values(
-    T: TransitionTensor, rewards: np.ndarray, subsidy: float, gamma: float
-) -> np.ndarray:
-    """Q(s, a) of the optimal policy of the subsidy-lambda single-arm problem.
+_MAX_BISECTIONS = 200  # so that a tol below float resolution raises, not spins
 
-    The passive action earns the subsidy on top of the state reward.
-    Solved exactly by policy iteration (small state spaces only).
+
+def _subsidy_lines(tensors, setup: DiscountedSetup):
+    """The engine solved from every start state e_y, arms batch-last.
+
+    With a subsidy m paid per passive step, policy j of arm i is worth
+    V(y; m) = a[y, j, i] + m * b[y, j, i] at state y: a is its engagement
+    value, b its discounted count of passive steps. Returns (occupancy, a,
+    b), with occupancy[y] the (S, P, N) occupancy from e_y.
     """
-    num_states = T.num_states
-    actions = np.zeros(num_states, dtype=int)
-    eye = np.eye(num_states)
-    for _ in range(2 ** num_states + 1):
-        r_pi = rewards + subsidy * (1 - actions)
-        T_pi = _policy_chain(T, actions)
-        V = np.linalg.solve(eye - gamma * T_pi, r_pi)
-        Q = rewards[:, None] + subsidy * np.array([1.0, 0.0])[None, :] + gamma * (T.probs @ V)
-        # stable improvement: keep the current action on exact ties
-        new_actions = np.where(Q[:, 1] > Q[:, 0] + 1e-14, 1, 0)
-        if np.array_equal(new_actions, actions):
-            return Q
-        actions = new_actions
-    return Q
+    tensors = stack_tensors(tensors)
+    num_states = tensors.shape[1]
+    starts = [DiscountedSetup(setup.gamma, e) for e in np.eye(num_states)]
+    occupancy = np.stack([solve_policies(tensors, start).occupancy for start in starts])
+    a = np.einsum("yxjn,x->yjn", occupancy, engagement_rewards(num_states))
+    b = np.einsum("yxjn,jx->yjn", occupancy, 1.0 - policy_action_matrix(num_states))
+    return occupancy, a, b
+
+
+def _acting_vs_passive(reduce, a, b, subsidy):
+    """reduce (np.max or np.argmax) over the policies acting, then over those
+    passive, in each arm's indexed state, of the (N, S, P) lines a + m*b at
+    the (N, S) subsidies m."""
+    lines = a + subsidy[..., None] * b
+    acting = policy_action_matrix(lines.shape[1]).T == 1
+    return [reduce(np.where(m, lines, -np.inf), axis=-1) for m in (acting, ~acting)]
+
+
+def whittle_indices(tensors, setup: DiscountedSetup, tol: float = 1e-8) -> np.ndarray:
+    """(N, S) Whittle index of every state of every arm, engagement reward.
+
+    The index of s is the passive subsidy m at which acting and staying
+    passive in s are worth the same. Every policy's value is affine in m, so
+    f_s(m), the best value in s of a policy acting in s minus that of one
+    passive in s, has the sign of Q*(s, act) - Q*(s, passive); the index is
+    its root (Gast, Gaujal & Khun, arXiv 2203.05207). One bisection on
+    +-1/(1-gamma) finds all N*S roots, ties resolving toward the lower
+    subsidy. Roots at the bracket top (not indexable) are logged.
+    """
+    _, a, b = _subsidy_lines(tensors, setup)
+    a, b = a.transpose(2, 0, 1), b.transpose(2, 0, 1)  # lines at the indexed state
+    bound = 1.0 / (1.0 - setup.gamma)  # engagement rewards lie in [0, 1]
+    lo, hi = np.full(a.shape[:2], -bound), np.full(a.shape[:2], bound)
+    for _ in range(_MAX_BISECTIONS):
+        open_ = hi - lo > tol
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        act, passive = _acting_vs_passive(np.max, a, b, mid)
+        higher = act - passive > 1e-14  # acting still strictly better: subsidy too low
+        lo, hi = np.where(open_ & higher, mid, lo), np.where(open_ & ~higher, mid, hi)
+    if np.any(hi - lo > tol):
+        raise NumericError(f"Whittle bisection did not reach tol {tol} in {_MAX_BISECTIONS} steps")
+    at_top = int(np.sum(hi >= bound - tol))
+    if at_top:
+        logger.warning("%d (arm, state) pairs may not be indexable: acting optimal at the "
+                       "bracket top", at_top)
+    value = 0.5 * (lo + hi)
+    return np.where(np.abs(value) <= tol, 0.0, value)
+
+
+def whittle_gradients(tensors, setup: DiscountedSetup, wi: np.ndarray) -> np.ndarray:
+    """(N, S, S, 2, S): d wi[i, s] / d T_i(x, a, y), by implicit differentiation.
+
+    At the root the best acting and best passive policies in s are known,
+    so dWI/dT = -(df/dT) / (df/dm) with df/dm = b_act(s) - b_passive(s), and
+    df/dT is the difference of the two policies' return gradients from
+    e_s under the subsidized values a + WI*b: PolicySolve.gradient with one
+    batch entry per (arm, state). A degenerate root (|df/dm| < 1e-12) gets
+    a zero gradient.
+    """
+    occupancy, a, b = _subsidy_lines(tensors, setup)
+    wi = np.asarray(wi, dtype=float)
+    n, num_states = wi.shape
+    b_s = b.transpose(2, 0, 1)
+    best = [j[..., None] for j in _acting_vs_passive(np.argmax, a.transpose(2, 0, 1), b_s, wi)]
+    slope = np.take_along_axis(b_s, best[0], -1) - np.take_along_axis(b_s, best[1], -1)
+    scale = np.divide(-1.0, slope, out=np.zeros_like(slope), where=np.abs(slope) >= 1e-12)
+    weights = np.zeros_like(b_s)
+    np.put_along_axis(weights, best[0], scale, -1)
+    np.put_along_axis(weights, best[1], -scale, -1)
+    pairs = (num_states, -1, n * num_states)  # batch entry i*S + s: arm i indexed at s
+    solve = PolicySolve(setup.gamma, policy_action_matrix(num_states),
+                        occupancy.transpose(1, 2, 3, 0).reshape(pairs),
+                        (a[..., None] + b[..., None] * wi).reshape(pairs))
+    grad = solve.gradient(weights.reshape(n * num_states, -1))
+    return grad.reshape(n, num_states, num_states, 2, num_states)
 
 
 def whittle_index(
-    T: TransitionTensor,
-    R: RewardSpec,
-    setup: DiscountedSetup,
-    tol: float = 1e-8,
-    max_iters: int = 200,
+    T: TransitionTensor, R: RewardSpec, setup: DiscountedSetup, tol: float = 1e-8
 ) -> WhittleTable:
-    """Whittle index of every state by binary search on the passive subsidy.
-
-    For each state, finds the subsidy at which acting and staying passive
-    are equally valuable in the subsidized single-arm problem. Indexability
-    is assumed; bracket inconsistencies are logged, not fatal.
-    """
-    num_states = T.num_states
-    rewards = R.per_step(num_states, np.zeros(num_states, dtype=int))
-    gamma = setup.gamma
-    r_max = float(np.max(np.abs(rewards))) if np.any(rewards) else 1.0
-    bound = r_max / (1.0 - gamma)
-    wi = np.zeros(num_states)
-    for s in range(num_states):
-        lo, hi = -bound, bound
-        for _ in range(max_iters):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            Q = _optimal_subsidized_values(T, rewards, mid, gamma)
-            if Q[s, 1] > Q[s, 0] + 1e-14:
-                lo = mid  # acting still strictly better: subsidy too low
-            else:
-                hi = mid  # ties resolve toward the lower subsidy
-        if hi - lo > tol:
-            raise NumericError(
-                f"Whittle binary search did not converge for state {s}: "
-                f"bracket [{lo}, {hi}], tol {tol}"
-            )
-        if hi >= bound - tol:
-            logger.warning("arm may not be indexable: acting optimal at bracket top (state %d)", s)
-        value = 0.5 * (lo + hi)
-        wi[s] = 0.0 if abs(value) <= tol else value
-    return WhittleTable(wi=wi)
+    """Whittle indices of one arm: the N=1 view of whittle_indices."""
+    if R.kind != ENGAGEMENT:
+        raise ValueError(f"Whittle indices need the engagement reward, not {R.kind!r}")
+    return WhittleTable(wi=whittle_indices(T.probs[None], setup, tol)[0])
 
 
 def value_iteration(

@@ -79,7 +79,6 @@ class WhittleTopB:
 
     tables: list[WhittleTable]
     budget: int
-    act_on_nonpositive: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,40 +103,24 @@ class SimulationResult:
     trajectories_used: int
 
 
-def whittle_top_b_step(
-    indices: list[WhittleTable],
-    states: np.ndarray,
-    budget: int,
-    act_on_nonpositive: bool = True,
-) -> np.ndarray:
-    """Action vector acting on the top-B current-state Whittle indices.
+def top_b_actions(scores: np.ndarray, budget: int) -> np.ndarray:
+    """0/1 actions on the `budget` largest scores along the last axis.
 
-    Ties at the B-th rank resolve toward the lowest arm id.
+    Ties at the B-th rank resolve toward the lowest arm id; a budget of at
+    least the arm count acts on every arm.
     """
-    n = len(indices)
-    scores = np.array([indices[i].wi[states[i]] for i in range(n)])
-    return _top_b_actions(scores, min(budget, n), act_on_nonpositive)
-
-
-def _top_b_actions(scores: np.ndarray, budget: int, act_on_nonpositive: bool) -> np.ndarray:
-    n = scores.shape[0]
-    actions = np.zeros(n, dtype=int)
-    if budget >= n:
-        chosen = np.arange(n)
-    else:
-        # stable sort on (-score, arm id): lowest id wins ties
-        chosen = np.argsort(-scores, kind="stable")[:budget]
-    if not act_on_nonpositive:
-        chosen = chosen[scores[chosen] > 0]
-    actions[chosen] = 1
+    actions = np.zeros(np.shape(scores), dtype=int)
+    # stable sort on (-score, arm id): lowest id wins ties
+    chosen = np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :budget]
+    np.put_along_axis(actions, chosen, 1, axis=-1)
     return actions
 
 
-def simulation_horizon(setup: DiscountedSetup, num_arms: int, r_max: float = 1.0) -> int:
-    """Steps until the discounted tail is below horizon_tol of total mass."""
+def simulation_horizon(setup: DiscountedSetup, num_arms: int) -> int:
+    """Steps until the discounted tail of num_arms unit rewards is below horizon_tol."""
     gamma = setup.gamma
     tail_cap = setup.horizon_tol
-    horizon = int(np.ceil(np.log(tail_cap * (1 - gamma) / max(r_max * num_arms, 1e-12)) / np.log(gamma)))
+    horizon = int(np.ceil(np.log(tail_cap * (1 - gamma) / max(num_arms, 1e-12)) / np.log(gamma)))
     return max(horizon, 1)
 
 
@@ -180,10 +163,7 @@ def simulate_joint(
     arm_idx = np.arange(n)[None, :]
     for _ in range(horizon):
         if isinstance(policy, WhittleTopB):
-            scores = wi[arm_idx, states]  # (traj, N)
-            actions = _whittle_actions_batch(
-                scores, policy.budget, policy.act_on_nonpositive
-            )
+            actions = top_b_actions(wi[arm_idx, states], policy.budget)
         else:
             actions = action_matrix[policy_draws, states]
         returns += discount * rewards[states].sum(axis=1)
@@ -200,29 +180,6 @@ def simulate_joint(
         mean_budget_used=float(budget_used.mean()),
         trajectories_used=trajectories,
     )
-
-
-def _whittle_actions_batch(
-    scores: np.ndarray, budget: int, act_on_nonpositive: bool
-) -> np.ndarray:
-    """Top-B per row of a (traj, N) score matrix, stable in arm id."""
-    traj, n = scores.shape
-    actions = np.zeros((traj, n), dtype=int)
-    b = min(budget, n)
-    if b >= n:
-        if act_on_nonpositive:
-            return np.ones((traj, n), dtype=int)
-        return (scores > 0).astype(int)
-    order = np.argsort(-scores, axis=1, kind="stable")
-    chosen = order[:, :b]
-    rows = np.repeat(np.arange(traj), b)
-    cols = chosen.reshape(-1)
-    if act_on_nonpositive:
-        actions[rows, cols] = 1
-    else:
-        keep = scores[rows, cols] > 0
-        actions[rows[keep], cols[keep]] = 1
-    return actions
 
 
 def uncorrected_policy(

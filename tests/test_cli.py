@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmab_dfl import cli
+from rmab_dfl import cli, learning
 from rmab_dfl.checks import run_verification
 from rmab_dfl.cli import (
     EXIT_INPUT,
+    EXIT_NUMERIC,
     EXIT_OK,
     OUTPUT_ROOT_ENV,
     main,
@@ -199,6 +200,30 @@ class TestTrainEvalExport:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--dataset", str(tiny_dataset)] + flags)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lr", "nan"], ["--lr", "1e-2", "0"], ["--lr", "-0.001"], ["--trajectories", "0"],
+         ["--epochs", "0"], ["--jobs", "0"]],
+    )
+    def test_bad_training_values_are_input_errors(self, tiny_dataset, tmp_path, monkeypatch,
+                                                  flags):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(learning, "run_epoch", no_training)
+        run = tmp_path / "run"
+        code = main(["train", "--dataset", str(tiny_dataset), "--out", str(run)] + flags)
+        assert code == EXIT_INPUT
+        assert not run.exists()
+
+    def test_divergence_is_numeric_error(self, tiny_dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(learning, "mse_loss", lambda pred, truth: (float("nan"), pred))
+        run = tmp_path / "run"
+        code = main(["train", "--dataset", str(tiny_dataset), "--out", str(run), "--loss", "mse",
+                     "--lr", "1e-2", "--epochs", "1"])
+        assert code == EXIT_NUMERIC
+        assert not (run / "model.npz").exists()
 
     def test_missing_dataset_is_input_error(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nope.json"), "--loss", "mse"])

@@ -12,6 +12,7 @@ from rmab_dfl import (
     save_dataset,
     trajectory_data,
 )
+from rmab_dfl import datasets
 from rmab_dfl.datasets import transition_counts
 
 
@@ -86,6 +87,23 @@ class TestSerialization:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.tensors, b.tensors)
             assert np.array_equal(a.trajectories, b.trajectories)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "dataset.json"
+        save_dataset(generate_synthetic(_small_manifest()), path)
+        before = path.read_bytes()
+
+        class Unencodable:
+            # a lone surrogate cannot be encoded, so the write fails part way
+            @staticmethod
+            def dumps(payload):
+                return "{\ud800"
+
+        monkeypatch.setattr(datasets, "json", Unencodable)
+        with pytest.raises(UnicodeEncodeError):
+            save_dataset(generate_synthetic(_small_manifest(seed=1)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.json"]
 
     def test_rejects_unknown_format_version(self, tmp_path):
         path = tmp_path / "bad.json"

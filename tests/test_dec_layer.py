@@ -17,8 +17,9 @@ from rmab_dfl import (
     solve_reference,
     uniform_setup,
 )
-from rmab_dfl import dec_layer
+from rmab_dfl import dec_layer, uncorrected_policy
 from rmab_dfl.dec_layer import DualSolution, mixture_at, objective_value
+from rmab_dfl.mdp import BUDGET, RewardSpec, solve_policies
 
 
 def _backward_dense(sol, tables, reg, upstream):
@@ -167,7 +168,7 @@ class TestForwardPass:
 
     def test_bracket_grows_for_feasible_tight_budget(self):
         # at alpha = 10 the multiplier that meets B = 1 lies above the
-        # initial bracket top r_max/(1-gamma) = 10, but never acting uses no
+        # initial bracket top 1/(1-gamma) = 10, but never acting uses no
         # budget, so the instance is feasible and must be solved
         rng = np.random.default_rng(2024)
         truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
@@ -392,10 +393,15 @@ class TestLossWrapper:
             dec_dfl_loss(pred, truth, RegularizerConfig(alpha=1.0), cfg, setup)
 
     def test_budget_on_pred_changes_constraint_side(self):
+        # the uncorrected relaxation checks the budget on the predictions
         rng = np.random.default_rng(13)
         truth, cfg, setup = _random_instance(rng, n=2)
         pred = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-        on_truth = build_returns_table(pred, truth, setup, budget_on="truth")
-        on_pred = build_returns_table(pred, truth, setup, budget_on="pred")
-        assert np.allclose(on_truth.j_pred, on_pred.j_pred)
-        assert not np.allclose(on_truth.j_budget, on_pred.j_budget)
+        reg = RegularizerConfig(alpha=1e-3)
+        on_truth = build_returns_table(pred, truth, setup)
+        pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET))
+        assert not np.allclose(on_truth.j_budget, pred_budget)
+        uncorrected = uncorrected_policy(pred, cfg, setup, reg)
+        on_pred = ReturnsTable(j_pred=on_truth.j_pred, j_true=on_truth.j_true, j_budget=pred_budget)
+        assert np.array_equal(uncorrected.z_star, forward_pass(on_pred, reg, cfg).z_star)
+        assert not np.allclose(uncorrected.z_star, forward_pass(on_truth, reg, cfg).z_star)

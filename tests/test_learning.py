@@ -19,13 +19,15 @@ from rmab_dfl import (
     uniform_setup,
 )
 from rmab_dfl.datasets import trajectory_data
-from rmab_dfl.learning import (
-    Adam,
-    dec_dfl_cohort_loss,
-    run_epoch,
-    whittle_index_gradient,
+from rmab_dfl.learning import Adam, _sigmoid, dec_dfl_cohort_loss, run_epoch
+from rmab_dfl.mdp import (
+    ENGAGEMENT,
+    RewardSpec,
+    TransitionTensor,
+    whittle_gradients,
+    whittle_index,
+    whittle_indices,
 )
-from rmab_dfl.mdp import ENGAGEMENT, RewardSpec, TransitionTensor, whittle_index
 from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
 from rmab_dfl.planning import WhittleTopB, simulate_joint
 
@@ -119,27 +121,38 @@ class TestAccuracyLosses:
 class TestWhittleGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        setup = uniform_setup(2, 0.9)
         reward = RewardSpec(ENGAGEMENT)
         h = 1e-6
-        for _ in range(5):
-            T = rng.dirichlet(np.ones(2), size=(2, 2))
-            table = whittle_index(TransitionTensor(T), reward, setup, tol=1e-10)
-            grad = whittle_index_gradient(T, table.wi, reward, setup)
-            for s in range(2):
-                d = np.zeros_like(T)
-                sa, aa = int(rng.integers(2)), int(rng.integers(2))
-                d[sa, aa, 0], d[sa, aa, 1] = 1.0, -1.0
-                if min(T[sa, aa, 0], T[sa, aa, 1]) < 10 * h:
-                    continue
-                up = whittle_index(TransitionTensor(T + h * d), reward, setup, tol=1e-10)
-                dn = whittle_index(TransitionTensor(T - h * d), reward, setup, tol=1e-10)
-                fd = (up.wi[s] - dn.wi[s]) / (2 * h)
-                an = float(np.sum(grad[s] * d))
-                assert abs(an - fd) <= 1e-3 * max(1.0, abs(fd))
+        for states in (2, 3):
+            setup = uniform_setup(states, 0.9)
+            tensors = rng.dirichlet(np.ones(states), size=(5, states, 2))
+            grads = whittle_gradients(tensors, setup, whittle_indices(tensors, setup, tol=1e-10))
+            for T, grad in zip(tensors, grads):
+                for s in range(states):
+                    d = np.zeros_like(T)
+                    sa, aa = int(rng.integers(states)), int(rng.integers(2))
+                    to, fro = rng.choice(states, size=2, replace=False)
+                    d[sa, aa, to], d[sa, aa, fro] = 1.0, -1.0
+                    if min(T[sa, aa, to], T[sa, aa, fro]) < 10 * h:
+                        continue
+                    up = whittle_index(TransitionTensor(T + h * d), reward, setup, tol=1e-10)
+                    dn = whittle_index(TransitionTensor(T - h * d), reward, setup, tol=1e-10)
+                    fd = (up.wi[s] - dn.wi[s]) / (2 * h)
+                    an = float(np.sum(grad[s] * d))
+                    assert abs(an - fd) <= 1e-3 * max(1.0, abs(fd))
 
 
 class TestSimDfl:
+    def test_sigmoid_matches_two_branch_formula(self):
+        x = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 3.5, -3.5, 40.0, -40.0, np.nan])
+        x = np.concatenate([x, np.random.default_rng(17).normal(scale=20.0, size=1000)])
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(_sigmoid(x), expected, equal_nan=True)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         cohort = _cohort(rng, budget=1.0)

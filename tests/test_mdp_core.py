@@ -6,6 +6,7 @@ import pytest
 from rmab_dfl import (
     CapacityError,
     DiscountedSetup,
+    NumericError,
     PerArmPolicy,
     RewardSpec,
     TransitionTensor,
@@ -17,12 +18,12 @@ from rmab_dfl import (
     returns_gradient,
     uniform_setup,
     whittle_index,
+    whittle_indices,
 )
 from rmab_dfl import mdp
 from rmab_dfl.mdp import (
     BUDGET,
     ENGAGEMENT,
-    batched_returns_gradients,
     policy_action_matrix,
     solve_policies,
     value_iteration,
@@ -175,7 +176,7 @@ class TestBatchedReturns:
         setup = uniform_setup(2, 0.9)
         reward = RewardSpec(ENGAGEMENT)
         weights = rng.normal(size=(3, 4))
-        batched = batched_returns_gradients(tensors, weights, reward, setup)
+        batched = solve_policies(tensors, setup, values=reward).gradient(weights)
         for i in range(3):
             manual = sum(
                 weights[i, j]
@@ -192,7 +193,7 @@ class TestBatchedReturns:
         n, states = tensors.shape[0], tensors.shape[1]
         weights = rng.normal(size=(n, 2 ** states))
         table = batched_policy_returns(tensors, reward, setup)
-        grads = batched_returns_gradients(tensors, weights, reward, setup)
+        grads = solve_policies(tensors, setup, values=reward).gradient(weights)
         returns_err = grad_err = 0.0
         for i in range(n):
             arm = TransitionTensor(tensors[i])
@@ -260,6 +261,62 @@ class TestWhittleIndex:
         setup = uniform_setup(2, 0.9)
         table = whittle_index(TransitionTensor(probs), RewardSpec(ENGAGEMENT), setup)
         assert np.allclose(table.wi, 0.0, atol=1e-6)
+
+    @staticmethod
+    def _subsidized_q(tensors, wi, gamma):
+        """(N, S, S, 2) Q(x, a) of arm i paid wi[i, s] per passive step, for
+        every (i, s), by value iteration on the subsidized Bellman equation."""
+        n, num_states = wi.shape
+        rewards = engagement_rewards(num_states)
+        pay = wi[:, :, None, None] * np.array([1.0, 0.0])
+        V = np.zeros((n, num_states, num_states))
+        for _ in range(100_000):
+            Q = rewards[:, None] + pay + gamma * np.einsum("ixay,isy->isxa", tensors, V)
+            V_next = Q.max(axis=-1)
+            if np.max(np.abs(V_next - V)) < 1e-12:
+                return Q
+            V = V_next
+        raise AssertionError("value iteration did not converge")
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_indifference_by_value_iteration(self, states):
+        # at subsidy WI[i, s], acting and staying passive in s are worth the same
+        rng = np.random.default_rng(40 + states)
+        tensors = rng.dirichlet(np.ones(states), size=(50, states, 2))
+        setup = DiscountedSetup(0.9, rng.dirichlet(np.ones(states)))
+        wi = whittle_indices(tensors, setup)
+        Q = self._subsidized_q(tensors, wi, setup.gamma)
+        s = np.arange(states)
+        gap = np.abs(Q[:, s, s, 1] - Q[:, s, s, 0])
+        assert np.max(gap) <= 1e-6
+
+    def test_scalar_view_matches_batched(self):
+        rng = np.random.default_rng(44)
+        tensors = rng.dirichlet(np.ones(3), size=(5, 3, 2))
+        setup = uniform_setup(3, 0.9)
+        batched = whittle_indices(tensors, setup)
+        for T, row in zip(tensors, batched):
+            table = whittle_index(TransitionTensor(T), RewardSpec(ENGAGEMENT), setup)
+            assert np.array_equal(table.wi, whittle_indices(T[None], setup)[0])
+            assert np.array_equal(table.wi, row)
+
+    def test_budget_reward_rejected(self):
+        T = _random_tensor(np.random.default_rng(45))
+        with pytest.raises(ValueError):
+            whittle_index(T, RewardSpec(BUDGET), uniform_setup(2, 0.9))
+
+    def test_tolerance_below_resolution_raises(self):
+        tensors = np.random.default_rng(46).dirichlet(np.ones(2), size=(3, 2, 2))
+        with pytest.raises(NumericError):
+            whittle_indices(tensors, uniform_setup(2, 0.9), tol=0.0)
+
+    def test_bracket_top_logged_once_with_count(self, caplog):
+        # a tolerance wider than the bracket stops the bisection at once,
+        # so every (arm, state) pair is still at the bracket top
+        tensors = np.random.default_rng(47).dirichlet(np.ones(2), size=(3, 2, 2))
+        with caplog.at_level("WARNING", logger="rmab_dfl.mdp"):
+            whittle_indices(tensors, uniform_setup(2, 0.9), tol=100.0)
+        assert [r.getMessage().split()[0] for r in caplog.records] == ["6"]
 
 
 class TestSetupValidation:

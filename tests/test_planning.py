@@ -19,8 +19,8 @@ from rmab_dfl import (
     forward_pass,
     simulate_joint,
     uncorrected_policy,
+    top_b_actions,
     uniform_setup,
-    whittle_top_b_step,
 )
 from rmab_dfl.mdp import ENGAGEMENT, CapacityError, RewardSpec
 from rmab_dfl import planning
@@ -37,28 +37,18 @@ def _cohort(rng, n=3, states=2, gamma=0.9, budget=None):
 
 class TestTopB:
     def test_selects_highest_indices(self):
-        tables = [WhittleTable(wi=np.array([0.1, 0.0])),
-                  WhittleTable(wi=np.array([0.9, 0.0])),
-                  WhittleTable(wi=np.array([0.5, 0.0]))]
-        actions = whittle_top_b_step(tables, np.zeros(3, dtype=int), budget=2)
-        assert actions.tolist() == [0, 1, 1]
+        assert top_b_actions(np.array([0.1, 0.9, 0.5]), budget=2).tolist() == [0, 1, 1]
+        scores = np.array([[0.1, 0.9, 0.5], [0.7, -0.2, 0.3]])
+        assert top_b_actions(scores, budget=2).tolist() == [[0, 1, 1], [1, 0, 1]]
 
     def test_ties_break_to_lowest_arm_id(self):
-        tables = [WhittleTable(wi=np.array([0.5])) for _ in range(3)]
-        actions = whittle_top_b_step(tables, np.zeros(3, dtype=int), budget=1)
-        assert actions.tolist() == [1, 0, 0]
+        assert top_b_actions(np.full(3, 0.5), budget=1).tolist() == [1, 0, 0]
+        scores = np.array([[0.5, 0.5, 0.5], [0.1, 0.4, 0.4]])
+        assert top_b_actions(scores, budget=1).tolist() == [[1, 0, 0], [0, 1, 0]]
 
     def test_budget_larger_than_arms(self):
-        tables = [WhittleTable(wi=np.array([0.5]))]
-        actions = whittle_top_b_step(tables, np.zeros(1, dtype=int), budget=5)
-        assert actions.tolist() == [1]
-
-    def test_nonpositive_indices_skipped_when_configured(self):
-        tables = [WhittleTable(wi=np.array([-0.5])), WhittleTable(wi=np.array([0.5]))]
-        actions = whittle_top_b_step(
-            tables, np.zeros(2, dtype=int), budget=2, act_on_nonpositive=False
-        )
-        assert actions.tolist() == [0, 1]
+        assert top_b_actions(np.array([0.5]), budget=5).tolist() == [1]
+        assert top_b_actions(np.array([[-0.5, 0.5]] * 2), budget=5).tolist() == [[1, 1]] * 2
 
 
 class TestSimulation:
