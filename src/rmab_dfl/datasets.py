@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import DiscountedSetup, TransitionTensor
+from .mdp import MAX_STATES, DiscountedSetup, TransitionTensor
 from .planning import Cohort
 
 FORMAT_VERSION = 1
@@ -49,6 +49,13 @@ class DatasetManifest:
             )
         if sum(self.split_sizes) != self.cohorts:
             raise ValueError("split sizes must sum to the cohort count")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
+        if not 2 <= self.states <= MAX_STATES:
+            raise ValueError(f"states must lie in [2, {MAX_STATES}], got {self.states}")
+        # the generator only implements these; any other value would mislabel the data
+        if (self.feature_activation, self.trajectory_actions) != ("tanh", "uniform"):
+            raise ValueError("feature_activation must be 'tanh' and trajectory_actions 'uniform'")
 
 
 @dataclass

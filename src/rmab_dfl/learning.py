@@ -23,11 +23,10 @@ from .mdp import (
     TransitionTensor,
     WhittleTable,
     batched_policy_returns,
-    engagement_rewards,
     whittle_gradients,
     whittle_indices,
 )
-from .planning import Cohort, SimulationResult, WhittleTopB, simulate_joint, simulation_horizon
+from .planning import Cohort, SimulationResult, WhittleTopB, rollout, simulate_joint
 from .datasets import TrajectoryData
 
 
@@ -171,26 +170,23 @@ def dec_dfl_cohort_loss(
 
 # -- SIM-DFL ----------------------------------------------------------------
 
+TEMPERATURE = 0.1  # tau of the soft top-B selection
 
-def _soft_top_b_probs(scores: np.ndarray, budget: float, temperature: float):
-    """Soft top-B marginals p_i = sigmoid((w_i - theta) / tau) with theta
-    chosen per row so that sum_i p_i = B. Returns (p, dtheta/dw weights).
+
+def _soft_top_b_probs(scores: np.ndarray, budget: float) -> np.ndarray:
+    """Soft top-B marginals p_i = sigmoid((w_i - theta) / tau), with theta
+    chosen per row so that sum_i p_i = B < N.
     """
-    traj, n = scores.shape
-    if budget >= n:
-        return np.ones_like(scores), None
-    lo = scores.min(axis=1) - 40.0 * temperature
-    hi = scores.max(axis=1) + 40.0 * temperature
+    lo = scores.min(axis=1) - 40.0 * TEMPERATURE
+    hi = scores.max(axis=1) + 40.0 * TEMPERATURE
     for _ in range(60):
         theta = 0.5 * (lo + hi)
-        p = _sigmoid((scores - theta[:, None]) / temperature)
-        total = p.sum(axis=1)
-        too_big = total > budget
+        p = _sigmoid((scores - theta[:, None]) / TEMPERATURE)
+        too_big = p.sum(axis=1) > budget
         lo = np.where(too_big, theta, lo)
         hi = np.where(too_big, hi, theta)
     theta = 0.5 * (lo + hi)
-    p = _sigmoid((scores - theta[:, None]) / temperature)
-    return p, theta
+    return _sigmoid((scores - theta[:, None]) / TEMPERATURE)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -198,68 +194,52 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
 
 
+def _score_term(actions: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d log P(actions | w) / dw for 0/1 actions drawn from the soft top-B marginals p.
+
+    With sigma'_i = p_i (1 - p_i) and dtheta/dw_i = sigma'_i / sum_k sigma'_k,
+    the sigma' of the Bernoulli likelihood cancels:
+    ((a - p) - dtheta/dw * sum_k (a_k - p_k)) / tau.
+    """
+    sig_prime = p * (1.0 - p)
+    dtheta_dw = sig_prime / np.clip(sig_prime.sum(axis=1, keepdims=True), 1e-12, None)
+    excess = actions - p
+    return (excess - dtheta_dw * excess.sum(axis=1, keepdims=True)) / TEMPERATURE
+
+
 def sim_dfl_loss(
-    pred: np.ndarray,
-    cohort: Cohort,
-    trajectories: int,
-    seed: int,
-    temperature: float = 0.1,
+    pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int
 ) -> tuple[float, np.ndarray]:
     """Simulated decision loss of the Whittle top-B policy (a return).
 
-    The policy's Whittle indices come from the predictions; rollouts use
-    the true dynamics. The gradient estimator samples actions from a
-    temperature-smoothed top-B selection and combines a score-function
-    term over the selection with implicit differentiation of the Whittle
-    indices. Sampling is common-random-number coupled through the seed.
+    The policy's Whittle indices come from the predictions; `rollout`
+    steps the true dynamics. Each step samples actions from a
+    temperature-smoothed top-B selection of the current-state indices
+    (every arm acts when B >= N, and then the gradient is zero). The
+    gradient combines the score-function term of those samples with the
+    implicit derivatives of the Whittle indices. Sampling is
+    common-random-number coupled through the seed.
     """
     pred = np.asarray(pred, dtype=float)
     n, num_states = pred.shape[0], pred.shape[1]
-    setup = cohort.setup
-    wi = whittle_indices(pred, setup)
-    wi_grads = whittle_gradients(pred, setup, wi)
-
+    wi = whittle_indices(pred, cohort.setup)
+    wi_grads = whittle_gradients(pred, cohort.setup, wi)
     rng = np.random.default_rng(seed)
-    horizon = simulation_horizon(setup, n)
-    rewards = engagement_rewards(num_states)
-    cum_trans = np.cumsum(cohort.tensors, axis=-1)
-    budget = cohort.budget
-    states = rng.choice(num_states, size=(trajectories, n), p=setup.initial_dist)
-    arm_idx = np.arange(n)[None, :]
-
-    returns = np.zeros(trajectories)
+    traj_idx, arm_idx = np.arange(trajectories)[:, None], np.arange(n)
     score_wi = np.zeros((trajectories, n, num_states))  # d log P / d WI[i, s]
-    discount = 1.0
-    for _ in range(horizon):
-        scores = wi[arm_idx, states]
-        p, theta = _soft_top_b_probs(scores, budget, temperature)
-        if theta is None:
-            actions = np.ones_like(states)
-        else:
-            actions = (rng.random(size=p.shape) < p).astype(int)
-            # d log P / d w, accounting for the normalizing threshold
-            sig_prime = p * (1.0 - p)
-            denom = np.clip(sig_prime.sum(axis=1, keepdims=True), 1e-12, None)
-            dtheta_dw = sig_prime / denom
-            dlogp_dp = (actions - p) / np.clip(p * (1.0 - p), 1e-12, None)
-            common = (dlogp_dp * sig_prime).sum(axis=1, keepdims=True)
-            dlogp_dw = (dlogp_dp * sig_prime - common * dtheta_dw) / temperature
-            np.add.at(
-                score_wi,
-                (np.arange(trajectories)[:, None], arm_idx, states),
-                dlogp_dw,
-            )
-        returns += discount * rewards[states].sum(axis=1)
-        u = rng.random(size=states.shape)
-        cdf = cum_trans[arm_idx, states, actions, :]
-        states = np.minimum((u[..., None] > cdf).sum(axis=-1), num_states - 1)
-        discount *= setup.gamma
 
-    value = float(returns.mean())
+    def act(states):
+        p = _soft_top_b_probs(wi[arm_idx, states], cohort.budget)
+        actions = (rng.random(size=p.shape) < p).astype(int)
+        # each (trajectory, arm) sits in one state, so no index repeats
+        score_wi[traj_idx, arm_idx, states] += _score_term(actions, p)
+        return actions
+
+    returns, _ = rollout(cohort, trajectories, rng, np.ones_like if cohort.budget >= n else act)
     centered = returns - returns.mean()  # baseline reduces estimator variance
     grad_wi = np.einsum("t,tis->is", centered, score_wi) / trajectories
     grad_pred = np.einsum("is,isjak->ijak", grad_wi, wi_grads)
-    return value, grad_pred
+    return float(returns.mean()), grad_pred
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +254,6 @@ class LossSpec:
     name: str  # one of LOSSES
     trajectories: int = 100
     alpha: float = 1.0
-    temperature: float = 0.1
     epsilon: float = 1e-6  # multiplier tolerance of the decomposed layer
 
     def __post_init__(self):
@@ -360,9 +339,7 @@ def _cohort_loss(
         )
         value, grad = dec_dfl_cohort_loss(tensors, cohort, reg, cfg)
     elif name == "sim-dfl":
-        value, grad = sim_dfl_loss(
-            tensors, cohort, spec.trajectories, seed, spec.temperature
-        )
+        value, grad = sim_dfl_loss(tensors, cohort, spec.trajectories, seed)
     else:  # pragma: no cover
         raise ValueError(name)
     return value, grad, cache

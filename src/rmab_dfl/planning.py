@@ -1,9 +1,10 @@
 """Joint-policy planning and evaluation.
 
-Whittle top-B action selection, Monte Carlo rollouts of joint policies,
-the uncorrected decomposed relaxation (budget checked on predictions,
-kept to demonstrate how it overshoots), a brute-force product-space
-solver for tiny instances, and the budget audit.
+Whittle top-B action selection, the one Monte Carlo rollout on the true
+dynamics (behind both the joint evaluation and the SIM-DFL baseline), the
+uncorrected decomposed relaxation (budget checked on predictions, kept to
+demonstrate how it overshoots), a brute-force product-space solver for
+tiny instances, and the budget audit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .mdp import (
     RewardSpec,
     WhittleTable,
     engagement_rewards,
-    policy_action_matrix,
     solve_policies,
 )
 
@@ -100,7 +100,6 @@ class SimulationResult:
     mean_return: float
     std_error: float
     mean_budget_used: float
-    trajectories_used: int
 
 
 def top_b_actions(scores: np.ndarray, budget: int) -> np.ndarray:
@@ -124,61 +123,76 @@ def simulation_horizon(setup: DiscountedSetup, num_arms: int) -> int:
     return max(horizon, 1)
 
 
-def simulate_joint(
-    cohort: Cohort, policy, trajectories: int, seed: int
-) -> SimulationResult:
-    """Monte Carlo estimate of the joint discounted return on true dynamics.
+def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, act):
+    """Roll a joint policy out on the cohort's true dynamics.
 
-    Vectorized over trajectories; deterministic for a fixed seed.
+    Draws the initial states, then for `simulation_horizon` steps asks
+    `act(states)` (which may draw from `rng`) for the (trajectories, N) 0/1
+    actions, adds the discounted engagement and action count, and samples
+    every arm's next state. Returns the per-trajectory discounted
+    (returns, budget_used).
     """
-    if trajectories < 1:
-        raise ValueError("need at least one trajectory")
-    rng = np.random.default_rng(seed)
     n, num_states = cohort.num_arms, cohort.num_states
     setup = cohort.setup
-    horizon = simulation_horizon(setup, n)
     rewards = engagement_rewards(num_states)
     cum_trans = np.cumsum(cohort.tensors, axis=-1)  # (N, S, 2, S)
-
+    arm_idx = np.arange(n)
     states = rng.choice(num_states, size=(trajectories, n), p=setup.initial_dist)
-    if isinstance(policy, DecomposedPolicy):
-        action_matrix = policy_action_matrix(num_states)
-        # one deterministic per-arm policy per trajectory (mixture semantics)
-        policy_draws = np.empty((trajectories, n), dtype=int)
-        for i in range(n):
-            policy_draws[:, i] = rng.choice(
-                policy.z.shape[1], size=trajectories, p=policy.z[i] / policy.z[i].sum()
-            )
-    elif isinstance(policy, FixedPerArmPolicy):
-        action_matrix = policy_action_matrix(num_states)
-        policy_draws = np.broadcast_to(policy.policy_indices, (trajectories, n))
-    elif isinstance(policy, WhittleTopB):
-        wi = np.stack([t.wi for t in policy.tables])  # (N, S)
-    else:
-        raise TypeError(f"unknown joint policy {type(policy).__name__}")
-
     returns = np.zeros(trajectories)
     budget_used = np.zeros(trajectories)
     discount = 1.0
-    arm_idx = np.arange(n)[None, :]
-    for _ in range(horizon):
-        if isinstance(policy, WhittleTopB):
-            actions = top_b_actions(wi[arm_idx, states], policy.budget)
-        else:
-            actions = action_matrix[policy_draws, states]
+    for _ in range(simulation_horizon(setup, n)):
+        actions = act(states)
         returns += discount * rewards[states].sum(axis=1)
         budget_used += discount * actions.sum(axis=1)
         u = rng.random(size=states.shape)
         cdf = cum_trans[arm_idx, states, actions, :]  # (traj, N, S)
         states = np.minimum((u[..., None] > cdf).sum(axis=-1), num_states - 1)
         discount *= setup.gamma
-    mean = float(returns.mean())
+    return returns, budget_used
+
+
+def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> SimulationResult:
+    """Monte Carlo estimate of a joint policy's discounted return, by `rollout`.
+
+    `WhittleTopB` acts on the B arms with the largest current-state indices.
+    `FixedPerArmPolicy` and `DecomposedPolicy` act by the bits of per-arm
+    policy indices; a `DecomposedPolicy` first draws one per-arm policy per
+    arm and trajectory from Z. Deterministic for a fixed seed.
+    """
+    if trajectories < 1:
+        raise ValueError("need at least one trajectory")
+    rng = np.random.default_rng(seed)
+    n = cohort.num_arms
+    if isinstance(policy, WhittleTopB):
+        wi = np.stack([t.wi for t in policy.tables])  # (N, S)
+
+        def act(states):
+            return top_b_actions(wi[np.arange(n), states], policy.budget)
+
+    else:
+        if isinstance(policy, FixedPerArmPolicy):
+            indices = np.asarray(policy.policy_indices)
+        elif isinstance(policy, DecomposedPolicy):
+            # one deterministic per-arm policy per trajectory (mixture semantics)
+            indices = np.empty((trajectories, n), dtype=int)
+            for i in range(n):
+                indices[:, i] = rng.choice(
+                    policy.z.shape[1], size=trajectories, p=policy.z[i] / policy.z[i].sum()
+                )
+        else:
+            raise TypeError(f"unknown joint policy {type(policy).__name__}")
+
+        def act(states):
+            # bit s of a per-arm policy index is its action in state s
+            return (indices >> states) & 1
+
+    returns, budget_used = rollout(cohort, trajectories, rng, act)
     se = float(returns.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0
     return SimulationResult(
-        mean_return=mean,
+        mean_return=float(returns.mean()),
         std_error=se,
         mean_budget_used=float(budget_used.mean()),
-        trajectories_used=trajectories,
     )
 
 

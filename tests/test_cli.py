@@ -66,13 +66,18 @@ class TestGenerate:
         assert (tmp_path / "envroot" / "dataset.json").exists()
 
     def test_invalid_manifest_is_input_error(self, tmp_path):
-        base = ["generate", "--cohorts", "3", "--arms", "2"]
-        out = tmp_path / "bad-gamma"
-        assert main(base + ["--out", str(out), "--gamma", "1.5"]) == EXIT_INPUT
-        assert not (out / "dataset.json").exists()
-        out = tmp_path / "bad-budget"
-        assert main(base + ["--out", str(out), "--budget", "3"]) == EXIT_INPUT
-        assert not (out / "dataset.json").exists()
+        cases = {
+            "bad-gamma": ["--gamma", "1.5"],
+            "bad-budget": ["--budget", "3"],
+            "no-features": ["--budget", "1", "--feature-dim", "0"],
+            "one-state": ["--budget", "1", "--states", "1"],
+            "too-many-states": ["--budget", "1", "--states", "13"],
+        }
+        for name, flags in cases.items():
+            out = tmp_path / name
+            args = ["generate", "--cohorts", "3", "--arms", "2", "--out", str(out)] + flags
+            assert main(args) == EXIT_INPUT, name
+            assert not (out / "dataset.json").exists(), name
 
 
 class TestTrainEvalExport:

@@ -57,6 +57,15 @@ class TestGeneration:
         with pytest.raises(ValueError):
             _small_manifest(split_sizes=(3, 3, 3))
 
+    @pytest.mark.parametrize(
+        "field", [{"feature_activation": "relu"}, {"trajectory_actions": "greedy"}]
+    )
+    def test_unimplemented_generator_labels_rejected(self, field):
+        # the generator only applies tanh and draws uniform actions; the
+        # feature-dim and state-count checks are covered through `generate`
+        with pytest.raises(ValueError):
+            _small_manifest(**field)
+
     def test_trajectories_follow_true_dynamics(self):
         # a deterministic arm leaves no freedom in the rolled trajectory
         ds = generate_synthetic(_small_manifest())

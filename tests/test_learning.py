@@ -19,7 +19,14 @@ from rmab_dfl import (
     uniform_setup,
 )
 from rmab_dfl.datasets import trajectory_data
-from rmab_dfl.learning import Adam, _sigmoid, dec_dfl_cohort_loss, run_epoch
+from rmab_dfl.learning import (
+    Adam,
+    _score_term,
+    _sigmoid,
+    _soft_top_b_probs,
+    dec_dfl_cohort_loss,
+    run_epoch,
+)
 from rmab_dfl.mdp import (
     ENGAGEMENT,
     RewardSpec,
@@ -29,7 +36,7 @@ from rmab_dfl.mdp import (
     whittle_indices,
 )
 from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
-from rmab_dfl.planning import WhittleTopB, simulate_joint
+from rmab_dfl.planning import FixedPerArmPolicy, WhittleTopB, simulate_joint
 
 
 def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
@@ -168,8 +175,31 @@ class TestSimDfl:
         rng = np.random.default_rng(6)
         cohort = _cohort(rng, n=2, budget=2.0)
         pred = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-        _, grad = sim_dfl_loss(pred, cohort, trajectories=10, seed=0)
+        value, grad = sim_dfl_loss(pred, cohort, trajectories=10, seed=0)
         assert np.all(grad == 0.0)
+        # and the rollout is the all-acting policy's, draw for draw
+        all_act = FixedPerArmPolicy(np.full(2, 2**2 - 1))
+        assert value == simulate_joint(cohort, all_act, 10, seed=0).mean_return
+
+    def test_score_term_matches_finite_differences(self):
+        # d log P(a | w) / dw, with theta re-solved at every perturbed w
+        scores = np.random.default_rng(8).normal(scale=0.2, size=(1, 12))
+        p = _soft_top_b_probs(scores, 3)
+        # four actions on a budget of three, so the threshold term is not zero
+        actions = np.zeros((1, 12), dtype=int)
+        actions[0, [0, 3, 5, 8]] = 1
+
+        def log_prob(w):
+            q = _soft_top_b_probs(w, 3)
+            return float(np.sum(actions * np.log(q) + (1 - actions) * np.log1p(-q)))
+
+        analytic = _score_term(actions, p)[0]
+        h = 1e-6
+        for i in range(12):
+            e = np.zeros_like(scores)
+            e[0, i] = h
+            fd = (log_prob(scores + e) - log_prob(scores - e)) / (2 * h)
+            assert abs(fd - analytic[i]) <= 1e-6
 
 
 class TestTraining:

@@ -89,6 +89,18 @@ class TestSimulation:
         result = simulate_joint(cohort, WhittleTopB(tables=tables, budget=2), 100, seed=1)
         cap = 2.0 / (1 - cohort.setup.gamma)
         assert result.mean_budget_used <= cap + 1e-9
+        # top-B acts on exactly B arms at every one of the H rollout steps
+        discounted_steps = sum(0.9**t for t in range(simulation_horizon(cohort.setup, 4)))
+        assert abs(result.mean_budget_used - 2 * discounted_steps) <= 1e-9
+        all_act = FixedPerArmPolicy(np.full(4, 2**2 - 1))
+        result = simulate_joint(cohort, all_act, 100, seed=1)
+        assert abs(result.mean_budget_used - 4 * discounted_steps) <= 1e-9
+
+    def test_unknown_policy_rejected(self):
+        rng = np.random.default_rng(4)
+        cohort = _cohort(rng)
+        with pytest.raises(TypeError):
+            simulate_joint(cohort, object(), 10, seed=0)
 
     def test_needs_trajectories(self):
         rng = np.random.default_rng(4)
