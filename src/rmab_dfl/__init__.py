@@ -71,6 +71,7 @@ from .learning import (
     ModelSpec,
     PredictiveModel,
     TrainingConfig,
+    dataset_splits,
     evaluate_dq,
     mse_loss,
     nll_loss,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -41,16 +42,15 @@ from .datasets import (
     generate_synthetic,
     load_dataset,
     save_dataset,
-    trajectory_data,
 )
 from .learning import (
     LOSSES,
     Adam,
-    DatasetSplits,
     LossSpec,
     ModelSpec,
     PredictiveModel,
     TrainingConfig,
+    dataset_splits,
     evaluate_dq,
     run_epoch,
     train as train_model,
@@ -137,43 +137,6 @@ def cmd_generate(args) -> int:
 # train
 
 
-def _build_splits(dataset, loss_name: str) -> DatasetSplits:
-    splits = DatasetSplits(
-        train=dataset.cohort_objects("train"),
-        val=dataset.cohort_objects("val"),
-        test=dataset.cohort_objects("test"),
-    )
-    if loss_name == "nll":
-        s = dataset.manifest.states
-        splits.train_trajectories = [
-            trajectory_data(seqs, s) for seqs in dataset.trajectories_for("train")
-        ]
-        splits.val_trajectories = [
-            trajectory_data(seqs, s) for seqs in dataset.trajectories_for("val")
-        ]
-    return splits
-
-
-def _loss_spec(args) -> LossSpec:
-    return LossSpec(
-        name=args.loss,
-        trajectories=args.trajectories,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-    )
-
-
-def _train_one(payload):
-    dataset_path, config = payload
-    lr, seed = config.learning_rate, config.seed
-    data = _build_splits(load_dataset(dataset_path), config.loss.name)
-    model, log = train_model(config, data)
-    val_value = run_epoch(model, None, data.val, data.val_trajectories, config.loss, seed)
-    for rec in log:
-        rec.update({"lr": lr, "seed": seed})
-    return lr, seed, val_value, model.get_theta(), log
-
-
 def cmd_train(args) -> int:
     dataset_path = Path(args.dataset)
     if not dataset_path.exists():
@@ -184,7 +147,9 @@ def cmd_train(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     dataset = load_dataset(dataset_path)
-    spec = _loss_spec(args)
+    spec = LossSpec(
+        name=args.loss, trajectories=args.trajectories, alpha=args.alpha, epsilon=args.epsilon
+    )
     model_spec = MODEL_FLAGS[args.model]
     # every run's configuration is checked before any run starts
     configs = [
@@ -192,19 +157,17 @@ def cmd_train(args) -> int:
         for lr in args.lr
         for seed in args.seed
     ]
-    jobs = [(str(dataset_path), config) for config in configs]
-    if args.jobs > 1 and len(jobs) > 1:
+    run = functools.partial(train_model, data=dataset_splits(dataset, spec.name))
+    if args.jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_train_one, jobs))
+            results = list(pool.map(run, configs))
     else:
-        results = [_train_one(j) for j in jobs]
+        results = [run(config) for config in configs]
 
-    maximize = spec.maximize
-    best = min(results, key=lambda r: -r[2] if maximize else r[2])
-    lr, seed, val_value, theta, _ = best
-    log_lines = [
-        json.dumps(rec) for _, _, _, _, log in results for rec in log
-    ]
+    sign = -1.0 if spec.maximize else 1.0
+    config, (model, _, val_value) = min(zip(configs, results), key=lambda r: sign * r[1][2])
+    lr, seed = config.learning_rate, config.seed
+    log_lines = [json.dumps(rec) for _, log, _ in results for rec in log]
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "log.jsonl", "".join(line + "\n" for line in log_lines))
     mhash = _manifest_hash(dataset.manifest)
@@ -220,6 +183,7 @@ def cmd_train(args) -> int:
         "feature_dim": dataset.manifest.feature_dim,
         "states": dataset.manifest.states,
     }
+    theta = model.get_theta()
     atomic_replace(model_path, lambda fh: np.savez(fh, theta=theta, meta=json.dumps(meta)))
     _atomic_write(out / "result.json", json.dumps(meta, indent=2) + "\n")
     print(f"best lr={lr} seed={seed} val={val_value:.6f}; wrote {model_path}")
@@ -253,11 +217,12 @@ def cmd_eval(args) -> int:
     dataset_path = Path(args.dataset)
     if not dataset_path.exists():
         raise InputError(f"dataset not found: {dataset_path}")
+    target = _out_dir(args.out) / "dq.json"
+    _check_overwrite(target, args.overwrite)
     dataset = load_dataset(dataset_path)
     model, meta = _load_model(Path(args.model))
     cohorts = dataset.cohort_objects(args.split)
     report = evaluate_dq(model, cohorts, trajectories=args.trajectories, seed=args.seed)
-    out = _out_dir(args.out)
     payload = {
         "loss": meta["loss"],
         "dataset": str(dataset_path),
@@ -267,10 +232,7 @@ def cmd_eval(args) -> int:
         "version": __version__,
         **dataclasses.asdict(report),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "dq.json"
-    _check_overwrite(target, args.overwrite)
-    _atomic_write(target, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(target, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     njd = report.normalized_joint_dq
     ndd = report.normalized_decomposed_dq
     print(
@@ -293,7 +255,7 @@ def bench_epoch_times(
     out = {}
     for loss_name in losses:
         spec = LossSpec(name=loss_name, trajectories=trajectories)
-        data = _build_splits(dataset, loss_name)
+        data = dataset_splits(dataset, loss_name)
         feature_dim = data.train[0].features.shape[1]
         states = data.train[0].num_states
         times = []

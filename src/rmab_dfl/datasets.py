@@ -47,6 +47,9 @@ class DatasetManifest:
             raise ValueError(
                 f"budget must lie in (0, arms_per_cohort={self.arms_per_cohort}], got {self.budget}"
             )
+        # the joint policies act on round(budget) arms per step
+        if self.budget != int(self.budget):
+            raise ValueError(f"budget must be a whole number of arms per step, got {self.budget}")
         if sum(self.split_sizes) != self.cohorts:
             raise ValueError("split sizes must sum to the cohort count")
         if self.feature_dim < 1:
@@ -224,15 +227,10 @@ def load_dataset(path: str | Path) -> Dataset:
 
 @dataclass
 class TrajectoryData:
-    """Observed per-arm trajectories with transition counts and pooled prior."""
+    """Transition counts of observed per-arm trajectories, with their pooled prior."""
 
-    sequences: list[np.ndarray]  # interleaved s0, a0, s1, ...
     counts: np.ndarray  # (N, S, 2, S)
     p_pop: np.ndarray  # (S, 2, S) pooled prior
-
-    @property
-    def num_arms(self) -> int:
-        return self.counts.shape[0]
 
 
 def transition_counts(sequences, num_states: int) -> np.ndarray:
@@ -253,7 +251,7 @@ def trajectory_data(sequences, num_states: int) -> TrajectoryData:
     row_totals = pooled.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         p_pop = np.where(row_totals > 0, pooled / row_totals, 1.0 / num_states)
-    return TrajectoryData(sequences=list(sequences), counts=counts, p_pop=p_pop)
+    return TrajectoryData(counts=counts, p_pop=p_pop)
 
 
 def estimate_from_trajectories(

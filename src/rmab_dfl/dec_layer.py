@@ -68,8 +68,8 @@ class RegularizerConfig:
     def __post_init__(self):
         if self.kind != ENTROPY:
             raise ValueError(f"unknown regularizer {self.kind!r}; only {ENTROPY!r} is supported")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ class SolverConfig:
             raise ValueError("budget must be strictly positive (strict feasibility)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
     @property
     def budget_cap(self) -> float:

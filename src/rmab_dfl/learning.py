@@ -27,7 +27,7 @@ from .mdp import (
     whittle_indices,
 )
 from .planning import Cohort, SimulationResult, WhittleTopB, rollout, simulate_joint
-from .datasets import TrajectoryData
+from .datasets import Dataset, TrajectoryData, trajectory_data
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +154,6 @@ def nll_loss(pred: np.ndarray, trajectories: TrajectoryData) -> tuple[float, np.
     return value, grad
 
 
-def dec_dfl_cohort_loss(
-    pred: np.ndarray,
-    cohort: Cohort,
-    reg: RegularizerConfig,
-    cfg: SolverConfig | None = None,
-) -> tuple[float, np.ndarray]:
-    """Decomposed decision loss of one cohort (a return; maximize)."""
-    if cfg is None:
-        cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
-    return dec_layer.dec_dfl_loss(
-        pred, cohort.tensors, reg, cfg, cohort.setup, true_returns=cohort.true_returns
-    )
-
-
 # -- SIM-DFL ----------------------------------------------------------------
 
 TEMPERATURE = 0.1  # tau of the soft top-B selection
@@ -247,6 +233,7 @@ def sim_dfl_loss(
 
 
 LOSSES = ("mse", "nll", "sim-dfl", "fast-dec-dfl")
+PATIENCE = 10  # validation epochs without improvement before training stops
 
 
 @dataclass(frozen=True)
@@ -261,6 +248,10 @@ class LossSpec:
             raise ValueError(f"unknown loss {self.name!r}")
         if self.trajectories < 1:
             raise ValueError(f"trajectories must be at least 1, got {self.trajectories}")
+        # the layer's configs reject these too, but only once training has started
+        for name, value in (("alpha", self.alpha), ("epsilon", self.epsilon)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def maximize(self) -> bool:
@@ -273,7 +264,6 @@ class TrainingConfig:
     learning_rate: float = 1e-2
     epochs: int = 50
     seed: int = 0
-    patience: int = 10
     model: ModelSpec = field(default_factory=ModelSpec)
 
     def __post_init__(self):
@@ -287,9 +277,24 @@ class TrainingConfig:
 class DatasetSplits:
     train: list[Cohort]
     val: list[Cohort]
-    test: list[Cohort]
     train_trajectories: list[TrajectoryData] | None = None
     val_trajectories: list[TrajectoryData] | None = None
+
+
+def dataset_splits(dataset: Dataset, loss_name: str) -> DatasetSplits:
+    """The train and val cohorts of a dataset, with their trajectories when the loss is NLL."""
+    splits = DatasetSplits(
+        train=dataset.cohort_objects("train"), val=dataset.cohort_objects("val")
+    )
+    if loss_name == "nll":
+        s = dataset.manifest.states
+        splits.train_trajectories = [
+            trajectory_data(seqs, s) for seqs in dataset.trajectories_for("train")
+        ]
+        splits.val_trajectories = [
+            trajectory_data(seqs, s) for seqs in dataset.trajectories_for("val")
+        ]
+    return splits
 
 
 class TrainingDiverged(NumericError):
@@ -337,7 +342,9 @@ def _cohort_loss(
         cfg = SolverConfig(
             budget=cohort.budget, gamma=cohort.setup.gamma, epsilon=spec.epsilon
         )
-        value, grad = dec_dfl_cohort_loss(tensors, cohort, reg, cfg)
+        value, grad = dec_layer.dec_dfl_loss(
+            tensors, cohort.tensors, reg, cfg, cohort.setup, true_returns=cohort.true_returns
+        )
     elif name == "sim-dfl":
         value, grad = sim_dfl_loss(tensors, cohort, spec.trajectories, seed)
     else:  # pragma: no cover
@@ -376,12 +383,13 @@ def run_epoch(
 
 def train(
     config: TrainingConfig, data: DatasetSplits
-) -> tuple[PredictiveModel, list[dict]]:
+) -> tuple[PredictiveModel, list[dict], float]:
     """Gradient training with validation-based early stopping.
 
-    Decision losses are ascended, MSE/NLL descended. The returned model
-    carries the parameters of the best validation epoch; the log has one
-    record per (epoch, split).
+    Decision losses are ascended, MSE/NLL descended. Returns the model with
+    the parameters of the best validation epoch, the log (one record per
+    (epoch, split), each tagged with the run's lr and seed), and that
+    epoch's validation value.
     """
     if not data.train:
         raise ValueError("empty training split")
@@ -391,7 +399,8 @@ def train(
     optimizer = Adam(config.learning_rate)
     spec = config.loss
     log: list[dict] = []
-    best_val = np.inf
+    tags = {"lr": config.learning_rate, "seed": config.seed}
+    best_score, best_value = np.inf, np.nan
     best_theta = model.get_theta()
     stale = 0
     for epoch in range(config.epochs):
@@ -410,45 +419,49 @@ def train(
                 "loss": spec.name,
                 "value": train_value,
                 "seconds": elapsed,
+                **tags,
             }
         )
         log.append(
-            {"epoch": epoch, "split": "val", "loss": spec.name, "value": val_value, "seconds": 0.0}
+            {"epoch": epoch, "split": "val", "loss": spec.name, "value": val_value,
+             "seconds": 0.0, **tags}
         )
         score = -val_value if spec.maximize else val_value
-        if score < best_val - 1e-12:
-            best_val = score
+        if score < best_score - 1e-12:
+            best_score, best_value = score, val_value
             best_theta = model.get_theta()
             stale = 0
         else:
             stale += 1
-            if stale > config.patience:
+            if stale > PATIENCE:
                 break
     model.set_theta(best_theta)
-    return model, log
+    return model, log, best_value
 
 
 # ---------------------------------------------------------------------------
 # Decision-quality evaluation
 
+EVAL_ALPHA = 1e-3  # entropy weight of the decomposed evaluation solve
+
 
 @dataclass(frozen=True)
 class DQReport:
-    joint_dq: float
-    joint_dq_se: float  # standard error of joint_dq over the rollouts
+    joint_dq: float | None
+    joint_dq_se: float | None  # standard error of joint_dq over the rollouts
     decomposed_dq: float
     never_act_dq: float
-    perfect_joint_dq: float
-    perfect_joint_dq_se: float
+    perfect_joint_dq: float | None
+    perfect_joint_dq_se: float | None
     perfect_decomposed_dq: float
     normalized_joint_dq: float | None
     normalized_decomposed_dq: float | None
 
 
-def _decomposed_dq(j_pred: np.ndarray, cohort: Cohort, alpha: float = 1e-3) -> float:
+def _decomposed_dq(j_pred: np.ndarray, cohort: Cohort) -> float:
     """True return of the decomposed solve on the (N, P) predicted returns."""
     cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
-    reg = RegularizerConfig(kind="entropy", alpha=alpha)
+    reg = RegularizerConfig(kind="entropy", alpha=EVAL_ALPHA)
     j_true, j_budget = cohort.true_returns
     tables = ReturnsTable(j_pred=j_pred, j_true=j_true, j_budget=j_budget)
     sol = forward_pass(tables, reg, cfg)
@@ -466,7 +479,6 @@ def evaluate_dq(
     cohorts: list[Cohort],
     trajectories: int = 1000,
     seed: int = 0,
-    alpha: float = 1e-3,
     predictions: list[np.ndarray] | None = None,
 ) -> DQReport:
     """Joint and decomposed decision quality with never-act / perfect anchors.
@@ -476,8 +488,10 @@ def evaluate_dq(
     true tensors maps to 1; a degenerate rescale is reported as None. The
     joint columns are means over cohorts of rollout estimates, with
     standard errors sqrt(sum_k se_k^2) / n. trajectories=0 skips the (slow)
-    simulated joint evaluation and reports NaN for the joint columns.
+    simulated joint evaluation and reports None for the joint columns.
     """
+    if trajectories < 0:
+        raise ValueError(f"trajectories must be nonnegative, got {trajectories}")
     if predictions is None:
         if model is None:
             raise ValueError("need a model or explicit predictions")
@@ -492,22 +506,24 @@ def evaluate_dq(
             joint += result.mean_return
             joint_var += result.std_error**2
         j_pred = batched_policy_returns(pred, reward_spec, cohort.setup)
-        decomposed += _decomposed_dq(j_pred, cohort, alpha)
+        decomposed += _decomposed_dq(j_pred, cohort)
         j_true = cohort.true_returns[0]
         never += float(j_true[:, 0].sum())
         if trajectories > 0:
             result = _joint_dq(cohort.tensors, cohort, trajectories, seed + k)
             perfect_joint += result.mean_return
             perfect_joint_var += result.std_error**2
-        perfect_dec += _decomposed_dq(j_true, cohort, alpha)
+        perfect_dec += _decomposed_dq(j_true, cohort)
     n = max(len(cohorts), 1)
     joint, decomposed, never = joint / n, decomposed / n, never / n
     perfect_joint, perfect_dec = perfect_joint / n, perfect_dec / n
     joint_se, perfect_joint_se = joint_var**0.5 / n, perfect_joint_var**0.5 / n
-    if trajectories <= 0:
-        joint = perfect_joint = joint_se = perfect_joint_se = float("nan")
+    if trajectories == 0:
+        joint = perfect_joint = joint_se = perfect_joint_se = None
 
     def _norm(value, perfect):
+        if value is None:
+            return None
         span = perfect - never
         if abs(span) < 1e-9:
             return None

@@ -27,6 +27,7 @@ from rmab_dfl import (
     backward_pass,
     batched_policy_returns,
     build_returns_table,
+    dataset_splits,
     evaluate_dq,
     forward_pass,
     get_returns,
@@ -44,7 +45,6 @@ from rmab_dfl.dec_layer import dec_dfl_loss
 from rmab_dfl.learning import Adam, ModelSpec, PredictiveModel, run_epoch
 from rmab_dfl.mdp import ENGAGEMENT, value_iteration
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
-from rmab_dfl.cli import _build_splits
 
 GAMMA = 0.9
 
@@ -268,7 +268,7 @@ def test_criterion_09_epoch_timing_separation():
     times = {}
     for loss_name, trajectories in (("fast-dec-dfl", 100), ("sim-dfl", 1000)):
         spec = LossSpec(name=loss_name, trajectories=trajectories, alpha=1.0)
-        data = _build_splits(dataset, loss_name)
+        data = dataset_splits(dataset, loss_name)
         model = PredictiveModel(
             ModelSpec(kind="linear"),
             data.train[0].features.shape[1],
@@ -324,7 +324,7 @@ def test_criterion_11_training_ordering():
     test_cohorts = dataset.cohort_objects("test")
     means = {}
     for loss_name in ("fast-dec-dfl", "nll"):
-        data = _build_splits(dataset, loss_name)
+        data = dataset_splits(dataset, loss_name)
         dqs = []
         for seed in range(5):
             best = None
@@ -335,8 +335,7 @@ def test_criterion_11_training_ordering():
                     epochs=30,
                     seed=seed,
                 )
-                model, _ = train(cfg, data)
-                val = run_epoch(model, None, data.val, data.val_trajectories, cfg.loss, seed)
+                model, _, val = train(cfg, data)
                 score = -val if cfg.loss.maximize else val
                 if best is None or score < best[0]:
                     best = (score, model)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmab_dfl import cli, learning
+from rmab_dfl import cli, datasets, learning
 from rmab_dfl.checks import run_verification
 from rmab_dfl.cli import (
     EXIT_INPUT,
@@ -72,6 +72,7 @@ class TestGenerate:
             "no-features": ["--budget", "1", "--feature-dim", "0"],
             "one-state": ["--budget", "1", "--states", "1"],
             "too-many-states": ["--budget", "1", "--states", "13"],
+            "fractional-budget": ["--budget", "1.5"],
         }
         for name, flags in cases.items():
             out = tmp_path / name
@@ -152,16 +153,48 @@ class TestTrainEvalExport:
         scatter = (run / "wi_scatter.csv").read_text().splitlines()
         assert scatter[1] == "arm,true_wi,predicted_wi,selected"
 
-    def test_parallel_jobs_match_serial(self, tiny_dataset, tmp_path):
+    @pytest.mark.parametrize("loss", ["mse", "nll"])
+    def test_parallel_jobs_match_serial(self, tiny_dataset, tmp_path, loss):
         argv = [
-            "train", "--dataset", str(tiny_dataset), "--loss", "mse",
+            "train", "--dataset", str(tiny_dataset), "--loss", loss,
             "--lr", "1e-2", "1e-3", "--epochs", "2", "--seed", "0",
         ]
         assert main(argv + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == EXIT_OK
         assert main(argv + ["--out", str(tmp_path / "parallel"), "--jobs", "2"]) == EXIT_OK
-        a = np.load(tmp_path / "serial" / "model.npz")["theta"]
-        b = np.load(tmp_path / "parallel" / "model.npz")["theta"]
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        a = np.load(serial / "model.npz")["theta"]
+        b = np.load(parallel / "model.npz")["theta"]
         assert np.array_equal(a, b)
+        assert (serial / "result.json").read_text() == (parallel / "result.json").read_text()
+
+        def log_without_seconds(run):
+            records = [json.loads(line) for line in (run / "log.jsonl").read_text().splitlines()]
+            return [[(k, v) for k, v in rec.items() if k != "seconds"] for rec in records]
+
+        assert log_without_seconds(serial) == log_without_seconds(parallel)
+
+    def test_grid_loads_once_and_validates_in_training(self, tiny_dataset, tmp_path, monkeypatch):
+        loads, epochs = [], []
+        load_dataset, run_epoch = datasets.load_dataset, learning.run_epoch
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return load_dataset(*args, **kwargs)
+
+        def counting_epoch(*args, **kwargs):
+            epochs.append(1)
+            return run_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        for module in (cli, learning):
+            monkeypatch.setattr(module, "run_epoch", counting_epoch)
+        code = main(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "run"),
+                     "--loss", "mse", "--lr", "1e-2", "1e-3", "--seed", "0", "1",
+                     "--epochs", "3"])
+        assert code == EXIT_OK
+        assert len(loads) == 1
+        # one training and one validation epoch per epoch of each of the 4 runs
+        assert len(epochs) == 4 * 2 * 3
 
     def test_model_write_is_atomic(self, tiny_dataset, tmp_path, monkeypatch):
         run = tmp_path / "run"
@@ -209,7 +242,8 @@ class TestTrainEvalExport:
     @pytest.mark.parametrize(
         "flags",
         [["--lr", "nan"], ["--lr", "1e-2", "0"], ["--lr", "-0.001"], ["--trajectories", "0"],
-         ["--epochs", "0"], ["--jobs", "0"]],
+         ["--epochs", "0"], ["--jobs", "0"], ["--alpha", "nan"], ["--alpha", "inf"],
+         ["--alpha", "0"], ["--epsilon", "nan"], ["--epsilon", "inf"], ["--epsilon", "0"]],
     )
     def test_bad_training_values_are_input_errors(self, tiny_dataset, tmp_path, monkeypatch,
                                                   flags):
@@ -239,6 +273,50 @@ class TestTrainEvalExport:
             ["eval", "--dataset", str(tiny_dataset), "--model", str(tmp_path / "nope.npz")]
         )
         assert code == EXIT_INPUT
+
+
+class TestEval:
+    @pytest.fixture()
+    def model_path(self, tiny_dataset, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(tiny_dataset), "--out", str(run), "--loss", "mse",
+                     "--lr", "1e-2", "--epochs", "1"]) == EXIT_OK
+        return run / "model.npz"
+
+    def _eval(self, tiny_dataset, model_path, out, *flags):
+        return main(["eval", "--dataset", str(tiny_dataset), "--model", str(model_path),
+                     "--out", str(out), *flags])
+
+    def test_existing_result_refused_before_evaluating(self, tiny_dataset, model_path, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "dq.json").write_text("{}")
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluation started")
+
+        monkeypatch.setattr(cli, "evaluate_dq", no_evaluation)
+        assert self._eval(tiny_dataset, model_path, out) == EXIT_INPUT
+        assert (out / "dq.json").read_text() == "{}"
+
+    def test_negative_trajectories_rejected(self, tiny_dataset, model_path, tmp_path):
+        out = tmp_path / "eval"
+        assert self._eval(tiny_dataset, model_path, out, "--trajectories", "-5") == EXIT_INPUT
+        assert not (out / "dq.json").exists()
+
+    def test_skipped_joint_columns_are_null(self, tiny_dataset, model_path, tmp_path):
+        out = tmp_path / "eval"
+        assert self._eval(tiny_dataset, model_path, out, "--trajectories", "0") == EXIT_OK
+
+        def no_constants(name):
+            raise AssertionError(f"dq.json holds the non-JSON constant {name}")
+
+        dq = json.loads((out / "dq.json").read_text(), parse_constant=no_constants)
+        for key in ("joint_dq", "joint_dq_se", "perfect_joint_dq", "perfect_joint_dq_se",
+                    "normalized_joint_dq"):
+            assert dq[key] is None, key
+        assert dq["normalized_decomposed_dq"] is not None
 
 
 class TestBench:

@@ -73,8 +73,14 @@ class TestConfigs:
             SolverConfig(budget=0.0, gamma=0.9)
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RegularizerConfig(alpha=0.0)
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                RegularizerConfig(alpha=alpha)
+
+    def test_epsilon_must_be_finite_and_positive(self):
+        for epsilon in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(budget=1.0, gamma=0.9, epsilon=epsilon)
 
     def test_tables_shape_check(self):
         with pytest.raises(ValueError):

@@ -23,8 +23,8 @@ from rmab_dfl.learning import (
     Adam,
     _score_term,
     _sigmoid,
+    _cohort_loss,
     _soft_top_b_probs,
-    dec_dfl_cohort_loss,
     run_epoch,
 )
 from rmab_dfl.mdp import (
@@ -204,8 +204,7 @@ class TestSimDfl:
 
 class TestTraining:
     def _splits(self, rng, loss_name):
-        cohorts = [_cohort(rng) for _ in range(3)]
-        splits = DatasetSplits(train=cohorts[:1], val=cohorts[1:2], test=cohorts[2:])
+        splits = DatasetSplits(train=[_cohort(rng)], val=[_cohort(rng)])
         if loss_name == "nll":
             trajs = []
             for c in splits.train + splits.val:
@@ -226,7 +225,7 @@ class TestTraining:
         rng = np.random.default_rng(7)
         data = self._splits(rng, "mse")
         config = TrainingConfig(loss=LossSpec(name="mse"), learning_rate=1e-2, epochs=20, seed=0)
-        model, log = train(config, data)
+        model, log, _ = train(config, data)
         train_values = [r["value"] for r in log if r["split"] == "train"]
         assert train_values[-1] < train_values[0]
 
@@ -239,18 +238,21 @@ class TestTraining:
             epochs=15,
             seed=0,
         )
-        model, log = train(config, data)
+        model, log, _ = train(config, data)
         train_values = [r["value"] for r in log if r["split"] == "train"]
         assert train_values[-1] >= train_values[0] - 1e-9
 
     def test_best_validation_parameters_restored(self):
         rng = np.random.default_rng(9)
         data = self._splits(rng, "mse")
-        config = TrainingConfig(loss=LossSpec(name="mse"), learning_rate=1e-2, epochs=10, seed=0)
-        model, log = train(config, data)
-        best_val = min(r["value"] for r in log if r["split"] == "val")
-        final_val = run_epoch(model, None, data.val, None, config.loss, 0)
-        assert final_val == pytest.approx(best_val, abs=1e-12)
+        for loss, best_of in (("mse", min), ("fast-dec-dfl", max)):
+            config = TrainingConfig(
+                loss=LossSpec(name=loss), learning_rate=1e-2, epochs=10, seed=3
+            )
+            model, log, value = train(config, data)
+            assert all(r["lr"] == 1e-2 and r["seed"] == 3 for r in log)
+            assert value == best_of(r["value"] for r in log if r["split"] == "val")
+            assert value == run_epoch(model, None, data.val, None, config.loss, 3)
 
     def test_nll_requires_trajectories(self):
         rng = np.random.default_rng(11)
@@ -279,8 +281,10 @@ class TestDecisionQuality:
         rng = np.random.default_rng(13)
         cohort = _cohort(rng, n=2)
         report = evaluate_dq(None, [cohort], trajectories=0, predictions=[cohort.tensors])
-        assert np.isnan(report.joint_dq)
-        assert np.isnan(report.joint_dq_se) and np.isnan(report.perfect_joint_dq_se)
+        assert report.joint_dq is None and report.normalized_joint_dq is None
+        assert report.joint_dq_se is None and report.perfect_joint_dq_se is None
+        with pytest.raises(ValueError):
+            evaluate_dq(None, [cohort], trajectories=-5, predictions=[cohort.tensors])
 
     def test_joint_standard_errors_combine_cohorts(self):
         rng = np.random.default_rng(16)
@@ -312,21 +316,17 @@ class TestDecisionQuality:
         with pytest.raises(ValueError):
             evaluate_dq(None, [cohort], trajectories=0)
 
-    def test_dec_cohort_loss_gradient_shape(self):
-        rng = np.random.default_rng(15)
-        cohort = _cohort(rng, n=3)
-        pred = rng.dirichlet(np.ones(2), size=(3, 2, 2))
-        value, grad = dec_dfl_cohort_loss(pred, cohort, RegularizerConfig(alpha=1.0))
-        assert np.isfinite(value)
-        assert grad.shape == pred.shape
-
     def test_cohort_loss_matches_uncached_loss(self):
+        # the training path reuses Cohort.true_returns instead of solving the truth again
         rng = np.random.default_rng(16)
         cohort = _cohort(rng, n=6, states=3)
-        pred = rng.dirichlet(np.ones(3), size=(6, 3, 2))
+        model = PredictiveModel(ModelSpec(kind="linear"), 4, 3, seed=0)
+        model.set_theta(rng.normal(size=model.get_theta().shape))
+        value, grad, _ = _cohort_loss(model, cohort, None, LossSpec("fast-dec-dfl", alpha=0.5), 0)
+        pred = model.forward(cohort.features)[0]
         reg = RegularizerConfig(alpha=0.5)
         cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
-        cached = dec_dfl_cohort_loss(pred, cohort, reg, cfg)
         direct = dec_dfl_loss(pred, cohort.tensors, reg, cfg, cohort.setup)
-        assert cached[0] == direct[0]
-        assert np.array_equal(cached[1], direct[1])
+        assert np.isfinite(value) and grad.shape == pred.shape
+        assert value == direct[0]
+        assert np.array_equal(grad, direct[1])
