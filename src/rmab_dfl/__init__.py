@@ -17,7 +17,6 @@ from .mdp import (
     WhittleTable,
     enumerate_policies,
     engagement_rewards,
-    get_budget_usage,
     get_returns,
     returns_gradient,
     batched_policy_returns,
@@ -55,13 +54,12 @@ from .planning import (
 from .datasets import (
     Dataset,
     DatasetManifest,
-    TrajectoryData,
     discretize_engagement,
     estimate_from_trajectories,
     generate_synthetic,
     load_dataset,
     save_dataset,
-    trajectory_data,
+    transition_counts,
 )
 from .learning import (
     Adam,
@@ -75,7 +73,6 @@ from .learning import (
     evaluate_dq,
     mse_loss,
     nll_loss,
-    predict,
     sim_dfl_loss,
     train,
 )

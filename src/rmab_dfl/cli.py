@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -65,10 +66,6 @@ EXIT_VERIFY = 4
 OUTPUT_ROOT_ENV = "RMAB_DFL_OUT"
 
 
-class InputError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Output plumbing
 
@@ -79,7 +76,20 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _check_overwrite(path: Path, overwrite: bool) -> None:
     if path.exists() and not overwrite:
-        raise InputError(f"{path} exists; pass --overwrite to replace it")
+        raise ValueError(f"{path} exists; pass --overwrite to replace it")
+
+
+def _existing_file(path: str | Path, what: str) -> Path:
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"{what} not found: {path}")
+    return path
+
+
+def _require_fields(record, fields, source) -> None:
+    missing = [k for k in fields if not isinstance(record, Mapping) or k not in record]
+    if missing:
+        raise ValueError(f"{source} lacks the fields {missing}")
 
 
 def _manifest_hash(manifest: DatasetManifest) -> str:
@@ -114,7 +124,7 @@ def cmd_generate(args) -> int:
     train = max(args.cohorts // 5, 1)
     val = max(args.cohorts // 5, 1)
     if train + val >= args.cohorts:
-        raise InputError(f"need at least 3 cohorts for a train/val/test split, got {args.cohorts}")
+        raise ValueError(f"need at least 3 cohorts for a train/val/test split, got {args.cohorts}")
     manifest = DatasetManifest(
         cohorts=args.cohorts,
         arms_per_cohort=args.arms,
@@ -138,14 +148,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset_path = Path(args.dataset)
-    if not dataset_path.exists():
-        raise InputError(f"dataset not found: {dataset_path}")
+    dataset_path = _existing_file(args.dataset, "dataset")
     out = _out_dir(args.out)
     model_path = out / "model.npz"
     _check_overwrite(model_path, args.overwrite)
     if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     dataset = load_dataset(dataset_path)
     spec = LossSpec(
         name=args.loss, trajectories=args.trajectories, alpha=args.alpha, epsilon=args.epsilon
@@ -157,7 +165,7 @@ def cmd_train(args) -> int:
         for lr in args.lr
         for seed in args.seed
     ]
-    run = functools.partial(train_model, data=dataset_splits(dataset, spec.name))
+    run = functools.partial(train_model, data=dataset_splits(dataset))
     if args.jobs > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run, configs))
@@ -191,10 +199,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: Path) -> tuple[PredictiveModel, dict]:
-    if not path.exists():
-        raise InputError(f"model not found: {path}")
-    blob = np.load(path, allow_pickle=False)
+    blob = np.load(_existing_file(path, "model"), allow_pickle=False)
+    _require_fields(blob, ("meta", "theta"), path)
     meta = json.loads(str(blob["meta"]))
+    _require_fields(meta, ("loss", "model", "feature_dim", "states", "seed"), path)
+    if meta["model"] not in MODEL_FLAGS:
+        raise ValueError(f"{path} names the unknown model {meta['model']!r}")
     model = PredictiveModel(
         MODEL_FLAGS[meta["model"]], meta["feature_dim"], meta["states"], seed=meta["seed"]
     )
@@ -214,9 +224,7 @@ MODEL_FLAGS = {
 
 
 def cmd_eval(args) -> int:
-    dataset_path = Path(args.dataset)
-    if not dataset_path.exists():
-        raise InputError(f"dataset not found: {dataset_path}")
+    dataset_path = _existing_file(args.dataset, "dataset")
     target = _out_dir(args.out) / "dq.json"
     _check_overwrite(target, args.overwrite)
     dataset = load_dataset(dataset_path)
@@ -252,12 +260,12 @@ def bench_epoch_times(
     dataset, losses: list[str], repeats: int, seed: int, trajectories: int = 1000
 ) -> dict[str, tuple[float, float]]:
     """Wall time of one full training epoch per loss (mean, sem over repeats)."""
+    data = dataset_splits(dataset)
+    feature_dim = data.train[0].features.shape[1]
+    states = data.train[0].num_states
     out = {}
     for loss_name in losses:
         spec = LossSpec(name=loss_name, trajectories=trajectories)
-        data = dataset_splits(dataset, loss_name)
-        feature_dim = data.train[0].features.shape[1]
-        states = data.train[0].num_states
         times = []
         for rep in range(repeats):
             model = PredictiveModel(MODEL_FLAGS["linear"], feature_dim, states, seed=seed)
@@ -294,11 +302,9 @@ def bench_layer_scaling(
 
 
 def cmd_bench(args) -> int:
-    dataset_path = Path(args.dataset)
-    if not dataset_path.exists():
-        raise InputError(f"dataset not found: {dataset_path}")
+    dataset_path = _existing_file(args.dataset, "dataset")
     if args.repeats < 1:
-        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     dataset = load_dataset(dataset_path)
     epoch_times = bench_epoch_times(
         dataset, args.losses, args.repeats, args.seed, args.trajectories
@@ -355,10 +361,7 @@ def cmd_verify(args) -> int:
 # export
 
 
-def _read_json(path: Path):
-    if not path.exists():
-        raise InputError(f"results file not found: {path}")
-    return json.loads(path.read_text())
+DQ_FIELDS = ("loss", "dataset", "split", "normalized_joint_dq", "normalized_decomposed_dq")
 
 
 def _export_dq_table(results: Path, out: Path) -> None:
@@ -366,7 +369,8 @@ def _export_dq_table(results: Path, out: Path) -> None:
     groups: dict[tuple, list] = {}
     prov = f"# version={__version__}\n"
     for f in files:
-        rec = _read_json(f)
+        rec = json.loads(_existing_file(f, "results file").read_text())
+        _require_fields(rec, DQ_FIELDS, f)
         key = (rec["loss"], rec["dataset"], rec["split"])
         groups.setdefault(key, []).append(rec)
     rows = []
@@ -388,13 +392,12 @@ def _export_dq_table(results: Path, out: Path) -> None:
 
 
 def _export_dq_vs_epoch(results: Path, out: Path) -> None:
-    log = results / "log.jsonl" if results.is_dir() else results
-    if not log.exists():
-        raise InputError(f"training log not found: {log}")
+    log = _existing_file(results / "log.jsonl" if results.is_dir() else results, "training log")
     rows = []
     for line in log.read_text().splitlines():
         rec = json.loads(line)
-        if rec.get("split") == "val":
+        _require_fields(rec, ("split", "epoch", "loss", "value"), log)
+        if rec["split"] == "val":
             rows.append(
                 [rec.get("lr", ""), rec.get("seed", ""), rec["epoch"], rec["loss"], rec["value"]]
             )
@@ -408,8 +411,8 @@ def _export_dq_vs_epoch(results: Path, out: Path) -> None:
 
 def _export_wi_scatter(args, out: Path) -> None:
     if args.dataset is None or args.model is None:
-        raise InputError("wi_scatter export needs --dataset and --model")
-    dataset = load_dataset(args.dataset)
+        raise ValueError("wi_scatter export needs --dataset and --model")
+    dataset = load_dataset(_existing_file(args.dataset, "dataset"))
     model, meta = _load_model(Path(args.model))
     cohorts = dataset.cohort_objects(args.split)
     rows = []
@@ -433,15 +436,10 @@ def cmd_export(args) -> int:
         _export_dq_table(results, out)
     elif args.kind == "dq_vs_epoch":
         _export_dq_vs_epoch(results, out)
-    elif args.kind == "time_table":
-        src = results / "time_table.csv" if results.is_dir() else results
-        if not src.exists():
-            raise InputError(f"timing results not found: {src}")
-        _atomic_write(out / "time_table.csv", src.read_text())
     elif args.kind == "wi_scatter":
         _export_wi_scatter(args, out)
     else:  # argparse choices make this unreachable
-        raise InputError(f"unknown export kind {args.kind!r}")
+        raise ValueError(f"unknown export kind {args.kind!r}")
     print(f"wrote {out / (args.kind + '.csv')}")
     return EXIT_OK
 
@@ -515,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("export", help="plot-ready CSV files from results")
     x.add_argument(
-        "--kind", required=True, choices=["dq_table", "time_table", "dq_vs_epoch", "wi_scatter"]
+        "--kind", required=True, choices=["dq_table", "dq_vs_epoch", "wi_scatter"]
     )
     x.add_argument("--results", default=None)
     x.add_argument("--out", default=None)
@@ -531,7 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:

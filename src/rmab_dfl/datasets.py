@@ -3,6 +3,7 @@ and the on-disk dataset format.
 
 A dataset is one self-describing JSON file: a manifest block plus
 per-cohort records (features, true transition tensors, trajectories).
+In memory the records stack into three arrays with a leading cohort axis.
 Floats are serialized with shortest-round-trip repr, so write-then-read
 is exact.
 """
@@ -62,39 +63,21 @@ class DatasetManifest:
 
 
 @dataclass
-class CohortRecord:
-    features: np.ndarray  # (N, feature_dim)
-    tensors: np.ndarray  # (N, S, 2, S)
-    trajectories: np.ndarray  # (N, 2 * L + 1) interleaved s0, a0, s1, ...
-
-
-@dataclass
 class Dataset:
     manifest: DatasetManifest
-    cohorts: list[CohortRecord]
     split_assignment: dict[str, list[int]]
+    features: np.ndarray  # (C, N, feature_dim)
+    tensors: np.ndarray  # (C, N, S, 2, S)
+    trajectories: np.ndarray  # (C, N, 2 * L + 1) interleaved s0, a0, s1, ...
 
-    def cohort_objects(self, split: str | None = None) -> list[Cohort]:
-        """Materialize Cohort objects for a split (or all cohorts)."""
+    def cohort_objects(self, split: str) -> list[Cohort]:
+        """Materialize the Cohort objects of a split."""
         m = self.manifest
         setup = DiscountedSetup(m.gamma, np.full(m.states, 1.0 / m.states))
-        idx = (
-            range(len(self.cohorts))
-            if split is None
-            else self.split_assignment[split]
-        )
         return [
-            Cohort(
-                features=self.cohorts[i].features,
-                tensors=self.cohorts[i].tensors,
-                budget=m.budget,
-                setup=setup,
-            )
-            for i in idx
+            Cohort(features=self.features[i], tensors=self.tensors[i], budget=m.budget, setup=setup)
+            for i in self.split_assignment[split]
         ]
-
-    def trajectories_for(self, split: str) -> list[np.ndarray]:
-        return [self.cohorts[i].trajectories for i in self.split_assignment[split]]
 
 
 def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator):
@@ -149,17 +132,16 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     net_rng = np.random.default_rng(root.spawn(1)[0])
     weights = _feature_network_weights(manifest, net_rng)
     cohort_seeds = root.spawn(manifest.cohorts + 1)[1:]
-    records = []
-    for c in range(manifest.cohorts):
-        rng = np.random.default_rng(cohort_seeds[c])
-        n, s = manifest.arms_per_cohort, manifest.states
-        tensors = rng.dirichlet(np.ones(s), size=(n, s, 2))
-        flat = tensors.reshape(n, -1)
-        features = _apply_feature_network(flat, weights)
-        trajectories = np.stack(
-            [_roll_trajectory(tensors[i], manifest.trajectory_len, rng) for i in range(n)]
-        )
-        records.append(CohortRecord(features=features, tensors=tensors, trajectories=trajectories))
+    c, n, s = manifest.cohorts, manifest.arms_per_cohort, manifest.states
+    features = np.empty((c, n, manifest.feature_dim))
+    tensors = np.empty((c, n, s, 2, s))
+    trajectories = np.empty((c, n, 2 * manifest.trajectory_len + 1), dtype=int)
+    for k in range(c):
+        rng = np.random.default_rng(cohort_seeds[k])
+        tensors[k] = rng.dirichlet(np.ones(s), size=(n, s, 2))
+        features[k] = _apply_feature_network(tensors[k].reshape(n, -1), weights)
+        for i in range(n):
+            trajectories[k, i] = _roll_trajectory(tensors[k, i], manifest.trajectory_len, rng)
     split_rng = np.random.default_rng(np.random.SeedSequence([manifest.seed, 1]))
     perm = split_rng.permutation(manifest.cohorts)
     a, b, _ = manifest.split_sizes
@@ -168,7 +150,13 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
         "val": sorted(int(i) for i in perm[a : a + b]),
         "test": sorted(int(i) for i in perm[a + b :]),
     }
-    return Dataset(manifest=manifest, cohorts=records, split_assignment=split_assignment)
+    return Dataset(
+        manifest=manifest,
+        split_assignment=split_assignment,
+        features=features,
+        tensors=tensors,
+        trajectories=trajectories,
+    )
 
 
 def atomic_replace(path: Path, write) -> None:
@@ -192,78 +180,82 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         "manifest": asdict(dataset.manifest),
         "split_assignment": dataset.split_assignment,
         "cohorts": [
-            {
-                "features": rec.features.tolist(),
-                "tensors": rec.tensors.tolist(),
-                "trajectories": rec.trajectories.tolist(),
-            }
-            for rec in dataset.cohorts
+            {"features": f.tolist(), "tensors": t.tolist(), "trajectories": traj.tolist()}
+            for f, t, traj in zip(dataset.features, dataset.tensors, dataset.trajectories)
         ],
     }
     atomic_replace(Path(path), lambda fh: fh.write(json.dumps(payload).encode()))
 
 
+def _stack_cohorts(cohorts, key: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """One field of every cohort record as one array of the manifest's shape."""
+    try:
+        stacked = np.array([rec[key] for rec in cohorts], dtype=dtype)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed dataset: cannot stack the cohorts' {key!r}: {exc!r}") from exc
+    if stacked.shape != shape:
+        raise ValueError(f"malformed dataset: {key} has shape {stacked.shape}, not {shape}")
+    return stacked
+
+
 def load_dataset(path: str | Path) -> Dataset:
+    """Read a dataset file; a malformed one raises ValueError."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("malformed dataset: expected a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported dataset format version {payload.get('format_version')}")
-    manifest_dict = payload["manifest"]
-    manifest_dict["split_sizes"] = tuple(manifest_dict["split_sizes"])
-    manifest = DatasetManifest(**manifest_dict)
-    cohorts = [
-        CohortRecord(
-            features=np.array(rec["features"], dtype=float),
-            tensors=np.array(rec["tensors"], dtype=float),
-            trajectories=np.array(rec["trajectories"], dtype=int),
-        )
-        for rec in payload["cohorts"]
-    ]
-    return Dataset(
-        manifest=manifest,
-        cohorts=cohorts,
-        split_assignment={k: list(v) for k, v in payload["split_assignment"].items()},
-    )
+    try:
+        fields = dict(payload["manifest"])
+        fields["split_sizes"] = tuple(fields["split_sizes"])
+        m = DatasetManifest(**fields)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed dataset manifest: {exc!r}") from exc
+    splits = payload.get("split_assignment")
+    if not (
+        isinstance(splits, dict)
+        and sorted(splits) == ["test", "train", "val"]
+        and all(isinstance(ids, list) for ids in splits.values())
+        and all(isinstance(i, int) and 0 <= i < m.cohorts for ids in splits.values() for i in ids)
+    ):
+        raise ValueError("malformed dataset: split_assignment must map train, val, test to ids")
+    cohorts, c, n, s = payload.get("cohorts"), m.cohorts, m.arms_per_cohort, m.states
+    features = _stack_cohorts(cohorts, "features", float, (c, n, m.feature_dim))
+    tensors = _stack_cohorts(cohorts, "tensors", float, (c, n, s, 2, s))
+    trajectories = _stack_cohorts(cohorts, "trajectories", int, (c, n, 2 * m.trajectory_len + 1))
+    states, actions = trajectories[..., ::2], trajectories[..., 1::2]
+    if not np.isfinite(features).all():
+        raise ValueError("malformed dataset: features must be finite")
+    if not ((tensors >= 0).all() and np.abs(tensors.sum(axis=-1) - 1.0).max() <= 1e-9):
+        raise ValueError("malformed dataset: tensor rows must lie on the probability simplex")
+    if not (((states >= 0) & (states < s)).all() and ((actions == 0) | (actions == 1)).all()):
+        raise ValueError("malformed dataset: a trajectory holds a state or action out of range")
+    return Dataset(manifest=m, split_assignment=splits, features=features, tensors=tensors,
+                   trajectories=trajectories)
 
 
-@dataclass
-class TrajectoryData:
-    """Transition counts of observed per-arm trajectories, with their pooled prior."""
-
-    counts: np.ndarray  # (N, S, 2, S)
-    p_pop: np.ndarray  # (S, 2, S) pooled prior
-
-
-def transition_counts(sequences, num_states: int) -> np.ndarray:
-    """N(s, a, s') per arm from interleaved state/action sequences."""
-    n = len(sequences)
-    counts = np.zeros((n, num_states, 2, num_states))
-    for i, seq in enumerate(sequences):
-        seq = np.asarray(seq, dtype=int)
-        s, a, s_next = seq[:-1:2], seq[1::2], seq[2::2]
-        np.add.at(counts[i], (s, a, s_next), 1.0)
+def transition_counts(sequences: np.ndarray, num_states: int) -> np.ndarray:
+    """N(s, a, s') per arm from (N, 2 * L + 1) interleaved state/action sequences."""
+    seqs = np.asarray(sequences, dtype=int)
+    counts = np.zeros((seqs.shape[0], num_states, 2, num_states))
+    arm = np.arange(seqs.shape[0])[:, None]
+    np.add.at(counts, (arm, seqs[:, :-1:2], seqs[:, 1::2], seqs[:, 2::2]), 1.0)
     return counts
 
 
-def trajectory_data(sequences, num_states: int) -> TrajectoryData:
-    """Counts plus the pooled-population prior across all arms."""
-    counts = transition_counts(sequences, num_states)
-    pooled = counts.sum(axis=0)
-    row_totals = pooled.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_pop = np.where(row_totals > 0, pooled / row_totals, 1.0 / num_states)
-    return TrajectoryData(counts=counts, p_pop=p_pop)
+def estimate_from_trajectories(counts: np.ndarray, prior_strength: float) -> list[TransitionTensor]:
+    """Per-arm transition estimates from (N, S, 2, S) counts, smoothed toward the pooled prior.
 
-
-def estimate_from_trajectories(
-    trajs: TrajectoryData, prior_strength: float
-) -> list[TransitionTensor]:
-    """Per-arm transition estimates smoothed toward the pooled prior.
-
-    T_i(s, a, s') = (alpha * P_pop(s'|s,a) + N(s,a,s')) / row total.
+    T_i(s, a, s') = (alpha * P_pop(s'|s,a) + N_i(s,a,s')) / row total, where
+    P_pop pools every arm's counts (uniform on a row no arm observed).
     """
     if prior_strength < 0:
         raise ValueError("prior_strength must be nonnegative")
-    numer = prior_strength * trajs.p_pop[None] + trajs.counts
+    pooled = counts.sum(axis=0)
+    row_totals = pooled.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p_pop = np.where(row_totals > 0, pooled / row_totals, 1.0 / counts.shape[-1])
+    numer = prior_strength * p_pop + counts
     denom = numer.sum(axis=-1, keepdims=True)
     if np.any(denom == 0):
         raise ValueError("undefined row: no observations and zero prior strength")

@@ -51,14 +51,6 @@ class ReturnsTable:
         if np.any(self.j_budget < -1e-9):
             raise ValueError("budget usage must be nonnegative")
 
-    @property
-    def num_arms(self) -> int:
-        return self.j_pred.shape[0]
-
-    @property
-    def num_policies(self) -> int:
-        return self.j_pred.shape[1]
-
 
 @dataclass(frozen=True)
 class RegularizerConfig:

@@ -20,14 +20,13 @@ from .mdp import (
     ENGAGEMENT,
     NumericError,
     RewardSpec,
-    TransitionTensor,
     WhittleTable,
     batched_policy_returns,
     whittle_gradients,
     whittle_indices,
 )
 from .planning import Cohort, SimulationResult, WhittleTopB, rollout, simulate_joint
-from .datasets import Dataset, TrajectoryData, trajectory_data
+from .datasets import Dataset, transition_counts
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +121,6 @@ class PredictiveModel:
             raise ValueError("theta size mismatch")
 
 
-def predict(model: PredictiveModel, features: np.ndarray) -> list[TransitionTensor]:
-    tensors, _ = model.forward(np.asarray(features, dtype=float))
-    return [TransitionTensor(t) for t in tensors]
-
-
 # ---------------------------------------------------------------------------
 # Losses. Each returns (value, dL/dtensors) so training can chain
 # model.backward; decision losses are returns (to maximize).
@@ -142,10 +136,9 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
     return value, 2.0 * diff / diff.size
 
 
-def nll_loss(pred: np.ndarray, trajectories: TrajectoryData) -> tuple[float, np.ndarray]:
-    """Negative log likelihood of observed transitions under the predictions."""
+def nll_loss(pred: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negative log likelihood of observed (N, S, 2, S) transition counts under the predictions."""
     pred = np.asarray(pred, dtype=float)
-    counts = trajectories.counts
     if pred.shape != counts.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {counts.shape}")
     clipped = np.clip(pred, 1e-12, None)
@@ -277,24 +270,25 @@ class TrainingConfig:
 class DatasetSplits:
     train: list[Cohort]
     val: list[Cohort]
-    train_trajectories: list[TrajectoryData] | None = None
-    val_trajectories: list[TrajectoryData] | None = None
+    train_trajectories: list[np.ndarray] | None = None  # per-cohort transition counts
+    val_trajectories: list[np.ndarray] | None = None
 
 
-def dataset_splits(dataset: Dataset, loss_name: str) -> DatasetSplits:
-    """The train and val cohorts of a dataset, with their trajectories when the loss is NLL."""
-    splits = DatasetSplits(
-        train=dataset.cohort_objects("train"), val=dataset.cohort_objects("val")
+def dataset_splits(dataset: Dataset) -> DatasetSplits:
+    """The train and val cohorts of a dataset, with each cohort's transition counts."""
+
+    def counts(split):
+        return [
+            transition_counts(dataset.trajectories[i], dataset.manifest.states)
+            for i in dataset.split_assignment[split]
+        ]
+
+    return DatasetSplits(
+        train=dataset.cohort_objects("train"),
+        val=dataset.cohort_objects("val"),
+        train_trajectories=counts("train"),
+        val_trajectories=counts("val"),
     )
-    if loss_name == "nll":
-        s = dataset.manifest.states
-        splits.train_trajectories = [
-            trajectory_data(seqs, s) for seqs in dataset.trajectories_for("train")
-        ]
-        splits.val_trajectories = [
-            trajectory_data(seqs, s) for seqs in dataset.trajectories_for("val")
-        ]
-    return splits
 
 
 class TrainingDiverged(NumericError):
@@ -325,7 +319,7 @@ class Adam:
 def _cohort_loss(
     model: PredictiveModel,
     cohort: Cohort,
-    trajs: TrajectoryData | None,
+    counts: np.ndarray | None,
     spec: LossSpec,
     seed: int,
 ) -> tuple[float, np.ndarray, tuple]:
@@ -334,9 +328,9 @@ def _cohort_loss(
     if name == "mse":
         value, grad = mse_loss(tensors, cohort.tensors)
     elif name == "nll":
-        if trajs is None:
-            raise ValueError("nll loss needs trajectory data")
-        value, grad = nll_loss(tensors, trajs)
+        if counts is None:
+            raise ValueError("nll loss needs transition counts")
+        value, grad = nll_loss(tensors, counts)
     elif name == "fast-dec-dfl":
         reg = RegularizerConfig(alpha=spec.alpha)
         cfg = SolverConfig(
@@ -356,19 +350,20 @@ def run_epoch(
     model: PredictiveModel,
     optimizer: Adam | None,
     cohorts: list[Cohort],
-    trajectories: list[TrajectoryData] | None,
+    trajectories: list[np.ndarray] | None,
     spec: LossSpec,
     seed: int,
 ) -> float:
     """One pass over the cohorts; updates parameters if an optimizer is given.
 
-    Returns the mean loss value across cohorts.
+    `trajectories` holds each cohort's transition counts (only NLL reads
+    them). Returns the mean loss value across cohorts.
     """
     total = 0.0
     sign = -1.0 if spec.maximize else 1.0
     for k, cohort in enumerate(cohorts):
-        trajs = trajectories[k] if trajectories is not None else None
-        value, grad_tensors, cache = _cohort_loss(model, cohort, trajs, spec, seed + 7919 * k)
+        counts = trajectories[k] if trajectories is not None else None
+        value, grad_tensors, cache = _cohort_loss(model, cohort, counts, spec, seed + 7919 * k)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss {value} on cohort {k}")
         total += value

@@ -64,10 +64,6 @@ class TransitionTensor:
     def num_states(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def num_actions(self) -> int:
-        return 2
-
 
 @dataclass(frozen=True)
 class RewardSpec:
@@ -133,9 +129,6 @@ class PerArmPolicy:
     def actions(self) -> np.ndarray:
         return np.array([(self.index >> s) & 1 for s in range(self.num_states)], dtype=int)
 
-    def action_of(self, state: int) -> int:
-        return (self.index >> state) & 1
-
 
 def enumerate_policies(num_states: int) -> list[PerArmPolicy]:
     """All 2^|S| deterministic per-arm policies, indexed bitwise."""
@@ -178,11 +171,6 @@ def get_returns(
     rewards = R.per_step(T.num_states, actions)
     V = _value_function(T_pi, rewards, setup.gamma)
     return float(setup.initial_dist @ V)
-
-
-def get_budget_usage(T: TransitionTensor, pi: PerArmPolicy, setup: DiscountedSetup) -> float:
-    """Expected discounted count of act-actions under the policy."""
-    return get_returns(T, RewardSpec(BUDGET), pi, setup)
 
 
 def returns_gradient(

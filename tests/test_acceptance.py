@@ -268,7 +268,7 @@ def test_criterion_09_epoch_timing_separation():
     times = {}
     for loss_name, trajectories in (("fast-dec-dfl", 100), ("sim-dfl", 1000)):
         spec = LossSpec(name=loss_name, trajectories=trajectories, alpha=1.0)
-        data = dataset_splits(dataset, loss_name)
+        data = dataset_splits(dataset)
         model = PredictiveModel(
             ModelSpec(kind="linear"),
             data.train[0].features.shape[1],
@@ -324,7 +324,7 @@ def test_criterion_11_training_ordering():
     test_cohorts = dataset.cohort_objects("test")
     means = {}
     for loss_name in ("fast-dec-dfl", "nll"):
-        data = dataset_splits(dataset, loss_name)
+        data = dataset_splits(dataset)
         dqs = []
         for seed in range(5):
             best = None

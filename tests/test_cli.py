@@ -40,6 +40,14 @@ def tiny_dataset(tmp_path):
     return out / "dataset.json"
 
 
+@pytest.fixture()
+def model_path(tiny_dataset, tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(run), "--loss", "mse",
+                 "--lr", "1e-2", "--epochs", "1"]) == EXIT_OK
+    return run / "model.npz"
+
+
 class TestGenerate:
     def test_writes_dataset(self, tiny_dataset):
         assert tiny_dataset.exists()
@@ -276,13 +284,6 @@ class TestTrainEvalExport:
 
 
 class TestEval:
-    @pytest.fixture()
-    def model_path(self, tiny_dataset, tmp_path):
-        run = tmp_path / "run"
-        assert main(["train", "--dataset", str(tiny_dataset), "--out", str(run), "--loss", "mse",
-                     "--lr", "1e-2", "--epochs", "1"]) == EXIT_OK
-        return run / "model.npz"
-
     def _eval(self, tiny_dataset, model_path, out, *flags):
         return main(["eval", "--dataset", str(tiny_dataset), "--model", str(model_path),
                      "--out", str(out), *flags])
@@ -317,6 +318,84 @@ class TestEval:
                     "normalized_joint_dq"):
             assert dq[key] is None, key
         assert dq["normalized_decomposed_dq"] is not None
+
+
+MALFORMED_DATASETS = (
+    "unknown-manifest-key", "cohort-without-tensors", "no-split-assignment", "top-level-list",
+    "split-id-out-of-range", "ragged-cohorts", "shapes-disagree-with-manifest",
+    "tensor-row-off-simplex", "null-feature", "state-out-of-range", "action-out-of-range",
+)
+
+
+def _malformed(case: str, payload: dict):
+    """The payload of a valid dataset file, broken as `case` names."""
+    cohort = payload["cohorts"][payload["split_assignment"]["train"][0]]
+    if case == "top-level-list":
+        return [payload]
+    if case == "unknown-manifest-key":
+        payload["manifest"]["colour"] = "red"
+    elif case == "cohort-without-tensors":
+        del cohort["tensors"]
+    elif case == "no-split-assignment":
+        del payload["split_assignment"]
+    elif case == "split-id-out-of-range":
+        payload["split_assignment"]["train"].append(99)
+    elif case == "ragged-cohorts":  # one cohort loses its last arm
+        for key in cohort:
+            cohort[key] = cohort[key][:-1]
+    elif case == "shapes-disagree-with-manifest":
+        payload["manifest"]["arms_per_cohort"] = 5
+    elif case == "tensor-row-off-simplex":
+        cohort["tensors"][0][0][0] = [2.0, -1.0]
+    elif case == "null-feature":
+        cohort["features"][0][0] = None
+    elif case == "state-out-of-range":
+        cohort["trajectories"][0][0] = 7
+    elif case == "action-out-of-range":
+        cohort["trajectories"][0][1] = 2
+    return payload
+
+
+class TestMalformedInput:
+    """A malformed input file is an input error (exit 2), not a crash."""
+
+    @pytest.mark.parametrize("case", MALFORMED_DATASETS)
+    def test_malformed_dataset(self, tiny_dataset, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_malformed(case, json.loads(tiny_dataset.read_text()))))
+        run = tmp_path / "run"
+        code = main(["train", "--dataset", str(bad), "--out", str(run), "--loss", "mse",
+                     "--lr", "1e-2", "--epochs", "1"])
+        assert code == EXIT_INPUT
+        assert not run.exists()
+
+    def test_dataset_directory(self, tmp_path):
+        code = main(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_INPUT
+
+    def test_unknown_model_flag(self, tiny_dataset, model_path, tmp_path):
+        blob = np.load(model_path)
+        meta = {**json.loads(str(blob["meta"])), "model": "mlp-huge"}
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, theta=blob["theta"], meta=json.dumps(meta))
+        code = main(["eval", "--dataset", str(tiny_dataset), "--model", str(bad),
+                     "--out", str(tmp_path / "eval"), "--trajectories", "0"])
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "eval" / "dq.json").exists()
+
+    def test_dq_table_over_incomplete_results(self, tmp_path):
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "dq.json").write_text(json.dumps({"loss": "mse", "split": "test"}))
+        code = main(["export", "--kind", "dq_table", "--results", str(results),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "out" / "dq_table.csv").exists()
+
+    def test_time_table_export_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--kind", "time_table", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestBench:

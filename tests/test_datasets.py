@@ -10,10 +10,9 @@ from rmab_dfl import (
     generate_synthetic,
     load_dataset,
     save_dataset,
-    trajectory_data,
+    transition_counts,
 )
 from rmab_dfl import datasets
-from rmab_dfl.datasets import transition_counts
 
 
 def _small_manifest(**overrides):
@@ -28,20 +27,19 @@ def _small_manifest(**overrides):
 class TestGeneration:
     def test_shapes_and_simplex_rows(self):
         ds = generate_synthetic(_small_manifest())
-        assert len(ds.cohorts) == 4
-        for rec in ds.cohorts:
-            assert rec.features.shape == (5, 4)
-            assert rec.tensors.shape == (5, 2, 2, 2)
-            assert np.allclose(rec.tensors.sum(axis=-1), 1.0, atol=1e-12)
-            assert rec.trajectories.shape == (5, 21)
+        assert ds.features.shape == (4, 5, 4)
+        assert ds.tensors.shape == (4, 5, 2, 2, 2)
+        assert np.allclose(ds.tensors.sum(axis=-1), 1.0, atol=1e-12)
+        assert ds.trajectories.shape == (4, 5, 21)
 
     def test_deterministic_in_seed(self):
         a = generate_synthetic(_small_manifest())
         b = generate_synthetic(_small_manifest())
         c = generate_synthetic(_small_manifest(seed=1))
-        assert np.array_equal(a.cohorts[0].tensors, b.cohorts[0].tensors)
-        assert np.array_equal(a.cohorts[0].features, b.cohorts[0].features)
-        assert not np.array_equal(a.cohorts[0].tensors, c.cohorts[0].tensors)
+        assert np.array_equal(a.tensors, b.tensors)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.trajectories, b.trajectories)
+        assert not np.array_equal(a.tensors[0], c.tensors[0])
 
     def test_split_assignment_partitions_cohorts(self):
         ds = generate_synthetic(_small_manifest())
@@ -69,11 +67,10 @@ class TestGeneration:
     def test_trajectories_follow_true_dynamics(self):
         # a deterministic arm leaves no freedom in the rolled trajectory
         ds = generate_synthetic(_small_manifest())
-        for rec in ds.cohorts:
-            for i in range(rec.trajectories.shape[0]):
-                seq = rec.trajectories[i]
+        for tensors, trajectories in zip(ds.tensors, ds.trajectories):
+            for i, seq in enumerate(trajectories):
                 states, actions, nexts = seq[:-1:2], seq[1::2], seq[2::2]
-                probs = rec.tensors[i, states, actions, nexts]
+                probs = tensors[i, states, actions, nexts]
                 assert np.all(probs > 0.0)
 
     def test_cohort_objects_carry_budget_and_gamma(self):
@@ -92,10 +89,11 @@ class TestSerialization:
         loaded = load_dataset(path)
         assert loaded.manifest == ds.manifest
         assert loaded.split_assignment == ds.split_assignment
-        for a, b in zip(ds.cohorts, loaded.cohorts):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.tensors, b.tensors)
-            assert np.array_equal(a.trajectories, b.trajectories)
+        for name in ("features", "tensors", "trajectories"):
+            a, b = getattr(ds, name), getattr(loaded, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert loaded.trajectories.dtype.kind == "i"
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "dataset.json"
@@ -123,34 +121,54 @@ class TestSerialization:
 
 class TestTrajectoryEstimation:
     def test_transition_counts_hand_example(self):
-        # s0=0 -a1-> 1 -a0-> 1
-        counts = transition_counts([np.array([0, 1, 1, 0, 1])], num_states=2)
+        # arm 0: s0=0 -a1-> 1 -a0-> 1; arm 1: 1 -a1-> 1 -a1-> 1
+        counts = transition_counts(np.array([[0, 1, 1, 0, 1], [1, 1, 1, 1, 1]]), num_states=2)
+        assert counts.shape == (2, 2, 2, 2)
         assert counts[0, 0, 1, 1] == 1.0
         assert counts[0, 1, 0, 1] == 1.0
-        assert counts.sum() == 2.0
+        assert counts[0].sum() == 2.0
+        assert counts[1, 1, 1, 1] == 2.0
+        assert counts[1].sum() == 2.0
+
+    def test_transition_counts_match_per_arm_loop(self):
+        rng = np.random.default_rng(0)
+        seqs = rng.integers(0, 2, size=(30, 21))
+        seqs[:, ::2] = rng.integers(0, 3, size=(30, 11))
+        expected = np.zeros((30, 3, 2, 3))
+        for i, seq in enumerate(seqs):
+            for t in range(10):
+                s, a, s_next = seq[2 * t : 2 * t + 3]
+                expected[i, s, a, s_next] += 1.0
+        assert np.array_equal(transition_counts(seqs, num_states=3), expected)
 
     def test_pooled_prior_normalizes(self):
-        ds = generate_synthetic(_small_manifest())
-        trajs = trajectory_data(list(ds.cohorts[0].trajectories), num_states=2)
-        assert np.allclose(trajs.p_pop.sum(axis=-1), 1.0, atol=1e-12)
+        # arm 0 leaves row (0, a=1) for state 1 twice and for state 0 once;
+        # arm 1 never observes that row
+        seqs = np.array([[0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]])
+        counts = transition_counts(seqs, num_states=2)
+        assert counts[1, 0, 1].sum() == 0.0
+        # with a unit prior and no counts, arm 1's row is the pooled row itself
+        row = estimate_from_trajectories(counts, prior_strength=1.0)[1].probs[0, 1]
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(row, [1 / 3, 2 / 3], atol=1e-12)
 
     def test_estimates_are_smoothed_toward_prior(self):
-        trajs = trajectory_data([np.array([0, 1, 1, 1, 1])], num_states=2)
-        estimates = estimate_from_trajectories(trajs, prior_strength=1.0)
+        counts = transition_counts(np.array([[0, 1, 1, 1, 1]]), num_states=2)
+        estimates = estimate_from_trajectories(counts, prior_strength=1.0)
         t = estimates[0].probs
         assert np.allclose(t.sum(axis=-1), 1.0, atol=1e-12)
         # observed row (0, a=1): both transitions went to state 1
         assert t[0, 1, 1] > t[0, 1, 0]
 
     def test_zero_prior_with_no_observations_rejected(self):
-        trajs = trajectory_data([np.array([0, 1, 1])], num_states=2)
+        counts = transition_counts(np.array([[0, 1, 1]]), num_states=2)
         with pytest.raises(ValueError):
-            estimate_from_trajectories(trajs, prior_strength=0.0)
+            estimate_from_trajectories(counts, prior_strength=0.0)
 
     def test_negative_prior_rejected(self):
-        trajs = trajectory_data([np.array([0, 1, 1])], num_states=2)
+        counts = transition_counts(np.array([[0, 1, 1]]), num_states=2)
         with pytest.raises(ValueError):
-            estimate_from_trajectories(trajs, prior_strength=-1.0)
+            estimate_from_trajectories(counts, prior_strength=-1.0)
 
     def test_estimation_consistency_on_long_trajectories(self):
         rng = np.random.default_rng(0)
@@ -165,8 +183,8 @@ class TestTrajectoryEstimation:
             seq[2 * t + 1] = action
             seq[2 * t + 2] = state_next
             state = state_next
-        trajs = trajectory_data([seq], num_states=2)
-        est = estimate_from_trajectories(trajs, prior_strength=1.0)[0].probs
+        counts = transition_counts(seq[None], num_states=2)
+        est = estimate_from_trajectories(counts, prior_strength=1.0)[0].probs
         assert np.max(np.abs(est - tensor)) < 0.05
 
 

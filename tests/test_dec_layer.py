@@ -322,7 +322,8 @@ class TestReferenceSolver:
         sol = solve_reference(tables, reg, cfg, dual_tol=1e-9)
         best = objective_value(tables, sol.z_star, reg)
         for _ in range(200):
-            cand = rng.dirichlet(np.ones(tables.num_policies), size=tables.num_arms)
+            n, num_policies = tables.j_pred.shape
+            cand = rng.dirichlet(np.ones(num_policies), size=n)
             if float(np.sum(cand * tables.j_budget)) <= cfg.budget_cap:
                 assert objective_value(tables, cand, reg) <= best + 1e-6
 

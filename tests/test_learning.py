@@ -13,12 +13,11 @@ from rmab_dfl import (
     evaluate_dq,
     mse_loss,
     nll_loss,
-    predict,
     sim_dfl_loss,
     train,
     uniform_setup,
 )
-from rmab_dfl.datasets import trajectory_data
+from rmab_dfl.datasets import transition_counts
 from rmab_dfl.learning import (
     Adam,
     _score_term,
@@ -53,10 +52,10 @@ class TestPredictiveModel:
     def test_predictions_are_stochastic_tensors(self):
         rng = np.random.default_rng(0)
         model = PredictiveModel(ModelSpec(kind="mlp", layers=2, hidden_dim=8), 4, 2, seed=0)
-        tensors = predict(model, rng.normal(size=(5, 4)))
-        assert len(tensors) == 5
+        tensors, _ = model.forward(rng.normal(size=(5, 4)))
+        assert tensors.shape == (5, 2, 2, 2)
         for t in tensors:
-            assert np.allclose(t.probs.sum(axis=-1), 1.0, atol=1e-12)
+            assert np.allclose(TransitionTensor(t).probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_feature_dim_checked(self):
         model = PredictiveModel(ModelSpec(kind="linear"), 4, 2, seed=0)
@@ -114,14 +113,14 @@ class TestAccuracyLosses:
     def test_nll_value_and_gradient(self):
         rng = np.random.default_rng(3)
         pred = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-        trajs = trajectory_data([np.array([0, 1, 1, 0, 0]), np.array([1, 0, 0, 1, 1])], 2)
-        value, grad = nll_loss(pred, trajs)
-        expected = -float(np.sum(trajs.counts * np.log(pred)))
+        counts = transition_counts(np.array([[0, 1, 1, 0, 0], [1, 0, 0, 1, 1]]), 2)
+        value, grad = nll_loss(pred, counts)
+        expected = -float(np.sum(counts * np.log(pred)))
         assert value == pytest.approx(expected)
         h = 1e-7
         e = np.zeros_like(pred)
         e[0, 0, 1, 1] = h
-        fd = (nll_loss(pred + e, trajs)[0] - nll_loss(pred - e, trajs)[0]) / (2 * h)
+        fd = (nll_loss(pred + e, counts)[0] - nll_loss(pred - e, counts)[0]) / (2 * h)
         assert grad[0, 0, 1, 1] == pytest.approx(fd, rel=1e-4)
 
 
@@ -203,35 +202,45 @@ class TestSimDfl:
 
 
 class TestTraining:
-    def _splits(self, rng, loss_name):
-        splits = DatasetSplits(train=[_cohort(rng)], val=[_cohort(rng)])
-        if loss_name == "nll":
-            trajs = []
-            for c in splits.train + splits.val:
-                seqs = []
-                for i in range(c.num_arms):
-                    seq = [int(rng.integers(2))]
-                    for _ in range(10):
-                        a = int(rng.integers(2))
-                        nxt = int(rng.choice(2, p=c.tensors[i, seq[-1], a]))
-                        seq += [a, nxt]
-                    seqs.append(np.array(seq))
-                trajs.append(trajectory_data(seqs, 2))
-            splits.train_trajectories = trajs[:1]
-            splits.val_trajectories = trajs[1:]
-        return splits
+    def _splits(self, rng):
+        """One train and one val cohort, each with the counts of 10-step trajectories."""
+        cohorts = [_cohort(rng), _cohort(rng)]
+        counts = []
+        for c in cohorts:
+            seqs = []
+            for i in range(c.num_arms):
+                seq = [int(rng.integers(2))]
+                for _ in range(10):
+                    a = int(rng.integers(2))
+                    nxt = int(rng.choice(2, p=c.tensors[i, seq[-1], a]))
+                    seq += [a, nxt]
+                seqs.append(seq)
+            counts.append(transition_counts(np.array(seqs), 2))
+        return DatasetSplits(cohorts[:1], cohorts[1:], counts[:1], counts[1:])
 
     def test_mse_training_reduces_loss(self):
         rng = np.random.default_rng(7)
-        data = self._splits(rng, "mse")
+        data = self._splits(rng)
         config = TrainingConfig(loss=LossSpec(name="mse"), learning_rate=1e-2, epochs=20, seed=0)
         model, log, _ = train(config, data)
         train_values = [r["value"] for r in log if r["split"] == "train"]
         assert train_values[-1] < train_values[0]
 
+    def test_nll_training_reduces_loss(self):
+        rng = np.random.default_rng(7)
+        data = self._splits(rng)
+        config = TrainingConfig(loss=LossSpec(name="nll"), learning_rate=1e-2, epochs=20, seed=0)
+        model, log, _ = train(config, data)
+        train_values = [r["value"] for r in log if r["split"] == "train"]
+        assert train_values[-1] < train_values[0]
+        # the logged value is the negative log likelihood of the cohort's counts
+        pred, _ = model.forward(data.val[0].features)
+        val_value = run_epoch(model, None, data.val, data.val_trajectories, config.loss, 0)
+        assert val_value == nll_loss(pred, data.val_trajectories[0])[0]
+
     def test_decision_loss_training_increases_return(self):
         rng = np.random.default_rng(8)
-        data = self._splits(rng, "fast-dec-dfl")
+        data = self._splits(rng)
         config = TrainingConfig(
             loss=LossSpec(name="fast-dec-dfl", alpha=1.0),
             learning_rate=1e-2,
@@ -244,7 +253,7 @@ class TestTraining:
 
     def test_best_validation_parameters_restored(self):
         rng = np.random.default_rng(9)
-        data = self._splits(rng, "mse")
+        data = self._splits(rng)
         for loss, best_of in (("mse", min), ("fast-dec-dfl", max)):
             config = TrainingConfig(
                 loss=LossSpec(name=loss), learning_rate=1e-2, epochs=10, seed=3

@@ -13,7 +13,6 @@ from rmab_dfl import (
     batched_policy_returns,
     engagement_rewards,
     enumerate_policies,
-    get_budget_usage,
     get_returns,
     returns_gradient,
     uniform_setup,
@@ -38,7 +37,7 @@ class TestTransitionTensor:
     def test_valid(self):
         t = _random_tensor(np.random.default_rng(0), 3)
         assert t.num_states == 3
-        assert t.num_actions == 2
+        assert t.probs.shape == (3, 2, 3)
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -110,9 +109,10 @@ class TestGetReturns:
         rng = np.random.default_rng(1)
         T = _random_tensor(rng)
         setup = uniform_setup(2, 0.9)
-        assert get_budget_usage(T, PerArmPolicy(0, 2), setup) == pytest.approx(0.0)
+        budget = RewardSpec(BUDGET)
+        assert get_returns(T, budget, PerArmPolicy(0, 2), setup) == pytest.approx(0.0)
         always = PerArmPolicy(3, 2)
-        assert get_budget_usage(T, always, setup) == pytest.approx(1.0 / (1 - 0.9))
+        assert get_returns(T, budget, always, setup) == pytest.approx(1.0 / (1 - 0.9))
 
     def test_matches_value_iteration(self):
         rng = np.random.default_rng(2)
@@ -137,7 +137,7 @@ class TestReturnsGradient:
             grad = returns_gradient(T, reward, pi, setup)
             # finite differences along simplex-preserving directions
             for s in range(2):
-                a = pi.action_of(s)
+                a = pi.actions[s]
                 d = np.zeros((2, 2, 2))
                 d[s, a, 0], d[s, a, 1] = 1.0, -1.0
                 if min(T.probs[s, a, 0], T.probs[s, a, 1]) < h:
