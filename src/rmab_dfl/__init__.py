@@ -19,7 +19,6 @@ from .mdp import (
     engagement_rewards,
     get_returns,
     returns_gradient,
-    batched_policy_returns,
     uniform_setup,
     whittle_gradients,
     whittle_index,

@@ -155,9 +155,7 @@ def cmd_train(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     dataset = load_dataset(dataset_path)
-    spec = LossSpec(
-        name=args.loss, trajectories=args.trajectories, alpha=args.alpha, epsilon=args.epsilon
-    )
+    spec = LossSpec(name=args.loss, trajectories=args.trajectories, alpha=args.alpha)
     model_spec = MODEL_FLAGS[args.model]
     # every run's configuration is checked before any run starts
     configs = [
@@ -198,13 +196,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path: Path) -> tuple[PredictiveModel, dict]:
+def _load_model(path: Path, manifest: DatasetManifest) -> tuple[PredictiveModel, dict]:
+    """The model at path, checked to read the dataset of manifest."""
     blob = np.load(_existing_file(path, "model"), allow_pickle=False)
     _require_fields(blob, ("meta", "theta"), path)
     meta = json.loads(str(blob["meta"]))
     _require_fields(meta, ("loss", "model", "feature_dim", "states", "seed"), path)
     if meta["model"] not in MODEL_FLAGS:
         raise ValueError(f"{path} names the unknown model {meta['model']!r}")
+    for key in ("states", "feature_dim"):
+        if meta[key] != getattr(manifest, key):
+            raise ValueError(f"{path} has {key}={meta[key]}, the dataset {getattr(manifest, key)}")
     model = PredictiveModel(
         MODEL_FLAGS[meta["model"]], meta["feature_dim"], meta["states"], seed=meta["seed"]
     )
@@ -228,7 +230,7 @@ def cmd_eval(args) -> int:
     target = _out_dir(args.out) / "dq.json"
     _check_overwrite(target, args.overwrite)
     dataset = load_dataset(dataset_path)
-    model, meta = _load_model(Path(args.model))
+    model, meta = _load_model(Path(args.model), dataset.manifest)
     cohorts = dataset.cohort_objects(args.split)
     report = evaluate_dq(model, cohorts, trajectories=args.trajectories, seed=args.seed)
     payload = {
@@ -295,7 +297,7 @@ def bench_layer_scaling(
         sol = forward_pass(tables, reg, cfg)
         fwd = time.perf_counter() - start
         start = time.perf_counter()
-        backward_pass(sol, tables, reg, cfg, upstream=tables.j_true)
+        backward_pass(sol, tables, reg, upstream=tables.j_true)
         bwd = time.perf_counter() - start
         out[n] = (fwd, bwd)
     return out
@@ -413,7 +415,7 @@ def _export_wi_scatter(args, out: Path) -> None:
     if args.dataset is None or args.model is None:
         raise ValueError("wi_scatter export needs --dataset and --model")
     dataset = load_dataset(_existing_file(args.dataset, "dataset"))
-    model, meta = _load_model(Path(args.model))
+    model, meta = _load_model(Path(args.model), dataset.manifest)
     cohorts = dataset.cohort_objects(args.split)
     rows = []
     arm_id = 0
@@ -473,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--loss", default="fast-dec-dfl", choices=LOSSES)
     t.add_argument("--trajectories", type=int, default=100)
     t.add_argument("--alpha", type=float, default=1.0)
-    t.add_argument("--epsilon", type=float, default=1e-6)
     t.add_argument("--lr", type=float, nargs="+", default=[1e-2, 1e-3, 1e-4, 1e-5])
     t.add_argument("--epochs", type=int, default=50)
     t.add_argument("--seed", type=int, nargs="+", default=[0])

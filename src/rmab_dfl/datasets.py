@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import MAX_STATES, DiscountedSetup, TransitionTensor
+from .mdp import MAX_STATES, DiscountedSetup
 from .planning import Cohort
 
 FORMAT_VERSION = 1
@@ -53,6 +53,9 @@ class DatasetManifest:
             raise ValueError(f"budget must be a whole number of arms per step, got {self.budget}")
         if sum(self.split_sizes) != self.cohorts:
             raise ValueError("split sizes must sum to the cohort count")
+        train, val, test = self.split_sizes
+        if train < 1 or val < 1 or test < 0:
+            raise ValueError(f"train and val need at least 1 cohort each, got {self.split_sizes}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
         if not 2 <= self.states <= MAX_STATES:
@@ -87,22 +90,17 @@ def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator
         + [manifest.feature_hidden] * (manifest.feature_layers - 1)
         + [manifest.feature_dim]
     )
-    weights = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        W = rng.standard_normal((fan_in, fan_out)) * (
-            manifest.feature_gain / np.sqrt(fan_in)
-        )
-        b = np.zeros(fan_out)
-        weights.append((W, b))
-    return weights
+    return [
+        rng.standard_normal((fan_in, fan_out)) * (manifest.feature_gain / np.sqrt(fan_in))
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    ]
 
 
 def _apply_feature_network(flat: np.ndarray, weights) -> np.ndarray:
     h = flat
-    for W, b in weights[:-1]:
-        h = np.tanh(h @ W + b)
-    W, b = weights[-1]
-    return h @ W + b
+    for W in weights[:-1]:
+        h = np.tanh(h @ W)
+    return h @ weights[-1]
 
 
 def _roll_trajectory(
@@ -119,6 +117,18 @@ def _roll_trajectory(
         out[2 * t + 2] = next_state
         state = next_state
     return out
+
+
+def _split_assignment(manifest: DatasetManifest) -> dict[str, list[int]]:
+    """The cohort ids of each split: a permutation seeded by the manifest seed."""
+    split_rng = np.random.default_rng(np.random.SeedSequence([manifest.seed, 1]))
+    perm = split_rng.permutation(manifest.cohorts)
+    a, b, _ = manifest.split_sizes
+    return {
+        "train": sorted(int(i) for i in perm[:a]),
+        "val": sorted(int(i) for i in perm[a : a + b]),
+        "test": sorted(int(i) for i in perm[a + b :]),
+    }
 
 
 def generate_synthetic(manifest: DatasetManifest) -> Dataset:
@@ -142,17 +152,9 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
         features[k] = _apply_feature_network(tensors[k].reshape(n, -1), weights)
         for i in range(n):
             trajectories[k, i] = _roll_trajectory(tensors[k, i], manifest.trajectory_len, rng)
-    split_rng = np.random.default_rng(np.random.SeedSequence([manifest.seed, 1]))
-    perm = split_rng.permutation(manifest.cohorts)
-    a, b, _ = manifest.split_sizes
-    split_assignment = {
-        "train": sorted(int(i) for i in perm[:a]),
-        "val": sorted(int(i) for i in perm[a : a + b]),
-        "test": sorted(int(i) for i in perm[a + b :]),
-    }
     return Dataset(
         manifest=manifest,
-        split_assignment=split_assignment,
+        split_assignment=_split_assignment(manifest),
         features=features,
         tensors=tensors,
         trajectories=trajectories,
@@ -211,14 +213,9 @@ def load_dataset(path: str | Path) -> Dataset:
         m = DatasetManifest(**fields)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed dataset manifest: {exc!r}") from exc
-    splits = payload.get("split_assignment")
-    if not (
-        isinstance(splits, dict)
-        and sorted(splits) == ["test", "train", "val"]
-        and all(isinstance(ids, list) for ids in splits.values())
-        and all(isinstance(i, int) and 0 <= i < m.cohorts for ids in splits.values() for i in ids)
-    ):
-        raise ValueError("malformed dataset: split_assignment must map train, val, test to ids")
+    splits = _split_assignment(m)
+    if payload.get("split_assignment") != splits:
+        raise ValueError("malformed dataset: split_assignment differs from the manifest's split")
     cohorts, c, n, s = payload.get("cohorts"), m.cohorts, m.arms_per_cohort, m.states
     features = _stack_cohorts(cohorts, "features", float, (c, n, m.feature_dim))
     tensors = _stack_cohorts(cohorts, "tensors", float, (c, n, s, 2, s))
@@ -243,8 +240,8 @@ def transition_counts(sequences: np.ndarray, num_states: int) -> np.ndarray:
     return counts
 
 
-def estimate_from_trajectories(counts: np.ndarray, prior_strength: float) -> list[TransitionTensor]:
-    """Per-arm transition estimates from (N, S, 2, S) counts, smoothed toward the pooled prior.
+def estimate_from_trajectories(counts: np.ndarray, prior_strength: float) -> np.ndarray:
+    """(N, S, 2, S) transition estimates from (N, S, 2, S) counts, smoothed toward the pooled prior.
 
     T_i(s, a, s') = (alpha * P_pop(s'|s,a) + N_i(s,a,s')) / row total, where
     P_pop pools every arm's counts (uniform on a row no arm observed).
@@ -259,7 +256,7 @@ def estimate_from_trajectories(counts: np.ndarray, prior_strength: float) -> lis
     denom = numer.sum(axis=-1, keepdims=True)
     if np.any(denom == 0):
         raise ValueError("undefined row: no observations and zero prior strength")
-    return [TransitionTensor(t) for t in numer / denom]
+    return numer / denom
 
 
 def discretize_engagement(listen_seconds, threshold: float = 30.0) -> np.ndarray:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (
-    NumericError,
-    RewardSpec,
-    DiscountedSetup,
-    solve_policies,
-    stack_tensors,
-)
-from .mdp import BUDGET, ENGAGEMENT
+from .mdp import BUDGET, ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, solve_policies
 
 ENTROPY = "entropy"
 
@@ -304,7 +297,6 @@ def backward_pass(
     sol: DualSolution,
     tables: ReturnsTable,
     reg: RegularizerConfig,
-    cfg: SolverConfig,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form gradients of a scalar loss through the entropy layer.
@@ -312,7 +304,8 @@ def backward_pass(
     upstream is dloss/dZ*. Differentiates the KKT system of the
     regularized program: the N row-sum multipliers are eliminated against
     the diagonal mixture block, then the budget row (with its -xi corner)
-    against the rest, so the work is O(N * P) at any multiplier.
+    against the rest, so the work is O(N * P) at any multiplier. The
+    budget cap enters only through the slack xi of the solution.
     Returns (dloss/dj_pred, dloss/dj_budget).
     """
     Z = sol.z_star
@@ -369,10 +362,13 @@ def dec_dfl_loss(
     entries; returns and gradients of the predictions come from one solve.
     true_returns, the returns_on_truth tables of `truth` when the caller
     keeps them (Cohort.true_returns), saves solving the truth again.
-    Returns (loss, (N, S, 2, S) gradient array).
+    cfg.gamma must equal setup.gamma: the returns are discounted by one and
+    the cap by the other. Returns (loss, (N, S, 2, S) gradient array).
     """
-    pred_arr = stack_tensors(pred)
-    truth_arr = stack_tensors(truth)
+    if cfg.gamma != setup.gamma:
+        raise ValueError(f"cfg.gamma {cfg.gamma} differs from setup.gamma {setup.gamma}")
+    pred_arr = np.asarray(pred, dtype=float)
+    truth_arr = np.asarray(truth, dtype=float)
     if pred_arr.shape != truth_arr.shape:
         raise ValueError(f"shape mismatch: pred {pred_arr.shape} vs truth {truth_arr.shape}")
     if true_returns is None:
@@ -383,5 +379,5 @@ def dec_dfl_loss(
     tables = ReturnsTable(j_pred=pred_solve.returns(engagement), j_true=j_true, j_budget=j_budget)
     sol = forward_pass(tables, reg, cfg)
     loss = float(np.sum(sol.z_star * tables.j_true))
-    grad_j_pred, _ = backward_pass(sol, tables, reg, cfg, upstream=tables.j_true)
+    grad_j_pred, _ = backward_pass(sol, tables, reg, upstream=tables.j_true)
     return loss, pred_solve.gradient(grad_j_pred)

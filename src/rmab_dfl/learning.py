@@ -21,7 +21,7 @@ from .mdp import (
     NumericError,
     RewardSpec,
     WhittleTable,
-    batched_policy_returns,
+    solve_policies,
     whittle_gradients,
     whittle_indices,
 )
@@ -234,17 +234,15 @@ class LossSpec:
     name: str  # one of LOSSES
     trajectories: int = 100
     alpha: float = 1.0
-    epsilon: float = 1e-6  # multiplier tolerance of the decomposed layer
 
     def __post_init__(self):
         if self.name not in LOSSES:
             raise ValueError(f"unknown loss {self.name!r}")
         if self.trajectories < 1:
             raise ValueError(f"trajectories must be at least 1, got {self.trajectories}")
-        # the layer's configs reject these too, but only once training has started
-        for name, value in (("alpha", self.alpha), ("epsilon", self.epsilon)):
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        # the layer's config rejects it too, but only once training has started
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
     @property
     def maximize(self) -> bool:
@@ -298,8 +296,10 @@ class TrainingDiverged(NumericError):
 class Adam:
     """Adaptive per-parameter step sizes; the standard first/second moment scheme."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
+        self.lr = lr
         self.m = None
         self.v = None
         self.t = 0
@@ -333,9 +333,7 @@ def _cohort_loss(
         value, grad = nll_loss(tensors, counts)
     elif name == "fast-dec-dfl":
         reg = RegularizerConfig(alpha=spec.alpha)
-        cfg = SolverConfig(
-            budget=cohort.budget, gamma=cohort.setup.gamma, epsilon=spec.epsilon
-        )
+        cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
         value, grad = dec_layer.dec_dfl_loss(
             tensors, cohort.tensors, reg, cfg, cohort.setup, true_returns=cohort.true_returns
         )
@@ -388,6 +386,8 @@ def train(
     """
     if not data.train:
         raise ValueError("empty training split")
+    if not data.val:
+        raise ValueError("empty validation split")
     feature_dim = data.train[0].features.shape[1]
     num_states = data.train[0].num_states
     model = PredictiveModel(config.model, feature_dim, num_states, seed=config.seed)
@@ -493,14 +493,13 @@ def evaluate_dq(
         predictions = [model.forward(c.features)[0] for c in cohorts]
     joint = decomposed = never = perfect_joint = perfect_dec = 0.0
     joint_var = perfect_joint_var = 0.0
-    reward_spec = RewardSpec(ENGAGEMENT)
     for k, cohort in enumerate(cohorts):
         pred = predictions[k]
         if trajectories > 0:
             result = _joint_dq(pred, cohort, trajectories, seed + k)
             joint += result.mean_return
             joint_var += result.std_error**2
-        j_pred = batched_policy_returns(pred, reward_spec, cohort.setup)
+        j_pred = solve_policies(pred, cohort.setup).returns(RewardSpec(ENGAGEMENT))
         decomposed += _decomposed_dq(j_pred, cohort)
         j_true = cohort.true_returns[0]
         never += float(j_true[:, 0].sum())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class DiscountedSetup:
 
     gamma: float
     initial_dist: np.ndarray
-    horizon_tol: float = 1e-3
+    horizon_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -110,8 +111,8 @@ class DiscountedSetup:
         return self.initial_dist.shape[0]
 
 
-def uniform_setup(num_states: int, gamma: float, horizon_tol: float = 1e-3) -> DiscountedSetup:
-    return DiscountedSetup(gamma, np.full(num_states, 1.0 / num_states), horizon_tol)
+def uniform_setup(num_states: int, gamma: float) -> DiscountedSetup:
+    return DiscountedSetup(gamma, np.full(num_states, 1.0 / num_states))
 
 
 @dataclass(frozen=True)
@@ -191,15 +192,6 @@ def returns_gradient(
     grad = np.zeros_like(T.probs)
     grad[np.arange(T.num_states), actions, :] = gamma * np.outer(occupancy, V)
     return grad
-
-
-def stack_tensors(tensors) -> np.ndarray:
-    """(N, S, 2, S) array from an array or a sequence of tensors / arrays."""
-    if isinstance(tensors, np.ndarray):
-        return tensors
-    return np.stack(
-        [t.probs if isinstance(t, TransitionTensor) else np.asarray(t) for t in tensors]
-    )
 
 
 # Entries of I - gamma*T_pi factored at once (2 MB). Arms are solved in
@@ -297,7 +289,7 @@ def solve_policies(
     the occupancy, from which the returns under any reward follow, and
     values=R adds one right solve for V under R, which return gradients need.
     """
-    tensors = stack_tensors(tensors).astype(float, copy=False)
+    tensors = np.asarray(tensors, dtype=float)
     n_arms, num_states = tensors.shape[0], tensors.shape[1]
     actions = policy_action_matrix(num_states)
     n_policies = actions.shape[0]
@@ -324,16 +316,6 @@ def solve_policies(
     return PolicySolve(gamma=setup.gamma, actions=actions, occupancy=occupancy, values=V)
 
 
-def batched_policy_returns(
-    tensors: np.ndarray, R: RewardSpec, setup: DiscountedSetup
-) -> np.ndarray:
-    """(N, 2^|S|) returns of every deterministic policy for every arm.
-
-    tensors has shape (N, |S|, 2, |S|). A view of solve_policies.
-    """
-    return solve_policies(tensors, setup).returns(R)
-
-
 @dataclass(frozen=True)
 class WhittleTable:
     """Per-state Whittle indices of one arm (same scale as the reward)."""
@@ -352,7 +334,7 @@ def _subsidy_lines(tensors, setup: DiscountedSetup):
     value, b its discounted count of passive steps. Returns (occupancy, a,
     b), with occupancy[y] the (S, P, N) occupancy from e_y.
     """
-    tensors = stack_tensors(tensors)
+    tensors = np.asarray(tensors, dtype=float)
     num_states = tensors.shape[1]
     starts = [DiscountedSetup(setup.gamma, e) for e in np.eye(num_states)]
     occupancy = np.stack([solve_policies(tensors, start).occupancy for start in starts])

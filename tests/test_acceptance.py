@@ -25,7 +25,6 @@ from rmab_dfl import (
     TrainingConfig,
     TransitionTensor,
     backward_pass,
-    batched_policy_returns,
     build_returns_table,
     dataset_splits,
     evaluate_dq,
@@ -43,7 +42,7 @@ from rmab_dfl.checks import (
 )
 from rmab_dfl.dec_layer import dec_dfl_loss
 from rmab_dfl.learning import Adam, ModelSpec, PredictiveModel, run_epoch
-from rmab_dfl.mdp import ENGAGEMENT, value_iteration
+from rmab_dfl.mdp import ENGAGEMENT, solve_policies, value_iteration
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
 
 GAMMA = 0.9
@@ -184,7 +183,7 @@ def test_criterion_07_gradient_correctness():
         # (a) closed-form layer backward vs finite differences on the tables
         tables = build_returns_table(pred, truth, setup)
         sol = forward_pass(tables, reg, cfg)
-        g_pred, g_budget = backward_pass(sol, tables, reg, cfg, upstream=tables.j_true)
+        g_pred, g_budget = backward_pass(sol, tables, reg, upstream=tables.j_true)
 
         def loss_of(jp, jb):
             t = ReturnsTable(j_pred=jp, j_true=tables.j_true, j_budget=jb)
@@ -304,7 +303,7 @@ def test_criterion_10_backward_scaling():
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            backward_pass(sol, tables, reg, cfg, upstream=tables.j_true)
+            backward_pass(sol, tables, reg, upstream=tables.j_true)
             best = min(best, time.perf_counter() - t0)
         times[n] = best
     ratio = times[2000] / times[200]
@@ -366,7 +365,7 @@ def test_criterion_12_metric_anchors():
         worst_perfect = max(worst_perfect, abs(report.normalized_decomposed_dq - 1.0))
         # never-act anchor: score of the all-passive mixture through the
         # same normalization must land at exactly 0
-        j_true = batched_policy_returns(truth, RewardSpec(ENGAGEMENT), setup)
+        j_true = solve_policies(truth, setup).returns(RewardSpec(ENGAGEMENT))
         never_value = float(j_true[:, 0].sum())
         span = report.perfect_decomposed_dq - report.never_act_dq
         worst_never = max(worst_never, abs((never_value - report.never_act_dq) / span))

@@ -240,7 +240,9 @@ class TestTrainEvalExport:
         assert result["val_value"] == pytest.approx(best_val[best_lr], abs=1e-12)
 
     @pytest.mark.parametrize(
-        "flags", [["--loss", "dec-dfl"], ["--loss", "fast-dec-dfl", "--regularizer", "l2"]]
+        "flags",
+        [["--loss", "dec-dfl"], ["--loss", "fast-dec-dfl", "--regularizer", "l2"],
+         ["--epsilon", "nan"], ["--epsilon", "inf"], ["--epsilon", "0"]],
     )
     def test_removed_options_rejected(self, tiny_dataset, flags):
         with pytest.raises(SystemExit) as exc:
@@ -251,7 +253,7 @@ class TestTrainEvalExport:
         "flags",
         [["--lr", "nan"], ["--lr", "1e-2", "0"], ["--lr", "-0.001"], ["--trajectories", "0"],
          ["--epochs", "0"], ["--jobs", "0"], ["--alpha", "nan"], ["--alpha", "inf"],
-         ["--alpha", "0"], ["--epsilon", "nan"], ["--epsilon", "inf"], ["--epsilon", "0"]],
+         ["--alpha", "0"]],
     )
     def test_bad_training_values_are_input_errors(self, tiny_dataset, tmp_path, monkeypatch,
                                                   flags):
@@ -324,6 +326,7 @@ MALFORMED_DATASETS = (
     "unknown-manifest-key", "cohort-without-tensors", "no-split-assignment", "top-level-list",
     "split-id-out-of-range", "ragged-cohorts", "shapes-disagree-with-manifest",
     "tensor-row-off-simplex", "null-feature", "state-out-of-range", "action-out-of-range",
+    "split-unlike-manifest",
 )
 
 
@@ -353,6 +356,10 @@ def _malformed(case: str, payload: dict):
         cohort["trajectories"][0][0] = 7
     elif case == "action-out-of-range":
         cohort["trajectories"][0][1] = 2
+    elif case == "split-unlike-manifest":  # no val cohorts, test overlapping train
+        splits = payload["split_assignment"]
+        splits["test"] = sorted(splits["test"] + splits["train"])
+        splits["val"] = []
     return payload
 
 
@@ -382,6 +389,26 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "eval"), "--trajectories", "0"])
         assert code == EXIT_INPUT
         assert not (tmp_path / "eval" / "dq.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "wi_scatter"])
+    @pytest.mark.parametrize("flags", [["--states", "3"], ["--feature-dim", "8"]])
+    def test_model_for_another_dataset(self, model_path, tmp_path, monkeypatch, command, flags):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "evaluate_dq", no_work)
+        monkeypatch.setattr(cli, "whittle_indices", no_work)
+        data = tmp_path / "other"
+        assert main(["generate", "--out", str(data), "--cohorts", "6", "--arms", "4",
+                     "--budget", "1.0"] + flags) == EXIT_OK
+        out = tmp_path / "out"
+        model = ["--dataset", str(data / "dataset.json"), "--model", str(model_path)]
+        if command == "eval":
+            argv = ["eval", *model, "--out", str(out), "--trajectories", "0"]
+        else:
+            argv = ["export", "--kind", "wi_scatter", *model, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert not out.exists()
 
     def test_dq_table_over_incomplete_results(self, tmp_path):
         results = tmp_path / "results"

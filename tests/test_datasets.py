@@ -55,6 +55,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             _small_manifest(split_sizes=(3, 3, 3))
 
+    @pytest.mark.parametrize("sizes", [(4, 0, 0), (0, 2, 2), (3, 2, -1)])
+    def test_split_sizes_need_train_and_val(self, sizes):
+        with pytest.raises(ValueError):
+            _small_manifest(split_sizes=sizes)
+
     @pytest.mark.parametrize(
         "field", [{"feature_activation": "relu"}, {"trajectory_actions": "greedy"}]
     )
@@ -148,14 +153,14 @@ class TestTrajectoryEstimation:
         counts = transition_counts(seqs, num_states=2)
         assert counts[1, 0, 1].sum() == 0.0
         # with a unit prior and no counts, arm 1's row is the pooled row itself
-        row = estimate_from_trajectories(counts, prior_strength=1.0)[1].probs[0, 1]
+        row = estimate_from_trajectories(counts, prior_strength=1.0)[1, 0, 1]
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(row, [1 / 3, 2 / 3], atol=1e-12)
 
     def test_estimates_are_smoothed_toward_prior(self):
         counts = transition_counts(np.array([[0, 1, 1, 1, 1]]), num_states=2)
         estimates = estimate_from_trajectories(counts, prior_strength=1.0)
-        t = estimates[0].probs
+        t = estimates[0]
         assert np.allclose(t.sum(axis=-1), 1.0, atol=1e-12)
         # observed row (0, a=1): both transitions went to state 1
         assert t[0, 1, 1] > t[0, 1, 0]
@@ -184,7 +189,7 @@ class TestTrajectoryEstimation:
             seq[2 * t + 2] = state_next
             state = state_next
         counts = transition_counts(seq[None], num_states=2)
-        est = estimate_from_trajectories(counts, prior_strength=1.0)[0].probs
+        est = estimate_from_trajectories(counts, prior_strength=1.0)[0]
         assert np.max(np.abs(est - tensor)) < 0.05
 
 

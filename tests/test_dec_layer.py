@@ -338,7 +338,7 @@ class TestBackwardPass:
             tables = build_returns_table(truth, truth, setup)
             sol = forward_pass(tables, reg, cfg)
             upstream = rng.normal(size=tables.j_pred.shape)
-            fast = backward_pass(sol, tables, reg, cfg, upstream)
+            fast = backward_pass(sol, tables, reg, upstream)
             dense = _backward_dense(sol, tables, reg, upstream)
             assert np.max(np.abs(fast[0] - dense[0])) <= 1e-8
             assert np.max(np.abs(fast[1] - dense[1])) <= 1e-8
@@ -359,7 +359,7 @@ class TestBackwardPass:
             lambda_star=lam, slack_xi=3e-7, z_star=mixture_at(tables, lam, reg)
         )
         upstream = rng.normal(size=(3, 4))
-        fast = backward_pass(sol, tables, reg, cfg, upstream)
+        fast = backward_pass(sol, tables, reg, upstream)
         dense = _backward_dense(sol, tables, reg, upstream)
         assert np.max(np.abs(fast[0] - dense[0])) <= 1e-10
         assert np.max(np.abs(fast[1] - dense[1])) <= 1e-10
@@ -373,7 +373,7 @@ class TestBackwardPass:
         reg = RegularizerConfig(alpha=0.5)
         sol = forward_pass(tables, reg, cfg)
         assert sol.lambda_star == 0.0
-        _, g_budget = backward_pass(sol, tables, reg, cfg, tables.j_true)
+        _, g_budget = backward_pass(sol, tables, reg, tables.j_true)
         assert np.all(g_budget == 0.0)
 
     def test_requires_entropy(self):
@@ -398,6 +398,15 @@ class TestLossWrapper:
         pred = rng.dirichlet(np.ones(2), size=(2, 2, 2))
         with pytest.raises(ValueError):
             dec_dfl_loss(pred, truth, RegularizerConfig(alpha=1.0), cfg, setup)
+
+    def test_gamma_mismatch_rejected(self):
+        # the returns would be discounted by setup.gamma and the cap by cfg.gamma
+        rng = np.random.default_rng(14)
+        truth, cfg, setup = _random_instance(rng, n=3)
+        pred = rng.dirichlet(np.ones(2), size=(3, 2, 2))
+        other = SolverConfig(budget=cfg.budget, gamma=0.5)  # setup.gamma is 0.9
+        with pytest.raises(ValueError, match="gamma"):
+            dec_dfl_loss(pred, truth, RegularizerConfig(alpha=1.0), other, setup)
 
     def test_budget_on_pred_changes_constraint_side(self):
         # the uncorrected relaxation checks the budget on the predictions

@@ -218,6 +218,12 @@ class TestTraining:
             counts.append(transition_counts(np.array(seqs), 2))
         return DatasetSplits(cohorts[:1], cohorts[1:], counts[:1], counts[1:])
 
+    def test_empty_validation_split_rejected(self):
+        data = self._splits(np.random.default_rng(7))
+        config = TrainingConfig(loss=LossSpec(name="mse"), epochs=1)
+        with pytest.raises(ValueError, match="validation"):
+            train(config, DatasetSplits(data.train, [], data.train_trajectories, []))
+
     def test_mse_training_reduces_loss(self):
         rng = np.random.default_rng(7)
         data = self._splits(rng)

@@ -10,7 +10,6 @@ from rmab_dfl import (
     PerArmPolicy,
     RewardSpec,
     TransitionTensor,
-    batched_policy_returns,
     engagement_rewards,
     enumerate_policies,
     get_returns,
@@ -162,7 +161,7 @@ class TestBatchedReturns:
         tensors = rng.dirichlet(np.ones(2), size=(4, 2, 2))
         setup = uniform_setup(2, 0.9)
         reward = RewardSpec(ENGAGEMENT)
-        table = batched_policy_returns(tensors, reward, setup)
+        table = solve_policies(tensors, setup).returns(reward)
         for i in range(4):
             for j in range(4):
                 expected = get_returns(
@@ -192,7 +191,7 @@ class TestBatchedReturns:
         reward = RewardSpec(kind)
         n, states = tensors.shape[0], tensors.shape[1]
         weights = rng.normal(size=(n, 2 ** states))
-        table = batched_policy_returns(tensors, reward, setup)
+        table = solve_policies(tensors, setup).returns(reward)
         grads = solve_policies(tensors, setup, values=reward).gradient(weights)
         returns_err = grad_err = 0.0
         for i in range(n):

@@ -12,7 +12,6 @@ from rmab_dfl import (
     SolverConfig,
     WhittleTable,
     WhittleTopB,
-    batched_policy_returns,
     brute_force_joint,
     budget_audit,
     build_returns_table,
@@ -22,7 +21,7 @@ from rmab_dfl import (
     top_b_actions,
     uniform_setup,
 )
-from rmab_dfl.mdp import ENGAGEMENT, CapacityError, RewardSpec
+from rmab_dfl.mdp import ENGAGEMENT, CapacityError, RewardSpec, solve_policies
 from rmab_dfl import planning
 from rmab_dfl.planning import simulation_horizon
 
@@ -73,9 +72,8 @@ class TestSimulation:
     def test_never_act_matches_passive_returns(self):
         rng = np.random.default_rng(2)
         cohort = _cohort(rng)
-        passive = batched_policy_returns(
-            cohort.tensors, RewardSpec(ENGAGEMENT), cohort.setup
-        )[:, 0].sum()
+        passive = solve_policies(cohort.tensors, cohort.setup).returns(RewardSpec(ENGAGEMENT))
+        passive = passive[:, 0].sum()
         result = simulate_joint(
             cohort, FixedPerArmPolicy(np.zeros(3, dtype=int)), 4000, seed=5
         )
@@ -140,9 +138,8 @@ class TestBruteForce:
         rng = np.random.default_rng(7)
         cohort = _cohort(rng, n=2, budget=1.0)
         value, policy = brute_force_joint(cohort, budget=1)
-        passive = batched_policy_returns(
-            cohort.tensors, RewardSpec(ENGAGEMENT), cohort.setup
-        )[:, 0].sum()
+        passive = solve_policies(cohort.tensors, cohort.setup).returns(RewardSpec(ENGAGEMENT))
+        passive = passive[:, 0].sum()
         assert value >= passive - 1e-9
         assert all(sum(a) <= 1 for a in policy.values())
 

@@ -1,0 +1,13 @@
+"""The Python example in README.md runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
+    assert blocks, "README.md has no python example"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
