@@ -14,10 +14,12 @@ verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -455,6 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rmab-dfl",
         description="Decision-focused learning toolkit for restless bandit interventions.",
     )
+    parser.add_argument(
+        "-v", "--verbose", action="count", default=0,
+        help="log to stderr: -v at INFO, -vv at DEBUG",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic dataset")
@@ -525,17 +531,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stderr_logging(verbosity: int):
+    """Send the package's log records to stderr while a command runs:
+    INFO and above for verbosity 1, DEBUG and above for 2 or more.
+    """
+    if not verbosity:
+        yield
+        return
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG if verbosity > 1 else logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with _stderr_logging(args.verbose):
+        try:
+            return args.func(args)
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

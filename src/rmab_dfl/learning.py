@@ -9,6 +9,7 @@ gradients; the models are small enough that this is both fast and exact.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,8 @@ from .mdp import (
 )
 from .planning import Cohort, SimulationResult, WhittleTopB, rollout, simulate_joint
 from .datasets import Dataset, transition_counts
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +157,41 @@ TEMPERATURE = 0.1  # tau of the soft top-B selection
 
 def _soft_top_b_probs(scores: np.ndarray, budget: float) -> np.ndarray:
     """Soft top-B marginals p_i = sigmoid((w_i - theta) / tau), with theta
-    chosen per row so that sum_i p_i = B < N.
+    chosen per row so that sum_i p_i = B, for 0 < B < N.
+
+    Safeguarded Newton per row on h(theta) = log sum_i p_i - log B, whose
+    slope is -sum_i p_i (1 - p_i) / (tau sum_i p_i). The bracket runs from
+    the (floor(B)+1)-th largest score - 40 tau, where sum p > B, to the
+    ceil(B)-th largest + 40 tau, where sum p < B; both come from one
+    `np.partition`. Newton starts at the midpoint of those two scores,
+    bisects when a step leaves the bracket, and stops a row once
+    |sum p - B| <= 1e-12 B, after at most 60 iterations.
     """
-    lo = scores.min(axis=1) - 40.0 * TEMPERATURE
-    hi = scores.max(axis=1) + 40.0 * TEMPERATURE
+    n = scores.shape[1]
+    k_hi, k_lo = n - int(np.ceil(budget)), n - int(np.floor(budget)) - 1
+    part = np.partition(scores, (k_lo, k_hi), axis=1)
+    lo = part[:, k_lo] - 40.0 * TEMPERATURE
+    hi = part[:, k_hi] + 40.0 * TEMPERATURE
+    theta = 0.5 * (part[:, k_lo] + part[:, k_hi])
+    probs = np.empty(scores.shape)
+    rows = np.arange(scores.shape[0])
     for _ in range(60):
-        theta = 0.5 * (lo + hi)
-        p = _sigmoid((scores - theta[:, None]) / TEMPERATURE)
-        too_big = p.sum(axis=1) > budget
-        lo = np.where(too_big, theta, lo)
-        hi = np.where(too_big, hi, theta)
-    theta = 0.5 * (lo + hi)
-    return _sigmoid((scores - theta[:, None]) / TEMPERATURE)
+        p = _sigmoid((scores[rows] - theta[:, None]) / TEMPERATURE)
+        mass = p.sum(axis=1)
+        done = np.abs(mass - budget) <= 1e-12 * budget
+        probs[rows[done]] = p[done]
+        if done.all():
+            return probs
+        rows, p, mass, theta = rows[~done], p[~done], mass[~done], theta[~done]
+        too_big = mass > budget
+        lo = np.where(too_big, theta, lo[~done])
+        hi = np.where(too_big, hi[~done], theta)
+        # a row whose p are all 0 or 1 has no slope: its inf or nan step bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = theta + TEMPERATURE * mass * np.log(mass / budget) / np.sum(p * (1 - p), axis=1)
+        theta = np.where((lo < theta) & (theta < hi), theta, 0.5 * (lo + hi))
+    probs[rows] = p
+    return probs
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -421,6 +447,10 @@ def train(
             {"epoch": epoch, "split": "val", "loss": spec.name, "value": val_value,
              "seconds": 0.0, **tags}
         )
+        logger.debug(
+            "lr=%g seed=%d epoch %d: train %.6g in %.3f s, val %.6g",
+            config.learning_rate, config.seed, epoch, train_value, elapsed, val_value,
+        )
         score = -val_value if spec.maximize else val_value
         if score < best_score - 1e-12:
             best_score, best_value = score, val_value
@@ -431,6 +461,10 @@ def train(
             if stale > PATIENCE:
                 break
     model.set_theta(best_theta)
+    logger.info(
+        "lr=%g seed=%d: %s best val %.6g after %d epochs",
+        config.learning_rate, config.seed, spec.name, best_value, epoch + 1,
+    )
     return model, log, best_value
 
 

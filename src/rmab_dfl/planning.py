@@ -105,14 +105,25 @@ class SimulationResult:
 def top_b_actions(scores: np.ndarray, budget: int) -> np.ndarray:
     """0/1 actions on the `budget` largest scores along the last axis.
 
-    Ties at the B-th rank resolve toward the lowest arm id; a budget of at
-    least the arm count acts on every arm.
+    Takes v, the B-th largest score, by `np.partition` and acts on every
+    score >= v. Only when some row then holds more than B arms (ties at
+    v) does it keep the scores above v and fill the rest with the lowest
+    arm ids among the scores equal to v. A budget of at least the arm
+    count acts on every arm, and a budget of zero or less on none.
     """
-    actions = np.zeros(np.shape(scores), dtype=int)
-    # stable sort on (-score, arm id): lowest id wins ties
-    chosen = np.argsort(-np.asarray(scores), axis=-1, kind="stable")[..., :budget]
-    np.put_along_axis(actions, chosen, 1, axis=-1)
-    return actions
+    scores = np.asarray(scores)
+    n = scores.shape[-1]
+    if budget >= n:
+        return np.ones(scores.shape, dtype=int)
+    if budget <= 0:
+        return np.zeros(scores.shape, dtype=int)
+    v = np.partition(scores, n - budget, axis=-1)[..., n - budget, None]
+    chosen = scores >= v
+    if np.any(chosen.sum(axis=-1) > budget):
+        tied = scores == v
+        room = budget - np.sum(scores > v, axis=-1, keepdims=True)
+        chosen = (scores > v) | (tied & (np.cumsum(tied, axis=-1) <= room))
+    return chosen.astype(int)
 
 
 def simulation_horizon(setup: DiscountedSetup, num_arms: int) -> int:
@@ -131,12 +142,18 @@ def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, act):
     actions, adds the discounted engagement and action count, and samples
     every arm's next state. Returns the per-trajectory discounted
     (returns, budget_used).
+
+    The next state of an arm in state s under action a is the number of
+    cumulative-probability entries of its (s, a) row that a uniform draw
+    exceeds. The first S-1 entries of every row are kept as one flat
+    (S-1, N*S*2) array, row 2*(S*i + s) + a, so a step gathers (T, N)
+    values per entry and holds no (T, N, S) array.
     """
     n, num_states = cohort.num_arms, cohort.num_states
     setup = cohort.setup
     rewards = engagement_rewards(num_states)
-    cum_trans = np.cumsum(cohort.tensors, axis=-1)  # (N, S, 2, S)
-    arm_idx = np.arange(n)
+    flat_cdf = np.cumsum(cohort.tensors, axis=-1).reshape(-1, num_states)[:, :-1].T.copy()
+    row_base = 2 * num_states * np.arange(n)
     states = rng.choice(num_states, size=(trajectories, n), p=setup.initial_dist)
     returns = np.zeros(trajectories)
     budget_used = np.zeros(trajectories)
@@ -146,8 +163,12 @@ def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, act):
         returns += discount * rewards[states].sum(axis=1)
         budget_used += discount * actions.sum(axis=1)
         u = rng.random(size=states.shape)
-        cdf = cum_trans[arm_idx, states, actions, :]  # (traj, N, S)
-        states = np.minimum((u[..., None] > cdf).sum(axis=-1), num_states - 1)
+        rows = row_base + 2 * states + actions
+        # the rows are nondecreasing, so leaving out the last entry (about 1)
+        # caps the count at S-1
+        states = np.zeros_like(states)
+        for cdf in flat_cdf:
+            states += u > cdf[rows]
         discount *= setup.gamma
     return returns, budget_used
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,26 @@ class TestBench:
         assert seen == [2]
         assert main(argv + ["--repeats", "0"]) == EXIT_INPUT
         assert seen == [2]
+
+
+class TestVerbose:
+    def test_verbosity_turns_on_logging(self, tiny_dataset, tmp_path, capsys):
+        argv = ["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "run"),
+                "--loss", "mse", "--lr", "1e-2", "--epochs", "2", "--overwrite"]
+        runs = {}
+        for flags in ((), ("-v",), ("-vv",)):
+            assert main([*flags, *argv]) == EXIT_OK
+            runs[flags] = capsys.readouterr()
+            # the handler and level last only as long as the command
+            assert logging.getLogger("rmab_dfl").handlers == []
+            assert logging.getLogger("rmab_dfl").level == logging.NOTSET
+        quiet, info, debug = runs[()], runs[("-v",)], runs[("-vv",)]
+        assert quiet.out == info.out == debug.out
+        assert quiet.err == ""
+        assert "INFO rmab_dfl.learning: lr=0.01 seed=0: mse best val" in info.err
+        assert "DEBUG" not in info.err
+        assert "DEBUG rmab_dfl.learning: lr=0.01 seed=0 epoch 1: train" in debug.err
+        assert "INFO rmab_dfl.learning" in debug.err
 
 
 class TestVerify:

@@ -19,6 +19,7 @@ from rmab_dfl import (
 )
 from rmab_dfl.datasets import transition_counts
 from rmab_dfl.learning import (
+    TEMPERATURE,
     Adam,
     _score_term,
     _sigmoid,
@@ -179,6 +180,32 @@ class TestSimDfl:
         # and the rollout is the all-acting policy's, draw for draw
         all_act = FixedPerArmPolicy(np.full(2, 2**2 - 1))
         assert value == simulate_joint(cohort, all_act, 10, seed=0).mean_return
+
+    def test_soft_top_b_matches_bisection(self):
+        def reference(scores, budget):
+            # 60 halvings of a bracket that holds theta for every row
+            lo = scores.min(axis=1) - 40.0 * TEMPERATURE
+            hi = scores.max(axis=1) + 40.0 * TEMPERATURE
+            for _ in range(60):
+                theta = 0.5 * (lo + hi)
+                too_big = _sigmoid((scores - theta[:, None]) / TEMPERATURE).sum(axis=1) > budget
+                lo = np.where(too_big, theta, lo)
+                hi = np.where(too_big, hi, theta)
+            theta = 0.5 * (lo + hi)
+            return _sigmoid((scores - theta[:, None]) / TEMPERATURE)
+
+        rng = np.random.default_rng(19)
+        n = 40
+        scores = np.concatenate([
+            rng.normal(scale=0.2, size=(20, n)),
+            rng.uniform(0.0, 1e3 * TEMPERATURE, size=(10, n)),  # spread over 10^3 tau
+            np.full((3, n), 0.7),  # all equal
+            rng.choice([-1.0, 0.0, 2.0], size=(5, n)),  # three tied levels
+        ])
+        for budget in (3, 2.5, 0.5, n - 1):
+            p = _soft_top_b_probs(scores, budget)
+            assert np.max(np.abs(p - reference(scores, budget))) <= 1e-10
+            assert np.all(np.abs(p.sum(axis=1) - budget) <= 1e-12 * budget)
 
     def test_score_term_matches_finite_differences(self):
         # d log P(a | w) / dw, with theta re-solved at every perturbed w

@@ -1,5 +1,7 @@
 """Unit tests for joint planning, simulation, and audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,13 @@ from rmab_dfl import (
     top_b_actions,
     uniform_setup,
 )
-from rmab_dfl.mdp import ENGAGEMENT, CapacityError, RewardSpec, solve_policies
+from rmab_dfl.mdp import (
+    ENGAGEMENT,
+    CapacityError,
+    RewardSpec,
+    engagement_rewards,
+    solve_policies,
+)
 from rmab_dfl import planning
 from rmab_dfl.planning import simulation_horizon
 
@@ -48,6 +56,79 @@ class TestTopB:
     def test_budget_larger_than_arms(self):
         assert top_b_actions(np.array([0.5]), budget=5).tolist() == [1]
         assert top_b_actions(np.array([[-0.5, 0.5]] * 2), budget=5).tolist() == [[1, 1]] * 2
+
+    def test_matches_stable_sort_reference(self):
+        def reference(scores, budget):
+            # stable sort on (-score, arm id): lowest id wins ties
+            actions = np.zeros(scores.shape, dtype=int)
+            chosen = np.argsort(-scores, axis=-1, kind="stable")[..., : max(budget, 0)]
+            np.put_along_axis(actions, chosen, 1, axis=-1)
+            return actions
+
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            shape = (n,) if rng.random() < 0.5 else (int(rng.integers(1, 8)), n)
+            # few distinct values, so ties at the B-th rank are common
+            scores = rng.choice(rng.normal(size=int(rng.integers(1, 4))), size=shape)
+            for budget in sorted({-1, 0, 1, int(rng.integers(1, n + 1)), n - 1, n, n + 5}):
+                got = top_b_actions(scores, budget)
+                assert got.dtype == int
+                assert np.array_equal(got, reference(scores, budget)), (scores, budget)
+
+
+def _reference_rollout(cohort, trajectories, rng, act):
+    """`planning.rollout` with the next state drawn by a (T, N, S) gather of the CDF rows."""
+    n, num_states = cohort.num_arms, cohort.num_states
+    rewards = engagement_rewards(num_states)
+    cum_trans = np.cumsum(cohort.tensors, axis=-1)
+    arm_idx = np.arange(n)
+    states = rng.choice(num_states, size=(trajectories, n), p=cohort.setup.initial_dist)
+    returns = np.zeros(trajectories)
+    budget_used = np.zeros(trajectories)
+    discount = 1.0
+    for _ in range(simulation_horizon(cohort.setup, n)):
+        actions = act(states)
+        returns += discount * rewards[states].sum(axis=1)
+        budget_used += discount * actions.sum(axis=1)
+        u = rng.random(size=states.shape)
+        cdf = cum_trans[arm_idx, states, actions, :]
+        states = np.minimum((u[..., None] > cdf).sum(axis=-1), num_states - 1)
+        discount *= cohort.setup.gamma
+    return returns, budget_used
+
+
+class TestRollout:
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_matches_gather_reference(self, states, monkeypatch):
+        rng = np.random.default_rng(30 + states)
+        n = 6
+        cohort = _cohort(rng, n=n, states=states, budget=2.0)
+        tables = [WhittleTable(wi=rng.choice([0.0, 0.5, 1.0], size=states)) for _ in range(n)]
+        z = rng.dirichlet(np.ones(2**states), size=n)
+        policies = [
+            WhittleTopB(tables=tables, budget=2),
+            FixedPerArmPolicy(rng.integers(2**states, size=n)),
+            DecomposedPolicy(z=z),
+        ]
+        fast = [simulate_joint(cohort, policy, 40, seed=9) for policy in policies]
+        monkeypatch.setattr(planning, "rollout", _reference_rollout)
+        slow = [simulate_joint(cohort, policy, 40, seed=9) for policy in policies]
+        assert fast == slow
+
+    def test_step_memory_does_not_grow_with_states(self):
+        def peak(states):
+            rng = np.random.default_rng(40)
+            cohort = _cohort(rng, n=2000, states=states, budget=10.0)
+            indices = rng.integers(2**states, size=2000)
+            tracemalloc.start()
+            try:
+                planning.rollout(cohort, 200, rng, lambda s: (indices >> s) & 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.1 * peak(2)
 
 
 class TestSimulation:
