@@ -4,10 +4,13 @@ Optimizes a per-arm mixture Z over all deterministic per-arm policies,
 maximizing predicted return subject to an expected-budget constraint that
 is evaluated on the true transitions. The entropy-regularized problem is
 solved in the forward direction by a bracketed Newton iteration on the
-budget multiplier (each inner maximization is a row softmax, and the
-residual's slope is the summed per-arm variance of the budget usage) and
+budget multiplier (each inner maximization is a softmax over policies, and
+the residual's slope is the summed per-arm variance of the budget usage) and
 differentiated in closed form through the KKT conditions, eliminating the
-single budget row against the per-arm blocks in O(N * P). A slow reference
+single budget row against the per-arm blocks in O(N * P). The forward
+solve runs on batch-last (C, P, N) stacks of cohorts (solve_stack), one
+residual call per round for the whole stack; forward_pass, eval_lambda and
+mixture_at are its one-cohort views on the (N, P) tables. A slow reference
 solver is the correctness oracle: its inner maximization is a damped Newton
 solve of the per-row KKT equations, never the softmax closed form.
 """
@@ -88,97 +91,147 @@ class DualSolution:
     slack_xi: float
     z_star: np.ndarray  # (N, P), rows on the simplex
     evaluations: int = 0  # residual evaluations the solve used
+    doublings: int = 0  # times the top of the dual bracket doubled
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row softmax, computed in place in `logits`."""
-    logits -= logits.max(axis=-1, keepdims=True)
+@dataclass(frozen=True)
+class StackSolution:
+    """Dual solutions of a stack of cohorts, batch-last: (C, P, N) mixtures."""
+
+    lambda_star: np.ndarray  # (C,)
+    slack_xi: np.ndarray  # (C,)
+    z_star: np.ndarray  # (C, P, N), each column on the simplex
+    evaluations: np.ndarray  # (C,) residual evaluations of each cohort
+    doublings: np.ndarray  # (C,) bracket doublings of each cohort
+    rounds: int  # stacked residual calls: the most evaluations of any cohort
+
+    def cohort(self, k: int) -> DualSolution:
+        """Cohort k's solution with its mixture as an (N, P) table."""
+        return DualSolution(
+            float(self.lambda_star[k]),
+            float(self.slack_xi[k]),
+            np.ascontiguousarray(self.z_star[k].T),
+            int(self.evaluations[k]),
+            int(self.doublings[k]),
+        )
+
+
+def _batch_last(table: np.ndarray) -> np.ndarray:
+    """An (N, P) table as a contiguous one-cohort (1, P, N) stack."""
+    return np.ascontiguousarray(np.asarray(table, dtype=float).T[None])
+
+
+def _mixtures(
+    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Softmax over the policy axis of (j_pred - lam * j_budget) / alpha.
+
+    The tables are (C, P, N) stacks and lam holds one multiplier per cohort.
+    """
+    logits = lam[:, None, None] * j_budget
+    np.subtract(j_pred, logits, out=logits)
+    logits /= alpha
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
 
 
+def _usage_moments(
+    j_pred: np.ndarray, j_budget: np.ndarray, budget_rows: np.ndarray, lam: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected budget usage, its variance and the mixture of every cohort of a stack.
+
+    j_pred and j_budget are (C, P, N) stacks, budget_rows is j_budget in
+    (N, P) order as (C, N * P, 1) columns, and lam holds one multiplier per
+    cohort. The usage (C, 1) and the variance (C, 1, 1) are
+    sum_ij Z_ij * j_budget_ij and sum_i Var_{Z_i}(j_budget_i), formed from
+    the same products Z * j_budget. Both are summed in the
+    (N, P) order of the returns tables, the variance's two terms by BLAS
+    dots: at small alpha the variance is a difference of two nearly equal
+    sums, whose last bits depend on the order, and the residual's staircase
+    turns a last-bit change of the slope into another multiplier within
+    epsilon. Every reduction runs within one cohort, so a cohort's values
+    do not depend on the rest of the stack.
+    """
+    Z = _mixtures(j_pred, j_budget, lam, alpha)
+    used = Z * j_budget
+    row_used = np.add.reduce(used, axis=1, keepdims=True)  # (C, 1, N): each arm's usage
+    used_rows = used.transpose(0, 2, 1).reshape(len(Z), 1, -1)  # a copy in (N, P) order
+    variance = used_rows @ budget_rows - row_used @ row_used.transpose(0, 2, 1)
+    return np.add.reduce(used_rows, axis=2), variance, Z
+
+
+def _residual_and_slope(
+    usage: float, variance: float, cap: float, alpha: float
+) -> tuple[float, float]:
+    """residual = usage - cap is nonincreasing in lam, so a sign change brackets
+    the optimal multiplier; its slope is -variance / alpha (the variance
+    term of backward_pass)."""
+    return usage - cap, -max(variance, 0.0) / alpha
+
+
 def mixture_at(tables: ReturnsTable, lam: float, reg: RegularizerConfig) -> np.ndarray:
-    """Row softmax of (j_pred - lam * j_budget) / alpha."""
-    return _softmax_rows((tables.j_pred - lam * tables.j_budget) / reg.alpha)
+    """Row softmax of (j_pred - lam * j_budget) / alpha: the (N, P) mixture,
+    the one-cohort view of the stacked softmax."""
+    lams = np.array([lam], dtype=float)
+    Z = _mixtures(_batch_last(tables.j_pred), _batch_last(tables.j_budget), lams, reg.alpha)
+    return np.ascontiguousarray(Z[0].T)
 
 
 def eval_lambda(
     tables: ReturnsTable, lam: float, reg: RegularizerConfig, cfg: SolverConfig
 ) -> tuple[float, float, np.ndarray]:
-    """Budget residual, its slope and the mixture at a candidate multiplier.
-
-    residual = sum_ij Z_ij * j_budget_ij - B/(1-gamma), nonincreasing in
-    lam, so a sign change brackets the optimal multiplier. Its slope is
-    -sum_i Var_{Z_i}(j_budget_i) / alpha (the variance term of
-    backward_pass), formed from the same products Z * j_budget.
-    """
-    Z = mixture_at(tables, lam, reg)
-    used = Z * tables.j_budget
-    row_used = np.einsum("ij->i", used)
-    variance = float(np.vdot(used, tables.j_budget)) - float(row_used @ row_used)
-    residual = float(np.sum(used)) - cfg.budget_cap
-    return residual, -max(variance, 0.0) / reg.alpha, Z
+    """Budget residual, its slope and the (N, P) mixture at a candidate
+    multiplier: the one-cohort view of the stacked evaluation."""
+    usage, variance, Z = _usage_moments(
+        _batch_last(tables.j_pred), _batch_last(tables.j_budget), tables.j_budget.reshape(1, -1, 1),
+        np.array([lam], dtype=float), reg.alpha,
+    )
+    residual, slope = _residual_and_slope(usage.item(), variance.item(), cfg.budget_cap, reg.alpha)
+    return residual, slope, np.ascontiguousarray(Z[0].T)
 
 
-def _check_feasible(tables: ReturnsTable, cfg: SolverConfig) -> None:
+def _check_feasible(least_usage: float, cfg: SolverConfig) -> None:
     """The budget is feasible exactly when the cheapest policy of every arm
     fits under the cap together."""
-    if float(np.sum(tables.j_budget.min(axis=1))) > cfg.budget_cap:
+    if least_usage > cfg.budget_cap:
         raise InfeasibleBudgetError(
             "budget infeasible: the least budget usage of every arm exceeds the cap"
         )
 
 
-def _grow_bracket(evaluate, lo: float, hi: float) -> tuple[float, float, tuple]:
-    """Double the top of the dual bracket [lo, hi] until the residual there is <= 0.
+def _rtsafe(cfg: SolverConfig):
+    """One cohort's bracketed Newton search for its multiplier, as a coroutine.
 
-    evaluate(lam) returns a tuple led by the residual; the result is the
-    grown bracket and evaluate(hi).
+    It yields each multiplier to evaluate, is sent (residual, slope) there,
+    and returns (lam*, bracket doublings). A budget that is slack at
+    lam = 0 ends at lam = 0 after one evaluation. Otherwise the top of the
+    bracket [0, 1/(1-gamma)] doubles until the residual there is <= 0,
+    and Newton steps with the exact slope run inside it from lam = 0 (from
+    the top if the bracket grew). They are safeguarded as in rtsafe
+    (Numerical Recipes): a step is taken only if it lands inside the
+    bracket and is at most half the step before last, and the bracket is
+    bisected otherwise. At small alpha the residual is a staircase whose
+    flat runs have slope 0; those cost bisection steps, never a false
+    convergence. The search ends at a feasible iterate (residual <= 0)
+    whose Newton step is within epsilon, or when the bracket is narrower
+    than epsilon, and returns the feasible end of the bracket, so the
+    realized budget never exceeds the cap.
     """
-    at_hi = evaluate(hi)
+    residual, slope = yield 0.0
+    if residual <= 0:
+        return 0.0, 0
+    lo, hi, doublings = 0.0, cfg.dual_bound, 0
+    at_hi = yield hi
     while at_hi[0] > 0:
-        lo, hi = hi, 2.0 * hi
+        lo, hi, doublings = hi, 2.0 * hi, doublings + 1
         if not np.isfinite(hi):
             raise NumericError("dual bracket grew without the budget residual turning <= 0")
-        at_hi = evaluate(hi)
-    return lo, hi, at_hi
-
-
-def forward_pass(
-    tables: ReturnsTable, reg: RegularizerConfig, cfg: SolverConfig
-) -> DualSolution:
-    """Bracketed Newton solve of the budget residual for the multiplier.
-
-    A budget that is slack at lam = 0 returns lam = 0 after one residual
-    evaluation, and an infeasible one raises. Otherwise the top of the
-    bracket [0, 1/(1-gamma)] doubles until the residual there is <= 0,
-    and Newton steps with the exact slope from eval_lambda run inside it
-    from lam = 0 (from the top if the bracket grew). They are safeguarded
-    as in rtsafe (Numerical Recipes): a step is taken only if it lands
-    inside the bracket and is at most half the step before last, and the
-    bracket is bisected otherwise. At small alpha the residual is a
-    staircase whose flat runs have slope 0; those cost bisection steps,
-    never a false convergence. The solve ends at a feasible iterate
-    (residual <= 0) whose Newton step is within epsilon, or when the
-    bracket is narrower than epsilon, and returns the feasible end of the
-    bracket, so the realized budget never exceeds the cap.
-    """
-    _check_feasible(tables, cfg)
-    evaluations = 0
-
-    def evaluate(lam: float) -> tuple[float, float, np.ndarray]:
-        nonlocal evaluations
-        evaluations += 1
-        return eval_lambda(tables, lam, reg, cfg)
-
-    residual, slope, Z = evaluate(0.0)
-    if residual <= 0:
-        return DualSolution(0.0, -residual, Z, evaluations)
-    lo, hi, at_hi = _grow_bracket(evaluate, 0.0, cfg.dual_bound)
+        at_hi = yield hi
     lam = 0.0
     if lo > 0.0:  # the bracket grew: start from its top
-        lam, (residual, slope, _) = hi, at_hi
+        lam, (residual, slope) = hi, at_hi
     step = step_before = hi - lo
     eps = cfg.epsilon
     while hi - lo > eps and not (residual <= 0 and abs(residual) <= eps * abs(slope)):
@@ -196,13 +249,79 @@ def forward_pass(
         if not lo < nxt < hi:
             break  # the bracket is at machine resolution
         lam = nxt
-        residual, slope, Z = evaluate(lam)
+        residual, slope = yield lam
         if residual > 0:
             lo = lam
         else:
-            hi, at_hi = lam, (residual, slope, Z)
-    residual, _, Z = at_hi
-    return DualSolution(hi, -residual, Z, evaluations)
+            hi = lam
+    return hi, doublings
+
+
+def solve_stack(
+    j_pred: np.ndarray, j_budget: np.ndarray, reg: RegularizerConfig, cfgs: list[SolverConfig]
+) -> StackSolution:
+    """Solve the decomposed problems of a stack of cohorts that share N and P.
+
+    j_pred and j_budget are (C, P, N) stacks, cfgs one solver config (cap,
+    dual bound, epsilon) per cohort. Each cohort runs its own _rtsafe
+    search; each round evaluates the residuals of all cohorts still
+    searching in one call. A cohort's solution is the one it gets when
+    solved alone: its reductions never mix cohorts. An infeasible cohort
+    raises before any evaluation.
+    """
+    j_pred = np.ascontiguousarray(j_pred, dtype=float)
+    j_budget = np.ascontiguousarray(j_budget, dtype=float)
+    if j_pred.ndim != 3 or j_pred.shape != j_budget.shape or len(cfgs) != len(j_pred):
+        raise ValueError("need (C, P, N) tables and one solver config per cohort")
+    for least, cfg in zip(j_budget.min(axis=1).sum(axis=1).tolist(), cfgs):
+        _check_feasible(least, cfg)
+    count = len(cfgs)
+    searches = [_rtsafe(cfg) for cfg in cfgs]
+    lams = [search.send(None) for search in searches]
+    lam_star, slack = [0.0] * count, [0.0] * count
+    evaluations, doublings = [0] * count, [0] * count
+    Z = np.empty_like(j_pred)
+    budget_rows = j_budget.transpose(0, 2, 1).reshape(count, -1, 1)
+    active = list(range(count))
+    jp, jb, rows = j_pred, j_budget, budget_rows
+    rounds = 0
+    while active:
+        rounds += 1
+        lam = np.array([lams[c] for c in active])
+        usage, variance, mix = _usage_moments(jp, jb, rows, lam, reg.alpha)
+        moments = zip(active, usage.ravel().tolist(), variance.ravel().tolist())
+        searching = []
+        for k, (c, used, var) in enumerate(moments):
+            evaluations[c] += 1
+            residual, slope = _residual_and_slope(used, var, cfgs[c].budget_cap, reg.alpha)
+            if residual <= 0:  # a feasible iterate is the new top of c's bracket
+                Z[c], slack[c] = mix[k], -residual
+            try:
+                lams[c] = searches[c].send((residual, slope))
+                searching.append(c)
+            except StopIteration as done:
+                lam_star[c], doublings[c] = done.value
+        if searching and len(searching) < len(active):
+            jp, jb, rows = j_pred[searching], j_budget[searching], budget_rows[searching]
+        active = searching
+    return StackSolution(
+        np.array(lam_star), np.array(slack), Z, np.array(evaluations), np.array(doublings), rounds
+    )
+
+
+def forward_pass(
+    tables: ReturnsTable, reg: RegularizerConfig, cfg: SolverConfig
+) -> DualSolution:
+    """Bracketed Newton solve of the budget residual for the multiplier.
+
+    The one-cohort view of solve_stack: the (N, P) tables go in as a
+    (1, P, N) stack and the mixture comes back as (N, P). The search is
+    _rtsafe's: lam = 0 if the budget is slack there, an error if it is
+    infeasible, and otherwise the feasible end of a safeguarded Newton
+    bracket, so the realized budget never exceeds the cap.
+    """
+    stack = solve_stack(_batch_last(tables.j_pred), _batch_last(tables.j_budget), reg, [cfg])
+    return stack.cohort(0)
 
 
 def objective_value(tables: ReturnsTable, Z: np.ndarray, reg: RegularizerConfig) -> float:
@@ -263,7 +382,7 @@ def solve_reference(
     because the dual function of a concave program is convex. Feasibility
     and the growing bracket follow the same rule as forward_pass.
     """
-    _check_feasible(tables, cfg)
+    _check_feasible(float(np.sum(tables.j_budget.min(axis=1))), cfg)
     n, p = tables.j_pred.shape
     Z0 = np.full((n, p), 1.0 / p)
 
@@ -275,7 +394,11 @@ def solve_reference(
     residual_zero, Z_zero = residual_at(0.0, Z0)
     if residual_zero <= 0:
         return DualSolution(lambda_star=0.0, slack_xi=-residual_zero, z_star=Z_zero)
-    lo, hi, _ = _grow_bracket(lambda lam: residual_at(lam, Z0), 0.0, cfg.dual_bound)
+    lo, hi = 0.0, cfg.dual_bound
+    while residual_at(hi, Z0)[0] > 0:
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            raise NumericError("dual bracket grew without the budget residual turning <= 0")
     Z = Z_zero
     for _ in range(max_outer):
         if hi - lo <= dual_tol:

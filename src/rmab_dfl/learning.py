@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dec_layer
-from .dec_layer import RegularizerConfig, ReturnsTable, SolverConfig, forward_pass
+from .dec_layer import RegularizerConfig, SolverConfig, solve_stack
 from .mdp import (
     ENGAGEMENT,
     NumericError,
@@ -487,14 +487,62 @@ class DQReport:
     normalized_decomposed_dq: float | None
 
 
-def _decomposed_dq(j_pred: np.ndarray, cohort: Cohort) -> float:
-    """True return of the decomposed solve on the (N, P) predicted returns."""
-    cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
+def _checked_predictions(predictions, cohorts: list[Cohort]) -> list[np.ndarray]:
+    """The predictions as float arrays, one per cohort, each shaped like its
+    cohort's (N, S, 2, S) tensors; anything else raises ValueError."""
+    if len(predictions) != len(cohorts):
+        raise ValueError(f"got {len(predictions)} predictions for {len(cohorts)} cohorts")
+    arrays = [np.asarray(pred, dtype=float) for pred in predictions]
+    for k, (pred, cohort) in enumerate(zip(arrays, cohorts)):
+        if pred.shape != cohort.tensors.shape:
+            raise ValueError(
+                f"prediction {k} has shape {pred.shape}, its cohort {cohort.tensors.shape}"
+            )
+    return arrays
+
+
+def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tuple[list, list]:
+    """Decomposed DQ of every prediction and of every cohort's truth.
+
+    The truth's value is the perfect-decomposed anchor. Cohorts that share
+    N, S, gamma and initial distribution form one group: its predictions
+    are solved by one solve_policies call, and its C predicted and C
+    anchor problems by one solve_stack of 2C problems. Returns the two
+    per-cohort value lists.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, cohort in enumerate(cohorts):
+        setup = cohort.setup
+        key = (cohort.tensors.shape, setup.gamma, setup.initial_dist.tobytes())
+        groups.setdefault(key, []).append(k)
     reg = RegularizerConfig(kind="entropy", alpha=EVAL_ALPHA)
-    j_true, j_budget = cohort.true_returns
-    tables = ReturnsTable(j_pred=j_pred, j_true=j_true, j_budget=j_budget)
-    sol = forward_pass(tables, reg, cfg)
-    return float(np.sum(sol.z_star * tables.j_true))
+    values, anchors = [0.0] * len(cohorts), [0.0] * len(cohorts)
+    for members in groups.values():
+        count = len(members)
+        stacked = np.stack([predictions[k] for k in members])
+        solved = solve_policies(stacked.reshape(-1, *stacked.shape[2:]), cohorts[members[0]].setup)
+        j_pred = solved.returns(RewardSpec(ENGAGEMENT)).reshape(count, stacked.shape[1], -1)
+        j_true = np.stack([cohorts[k].true_returns[0] for k in members])
+        j_budget = np.stack([cohorts[k].true_returns[1] for k in members])
+        # 2C problems, batch-last: the predictions, then the anchors on the truth
+        true_twice = np.concatenate([j_true, j_true]).transpose(0, 2, 1)
+        cfgs = [SolverConfig(cohorts[k].budget, cohorts[k].setup.gamma) for k in members]
+        sol = solve_stack(
+            np.concatenate([j_pred, j_true]).transpose(0, 2, 1),
+            np.concatenate([j_budget, j_budget]).transpose(0, 2, 1),
+            reg,
+            cfgs * 2,
+        )
+        solved_values = (sol.z_star * true_twice).reshape(2 * count, -1).sum(axis=1).tolist()
+        for k, value, anchor in zip(members, solved_values, solved_values[count:]):
+            values[k], anchors[k] = value, anchor
+        logger.debug(
+            "decomposed eval solve of %d cohorts (%d problems): %d rounds, evaluations sum %d "
+            "max %d, lambda* in [%.6g, %.6g], least slack %.3g",
+            count, 2 * count, sol.rounds, sol.evaluations.sum(), sol.evaluations.max(),
+            sol.lambda_star.min(), sol.lambda_star.max(), sol.slack_xi.min(),
+        )
+    return values, anchors
 
 
 def _joint_dq(pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int) -> SimulationResult:
@@ -512,12 +560,19 @@ def evaluate_dq(
 ) -> DQReport:
     """Joint and decomposed decision quality with never-act / perfect anchors.
 
-    Either a model or explicit per-cohort prediction arrays must be given.
-    Normalized values rescale so never-act maps to 0 and planning with the
-    true tensors maps to 1; a degenerate rescale is reported as None. The
-    joint columns are means over cohorts of rollout estimates, with
-    standard errors sqrt(sum_k se_k^2) / n. trajectories=0 skips the (slow)
-    simulated joint evaluation and reports None for the joint columns.
+    Either a model or explicit predictions must be given: exactly one
+    array per cohort, shaped like that cohort's (N, S, 2, S) tensors, or
+    ValueError. Normalized values rescale so never-act maps to 0 and
+    planning with the true tensors maps to 1; a degenerate rescale is
+    reported as None. The decomposed columns come from one stacked dual
+    solve per group of cohorts that share N, S, gamma and initial
+    distribution, with each cohort's predicted and perfect-decomposed
+    problems in the same stack (_decomposed_dq; a DEBUG record per solve
+    gives its solver diagnostics); a cohort's values are those of solving
+    it alone. The joint columns are means over cohorts of rollout
+    estimates, with standard errors sqrt(sum_k se_k^2) / n.
+    trajectories=0 skips the (slow) simulated joint evaluation and reports
+    None for the joint columns.
     """
     if trajectories < 0:
         raise ValueError(f"trajectories must be nonnegative, got {trajectories}")
@@ -525,23 +580,22 @@ def evaluate_dq(
         if model is None:
             raise ValueError("need a model or explicit predictions")
         predictions = [model.forward(c.features)[0] for c in cohorts]
+    predictions = _checked_predictions(predictions, cohorts)
+    dec_values, dec_anchors = _decomposed_dq(predictions, cohorts)
     joint = decomposed = never = perfect_joint = perfect_dec = 0.0
     joint_var = perfect_joint_var = 0.0
     for k, cohort in enumerate(cohorts):
-        pred = predictions[k]
         if trajectories > 0:
-            result = _joint_dq(pred, cohort, trajectories, seed + k)
+            result = _joint_dq(predictions[k], cohort, trajectories, seed + k)
             joint += result.mean_return
             joint_var += result.std_error**2
-        j_pred = solve_policies(pred, cohort.setup).returns(RewardSpec(ENGAGEMENT))
-        decomposed += _decomposed_dq(j_pred, cohort)
-        j_true = cohort.true_returns[0]
-        never += float(j_true[:, 0].sum())
+        decomposed += dec_values[k]
+        never += float(cohort.true_returns[0][:, 0].sum())
         if trajectories > 0:
             result = _joint_dq(cohort.tensors, cohort, trajectories, seed + k)
             perfect_joint += result.mean_return
             perfect_joint_var += result.std_error**2
-        perfect_dec += _decomposed_dq(j_true, cohort)
+        perfect_dec += dec_anchors[k]
     n = max(len(cohorts), 1)
     joint, decomposed, never = joint / n, decomposed / n, never / n
     perfect_joint, perfect_dec = perfect_joint / n, perfect_dec / n

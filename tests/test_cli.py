@@ -488,6 +488,14 @@ class TestVerbose:
         assert "DEBUG rmab_dfl.learning: lr=0.01 seed=0 epoch 1: train" in debug.err
         assert "INFO rmab_dfl.learning" in debug.err
 
+    def test_eval_debug_shows_the_stacked_solve(self, tiny_dataset, model_path, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["-vv", "eval", "--dataset", str(tiny_dataset), "--model", str(model_path),
+                     "--out", str(tmp_path / "eval"), "--trajectories", "0"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "DEBUG rmab_dfl.learning: decomposed eval solve of " in err
+        assert "rounds, evaluations sum" in err
+
 
 class TestVerify:
     def test_all_claims_pass(self, tmp_path):

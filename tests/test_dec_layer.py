@@ -19,6 +19,7 @@ from rmab_dfl import (
 )
 from rmab_dfl import dec_layer, uncorrected_policy
 from rmab_dfl.dec_layer import DualSolution, mixture_at, objective_value
+from rmab_dfl.datasets import DatasetManifest, generate_synthetic
 from rmab_dfl.mdp import BUDGET, RewardSpec, solve_policies
 
 
@@ -260,10 +261,11 @@ class TestNewtonDualSolve:
         assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
 
     def test_evaluations_count_every_residual(self, monkeypatch):
+        # every residual, alone or stacked, comes from one dec_layer._usage_moments call
         calls = []
-        original = dec_layer.eval_lambda
+        original = dec_layer._usage_moments
         monkeypatch.setattr(
-            dec_layer, "eval_lambda", lambda *args: calls.append(args[1]) or original(*args)
+            dec_layer, "_usage_moments", lambda *args: calls.append(args[3]) or original(*args)
         )
         rng = np.random.default_rng(2)
         truth, cfg, setup = _random_instance(rng, n=20)
@@ -281,6 +283,102 @@ class TestNewtonDualSolve:
             tables = build_returns_table(pred, truth, setup)
             sol = forward_pass(tables, RegularizerConfig(alpha=1.0), cfg)
             assert 0 < sol.evaluations <= 12
+
+
+def _stacked(tables_list):
+    """(C, P, N) predicted-return and budget stacks of (N, P) tables."""
+    return (
+        np.stack([t.j_pred.T for t in tables_list]),
+        np.stack([t.j_budget.T for t in tables_list]),
+    )
+
+
+class TestStackedSolve:
+    """solve_stack: a cohort in a stack gets what it gets alone, one residual call a round."""
+
+    def test_cohort_alone_equals_stacked(self):
+        dataset = generate_synthetic(DatasetManifest())
+        cohorts = dataset.cohort_objects("test")
+        setup = cohorts[0].setup
+        problems = [
+            (build_returns_table(0.5 * c.tensors + 0.25, c.tensors, c.setup),
+             SolverConfig(budget=c.budget, gamma=c.setup.gamma))
+            for c in cohorts
+        ]
+        rng = np.random.default_rng(23)
+        # same N and S as the paper cohorts, budgets from slack to tight
+        for budget in (0.5, 1.0, 2.0, 5.0, 10.0, 40.0, 90.0):
+            truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+            pred = rng.dirichlet(np.ones(2), size=(100, 2, 2))
+            problems.append((build_returns_table(pred, truth, setup), SolverConfig(budget, 0.9)))
+        j_pred, j_budget = _stacked([t for t, _ in problems])
+        cfgs = [cfg for _, cfg in problems]
+        for alpha in (1.0, 0.1, 1e-3):
+            reg = RegularizerConfig(alpha=alpha)
+            stack = dec_layer.solve_stack(j_pred, j_budget, reg, cfgs)
+            assert stack.rounds == stack.evaluations.max()
+            for k, (tables, cfg) in enumerate(problems):
+                alone = dec_layer.solve_stack(j_pred[k : k + 1], j_budget[k : k + 1], reg, [cfg])
+                single = forward_pass(tables, reg, cfg)
+                stacked = stack.cohort(k)
+                for sol in (alone.cohort(0), single):
+                    assert sol.lambda_star == stacked.lambda_star
+                    assert sol.slack_xi == stacked.slack_xi
+                    assert sol.evaluations == stacked.evaluations
+                    assert sol.doublings == stacked.doublings
+                    assert np.array_equal(sol.z_star, stacked.z_star)
+
+    def test_budget_never_over_cap_on_random_stacks(self):
+        rng = np.random.default_rng(29)
+        grown = 0
+        for k in range(63):  # 504 instances in stacks of 8 that share N
+            alpha = (1e-3, 0.1, 1.0, 10.0)[k % 4]
+            n = int(np.exp(rng.uniform(np.log(2), np.log(201))))
+            states = int(rng.integers(2, 4))
+            problems = []
+            for _ in range(8):
+                truth = rng.dirichlet(np.ones(states), size=(n, states, 2))
+                pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
+                # budgets down to 1% of the arms: at alpha = 10 the tightest
+                # need a multiplier above the initial bracket top
+                share = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5))))
+                cfg = SolverConfig(budget=share * n, gamma=0.9)
+                problems.append((build_returns_table(pred, truth, uniform_setup(states, 0.9)), cfg))
+            reg = RegularizerConfig(alpha=alpha)
+            stack = dec_layer.solve_stack(
+                *_stacked([t for t, _ in problems]), reg, [c for _, c in problems]
+            )
+            grown += int(np.count_nonzero(stack.doublings))
+            for j, (tables, cfg) in enumerate(problems):
+                sol = stack.cohort(j)
+                assert sol.slack_xi >= 0.0
+                assert float(np.sum(sol.z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
+                assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+        assert grown > 0
+
+    def test_doublings_count_bracket_growth(self):
+        setup = uniform_setup(2, 0.9)
+        cfg = SolverConfig(budget=1.0, gamma=0.9)
+        truth = np.random.default_rng(2024).dirichlet(np.ones(2), size=(100, 2, 2))
+        tables = build_returns_table(truth, truth, setup)
+        grown = forward_pass(tables, RegularizerConfig(alpha=10.0), cfg)
+        # lambda* is about 10.8: one doubling of the top 1/(1-gamma) = 10 brackets it
+        assert cfg.dual_bound < grown.lambda_star < 2 * cfg.dual_bound
+        assert grown.doublings == 1
+        assert forward_pass(tables, RegularizerConfig(alpha=0.1), cfg).doublings == 0
+
+    def test_infeasible_cohort_rejected(self):
+        rng = np.random.default_rng(3)
+        tables = [
+            ReturnsTable(j_pred=rng.normal(size=(5, 4)), j_true=np.zeros((5, 4)),
+                         j_budget=rng.uniform(1.0, 2.0, size=(5, 4)))
+            for _ in range(2)
+        ]
+        cfgs = [SolverConfig(budget=1.0, gamma=0.9), SolverConfig(budget=0.01, gamma=0.9)]
+        with pytest.raises(InfeasibleBudgetError):
+            dec_layer.solve_stack(*_stacked(tables), RegularizerConfig(alpha=0.1), cfgs)
+        with pytest.raises(ValueError):
+            dec_layer.solve_stack(*_stacked(tables), RegularizerConfig(alpha=0.1), cfgs[:1])
 
 
 class TestReferenceSolver:

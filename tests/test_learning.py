@@ -1,5 +1,7 @@
 """Unit tests for predictive models, losses, training, and DQ metrics."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,47 @@ class TestDecisionQuality:
             expected = np.sqrt(sum(r.std_error**2 for r in results)) / 2
             assert expected > 0
             assert se == pytest.approx(expected, rel=1e-12)
+
+    def test_predictions_must_match_cohorts(self):
+        rng = np.random.default_rng(17)
+        cohorts = [_cohort(rng, n=4), _cohort(rng, n=4)]
+        preds = [c.tensors for c in cohorts]
+        with pytest.raises(ValueError, match="1 predictions for 2 cohorts"):
+            evaluate_dq(None, cohorts, trajectories=0, predictions=preds[:1])
+        with pytest.raises(ValueError, match="2 predictions for 1 cohorts"):
+            evaluate_dq(None, cohorts[:1], trajectories=0, predictions=preds)
+        for wrong in (preds[1][:3], preds[1][..., :1], preds[1][:, :, 0]):
+            with pytest.raises(ValueError, match="prediction 1 has shape"):
+                evaluate_dq(None, cohorts, trajectories=0, predictions=[preds[0], wrong])
+
+    def test_groups_match_per_cohort_reports(self):
+        # N=4 and N=5 form two stacks; the third cohort joins the first
+        rng = np.random.default_rng(18)
+        cohorts = [_cohort(rng, n=4, budget=1.0), _cohort(rng, n=5, budget=2.0),
+                   _cohort(rng, n=4, budget=1.5)]
+        preds = [rng.dirichlet(np.ones(2), size=(c.num_arms, 2, 2)) for c in cohorts]
+        report = evaluate_dq(None, cohorts, trajectories=0, predictions=preds)
+        alone = [evaluate_dq(None, [c], trajectories=0, predictions=[p])
+                 for c, p in zip(cohorts, preds)]
+        for name in ("decomposed_dq", "never_act_dq", "perfect_decomposed_dq"):
+            total = 0.0
+            for r in alone:
+                total += getattr(r, name)
+            assert getattr(report, name) == total / 3
+
+    def test_stacked_solve_logs_diagnostics(self, caplog):
+        rng = np.random.default_rng(19)
+        cohorts = [_cohort(rng, n=4, budget=1.0), _cohort(rng, n=5, budget=2.0),
+                   _cohort(rng, n=4, budget=1.5)]
+        with caplog.at_level(logging.DEBUG, logger="rmab_dfl.learning"):
+            evaluate_dq(None, cohorts, trajectories=0, predictions=[c.tensors for c in cohorts])
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(messages) == 2  # one per stacked solve
+        assert messages[0].startswith("decomposed eval solve of 2 cohorts (4 problems): ")
+        assert messages[1].startswith("decomposed eval solve of 1 cohorts (2 problems): ")
+        for message in messages:
+            for part in ("rounds, evaluations sum", "max", "lambda* in [", "least slack"):
+                assert part in message
 
     def test_model_or_predictions_required(self):
         rng = np.random.default_rng(14)
