@@ -44,6 +44,7 @@ from .datasets import (
     atomic_replace,
     generate_synthetic,
     load_dataset,
+    logger as dataset_log,
     save_dataset,
 )
 from .learning import (
@@ -139,8 +140,15 @@ def cmd_generate(args) -> int:
     )
     out = _out_dir(args.out) / "dataset.json"
     _check_overwrite(out, args.overwrite)
+    started = time.perf_counter()
     dataset = generate_synthetic(manifest)
+    generated = time.perf_counter()
     save_dataset(dataset, out)
+    dataset_log.info(
+        "%d cohorts of %d arms: generate_synthetic %.2f s, save_dataset %.1f MB in %.2f s",
+        manifest.cohorts, manifest.arms_per_cohort, generated - started,
+        out.stat().st_size / 1e6, time.perf_counter() - generated,
+    )
     print(f"wrote {out} ({manifest.cohorts} cohorts, hash {_manifest_hash(manifest)})")
     return EXIT_OK
 

@@ -5,12 +5,21 @@ A dataset is one self-describing JSON file: a manifest block plus
 per-cohort records (features, true transition tensors, trajectories).
 In memory the records stack into three arrays with a leading cohort axis.
 Floats are serialized with shortest-round-trip repr, so write-then-read
-is exact.
+is exact, and the file is written one cohort's record at a time.
+
+A cohort's trajectories are rolled for all its arms at once, from the
+same PCG64 words, and so to the same values, as drawing each arm's start
+state, actions and next states one step at a time with
+`Generator.integers` and `Generator.choice`. That rests on how numpy
+turns words into those draws (checked on numpy 2.4.6); the per-step rule
+is kept in the tests as the oracle, so a numpy upgrade that changes it
+fails there.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -22,6 +31,8 @@ from .mdp import MAX_STATES, DiscountedSetup
 from .planning import Cohort
 
 FORMAT_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,14 @@ class DatasetManifest:
             raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
         if not 2 <= self.states <= MAX_STATES:
             raise ValueError(f"states must lie in [2, {MAX_STATES}], got {self.states}")
+        if self.trajectory_len < 0:
+            raise ValueError(f"trajectory_len must be at least 0, got {self.trajectory_len}")
+        if self.feature_layers < 1:
+            raise ValueError(f"feature_layers must be at least 1, got {self.feature_layers}")
+        if self.feature_hidden < 1:
+            raise ValueError(f"feature_hidden must be at least 1, got {self.feature_hidden}")
+        if not self.feature_gain > 0:
+            raise ValueError(f"feature_gain must be positive, got {self.feature_gain}")
         # the generator only implements these; any other value would mislabel the data
         if (self.feature_activation, self.trajectory_actions) != ("tanh", "uniform"):
             raise ValueError("feature_activation must be 'tanh' and trajectory_actions 'uniform'")
@@ -96,26 +115,74 @@ def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator
     ]
 
 
-def _apply_feature_network(flat: np.ndarray, weights) -> np.ndarray:
+def _apply_feature_network(flat: np.ndarray, weights, buffers: np.ndarray, out: np.ndarray) -> None:
+    """Push flat through the net into out; the hidden layers alternate between two buffers."""
     h = flat
-    for W in weights[:-1]:
-        h = np.tanh(h @ W)
-    return h @ weights[-1]
+    for layer, W in enumerate(weights[:-1]):
+        buf = buffers[layer % 2]
+        h = np.tanh(np.matmul(h, W, out=buf), out=buf)
+    np.matmul(h, weights[-1], out=out)
 
 
-def _roll_trajectory(
-    tensor: np.ndarray, length: int, rng: np.random.Generator
-) -> np.ndarray:
-    num_states = tensor.shape[0]
-    out = np.empty(2 * length + 1, dtype=int)
-    state = rng.integers(num_states)
-    out[0] = state
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _roll_trajectories(tensors: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """(N, 2L+1) trajectories of one cohort's (N, S, 2, S) arms under uniform random actions.
+
+    The values are those of the per-step rule run arm after arm: draw
+    s0 = rng.integers(S), then L times a = rng.integers(2) and
+    s' = rng.choice(S, p=T[s, a]). The PCG64 words are read at once and
+    decoded as numpy decodes them:
+    - a 32-bit draw takes the low half of a fresh word, or the high half
+      the generator holds from the 32-bit draw before it;
+    - a double takes a whole word w as (w >> 11)·2⁻⁵³, and choice searches
+      the normalized cumulative row for it;
+    - integers(k) is Lemire's (u·k) >> 32, redrawn while the low 32 bits
+      of u·k are below 2³² mod k (never for k = 2 or 4).
+    The generator ends past the words read, so it must not be used after.
+    """
+    n, s = tensors.shape[:2]
+    state = rng.bit_generator.state
+    held = state["has_uint32"]  # 1: the first 32-bit draw is the high half the generator holds
+    threshold = (1 << 32) % s
+    words = np.array([state["uinteger"] << 32] * held, dtype=np.uint64)
+    starts = np.ones(n, dtype=np.int64)  # 32-bit draws per start state, redraws included
+    while True:
+        # the draws in stream order: per arm its start draws, then an action and a double per step
+        per_arm = starts + 2 * length
+        is_u32 = np.ones(int(per_arm.sum()), dtype=bool)
+        first_step = np.cumsum(per_arm) - 2 * length
+        is_u32[(first_step[:, None] + 2 * np.arange(length) + 1).ravel()] = False
+        # 32-bit draws pair up on words, low half first; a held half pairs with words[0]
+        half = np.cumsum(is_u32)[is_u32] - 1 + held
+        high = half % 2 == 1
+        fresh = ~is_u32  # the draws that read a new word
+        fresh[is_u32] = ~high
+        word = np.cumsum(fresh) - 1 + held
+        if word.size and word[-1] >= words.size:
+            words = np.concatenate([words, rng.bit_generator.random_raw(word[-1] + 1 - words.size)])
+        pair_word = np.concatenate([np.zeros(held, dtype=int), word[is_u32 & fresh]])
+        u32_words = words[pair_word[half // 2]]
+        u32 = np.where(high, u32_words >> np.uint64(32), u32_words & _LOW)
+        last_start = np.cumsum(starts + length) - length - 1  # the accepted start draw
+        scaled = u32[last_start] * np.uint64(s)
+        rejected = np.flatnonzero((scaled & _LOW) < threshold)
+        if not rejected.size:
+            break
+        starts[rejected[0]] += 1
+    actions = (u32[last_start[:, None] + 1 + np.arange(length)] >> np.uint64(31)).astype(int)
+    uniforms = (words[word[~is_u32]] >> np.uint64(11)).reshape(n, length) * (1.0 / 2.0**53)
+    cdf = np.cumsum(tensors, axis=-1)
+    cdf = (cdf / cdf[..., -1:]).reshape(n * s * 2, s)
+    row_of_arm = np.arange(n) * (2 * s)
+    out = np.empty((n, 2 * length + 1), dtype=int)
+    out[:, 0] = current = (scaled >> np.uint64(32)).astype(int)
     for t in range(length):
-        action = int(rng.integers(2))
-        next_state = rng.choice(num_states, p=tensor[state, action])
-        out[2 * t + 1] = action
-        out[2 * t + 2] = next_state
-        state = next_state
+        rows = cdf[row_of_arm + 2 * current + actions[:, t]]
+        current = np.count_nonzero(rows <= uniforms[:, t, None], axis=1)  # searchsorted 'right'
+        out[:, 2 * t + 1] = actions[:, t]
+        out[:, 2 * t + 2] = current
     return out
 
 
@@ -146,12 +213,12 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     features = np.empty((c, n, manifest.feature_dim))
     tensors = np.empty((c, n, s, 2, s))
     trajectories = np.empty((c, n, 2 * manifest.trajectory_len + 1), dtype=int)
+    buffers = np.empty((min(manifest.feature_layers - 1, 2), n, manifest.feature_hidden))
     for k in range(c):
         rng = np.random.default_rng(cohort_seeds[k])
         tensors[k] = rng.dirichlet(np.ones(s), size=(n, s, 2))
-        features[k] = _apply_feature_network(tensors[k].reshape(n, -1), weights)
-        for i in range(n):
-            trajectories[k, i] = _roll_trajectory(tensors[k, i], manifest.trajectory_len, rng)
+        _apply_feature_network(tensors[k].reshape(n, -1), weights, buffers, features[k])
+        trajectories[k] = _roll_trajectories(tensors[k], manifest.trajectory_len, rng)
     return Dataset(
         manifest=manifest,
         split_assignment=_split_assignment(manifest),
@@ -177,16 +244,23 @@ def atomic_replace(path: Path, write) -> None:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset atomically: a failed write leaves any old file intact."""
-    payload = {
+    head = {
         "format_version": FORMAT_VERSION,
         "manifest": asdict(dataset.manifest),
         "split_assignment": dataset.split_assignment,
-        "cohorts": [
-            {"features": f.tolist(), "tensors": t.tolist(), "trajectories": traj.tolist()}
-            for f, t, traj in zip(dataset.features, dataset.tensors, dataset.trajectories)
-        ],
+        "cohorts": [],
     }
-    atomic_replace(Path(path), lambda fh: fh.write(json.dumps(payload).encode()))
+
+    def write(fh):
+        # the bytes of json.dumps on the whole payload, one cohort's record at a time
+        fh.write(json.dumps(head).removesuffix("]}").encode())
+        records = zip(dataset.features, dataset.tensors, dataset.trajectories)
+        for k, (f, t, traj) in enumerate(records):
+            record = {"features": f.tolist(), "tensors": t.tolist(), "trajectories": traj.tolist()}
+            fh.write(((", " if k else "") + json.dumps(record)).encode())
+        fh.write(b"]}")
+
+    atomic_replace(Path(path), write)
 
 
 def _stack_cohorts(cohorts, key: str, dtype, shape: tuple[int, ...]) -> np.ndarray:

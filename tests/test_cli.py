@@ -377,6 +377,22 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert not run.exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("trajectory_len", -1), ("feature_layers", 0), ("feature_hidden", 0),
+         ("feature_gain", -3.0)],
+    )
+    def test_manifest_field_out_of_domain(self, tiny_dataset, tmp_path, capsys, field, value):
+        payload = json.loads(tiny_dataset.read_text())
+        payload["manifest"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "run"),
+                     "--loss", "mse", "--lr", "1e-2", "--epochs", "1"])
+        assert code == EXIT_INPUT
+        assert f"input error: {field} must be" in capsys.readouterr().err
+
     def test_dataset_directory(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "run")])
         assert code == EXIT_INPUT
@@ -487,6 +503,18 @@ class TestVerbose:
         assert "DEBUG" not in info.err
         assert "DEBUG rmab_dfl.learning: lr=0.01 seed=0 epoch 1: train" in debug.err
         assert "INFO rmab_dfl.learning" in debug.err
+
+    def test_generate_logs_sizes_and_seconds(self, tmp_path, caplog):
+        argv = ["generate", "--out", str(tmp_path), "--cohorts", "3", "--arms", "2",
+                "--budget", "1", "--overwrite"]
+        assert main(argv) == EXIT_OK
+        assert not caplog.records
+        assert main(["-v", *argv]) == EXIT_OK
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("rmab_dfl.datasets", logging.INFO)
+        assert record.getMessage().startswith("3 cohorts of 2 arms: generate_synthetic ")
+        assert " s, save_dataset " in record.getMessage()
+        assert record.getMessage().endswith(" s")
 
     def test_eval_debug_shows_the_stacked_solve(self, tiny_dataset, model_path, tmp_path, capsys):
         capsys.readouterr()

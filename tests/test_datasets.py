@@ -1,5 +1,9 @@
 """Unit tests for synthetic data generation, estimation, and serialization."""
 
+import json
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,91 @@ def _small_manifest(**overrides):
     )
     defaults.update(overrides)
     return DatasetManifest(**defaults)
+
+
+def _roll_per_step(tensors, length, rng):
+    """The per-step rule, arm after arm: the oracle for datasets._roll_trajectories."""
+    n, s = tensors.shape[:2]
+    out = np.empty((n, 2 * length + 1), dtype=int)
+    for i in range(n):
+        state = rng.integers(s)
+        out[i, 0] = state
+        for t in range(length):
+            action = int(rng.integers(2))
+            next_state = rng.choice(s, p=tensors[i, state, action])
+            out[i, 2 * t + 1] = action
+            out[i, 2 * t + 2] = next_state
+            state = next_state
+    return out
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_before(output: int, inc: int) -> int:
+    """A PCG64 state whose next 64-bit output is `output`.
+
+    The output is XSL-RR: rotate hi ^ lo of the stepped 128-bit state right
+    by its top 6 bits. Pick those bits and hi, solve for lo, then undo the
+    LCG step state' = state * multiplier + inc.
+    """
+    rotation, mask = 5, (1 << 64) - 1
+    xored = ((output << rotation) | (output >> (64 - rotation))) & mask
+    hi = (rotation << 58) | 0x1234567
+    stepped = (hi << 64) | (hi ^ xored)
+    return (stepped - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+
+
+def _cohort(n, s, seed):
+    return np.random.default_rng([seed, 7]).dirichlet(np.ones(s), size=(n, s, 2))
+
+
+def _rng_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestVectorizedRoll:
+    """The one-pass roll reads the same PCG64 words as the per-step rule."""
+
+    @pytest.mark.parametrize("arms", [1, 1000])
+    @pytest.mark.parametrize("length", [0, 1, 10])
+    @pytest.mark.parametrize("states", [2, 3, 4, 6, 12])
+    def test_equals_per_step_rule(self, states, length, arms):
+        for seed in range(3):
+            tensors = _cohort(arms, states, seed)
+            expected = _roll_per_step(tensors, length, np.random.default_rng(seed))
+            got = datasets._roll_trajectories(tensors, length, np.random.default_rng(seed))
+            assert np.array_equal(got, expected), seed
+
+    @pytest.mark.parametrize("arms", [1, 1000])
+    @pytest.mark.parametrize("states", [3, 4])
+    def test_held_half_word_serves_the_first_draw(self, states, arms):
+        rng = np.random.default_rng(5)
+        rng.integers(2)  # leaves the high half of a word held
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        tensors = _cohort(arms, states, 5)
+        expected = _roll_per_step(tensors, 10, _rng_at(state))
+        assert np.array_equal(datasets._roll_trajectories(tensors, 10, _rng_at(state)), expected)
+
+    @pytest.mark.parametrize("arms", [1, 1000])
+    @pytest.mark.parametrize("length", [0, 1, 10])
+    @pytest.mark.parametrize("word,redraws", [(0xDEADBEEF << 32, 1), (0, 2)])
+    def test_lemire_redraw(self, word, redraws, length, arms):
+        # a start draw u = 0 gives (3u) mod 2^32 = 0 < 2^32 mod 3, so integers(3) draws again
+        state = np.random.default_rng(11).bit_generator.state
+        state["state"]["state"] = _pcg64_state_before(word, state["state"]["inc"])
+        assert int(_rng_at(state).bit_generator.random_raw()) == word
+        probe = _rng_at(state)
+        probe.integers(3)
+        # 1 + redraws half words read: an odd count leaves a high half held
+        assert probe.bit_generator.state["has_uint32"] == (1 + redraws) % 2
+        tensors = _cohort(arms, 3, 11)
+        expected = _roll_per_step(tensors, length, _rng_at(state))
+        got = datasets._roll_trajectories(tensors, length, _rng_at(state))
+        assert np.array_equal(got, expected)
 
 
 class TestGeneration:
@@ -69,6 +158,30 @@ class TestGeneration:
         with pytest.raises(ValueError):
             _small_manifest(**field)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("trajectory_len", -1), ("feature_layers", 0), ("feature_hidden", 0),
+         ("feature_gain", 0.0)],
+    )
+    def test_network_and_trajectory_fields_validated(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            _small_manifest(**{field: value})
+
+    def test_generation_peaks_at_two_activation_buffers(self):
+        # the hidden layers reuse two (N, hidden) buffers across layers and cohorts
+        m = DatasetManifest(cohorts=2, arms_per_cohort=4000, budget=100.0, split_sizes=(1, 1, 0))
+        buffer = m.arms_per_cohort * m.feature_hidden * 8
+        weights = datasets._feature_network_weights(m, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            ds = generate_synthetic(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = ds.features.nbytes + ds.tensors.nbytes + ds.trajectories.nbytes
+        slack = buffer // 2  # trajectory bookkeeping and draws: about 5 MB here
+        assert peak <= 2 * buffer + sum(w.nbytes for w in weights) + arrays + slack
+
     def test_trajectories_follow_true_dynamics(self):
         # a deterministic arm leaves no freedom in the rolled trajectory
         ds = generate_synthetic(_small_manifest())
@@ -99,6 +212,21 @@ class TestSerialization:
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
         assert loaded.trajectories.dtype.kind == "i"
+
+    def test_bytes_equal_one_dumps_of_the_whole_payload(self, tmp_path):
+        ds = generate_synthetic(_small_manifest(states=3))
+        path = tmp_path / "dataset.json"
+        save_dataset(ds, path)
+        payload = {
+            "format_version": datasets.FORMAT_VERSION,
+            "manifest": asdict(ds.manifest),
+            "split_assignment": ds.split_assignment,
+            "cohorts": [
+                {"features": f.tolist(), "tensors": t.tolist(), "trajectories": traj.tolist()}
+                for f, t, traj in zip(ds.features, ds.tensors, ds.trajectories)
+            ],
+        }
+        assert path.read_bytes() == json.dumps(payload).encode()
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "dataset.json"
