@@ -11,14 +11,10 @@ from .mdp import (
     CapacityError,
     DiscountedSetup,
     NumericError,
-    PerArmPolicy,
     RewardSpec,
     TransitionTensor,
     WhittleTable,
-    enumerate_policies,
     engagement_rewards,
-    get_returns,
-    returns_gradient,
     uniform_setup,
     whittle_gradients,
     whittle_index,
@@ -35,16 +31,13 @@ from .dec_layer import (
     dec_dfl_loss,
     eval_lambda,
     forward_pass,
-    mixture_at,
     solve_reference,
 )
 from .planning import (
     Cohort,
-    DecomposedPolicy,
     FixedPerArmPolicy,
     SimulationResult,
     WhittleTopB,
-    brute_force_joint,
     budget_audit,
     simulate_joint,
     top_b_actions,
@@ -53,7 +46,6 @@ from .planning import (
 from .datasets import (
     Dataset,
     DatasetManifest,
-    discretize_engagement,
     estimate_from_trajectories,
     generate_synthetic,
     load_dataset,

@@ -4,8 +4,10 @@ Subcommands: generate (synthetic datasets), train (fit a model under a
 chosen loss), eval (decision-quality report on the test split), bench
 (epoch and layer timings), verify (counterexample and property checks),
 export (plot-ready CSV files). Every command is deterministic given its
-flags and seed; result files carry the dataset manifest hash, seed, and
-toolkit version, and are written atomically (temp + rename).
+flags and seed, but generate's features also depend on the BLAS thread
+count, unlike its tensors, trajectories and splits. Result files carry
+the dataset manifest hash, seed, and toolkit version, and are written
+atomically (temp + rename).
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 failed
 verification.

@@ -332,12 +332,3 @@ def estimate_from_trajectories(counts: np.ndarray, prior_strength: float) -> np.
         raise ValueError("undefined row: no observations and zero prior strength")
     return numer / denom
 
-
-def discretize_engagement(listen_seconds, threshold: float = 30.0) -> np.ndarray:
-    """Binary engagement states: 1 iff the listen time strictly exceeds the threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    seconds = np.asarray(list(listen_seconds), dtype=float)
-    if seconds.size and np.any(seconds < 0):
-        raise ValueError("listen durations must be nonnegative")
-    return (seconds > threshold).astype(int)

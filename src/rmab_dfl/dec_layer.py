@@ -9,10 +9,11 @@ the residual's slope is the summed per-arm variance of the budget usage) and
 differentiated in closed form through the KKT conditions, eliminating the
 single budget row against the per-arm blocks in O(N * P). The forward
 solve runs on batch-last (C, P, N) stacks of cohorts (solve_stack), one
-residual call per round for the whole stack; forward_pass, eval_lambda and
-mixture_at are its one-cohort views on the (N, P) tables. A slow reference
-solver is the correctness oracle: its inner maximization is a damped Newton
-solve of the per-row KKT equations, never the softmax closed form.
+residual call per round for the whole stack; forward_pass and eval_lambda
+are its one-cohort views on the (N, P) tables. A slow reference solver is
+the correctness oracle: its inner maximization is a damped Newton solve of
+the per-row KKT equations, never the softmax closed form; the regularized
+objective the tests score mixtures by is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -171,14 +172,6 @@ def _residual_and_slope(
     return usage - cap, -max(variance, 0.0) / alpha
 
 
-def mixture_at(tables: ReturnsTable, lam: float, reg: RegularizerConfig) -> np.ndarray:
-    """Row softmax of (j_pred - lam * j_budget) / alpha: the (N, P) mixture,
-    the one-cohort view of the stacked softmax."""
-    lams = np.array([lam], dtype=float)
-    Z = _mixtures(_batch_last(tables.j_pred), _batch_last(tables.j_budget), lams, reg.alpha)
-    return np.ascontiguousarray(Z[0].T)
-
-
 def eval_lambda(
     tables: ReturnsTable, lam: float, reg: RegularizerConfig, cfg: SolverConfig
 ) -> tuple[float, float, np.ndarray]:
@@ -322,12 +315,6 @@ def forward_pass(
     """
     stack = solve_stack(_batch_last(tables.j_pred), _batch_last(tables.j_budget), reg, [cfg])
     return stack.cohort(0)
-
-
-def objective_value(tables: ReturnsTable, Z: np.ndarray, reg: RegularizerConfig) -> float:
-    """Regularized objective sum Z * j_pred + alpha * H(Z)."""
-    Zc = np.clip(Z, 1e-300, None)
-    return float(np.sum(Z * tables.j_pred)) - reg.alpha * float(np.sum(Z * np.log(Zc)))
 
 
 def _newton_refine_rows(

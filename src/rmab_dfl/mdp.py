@@ -1,15 +1,15 @@
-"""Per-arm MDP primitives: transition tensors, policy enumeration, exact
-policy evaluation, return gradients, and Whittle indices.
+"""Per-arm MDP primitives: transition tensors, the policy action bits,
+exact policy evaluation, return gradients, and Whittle indices.
 
 Each arm is a small MDP with binary actions (act / don't act). All
 evaluation is exact (direct linear solves of the Bellman equations), so
 none of the downstream machinery needs Monte Carlo rollouts. The returns
 engine, solve_policies, solves every policy of every arm at once; Whittle
-indices and their gradients are read off its values. The oracles it is
-tested against are independent of it: the scalar get_returns /
-returns_gradient and value_iteration for returns and return gradients,
-and value iteration on the subsidized Bellman equation (acting and
-staying passive are worth the same at each index) for Whittle indices.
+indices and their gradients are read off its values. Its oracles live in
+tests/oracles.py, on plain arrays and apart from this package: scalar
+np.linalg.solve returns and return gradients, and value iteration; the
+Whittle indices are checked by value iteration on the subsidized Bellman
+equation (acting and staying passive are worth the same at each index).
 """
 
 from __future__ import annotations
@@ -115,83 +115,12 @@ def uniform_setup(num_states: int, gamma: float) -> DiscountedSetup:
     return DiscountedSetup(gamma, np.full(num_states, 1.0 / num_states))
 
 
-@dataclass(frozen=True)
-class PerArmPolicy:
-    """Deterministic state -> {0,1} map; bit s of `index` is the action in state s."""
-
-    index: int
-    num_states: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < 2 ** self.num_states:
-            raise ValueError(f"policy index {self.index} out of range for {self.num_states} states")
-
-    @property
-    def actions(self) -> np.ndarray:
-        return np.array([(self.index >> s) & 1 for s in range(self.num_states)], dtype=int)
-
-
-def enumerate_policies(num_states: int) -> list[PerArmPolicy]:
-    """All 2^|S| deterministic per-arm policies, indexed bitwise."""
-    if not 1 <= num_states <= MAX_STATES:
-        raise CapacityError(f"num_states must be in [1, {MAX_STATES}], got {num_states}")
-    return [PerArmPolicy(j, num_states) for j in range(2 ** num_states)]
-
-
 def policy_action_matrix(num_states: int) -> np.ndarray:
     """(2^|S|, |S|) matrix of action bits, row j = policy j."""
     if not 1 <= num_states <= MAX_STATES:
         raise CapacityError(f"num_states must be in [1, {MAX_STATES}], got {num_states}")
     policies = np.arange(2 ** num_states)[:, None]
     return (policies >> np.arange(num_states)[None, :]) & 1
-
-
-def _policy_chain(T: TransitionTensor, actions: np.ndarray) -> np.ndarray:
-    s = np.arange(T.num_states)
-    return T.probs[s, actions, :]
-
-
-def _value_function(T_pi: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
-    num_states = T_pi.shape[0]
-    try:
-        return np.linalg.solve(np.eye(num_states) - gamma * T_pi, rewards)
-    except np.linalg.LinAlgError as exc:  # only reachable if gamma >= 1
-        raise NumericError("singular Bellman system") from exc
-
-
-def get_returns(
-    T: TransitionTensor, R: RewardSpec, pi: PerArmPolicy, setup: DiscountedSetup
-) -> float:
-    """Exact infinite-horizon discounted return of a deterministic policy.
-
-    Solves V = (I - gamma * T_pi)^{-1} r and averages V over the
-    initial-state distribution.
-    """
-    actions = pi.actions
-    T_pi = _policy_chain(T, actions)
-    rewards = R.per_step(T.num_states, actions)
-    V = _value_function(T_pi, rewards, setup.gamma)
-    return float(setup.initial_dist @ V)
-
-
-def returns_gradient(
-    T: TransitionTensor, R: RewardSpec, pi: PerArmPolicy, setup: DiscountedSetup
-) -> np.ndarray:
-    """dJ/dT(s, a, s') for every transition entry.
-
-    Entries for the action the policy never takes in a state are zero.
-    Uses the closed form gamma * d(s) * V(s') where d is the
-    initial-state-weighted discounted occupancy of the policy chain.
-    """
-    actions = pi.actions
-    T_pi = _policy_chain(T, actions)
-    rewards = R.per_step(T.num_states, actions)
-    gamma = setup.gamma
-    V = _value_function(T_pi, rewards, gamma)
-    occupancy = np.linalg.solve(np.eye(T.num_states) - gamma * T_pi.T, setup.initial_dist)
-    grad = np.zeros_like(T.probs)
-    grad[np.arange(T.num_states), actions, :] = gamma * np.outer(occupancy, V)
-    return grad
 
 
 # Entries of I - gamma*T_pi factored at once (2 MB). Arms are solved in
@@ -224,8 +153,8 @@ class PolicySolve:
     def gradient(self, policy_weights: np.ndarray) -> np.ndarray:
         """(N, S, 2, S): sum_j policy_weights[i, j] * dJ_i(pi_j)/dT_i(s, a, s').
 
-        The closed form of returns_gradient, gamma * d(s) * V(s') on the
-        action each policy takes in s, contracted over policies.
+        The closed form gamma * d(s) * V(s') on the action each policy
+        takes in s (zero on the other), contracted over policies.
         """
         if self.values is None:
             raise ValueError("return gradients need the values: solve with values=R")
@@ -421,24 +350,3 @@ def whittle_index(
         raise ValueError(f"Whittle indices need the engagement reward, not {R.kind!r}")
     return WhittleTable(wi=whittle_indices(T.probs[None], setup, tol)[0])
 
-
-def value_iteration(
-    T: TransitionTensor,
-    R: RewardSpec,
-    pi: PerArmPolicy,
-    setup: DiscountedSetup,
-    residual: float = 1e-10,
-    max_iters: int = 1_000_000,
-) -> float:
-    """Policy evaluation by fixed-point iteration; oracle for get_returns."""
-    actions = pi.actions
-    T_pi = _policy_chain(T, actions)
-    rewards = R.per_step(T.num_states, actions)
-    V = np.zeros(T.num_states)
-    for _ in range(max_iters):
-        V_next = rewards + setup.gamma * (T_pi @ V)
-        if np.max(np.abs(V_next - V)) < residual:
-            V = V_next
-            break
-        V = V_next
-    return float(setup.initial_dist @ V)

@@ -3,13 +3,12 @@
 Whittle top-B action selection, the one Monte Carlo rollout on the true
 dynamics (behind both the joint evaluation and the SIM-DFL baseline), the
 uncorrected decomposed relaxation (budget checked on predictions, kept to
-demonstrate how it overshoots), a brute-force product-space solver for
-tiny instances, and the budget audit.
+demonstrate how it overshoots), and the budget audit. The brute-force
+joint solver of the tests is in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,16 +25,12 @@ from .dec_layer import (
 from .mdp import (
     BUDGET,
     ENGAGEMENT,
-    CapacityError,
     DiscountedSetup,
     RewardSpec,
     WhittleTable,
     engagement_rewards,
     solve_policies,
 )
-
-MAX_JOINT_STATES = 4096
-
 
 @dataclass(frozen=True)
 class Cohort:
@@ -79,13 +74,6 @@ class WhittleTopB:
 
     tables: list[WhittleTable]
     budget: int
-
-
-@dataclass(frozen=True)
-class DecomposedPolicy:
-    """Joint policy: each trajectory samples one per-arm policy per arm from Z."""
-
-    z: np.ndarray  # (N, 2^S)
 
 
 @dataclass(frozen=True)
@@ -177,9 +165,9 @@ def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> Simu
     """Monte Carlo estimate of a joint policy's discounted return, by `rollout`.
 
     `WhittleTopB` acts on the B arms with the largest current-state indices.
-    `FixedPerArmPolicy` and `DecomposedPolicy` act by the bits of per-arm
-    policy indices; a `DecomposedPolicy` first draws one per-arm policy per
-    arm and trajectory from Z. Deterministic for a fixed seed.
+    `FixedPerArmPolicy` acts by the bits of one per-arm policy index per
+    arm, which must be N integers in [0, 2^S). Deterministic for a fixed
+    seed.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -191,22 +179,18 @@ def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> Simu
         def act(states):
             return top_b_actions(wi[np.arange(n), states], policy.budget)
 
-    else:
-        if isinstance(policy, FixedPerArmPolicy):
-            indices = np.asarray(policy.policy_indices)
-        elif isinstance(policy, DecomposedPolicy):
-            # one deterministic per-arm policy per trajectory (mixture semantics)
-            indices = np.empty((trajectories, n), dtype=int)
-            for i in range(n):
-                indices[:, i] = rng.choice(
-                    policy.z.shape[1], size=trajectories, p=policy.z[i] / policy.z[i].sum()
-                )
-        else:
-            raise TypeError(f"unknown joint policy {type(policy).__name__}")
+    elif isinstance(policy, FixedPerArmPolicy):
+        indices, top = np.asarray(policy.policy_indices), 2 ** cohort.num_states
+        in_range = indices.dtype.kind in "iu" and np.all((indices >= 0) & (indices < top))
+        if indices.shape != (n,) or not in_range:
+            raise ValueError(f"policy_indices must be {n} integers in [0, {top})")
 
         def act(states):
             # bit s of a per-arm policy index is its action in state s
             return (indices >> states) & 1
+
+    else:
+        raise TypeError(f"unknown joint policy {type(policy).__name__}")
 
     returns, budget_used = rollout(cohort, trajectories, rng, act)
     se = float(returns.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0
@@ -248,48 +232,3 @@ def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> f
     denom = cohort.budget if per_step else cohort.budget / (1.0 - cohort.setup.gamma)
     return used / denom
 
-
-def brute_force_joint(cohort: Cohort, budget: int) -> tuple[float, dict]:
-    """Exact optimal joint deterministic stationary policy on the product
-    state space with the per-state constraint sum_i a_i <= B.
-
-    Value iteration to residual 1e-10. Only for tiny instances.
-    """
-    n, num_states = cohort.num_arms, cohort.num_states
-    joint_states = num_states ** n
-    if joint_states > MAX_JOINT_STATES:
-        raise CapacityError(f"product state space {joint_states} exceeds {MAX_JOINT_STATES}")
-    gamma = cohort.setup.gamma
-    rewards = engagement_rewards(num_states)
-    state_tuples = list(itertools.product(range(num_states), repeat=n))
-    actions_feasible = [
-        a for a in itertools.product((0, 1), repeat=n) if sum(a) <= budget
-    ]
-    # joint transition per (state, action): product of per-arm rows
-    reward_vec = np.array([sum(rewards[s] for s in st) for st in state_tuples])
-    trans = np.empty((len(actions_feasible), joint_states, joint_states))
-    for ai, act in enumerate(actions_feasible):
-        for si, st in enumerate(state_tuples):
-            rows = [cohort.tensors[i, st[i], act[i], :] for i in range(n)]
-            joint = rows[0]
-            for r in rows[1:]:
-                joint = np.outer(joint, r).reshape(-1)
-            trans[ai, si, :] = joint
-    V = np.zeros(joint_states)
-    for _ in range(10_000_000):
-        Q = reward_vec[None, :] + gamma * (trans @ V)
-        V_next = Q.max(axis=0)
-        if np.max(np.abs(V_next - V)) < 1e-10:
-            V = V_next
-            break
-        V = V_next
-    best_actions = Q.argmax(axis=0)
-    init = cohort.setup.initial_dist
-    joint_init = init
-    for _ in range(n - 1):
-        joint_init = np.outer(joint_init, init).reshape(-1)
-    value = float(joint_init @ V)
-    policy = {
-        state_tuples[si]: actions_feasible[best_actions[si]] for si in range(joint_states)
-    }
-    return value, policy

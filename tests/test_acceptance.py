@@ -4,32 +4,32 @@ Each test prints a single CRITERION line with the measured quantities and
 asserts the stated tolerance and time budget. Criteria 1-4 and 6 measure
 with the `rmab-dfl verify` checks of rmab_dfl.checks, each under its own
 seed, size, threshold and time bound. Oracles are independent of
-the code paths they check: value iteration vs direct linear solves,
+the code paths they check: value iteration vs the batched returns engine,
 dense-grid dual search vs the Newton dual solve, LP enumeration vs the
 decomposed layer, central finite differences vs closed-form gradients.
+The scalar returns oracles come from tests/oracles.py, which imports
+nothing from rmab_dfl.
 """
 
 import time
 
 import numpy as np
 
+from oracles import get_returns, value_iteration
 from rmab_dfl import (
     Cohort,
     DiscountedSetup,
     LossSpec,
-    PerArmPolicy,
     RegularizerConfig,
     ReturnsTable,
     RewardSpec,
     SolverConfig,
     TrainingConfig,
-    TransitionTensor,
     backward_pass,
     build_returns_table,
     dataset_splits,
     evaluate_dq,
     forward_pass,
-    get_returns,
     train,
 )
 from rmab_dfl.checks import (
@@ -42,7 +42,7 @@ from rmab_dfl.checks import (
 )
 from rmab_dfl.dec_layer import dec_dfl_loss
 from rmab_dfl.learning import Adam, ModelSpec, PredictiveModel, run_epoch
-from rmab_dfl.mdp import ENGAGEMENT, solve_policies, value_iteration
+from rmab_dfl.mdp import ENGAGEMENT, policy_action_matrix, solve_policies
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
 
 GAMMA = 0.9
@@ -246,18 +246,19 @@ def test_criterion_08_returns_vs_value_iteration():
     worst = 0.0
     for _ in range(100):
         states = int(rng.integers(2, 9))
-        T = TransitionTensor(rng.dirichlet(np.ones(states), size=(states, 2)))
+        P = rng.dirichlet(np.ones(states), size=(states, 2))
         setup = DiscountedSetup(GAMMA, rng.dirichlet(np.ones(states)))
-        pi = PerArmPolicy(int(rng.integers(2 ** states)), states)
-        exact = get_returns(T, reward, pi, setup)
-        iterated = value_iteration(T, reward, pi, setup, residual=1e-10)
-        worst = max(worst, abs(exact - iterated))
+        j = int(rng.integers(2 ** states))
+        engine = solve_policies(P[None], setup).returns(reward)[0, j]
+        actions = policy_action_matrix(states)[j]
+        iterated = value_iteration(P, actions, GAMMA, setup.initial_dist, residual=1e-10)
+        worst = max(worst, abs(engine - iterated))
     elapsed = time.perf_counter() - start
     _report(
         8,
         "returns-exactness",
         worst <= 1e-8 and elapsed < 30.0,
-        f"max |direct - VI| {worst:.3g} <= 1e-8 over 100 arms up to 8 states, {elapsed:.1f} s",
+        f"max |engine - VI| {worst:.3g} <= 1e-8 over 100 arms up to 8 states, {elapsed:.1f} s",
     )
 
 
@@ -364,9 +365,10 @@ def test_criterion_12_metric_anchors():
         report = evaluate_dq(None, [cohort], trajectories=0, predictions=[truth])
         worst_perfect = max(worst_perfect, abs(report.normalized_decomposed_dq - 1.0))
         # never-act anchor: score of the all-passive mixture through the
-        # same normalization must land at exactly 0
-        j_true = solve_policies(truth, setup).returns(RewardSpec(ENGAGEMENT))
-        never_value = float(j_true[:, 0].sum())
+        # same normalization must land at exactly 0; its value comes from
+        # the scalar oracle, not the engine behind evaluate_dq
+        never = np.zeros(truth.shape[1], dtype=int)
+        never_value = sum(get_returns(arm, never, setup.gamma, setup.initial_dist) for arm in truth)
         span = report.perfect_decomposed_dq - report.never_act_dq
         worst_never = max(worst_never, abs((never_value - report.never_act_dq) / span))
     elapsed = time.perf_counter() - start

@@ -9,7 +9,6 @@ import pytest
 
 from rmab_dfl import (
     DatasetManifest,
-    discretize_engagement,
     estimate_from_trajectories,
     generate_synthetic,
     load_dataset,
@@ -320,16 +319,3 @@ class TestTrajectoryEstimation:
         est = estimate_from_trajectories(counts, prior_strength=1.0)[0]
         assert np.max(np.abs(est - tensor)) < 0.05
 
-
-class TestDiscretization:
-    def test_threshold_is_strict(self):
-        out = discretize_engagement([0.0, 30.0, 30.01, 100.0])
-        assert out.tolist() == [0, 0, 1, 1]
-
-    def test_negative_durations_rejected(self):
-        with pytest.raises(ValueError):
-            discretize_engagement([-1.0])
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            discretize_engagement([10.0], threshold=0.0)

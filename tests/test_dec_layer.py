@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import objective_value
 from rmab_dfl import (
     DiscountedSetup,
     InfeasibleBudgetError,
@@ -18,7 +19,7 @@ from rmab_dfl import (
     uniform_setup,
 )
 from rmab_dfl import dec_layer, uncorrected_policy
-from rmab_dfl.dec_layer import DualSolution, mixture_at, objective_value
+from rmab_dfl.dec_layer import DualSolution
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
 from rmab_dfl.mdp import BUDGET, RewardSpec, solve_policies
 
@@ -100,7 +101,7 @@ class TestInnerSolution:
         )
         reg = RegularizerConfig(alpha=0.7)
         lam = 1.3
-        Z = mixture_at(tables, lam, reg)
+        Z = eval_lambda(tables, lam, reg, SolverConfig(budget=1.0, gamma=0.9))[2]
         logits = (tables.j_pred - lam * tables.j_budget) / reg.alpha
         expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         assert np.allclose(Z, expected, atol=1e-12)
@@ -418,12 +419,12 @@ class TestReferenceSolver:
         reg = RegularizerConfig(alpha=0.5)
         tables = build_returns_table(truth, truth, setup)
         sol = solve_reference(tables, reg, cfg, dual_tol=1e-9)
-        best = objective_value(tables, sol.z_star, reg)
+        best = objective_value(tables.j_pred, sol.z_star, reg.alpha)
         for _ in range(200):
             n, num_policies = tables.j_pred.shape
             cand = rng.dirichlet(np.ones(num_policies), size=n)
             if float(np.sum(cand * tables.j_budget)) <= cfg.budget_cap:
-                assert objective_value(tables, cand, reg) <= best + 1e-6
+                assert objective_value(tables.j_pred, cand, reg.alpha) <= best + 1e-6
 
 
 class TestBackwardPass:
@@ -454,7 +455,7 @@ class TestBackwardPass:
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         lam = 1e-13
         sol = DualSolution(
-            lambda_star=lam, slack_xi=3e-7, z_star=mixture_at(tables, lam, reg)
+            lambda_star=lam, slack_xi=3e-7, z_star=eval_lambda(tables, lam, reg, cfg)[2]
         )
         upstream = rng.normal(size=(3, 4))
         fast = backward_pass(sol, tables, reg, upstream)

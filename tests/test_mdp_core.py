@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import get_returns, returns_gradient, value_iteration
 from rmab_dfl import (
     CapacityError,
     DiscountedSetup,
     NumericError,
-    PerArmPolicy,
     RewardSpec,
     TransitionTensor,
     engagement_rewards,
-    enumerate_policies,
-    get_returns,
-    returns_gradient,
     uniform_setup,
     whittle_index,
     whittle_indices,
@@ -24,7 +21,6 @@ from rmab_dfl.mdp import (
     ENGAGEMENT,
     policy_action_matrix,
     solve_policies,
-    value_iteration,
 )
 
 
@@ -62,21 +58,16 @@ class TestTransitionTensor:
 
 class TestPolicies:
     def test_single_state_has_two_policies(self):
-        policies = enumerate_policies(1)
-        assert len(policies) == 2
-        assert [p.actions.tolist() for p in policies] == [[0], [1]]
+        assert policy_action_matrix(1).tolist() == [[0], [1]]
 
     def test_enumeration_count(self):
-        assert len(enumerate_policies(3)) == 8
+        assert policy_action_matrix(3).shape == (8, 3)
 
     def test_action_matrix_matches_policies(self):
+        # bit s of policy index j is its action in state s
         mat = policy_action_matrix(3)
-        for p in enumerate_policies(3):
-            assert np.array_equal(mat[p.index], p.actions)
-
-    def test_policy_index_bounds(self):
-        with pytest.raises(ValueError):
-            PerArmPolicy(4, 2)
+        for j in range(8):
+            assert mat[j].tolist() == [(j >> s) & 1 for s in range(3)]
 
 
 class TestRewards:
@@ -94,64 +85,70 @@ class TestRewards:
             RewardSpec("bonus")
 
 
+def _actions(j, states):
+    return policy_action_matrix(states)[j]
+
+
 class TestGetReturns:
     def test_geometric_series(self):
         # self-loop at state 1 paying reward 1 per step at gamma = 0.5
         probs = np.zeros((2, 2, 2))
         probs[:, :, 1] = 1.0
-        T = TransitionTensor(probs)
         setup = DiscountedSetup(0.5, np.array([0.0, 1.0]))
-        value = get_returns(T, RewardSpec(ENGAGEMENT), PerArmPolicy(0, 2), setup)
+        value = get_returns(probs, _actions(0, 2), 0.5, setup.initial_dist)
         assert value == pytest.approx(2.0, abs=1e-12)
+        engine = solve_policies(probs[None], setup).returns(RewardSpec(ENGAGEMENT))
+        assert engine[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_budget_usage_extremes(self):
         rng = np.random.default_rng(1)
         T = _random_tensor(rng)
         setup = uniform_setup(2, 0.9)
-        budget = RewardSpec(BUDGET)
-        assert get_returns(T, budget, PerArmPolicy(0, 2), setup) == pytest.approx(0.0)
-        always = PerArmPolicy(3, 2)
-        assert get_returns(T, budget, always, setup) == pytest.approx(1.0 / (1 - 0.9))
+        mu = setup.initial_dist
+        assert get_returns(T.probs, _actions(0, 2), 0.9, mu, "budget") == pytest.approx(0.0)
+        always = _actions(3, 2)
+        assert get_returns(T.probs, always, 0.9, mu, "budget") == pytest.approx(1.0 / (1 - 0.9))
+        engine = solve_policies(T.probs[None], setup).returns(RewardSpec(BUDGET))
+        assert engine[0, [0, 3]] == pytest.approx([0.0, 1.0 / (1 - 0.9)])
 
     def test_matches_value_iteration(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             T = _random_tensor(rng, 3)
             setup = DiscountedSetup(0.9, rng.dirichlet(np.ones(3)))
-            pi = PerArmPolicy(int(rng.integers(8)), 3)
-            direct = get_returns(T, RewardSpec(ENGAGEMENT), pi, setup)
-            iterated = value_iteration(T, RewardSpec(ENGAGEMENT), pi, setup)
+            actions = _actions(int(rng.integers(8)), 3)
+            direct = get_returns(T.probs, actions, 0.9, setup.initial_dist)
+            iterated = value_iteration(T.probs, actions, 0.9, setup.initial_dist)
             assert direct == pytest.approx(iterated, abs=1e-8)
 
 
 class TestReturnsGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        setup = uniform_setup(2, 0.9)
-        reward = RewardSpec(ENGAGEMENT)
+        mu = uniform_setup(2, 0.9).initial_dist
         h = 1e-6
         for _ in range(50):
             T = _random_tensor(rng)
-            pi = PerArmPolicy(int(rng.integers(4)), 2)
-            grad = returns_gradient(T, reward, pi, setup)
+            actions = _actions(int(rng.integers(4)), 2)
+            grad = returns_gradient(T.probs, actions, 0.9, mu)
             # finite differences along simplex-preserving directions
             for s in range(2):
-                a = pi.actions[s]
+                a = actions[s]
                 d = np.zeros((2, 2, 2))
                 d[s, a, 0], d[s, a, 1] = 1.0, -1.0
                 if min(T.probs[s, a, 0], T.probs[s, a, 1]) < h:
                     continue
-                up = TransitionTensor(T.probs + h * d)
-                dn = TransitionTensor(T.probs - h * d)
-                fd = (get_returns(up, reward, pi, setup) - get_returns(dn, reward, pi, setup)) / (2 * h)
+                up = get_returns(T.probs + h * d, actions, 0.9, mu)
+                dn = get_returns(T.probs - h * d, actions, 0.9, mu)
+                fd = (up - dn) / (2 * h)
                 an = float(np.sum(grad * d))
                 assert abs(an - fd) / max(abs(fd), 1e-6) < 1e-4
 
     def test_unused_actions_have_zero_gradient(self):
         rng = np.random.default_rng(4)
         T = _random_tensor(rng)
-        setup = uniform_setup(2, 0.9)
-        grad = returns_gradient(T, RewardSpec(ENGAGEMENT), PerArmPolicy(0, 2), setup)
+        mu = uniform_setup(2, 0.9).initial_dist
+        grad = returns_gradient(T.probs, _actions(0, 2), 0.9, mu)
         assert np.all(grad[:, 1, :] == 0.0)
 
 
@@ -160,26 +157,21 @@ class TestBatchedReturns:
         rng = np.random.default_rng(5)
         tensors = rng.dirichlet(np.ones(2), size=(4, 2, 2))
         setup = uniform_setup(2, 0.9)
-        reward = RewardSpec(ENGAGEMENT)
-        table = solve_policies(tensors, setup).returns(reward)
+        table = solve_policies(tensors, setup).returns(RewardSpec(ENGAGEMENT))
         for i in range(4):
             for j in range(4):
-                expected = get_returns(
-                    TransitionTensor(tensors[i]), reward, PerArmPolicy(j, 2), setup
-                )
+                expected = get_returns(tensors[i], _actions(j, 2), 0.9, setup.initial_dist)
                 assert table[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_batched_gradients_match_weighted_sum(self):
         rng = np.random.default_rng(6)
         tensors = rng.dirichlet(np.ones(2), size=(3, 2, 2))
         setup = uniform_setup(2, 0.9)
-        reward = RewardSpec(ENGAGEMENT)
         weights = rng.normal(size=(3, 4))
-        batched = solve_policies(tensors, setup, values=reward).gradient(weights)
+        batched = solve_policies(tensors, setup, values=RewardSpec(ENGAGEMENT)).gradient(weights)
         for i in range(3):
             manual = sum(
-                weights[i, j]
-                * returns_gradient(TransitionTensor(tensors[i]), reward, PerArmPolicy(j, 2), setup)
+                weights[i, j] * returns_gradient(tensors[i], _actions(j, 2), 0.9, setup.initial_dist)
                 for j in range(4)
             )
             assert np.allclose(batched[i], manual, atol=1e-12)
@@ -193,14 +185,14 @@ class TestBatchedReturns:
         weights = rng.normal(size=(n, 2 ** states))
         table = solve_policies(tensors, setup).returns(reward)
         grads = solve_policies(tensors, setup, values=reward).gradient(weights)
+        oracle = (setup.gamma, setup.initial_dist, kind)
         returns_err = grad_err = 0.0
         for i in range(n):
-            arm = TransitionTensor(tensors[i])
             manual = np.zeros_like(tensors[i])
-            for pi in enumerate_policies(states):
-                expected = get_returns(arm, reward, pi, setup)
-                returns_err = max(returns_err, abs(table[i, pi.index] - expected))
-                manual += weights[i, pi.index] * returns_gradient(arm, reward, pi, setup)
+            for j, actions in enumerate(policy_action_matrix(states)):
+                expected = get_returns(tensors[i], actions, *oracle)
+                returns_err = max(returns_err, abs(table[i, j] - expected))
+                manual += weights[i, j] * returns_gradient(tensors[i], actions, *oracle)
             grad_err = max(grad_err, float(np.max(np.abs(grads[i] - manual))))
         return returns_err, grad_err
 

@@ -5,16 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import brute_force_joint
 from rmab_dfl import (
     Cohort,
-    DecomposedPolicy,
     DiscountedSetup,
     FixedPerArmPolicy,
     RegularizerConfig,
     SolverConfig,
     WhittleTable,
     WhittleTopB,
-    brute_force_joint,
     budget_audit,
     build_returns_table,
     forward_pass,
@@ -25,7 +24,6 @@ from rmab_dfl import (
 )
 from rmab_dfl.mdp import (
     ENGAGEMENT,
-    CapacityError,
     RewardSpec,
     engagement_rewards,
     solve_policies,
@@ -98,6 +96,15 @@ def _reference_rollout(cohort, trajectories, rng, act):
     return returns, budget_used
 
 
+def _decomposed_act(z, trajectories, rng):
+    """`act` for a decomposed mixture Z: every trajectory first draws one
+    per-arm policy per arm from that arm's row of Z, arm by arm."""
+    indices = np.empty((trajectories, len(z)), dtype=int)
+    for i in range(len(z)):
+        indices[:, i] = rng.choice(z.shape[1], size=trajectories, p=z[i] / z[i].sum())
+    return lambda states: (indices >> states) & 1
+
+
 class TestRollout:
     @pytest.mark.parametrize("states", [2, 3, 4])
     def test_matches_gather_reference(self, states, monkeypatch):
@@ -109,8 +116,12 @@ class TestRollout:
         policies = [
             WhittleTopB(tables=tables, budget=2),
             FixedPerArmPolicy(rng.integers(2**states, size=n)),
-            DecomposedPolicy(z=z),
         ]
+        decomposed = []
+        for roll in (planning.rollout, _reference_rollout):
+            draws = np.random.default_rng(9)
+            decomposed.append(roll(cohort, 40, draws, _decomposed_act(z, 40, draws)))
+        assert all(np.array_equal(a, b) for a, b in zip(*decomposed))
         fast = [simulate_joint(cohort, policy, 40, seed=9) for policy in policies]
         monkeypatch.setattr(planning, "rollout", _reference_rollout)
         slow = [simulate_joint(cohort, policy, 40, seed=9) for policy in policies]
@@ -147,8 +158,13 @@ class TestSimulation:
         tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
         sol = forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
         analytic = float(np.sum(sol.z_star * tables.j_true))
-        result = simulate_joint(cohort, DecomposedPolicy(z=sol.z_star), 4000, seed=3)
-        assert abs(result.mean_return - analytic) <= 3 * result.std_error + 0.05
+        draws = np.random.default_rng(3)
+        returns, _ = planning.rollout(cohort, 4000, draws, _decomposed_act(sol.z_star, 4000, draws))
+        mean, std_error = float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(4000))
+        # pinned to the bit: the per-arm draws and the rollout consume one
+        # generator in a fixed order, so any change to either shows here
+        assert mean == 19.173476201551335
+        assert abs(mean - analytic) <= 3 * std_error + 0.05
 
     def test_never_act_matches_passive_returns(self):
         rng = np.random.default_rng(2)
@@ -180,6 +196,14 @@ class TestSimulation:
         cohort = _cohort(rng)
         with pytest.raises(TypeError):
             simulate_joint(cohort, object(), 10, seed=0)
+
+    def test_fixed_policy_indices_checked(self):
+        # 3 two-state arms take 3 per-arm policy indices in [0, 4)
+        rng = np.random.default_rng(4)
+        cohort = _cohort(rng)
+        for bad in ([4, 4, 4], [-1, -1, -1], [3], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                simulate_joint(cohort, FixedPerArmPolicy(np.array(bad)), 10, seed=0)
 
     def test_needs_trajectories(self):
         rng = np.random.default_rng(4)
@@ -218,7 +242,8 @@ class TestBruteForce:
     def test_beats_never_act(self):
         rng = np.random.default_rng(7)
         cohort = _cohort(rng, n=2, budget=1.0)
-        value, policy = brute_force_joint(cohort, budget=1)
+        setup = cohort.setup
+        value, policy = brute_force_joint(cohort.tensors, setup.initial_dist, setup.gamma, budget=1)
         passive = solve_policies(cohort.tensors, cohort.setup).returns(RewardSpec(ENGAGEMENT))
         passive = passive[:, 0].sum()
         assert value >= passive - 1e-9
@@ -229,18 +254,13 @@ class TestBruteForce:
         # are a subset of joint behaviors when the budget binds per state
         rng = np.random.default_rng(8)
         cohort = _cohort(rng, n=2, budget=1.0)
-        value, _ = brute_force_joint(cohort, budget=2)
+        setup = cohort.setup
+        value, _ = brute_force_joint(cohort.tensors, setup.initial_dist, setup.gamma, budget=2)
         cfg = SolverConfig(budget=2.0, gamma=cohort.setup.gamma)
         tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
         sol = forward_pass(tables, RegularizerConfig(alpha=1e-3), cfg)
         decomposed = float(np.sum(sol.z_star * tables.j_true))
         assert value >= decomposed - 1e-3
-
-    def test_capacity_guard(self):
-        rng = np.random.default_rng(9)
-        cohort = _cohort(rng, n=7, states=4, budget=1.0)
-        with pytest.raises(CapacityError):
-            brute_force_joint(cohort, budget=1)
 
 
 class TestCohortReturnsCache:
