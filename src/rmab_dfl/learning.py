@@ -21,12 +21,11 @@ from .mdp import (
     ENGAGEMENT,
     NumericError,
     RewardSpec,
-    WhittleTable,
     solve_policies,
     whittle_gradients,
     whittle_indices,
 )
-from .planning import Cohort, SimulationResult, WhittleTopB, rollout, simulate_joint
+from .planning import Cohort, SimulationResult, rollout, simulation_horizon, whittle_act
 from .datasets import Dataset, transition_counts
 
 logger = logging.getLogger(__name__)
@@ -545,10 +544,25 @@ def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tupl
     return values, anchors
 
 
-def _joint_dq(pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int) -> SimulationResult:
-    tables = [WhittleTable(wi=wi) for wi in whittle_indices(pred, cohort.setup)]
-    policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
-    return simulate_joint(cohort, policy, trajectories, seed)
+def _joint_pass(
+    pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int, k: int
+) -> list[SimulationResult]:
+    """The predicted and the perfect Whittle top-B policy of one cohort,
+    rolled out in one `rollout` pass: they share its draws, and each gets
+    what `simulate_joint` gives it from the same seed."""
+    budget = int(round(cohort.budget))
+    acts = [whittle_act(whittle_indices(t, cohort.setup), budget) for t in (pred, cohort.tensors)]
+    start = time.perf_counter()
+    returns, budget_used = rollout(cohort, trajectories, np.random.default_rng(seed), *acts)
+    results = [SimulationResult.of(r, b) for r, b in zip(returns, budget_used)]
+    logger.debug(
+        "joint pass of cohort %d (predicted and perfect Whittle top-B): %d trajectories x %d "
+        "steps in %.3f s, mean discounted budget used %.6g and %.6g of B/(1-gamma) = %.6g",
+        k, trajectories, simulation_horizon(cohort.setup, cohort.num_arms),
+        time.perf_counter() - start, results[0].mean_budget_used, results[1].mean_budget_used,
+        cohort.budget / (1 - cohort.setup.gamma),
+    )
+    return results
 
 
 def evaluate_dq(
@@ -570,7 +584,11 @@ def evaluate_dq(
     problems in the same stack (_decomposed_dq; a DEBUG record per solve
     gives its solver diagnostics); a cohort's values are those of solving
     it alone. The joint columns are means over cohorts of rollout
-    estimates, with standard errors sqrt(sum_k se_k^2) / n.
+    estimates, with standard errors sqrt(sum_k se_k^2) / n. Cohort k's
+    predicted and perfect Whittle top-B policies roll out in one `rollout`
+    pass from seed + k (_joint_pass; a DEBUG record per pass gives its
+    size, seconds and budget use), and each gets the values that
+    `simulate_joint` gives it from that seed.
     trajectories=0 skips the (slow) simulated joint evaluation and reports
     None for the joint columns.
     """
@@ -586,15 +604,13 @@ def evaluate_dq(
     joint_var = perfect_joint_var = 0.0
     for k, cohort in enumerate(cohorts):
         if trajectories > 0:
-            result = _joint_dq(predictions[k], cohort, trajectories, seed + k)
+            result, perfect = _joint_pass(predictions[k], cohort, trajectories, seed + k, k)
             joint += result.mean_return
             joint_var += result.std_error**2
+            perfect_joint += perfect.mean_return
+            perfect_joint_var += perfect.std_error**2
         decomposed += dec_values[k]
         never += float(cohort.true_returns[0][:, 0].sum())
-        if trajectories > 0:
-            result = _joint_dq(cohort.tensors, cohort, trajectories, seed + k)
-            perfect_joint += result.mean_return
-            perfect_joint_var += result.std_error**2
         perfect_dec += dec_anchors[k]
     n = max(len(cohorts), 1)
     joint, decomposed, never = joint / n, decomposed / n, never / n

@@ -89,6 +89,18 @@ class SimulationResult:
     std_error: float
     mean_budget_used: float
 
+    @classmethod
+    def of(cls, returns: np.ndarray, budget_used: np.ndarray) -> "SimulationResult":
+        """Means of one policy's per-trajectory rollout values, and the
+        standard error of the mean return (0 for a single trajectory)."""
+        trajectories = len(returns)
+        se = float(returns.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0
+        return cls(
+            mean_return=float(returns.mean()),
+            std_error=se,
+            mean_budget_used=float(budget_used.mean()),
+        )
+
 
 def top_b_actions(scores: np.ndarray, budget: int) -> np.ndarray:
     """0/1 actions on the `budget` largest scores along the last axis.
@@ -107,7 +119,9 @@ def top_b_actions(scores: np.ndarray, budget: int) -> np.ndarray:
         return np.zeros(scores.shape, dtype=int)
     v = np.partition(scores, n - budget, axis=-1)[..., n - budget, None]
     chosen = scores >= v
-    if np.any(chosen.sum(axis=-1) > budget):
+    # every row holds at least B scores >= v, so a total above B per row
+    # means some row holds more
+    if np.count_nonzero(chosen) > budget * (chosen.size // n):
         tied = scores == v
         room = budget - np.sum(scores > v, axis=-1, keepdims=True)
         chosen = (scores > v) | (tied & (np.cumsum(tied, axis=-1) <= room))
@@ -122,65 +136,104 @@ def simulation_horizon(setup: DiscountedSetup, num_arms: int) -> int:
     return max(horizon, 1)
 
 
-def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, act):
-    """Roll a joint policy out on the cohort's true dynamics.
+def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, *acts):
+    """Roll joint policies out on the cohort's true dynamics, in one pass.
 
     Draws the initial states, then for `simulation_horizon` steps asks
-    `act(states)` (which may draw from `rng`) for the (trajectories, N) 0/1
-    actions, adds the discounted engagement and action count, and samples
-    every arm's next state. Returns the per-trajectory discounted
-    (returns, budget_used).
+    each `act(states)` for its (trajectories, N) 0/1 actions, adds the
+    discounted engagement and action count, draws one uniform per
+    (trajectory, arm) and samples every arm's next state from it. Returns
+    the per-trajectory discounted (returns, budget_used): each (T,) for
+    one act, and (K, T) for K acts.
+
+    All acts share the initial states and each step's uniforms, and an
+    act is asked before the step's uniforms are drawn. So one act may
+    draw from `rng` (SIM-DFL's soft top-B does); when none does, every
+    policy of the pass gets exactly the values of its own one-act
+    rollout from the same generator state.
 
     The next state of an arm in state s under action a is the number of
-    cumulative-probability entries of its (s, a) row that a uniform draw
+    cumulative-probability entries of its (s, a) row that the uniform
     exceeds. The first S-1 entries of every row are kept as one flat
     (S-1, N*S*2) array, row 2*(S*i + s) + a, so a step gathers (T, N)
-    values per entry and holds no (T, N, S) array.
+    values per entry with `take` and holds no (T, N, S) array. Each
+    policy's states, the row indices and the uniforms are updated in
+    place.
     """
+    if not acts:
+        raise ValueError("need at least one act")
     n, num_states = cohort.num_arms, cohort.num_states
     setup = cohort.setup
     rewards = engagement_rewards(num_states)
     flat_cdf = np.cumsum(cohort.tensors, axis=-1).reshape(-1, num_states)[:, :-1].T.copy()
     row_base = 2 * num_states * np.arange(n)
-    states = rng.choice(num_states, size=(trajectories, n), p=setup.initial_dist)
-    returns = np.zeros(trajectories)
-    budget_used = np.zeros(trajectories)
+    first = rng.choice(num_states, size=(trajectories, n), p=setup.initial_dist)
+    states = [first] + [first.copy() for _ in acts[1:]]
+    rows, u = np.empty_like(first), np.empty(first.shape)
+    returns = np.zeros((len(acts), trajectories))
+    budget_used = np.zeros((len(acts), trajectories))
     discount = 1.0
     for _ in range(simulation_horizon(setup, n)):
-        actions = act(states)
-        returns += discount * rewards[states].sum(axis=1)
-        budget_used += discount * actions.sum(axis=1)
-        u = rng.random(size=states.shape)
-        rows = row_base + 2 * states + actions
-        # the rows are nondecreasing, so leaving out the last entry (about 1)
-        # caps the count at S-1
-        states = np.zeros_like(states)
-        for cdf in flat_cdf:
-            states += u > cdf[rows]
+        actions = [act(s) for act, s in zip(acts, states)]
+        rng.random(out=u)
+        for k, (s, a) in enumerate(zip(states, actions)):
+            returns[k] += discount * rewards.take(s).sum(axis=1)
+            budget_used[k] += discount * a.sum(axis=1)
+            np.multiply(s, 2, out=rows)
+            rows += row_base
+            rows += a
+            if num_states == 1:
+                continue  # an arm with one state stays in it
+            # the rows are nondecreasing, so leaving out the last entry (about 1)
+            # caps the count at S-1
+            np.greater(u, flat_cdf[0].take(rows), out=s)
+            for cdf in flat_cdf[1:]:
+                s += u > cdf.take(rows)
+        del actions, a  # so that the next step's acts do not sit beside them
         discount *= setup.gamma
+    if len(acts) == 1:
+        return returns[0], budget_used[0]
     return returns, budget_used
 
 
-def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> SimulationResult:
-    """Monte Carlo estimate of a joint policy's discounted return, by `rollout`.
+def whittle_act(wi: np.ndarray, budget: int):
+    """`act` of Whittle top-B on the (N, S) indices `wi`, by integer ranks.
 
-    `WhittleTopB` acts on the B arms with the largest current-state indices.
-    `FixedPerArmPolicy` acts by the bits of one per-arm policy index per
-    arm, which must be N integers in [0, 2^S). Deterministic for a fixed
-    seed.
+    One stable argsort of -wi ranks all N*S (arm, state) codes S*i + s:
+    higher index first, and equal indices by code, so by arm id. Each step
+    then passes the negated int32 ranks of the current codes to
+    `top_b_actions`; they have no ties, so it picks the same arms as on
+    the indices themselves (lowest arm id first among equal indices), and
+    partitions integers instead of floats.
+    """
+    n, num_states = wi.shape
+    neg_rank = np.empty(wi.size, dtype=np.int32)
+    neg_rank[np.argsort(-wi, axis=None, kind="stable")] = -np.arange(wi.size, dtype=np.int32)
+    arm_codes = num_states * np.arange(n)
+    return lambda states: top_b_actions(neg_rank.take(arm_codes + states), budget)
+
+
+def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> SimulationResult:
+    """Monte Carlo estimate of a joint policy's discounted return: the
+    one-policy view of `rollout`.
+
+    `WhittleTopB` acts on the B arms with the largest current-state indices
+    (ties to the lowest arm id, by `whittle_act`), and must hold N tables
+    of S finite indices. `FixedPerArmPolicy` acts by the bits of one
+    per-arm policy index per arm, which must be N integers in [0, 2^S).
+    Other input raises ValueError before any step. Deterministic for a
+    fixed seed.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
-    rng = np.random.default_rng(seed)
-    n = cohort.num_arms
+    n, num_states = cohort.num_arms, cohort.num_states
     if isinstance(policy, WhittleTopB):
-        wi = np.stack([t.wi for t in policy.tables])  # (N, S)
-
-        def act(states):
-            return top_b_actions(wi[np.arange(n), states], policy.budget)
-
+        wi = [np.asarray(table.wi, dtype=float) for table in policy.tables]
+        if len(wi) != n or any(w.shape != (num_states,) for w in wi) or not np.isfinite(wi).all():
+            raise ValueError(f"a WhittleTopB needs {n} tables of {num_states} finite indices")
+        act = whittle_act(np.stack(wi), policy.budget)
     elif isinstance(policy, FixedPerArmPolicy):
-        indices, top = np.asarray(policy.policy_indices), 2 ** cohort.num_states
+        indices, top = np.asarray(policy.policy_indices), 2**num_states
         in_range = indices.dtype.kind in "iu" and np.all((indices >= 0) & (indices < top))
         if indices.shape != (n,) or not in_range:
             raise ValueError(f"policy_indices must be {n} integers in [0, {top})")
@@ -191,14 +244,7 @@ def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> Simu
 
     else:
         raise TypeError(f"unknown joint policy {type(policy).__name__}")
-
-    returns, budget_used = rollout(cohort, trajectories, rng, act)
-    se = float(returns.std(ddof=1) / np.sqrt(trajectories)) if trajectories > 1 else 0.0
-    return SimulationResult(
-        mean_return=float(returns.mean()),
-        std_error=se,
-        mean_budget_used=float(budget_used.mean()),
-    )
+    return SimulationResult.of(*rollout(cohort, trajectories, np.random.default_rng(seed), act))
 
 
 def uncorrected_policy(

@@ -524,6 +524,19 @@ class TestVerbose:
         assert "DEBUG rmab_dfl.learning: decomposed eval solve of " in err
         assert "rounds, evaluations sum" in err
 
+    def test_eval_debug_shows_the_joint_passes(self, tiny_dataset, model_path, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["-vv", "eval", "--dataset", str(tiny_dataset), "--model", str(model_path),
+                     "--out", str(tmp_path / "eval"), "--trajectories", "3"]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if "DEBUG rmab_dfl.learning: joint pass of cohort " in line]
+        test_cohorts = datasets.load_dataset(tiny_dataset).split_assignment["test"]
+        assert len(lines) == len(test_cohorts) > 0
+        for k, line in enumerate(lines):
+            assert f"joint pass of cohort {k} (predicted and perfect Whittle top-B): " in line
+            assert "3 trajectories x " in line
+            assert "mean discounted budget used " in line and " of B/(1-gamma) = " in line
+
 
 class TestVerify:
     def test_all_claims_pass(self, tmp_path):

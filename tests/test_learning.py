@@ -33,12 +33,13 @@ from rmab_dfl.mdp import (
     ENGAGEMENT,
     RewardSpec,
     TransitionTensor,
+    WhittleTable,
     whittle_gradients,
     whittle_index,
     whittle_indices,
 )
 from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
-from rmab_dfl.planning import FixedPerArmPolicy, WhittleTopB, simulate_joint
+from rmab_dfl.planning import FixedPerArmPolicy, WhittleTopB, simulate_joint, simulation_horizon
 
 
 def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
@@ -337,22 +338,44 @@ class TestDecisionQuality:
         report = evaluate_dq(None, cohorts, trajectories=30, seed=7, predictions=preds)
 
         def rollout(tensors, cohort, seed):
-            tables = [
-                whittle_index(TransitionTensor(t), RewardSpec(ENGAGEMENT), cohort.setup)
-                for t in tensors
-            ]
+            tables = [WhittleTable(wi) for wi in whittle_indices(tensors, cohort.setup)]
             policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
             return simulate_joint(cohort, policy, 30, seed)
 
+        # the shared pass reproduces each one-policy rollout to the bit
         for tensors_of, mean, se in (
             (lambda k: preds[k], report.joint_dq, report.joint_dq_se),
             (lambda k: cohorts[k].tensors, report.perfect_joint_dq, report.perfect_joint_dq_se),
         ):
             results = [rollout(tensors_of(k), c, 7 + k) for k, c in enumerate(cohorts)]
-            assert mean == pytest.approx(np.mean([r.mean_return for r in results]), rel=1e-12)
-            expected = np.sqrt(sum(r.std_error**2 for r in results)) / 2
+            assert mean == sum(r.mean_return for r in results) / 2
+            expected = sum(r.std_error**2 for r in results) ** 0.5 / 2
             assert expected > 0
-            assert se == pytest.approx(expected, rel=1e-12)
+            assert se == expected
+
+    def test_joint_pass_logs_one_record_per_cohort(self, caplog):
+        rng = np.random.default_rng(20)
+        cohorts = [_cohort(rng, n=4, budget=1.0), _cohort(rng, n=5, budget=2.0)]
+        preds = [rng.dirichlet(np.ones(2), size=(c.num_arms, 2, 2)) for c in cohorts]
+        with caplog.at_level(logging.DEBUG, logger="rmab_dfl.learning"):
+            report = evaluate_dq(None, cohorts, trajectories=20, seed=3, predictions=preds)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "rmab_dfl.learning" and r.getMessage().startswith("joint pass")]
+        assert len(messages) == 2
+        for k, (cohort, message) in enumerate(zip(cohorts, messages)):
+            steps = simulation_horizon(cohort.setup, cohort.num_arms)
+            assert message.startswith(
+                f"joint pass of cohort {k} (predicted and perfect Whittle top-B): "
+                f"20 trajectories x {steps} steps in "
+            )
+            # top-B acts on exactly B arms a step, in both policies
+            used = cohort.budget * sum(cohort.setup.gamma**t for t in range(steps))
+            cap = cohort.budget / (1 - cohort.setup.gamma)
+            assert message.endswith(
+                f" s, mean discounted budget used {used:.6g} and {used:.6g} "
+                f"of B/(1-gamma) = {cap:.6g}"
+            )
+        assert report.joint_dq is not None
 
     def test_predictions_must_match_cohorts(self):
         rng = np.random.default_rng(17)

@@ -74,6 +74,22 @@ class TestTopB:
                 assert got.dtype == int
                 assert np.array_equal(got, reference(scores, budget)), (scores, budget)
 
+    def test_rank_codes_pick_as_the_indices(self):
+        # the negated stable ranks of the (arm, state) codes have no ties and
+        # order arms as the indices do, lowest arm id first among equal ones
+        rng = np.random.default_rng(23)
+        for _ in range(1000):
+            n, states = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            wi = rng.choice([0.0, -0.0, 0.5, 1.0], size=(n, states))
+            current = rng.integers(states, size=(int(rng.integers(1, 6)), n))
+            rank = np.empty(n * states, dtype=int)
+            rank[np.argsort(-wi, axis=None, kind="stable")] = np.arange(n * states)
+            codes = states * np.arange(n) + current
+            for budget in (-1, 0, 1, n // 2, n - 1, n, n + 3):
+                expected = top_b_actions(wi[np.arange(n), current], budget)
+                assert np.array_equal(top_b_actions(-rank[codes], budget), expected)
+                assert np.array_equal(planning.whittle_act(wi, budget)(current), expected)
+
 
 def _reference_rollout(cohort, trajectories, rng, act):
     """`planning.rollout` with the next state drawn by a (T, N, S) gather of the CDF rows."""
@@ -141,6 +157,48 @@ class TestRollout:
 
         assert peak(4) <= 1.1 * peak(2)
 
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_shared_pass_matches_one_policy_rollouts(self, states):
+        rng = np.random.default_rng(50 + states)
+        n = 7
+        cohort = _cohort(rng, n=n, states=states, budget=2.0)
+        for budget in (1, n - 1, n):
+            # tie-heavy indices, with -0.0 beside 0.0
+            indices = rng.choice([0.0, -0.0, 0.5, 1.0], size=(2, n, states))
+            acts = [planning.whittle_act(wi, budget) for wi in indices]
+            returns, budget_used = planning.rollout(cohort, 40, np.random.default_rng(budget), *acts)
+            assert returns.shape == budget_used.shape == (2, 40)
+            for k, (wi, act) in enumerate(zip(indices, acts)):
+                alone = planning.rollout(cohort, 40, np.random.default_rng(budget), act)
+                # the gather oracle, acting on the float indices themselves
+                gathered = _reference_rollout(
+                    cohort, 40, np.random.default_rng(budget),
+                    lambda s, wi=wi: top_b_actions(wi[np.arange(n), s], budget),
+                )
+                for one in (alone, gathered):
+                    assert np.array_equal(one[0], returns[k])
+                    assert np.array_equal(one[1], budget_used[k])
+
+    def test_shared_pass_memory_below_two_rollouts(self):
+        rng = np.random.default_rng(41)
+        cohort = _cohort(rng, n=500, states=4, budget=10.0)
+        acts = [planning.whittle_act(wi, 10) for wi in rng.random((2, 500, 4))]
+
+        def peak(*acts):
+            tracemalloc.start()
+            try:
+                planning.rollout(cohort, 200, np.random.default_rng(0), *acts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(*acts) < 2 * peak(acts[0])
+
+    def test_needs_an_act(self):
+        rng = np.random.default_rng(42)
+        with pytest.raises(ValueError):
+            planning.rollout(_cohort(rng), 10, rng)
+
 
 class TestSimulation:
     def test_deterministic_given_seed(self):
@@ -204,6 +262,17 @@ class TestSimulation:
         for bad in ([4, 4, 4], [-1, -1, -1], [3], [0.0, 0.0, 0.0]):
             with pytest.raises(ValueError):
                 simulate_joint(cohort, FixedPerArmPolicy(np.array(bad)), 10, seed=0)
+
+    def test_whittle_tables_checked(self):
+        # 4 two-state arms take 4 tables of 2 finite indices
+        rng = np.random.default_rng(4)
+        cohort = _cohort(rng, n=4, budget=2.0)
+        ragged = [np.zeros(2)] * 3 + [np.zeros(3)]
+        for bad in (np.zeros((6, 2)), np.zeros((4, 3)), np.zeros((3, 2)), np.zeros((4, 1)),
+                    ragged, [[0.0, np.nan]] * 4, [[np.inf, 0.0]] * 4):
+            policy = WhittleTopB(tables=[WhittleTable(wi=np.asarray(w)) for w in bad], budget=2)
+            with pytest.raises(ValueError):
+                simulate_joint(cohort, policy, 10, seed=0)
 
     def test_needs_trajectories(self):
         rng = np.random.default_rng(4)
