@@ -38,10 +38,8 @@ from .planning import (
     FixedPerArmPolicy,
     SimulationResult,
     WhittleTopB,
-    budget_audit,
     simulate_joint,
     top_b_actions,
-    uncorrected_policy,
 )
 from .datasets import (
     Dataset,

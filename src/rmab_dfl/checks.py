@@ -6,7 +6,9 @@ budget overshoot and spurious optimum on fixed example arms, truthful
 optimality under the reference solver, decomposed/joint mixture
 equivalence by linear programming, forward-pass agreement with the
 reference solver, and residual monotonicity. The acceptance suite calls
-the same functions. scipy is imported only inside the two LP oracles.
+the same functions. The uncorrected relaxation (budget checked on the
+predictions) and the budget audit live here, with the claims that use
+them. scipy is imported only inside the two LP oracles.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import itertools
 
 import numpy as np
 
-from .mdp import DiscountedSetup, NumericError
+from .mdp import BUDGET, ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, solve_policies
 from .dec_layer import (
+    DualSolution,
     RegularizerConfig,
     ReturnsTable,
     SolverConfig,
@@ -26,7 +29,39 @@ from .dec_layer import (
     returns_on_truth,
     solve_reference,
 )
-from .planning import Cohort, budget_audit, uncorrected_policy
+from .planning import Cohort
+
+
+def uncorrected_policy(
+    pred: np.ndarray,
+    cfg: SolverConfig,
+    setup: DiscountedSetup,
+    reg: RegularizerConfig | None = None,
+) -> DualSolution:
+    """Decomposed solve with the budget usage evaluated on *predicted*
+    transitions. Exists to reproduce the budget-overshoot failure mode;
+    never use it for training.
+    """
+    if reg is None:
+        reg = RegularizerConfig(kind="entropy", alpha=1e-3)
+    solved = solve_policies(pred, setup)
+    j_pred = solved.returns(RewardSpec(ENGAGEMENT))
+    j_budget = solved.returns(RewardSpec(BUDGET))
+    tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget)
+    return forward_pass(tables, reg, cfg)
+
+
+def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> float:
+    """Ratio of true-transition budget usage to the available budget.
+
+    By default the denominator is the discounted cap B/(1-gamma), so a
+    feasible corrected solution audits at <= 1. With per_step=True the
+    denominator is the per-step budget B, the overshoot factor quoted for
+    the mismatched-prediction failure case.
+    """
+    used = float(np.sum(sol.z_star * cohort.true_returns[1]))
+    denom = cohort.budget if per_step else cohort.budget / (1.0 - cohort.setup.gamma)
+    return used / denom
 
 
 def _example_instances():

@@ -138,29 +138,36 @@ def _mixtures(
     return logits
 
 
+def _centered(Z: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each arm's Z-expectation of a table along the policy axis (axis 1, in
+    both the (C, P, N) stacks and the (N, P) tables), and the table minus it.
+
+    The one centring of the KKT elimination: the forward slope's variance
+    and the backward pass's budget row and upstream all come from it.
+    """
+    mean = np.add.reduce(Z * table, axis=1, keepdims=True)
+    return mean, table - mean
+
+
 def _usage_moments(
-    j_pred: np.ndarray, j_budget: np.ndarray, budget_rows: np.ndarray, lam: np.ndarray, alpha: float
+    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected budget usage, its variance and the mixture of every cohort of a stack.
 
-    j_pred and j_budget are (C, P, N) stacks, budget_rows is j_budget in
-    (N, P) order as (C, N * P, 1) columns, and lam holds one multiplier per
-    cohort. The usage (C, 1) and the variance (C, 1, 1) are
-    sum_ij Z_ij * j_budget_ij and sum_i Var_{Z_i}(j_budget_i), formed from
-    the same products Z * j_budget. Both are summed in the
-    (N, P) order of the returns tables, the variance's two terms by BLAS
-    dots: at small alpha the variance is a difference of two nearly equal
-    sums, whose last bits depend on the order, and the residual's staircase
-    turns a last-bit change of the slope into another multiplier within
-    epsilon. Every reduction runs within one cohort, so a cohort's values
-    do not depend on the rest of the stack.
+    j_pred and j_budget are (C, P, N) stacks and lam holds one multiplier
+    per cohort. The usage (C,) is sum_i E_{Z_i}[j_budget_i] and the
+    variance (C,) is sum_i Var_{Z_i}(j_budget_i) = sum_ij Z_ij * g_ij^2
+    over the centred table g, a dot of nonnegative terms that keeps its
+    digits at small alpha, where the one-pass E[X^2] - E[X]^2 cancels.
+    Every reduction runs within one cohort, so a cohort's values do not
+    depend on the rest of the stack.
     """
     Z = _mixtures(j_pred, j_budget, lam, alpha)
-    used = Z * j_budget
-    row_used = np.add.reduce(used, axis=1, keepdims=True)  # (C, 1, N): each arm's usage
-    used_rows = used.transpose(0, 2, 1).reshape(len(Z), 1, -1)  # a copy in (N, P) order
-    variance = used_rows @ budget_rows - row_used @ row_used.transpose(0, 2, 1)
-    return np.add.reduce(used_rows, axis=2), variance, Z
+    mean, g = _centered(Z, j_budget)
+    g *= g  # now the squares g^2
+    count = len(Z)
+    variance = Z.reshape(count, 1, -1) @ g.reshape(count, -1, 1)  # one dot per cohort
+    return np.add.reduce(mean.reshape(count, -1), axis=1), variance.reshape(count), Z
 
 
 def _residual_and_slope(
@@ -169,7 +176,7 @@ def _residual_and_slope(
     """residual = usage - cap is nonincreasing in lam, so a sign change brackets
     the optimal multiplier; its slope is -variance / alpha (the variance
     term of backward_pass)."""
-    return usage - cap, -max(variance, 0.0) / alpha
+    return usage - cap, -variance / alpha
 
 
 def eval_lambda(
@@ -178,7 +185,7 @@ def eval_lambda(
     """Budget residual, its slope and the (N, P) mixture at a candidate
     multiplier: the one-cohort view of the stacked evaluation."""
     usage, variance, Z = _usage_moments(
-        _batch_last(tables.j_pred), _batch_last(tables.j_budget), tables.j_budget.reshape(1, -1, 1),
+        _batch_last(tables.j_pred), _batch_last(tables.j_budget),
         np.array([lam], dtype=float), reg.alpha,
     )
     residual, slope = _residual_and_slope(usage.item(), variance.item(), cfg.budget_cap, reg.alpha)
@@ -274,15 +281,14 @@ def solve_stack(
     lam_star, slack = [0.0] * count, [0.0] * count
     evaluations, doublings = [0] * count, [0] * count
     Z = np.empty_like(j_pred)
-    budget_rows = j_budget.transpose(0, 2, 1).reshape(count, -1, 1)
     active = list(range(count))
-    jp, jb, rows = j_pred, j_budget, budget_rows
+    jp, jb = j_pred, j_budget
     rounds = 0
     while active:
         rounds += 1
         lam = np.array([lams[c] for c in active])
-        usage, variance, mix = _usage_moments(jp, jb, rows, lam, reg.alpha)
-        moments = zip(active, usage.ravel().tolist(), variance.ravel().tolist())
+        usage, variance, mix = _usage_moments(jp, jb, lam, reg.alpha)
+        moments = zip(active, usage.tolist(), variance.tolist())
         searching = []
         for k, (c, used, var) in enumerate(moments):
             evaluations[c] += 1
@@ -295,7 +301,7 @@ def solve_stack(
             except StopIteration as done:
                 lam_star[c], doublings[c] = done.value
         if searching and len(searching) < len(active):
-            jp, jb, rows = j_pred[searching], j_budget[searching], budget_rows[searching]
+            jp, jb = j_pred[searching], j_budget[searching]
         active = searching
     return StackSolution(
         np.array(lam_star), np.array(slack), Z, np.array(evaluations), np.array(doublings), rounds
@@ -421,14 +427,12 @@ def backward_pass(
     Z = sol.z_star
     u = np.asarray(upstream, dtype=float)
     w = Z / reg.alpha
-    u_centered = u - np.sum(Z * u, axis=1, keepdims=True)
-    dz = w * u_centered
+    dz = w * _centered(Z, u)[1]
     lam = sol.lambda_star
     if lam <= 0.0:
         # slack budget: the constraint row is inactive and contributes nothing
         return dz, np.zeros_like(Z)
-    G = tables.j_budget
-    g_centered = G - np.sum(Z * G, axis=1, keepdims=True)
+    g_centered = _centered(Z, tables.j_budget)[1]
     coupling = float(np.sum(w * g_centered * u))
     variance = float(np.sum(w * g_centered * g_centered))
     dlam = lam * coupling / (sol.slack_xi - lam * lam * variance)

@@ -406,8 +406,8 @@ def train(
 
     Decision losses are ascended, MSE/NLL descended. Returns the model with
     the parameters of the best validation epoch, the log (one record per
-    (epoch, split), each tagged with the run's lr and seed), and that
-    epoch's validation value.
+    (epoch, split) with the seconds of its own pass, each tagged with the
+    run's lr and seed), and that epoch's validation value.
     """
     if not data.train:
         raise ValueError("empty training split")
@@ -428,10 +428,11 @@ def train(
         train_value = run_epoch(
             model, optimizer, data.train, data.train_trajectories, spec, config.seed + epoch
         )
-        elapsed = time.perf_counter() - start
+        trained = time.perf_counter()
         val_value = run_epoch(
             model, None, data.val, data.val_trajectories, spec, config.seed
         )
+        elapsed, val_elapsed = trained - start, time.perf_counter() - trained
         log.append(
             {
                 "epoch": epoch,
@@ -444,11 +445,11 @@ def train(
         )
         log.append(
             {"epoch": epoch, "split": "val", "loss": spec.name, "value": val_value,
-             "seconds": 0.0, **tags}
+             "seconds": val_elapsed, **tags}
         )
         logger.debug(
-            "lr=%g seed=%d epoch %d: train %.6g in %.3f s, val %.6g",
-            config.learning_rate, config.seed, epoch, train_value, elapsed, val_value,
+            "lr=%g seed=%d epoch %d: train %.6g in %.3f s, val %.6g in %.3f s",
+            config.learning_rate, config.seed, epoch, train_value, elapsed, val_value, val_elapsed,
         )
         score = -val_value if spec.maximize else val_value
         if score < best_score - 1e-12:
@@ -576,7 +577,8 @@ def evaluate_dq(
 
     Either a model or explicit predictions must be given: exactly one
     array per cohort, shaped like that cohort's (N, S, 2, S) tensors, or
-    ValueError. Normalized values rescale so never-act maps to 0 and
+    ValueError. An empty cohort list, whose means are undefined, raises
+    ValueError too. Normalized values rescale so never-act maps to 0 and
     planning with the true tensors maps to 1; a degenerate rescale is
     reported as None. The decomposed columns come from one stacked dual
     solve per group of cohorts that share N, S, gamma and initial
@@ -594,6 +596,8 @@ def evaluate_dq(
     """
     if trajectories < 0:
         raise ValueError(f"trajectories must be nonnegative, got {trajectories}")
+    if not cohorts:
+        raise ValueError("no cohorts to evaluate")
     if predictions is None:
         if model is None:
             raise ValueError("need a model or explicit predictions")
@@ -612,7 +616,7 @@ def evaluate_dq(
         decomposed += dec_values[k]
         never += float(cohort.true_returns[0][:, 0].sum())
         perfect_dec += dec_anchors[k]
-    n = max(len(cohorts), 1)
+    n = len(cohorts)
     joint, decomposed, never = joint / n, decomposed / n, never / n
     perfect_joint, perfect_dec = perfect_joint / n, perfect_dec / n
     joint_se, perfect_joint_se = joint_var**0.5 / n, perfect_joint_var**0.5 / n

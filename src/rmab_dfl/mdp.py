@@ -106,10 +106,6 @@ class DiscountedSetup:
         if dist.ndim != 1 or np.any(dist < -1e-12) or abs(dist.sum() - 1.0) > 1e-9:
             raise ValueError("initial_dist must be a probability vector summing to 1 within 1e-9")
 
-    @property
-    def num_states(self) -> int:
-        return self.initial_dist.shape[0]
-
 
 def uniform_setup(num_states: int, gamma: float) -> DiscountedSetup:
     return DiscountedSetup(gamma, np.full(num_states, 1.0 / num_states))

@@ -1,10 +1,9 @@
 """Joint-policy planning and evaluation.
 
-Whittle top-B action selection, the one Monte Carlo rollout on the true
-dynamics (behind both the joint evaluation and the SIM-DFL baseline), the
-uncorrected decomposed relaxation (budget checked on predictions, kept to
-demonstrate how it overshoots), and the budget audit. The brute-force
-joint solver of the tests is in tests/oracles.py.
+Whittle top-B action selection and the one Monte Carlo rollout on the
+true dynamics, behind both the joint evaluation and the SIM-DFL
+baseline. The brute-force joint solver of the tests is in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,23 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dec_layer import (
-    DualSolution,
-    RegularizerConfig,
-    ReturnsTable,
-    SolverConfig,
-    forward_pass,
-    returns_on_truth,
-)
-from .mdp import (
-    BUDGET,
-    ENGAGEMENT,
-    DiscountedSetup,
-    RewardSpec,
-    WhittleTable,
-    engagement_rewards,
-    solve_policies,
-)
+from .dec_layer import returns_on_truth
+from .mdp import DiscountedSetup, WhittleTable, engagement_rewards
+
 
 @dataclass(frozen=True)
 class Cohort:
@@ -245,36 +230,3 @@ def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> Simu
     else:
         raise TypeError(f"unknown joint policy {type(policy).__name__}")
     return SimulationResult.of(*rollout(cohort, trajectories, np.random.default_rng(seed), act))
-
-
-def uncorrected_policy(
-    pred: np.ndarray,
-    cfg: SolverConfig,
-    setup: DiscountedSetup,
-    reg: RegularizerConfig | None = None,
-) -> DualSolution:
-    """Decomposed solve with the budget usage evaluated on *predicted*
-    transitions. Exists to reproduce the budget-overshoot failure mode;
-    never use it for training.
-    """
-    if reg is None:
-        reg = RegularizerConfig(kind="entropy", alpha=1e-3)
-    solved = solve_policies(pred, setup)
-    j_pred = solved.returns(RewardSpec(ENGAGEMENT))
-    j_budget = solved.returns(RewardSpec(BUDGET))
-    tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget)
-    return forward_pass(tables, reg, cfg)
-
-
-def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> float:
-    """Ratio of true-transition budget usage to the available budget.
-
-    By default the denominator is the discounted cap B/(1-gamma), so a
-    feasible corrected solution audits at <= 1. With per_step=True the
-    denominator is the per-step budget B, the overshoot factor quoted for
-    the mismatched-prediction failure case.
-    """
-    used = float(np.sum(sol.z_star * cohort.true_returns[1]))
-    denom = cohort.budget if per_step else cohort.budget / (1.0 - cohort.setup.gamma)
-    return used / denom
-

@@ -322,6 +322,16 @@ class TestEval:
             assert dq[key] is None, key
         assert dq["normalized_decomposed_dq"] is not None
 
+    def test_empty_split_is_input_error(self, model_path, tmp_path):
+        # a valid dataset whose test split holds no cohorts: no means to report
+        manifest = datasets.DatasetManifest(cohorts=4, arms_per_cohort=4, budget=1.0,
+                                            split_sizes=(2, 2, 0))
+        path = tmp_path / "empty-test" / "dataset.json"
+        datasets.save_dataset(datasets.generate_synthetic(manifest), path)
+        out = tmp_path / "eval"
+        assert self._eval(path, model_path, out, "--split", "test") == EXIT_INPUT
+        assert not (out / "dq.json").exists()
+
 
 MALFORMED_DATASETS = (
     "unknown-manifest-key", "cohort-without-tensors", "no-split-assignment", "top-level-list",

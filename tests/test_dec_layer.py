@@ -18,7 +18,8 @@ from rmab_dfl import (
     solve_reference,
     uniform_setup,
 )
-from rmab_dfl import dec_layer, uncorrected_policy
+from rmab_dfl import dec_layer
+from rmab_dfl.checks import uncorrected_policy
 from rmab_dfl.dec_layer import DualSolution
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
 from rmab_dfl.mdp import BUDGET, RewardSpec, solve_policies
@@ -136,6 +137,77 @@ class TestInnerSolution:
         ) / (2 * h)
         assert slope < 0
         assert slope == pytest.approx(central, rel=1e-6)
+
+
+def _long_double_centred(Z, G):
+    """G minus each row's Z-expectation, for (N, P) tables, in long double."""
+    Z, G = Z.astype(np.longdouble), G.astype(np.longdouble)
+    return G - np.sum(Z * G, axis=1, keepdims=True)
+
+
+def _long_double_variance(Z, G):
+    """sum_i Var_{Z_i}(G_i) of (N, P) tables, centred in long double."""
+    g = _long_double_centred(Z, G)
+    return np.sum(Z * g * g)
+
+
+class TestSharedElimination:
+    """The forward slope and the backward pass's budget pivot are one centred variance."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0])
+    def test_slope_is_centred_variance(self, alpha):
+        # mixtures from spread to nearly pure: each row keeps one policy at
+        # log-weight 0 and puts the others at least `gap` below it, so the
+        # slope spans many orders of magnitude; E[X^2] - E[X]^2 loses its
+        # digits on the small ones
+        rng = np.random.default_rng(31)
+        reg, cfg = RegularizerConfig(alpha=alpha), SolverConfig(budget=1.0, gamma=0.9)
+        small = 0
+        for _ in range(300):
+            n, p = int(rng.integers(1, 60)), int(2 ** rng.integers(1, 5))
+            j_budget = rng.uniform(0.0, 10.0, size=(n, p))
+            log_weights = -(rng.uniform(0.0, 40.0) + rng.exponential(size=(n, p)))
+            log_weights[np.arange(n), rng.integers(0, p, size=n)] = 0.0
+            lam = float(rng.uniform(0.0, 5.0))
+            tables = ReturnsTable(
+                j_pred=lam * j_budget + alpha * log_weights, j_true=np.zeros((n, p)),
+                j_budget=j_budget,
+            )
+            _, slope, Z = eval_lambda(tables, lam, reg, cfg)
+            expected = -_long_double_variance(Z, j_budget) / alpha
+            assert abs(slope - expected) <= 1e-12 * abs(expected)
+            small += 1e-10 <= abs(slope) <= 1e-6
+        if alpha == 1e-3:
+            assert small >= 30
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0])
+    def test_forward_slope_is_backward_pivot(self, alpha):
+        # backward_pass's multiplier step is dlam = lam * c / (xi - lam^2 * V)
+        # for coupling c = sum (Z / alpha) * g * u and its budget pivot V.
+        # Its outputs give dlam, since sum_ij (dz + dj_budget / lam) = N * dlam,
+        # and a centred upstream keeps c well conditioned, so V is recovered
+        # to a few ulps
+        rng = np.random.default_rng(37)
+        reg = RegularizerConfig(alpha=alpha)
+        solved = 0
+        for _ in range(30):
+            truth, cfg, setup = _random_instance(rng, n=int(rng.integers(2, 40)), states=3)
+            pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
+            tables = build_returns_table(pred, truth, setup)
+            sol = forward_pass(tables, reg, cfg)
+            lam, xi, Z = sol.lambda_star, sol.slack_xi, sol.z_star
+            if lam == 0.0:
+                continue
+            solved += 1
+            G = tables.j_budget
+            u = G - np.sum(Z * G, axis=1, keepdims=True)
+            dz, dj_budget = backward_pass(sol, tables, reg, u)
+            dlam = float(np.sum(dz + dj_budget / lam)) / len(Z)
+            coupling = float(np.sum(Z * _long_double_centred(Z, G) * u) / alpha)
+            pivot = (xi - lam * coupling / dlam) / lam**2
+            _, slope, _ = eval_lambda(tables, lam, reg, cfg)
+            assert abs(slope + pivot) <= 1e-13 * pivot
+        assert solved >= 20
 
 
 class TestForwardPass:
@@ -266,7 +338,7 @@ class TestNewtonDualSolve:
         calls = []
         original = dec_layer._usage_moments
         monkeypatch.setattr(
-            dec_layer, "_usage_moments", lambda *args: calls.append(args[3]) or original(*args)
+            dec_layer, "_usage_moments", lambda *args: calls.append(args[2]) or original(*args)
         )
         rng = np.random.default_rng(2)
         truth, cfg, setup = _random_instance(rng, n=20)

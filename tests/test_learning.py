@@ -1,6 +1,7 @@
 """Unit tests for predictive models, losses, training, and DQ metrics."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rmab_dfl import (
     train,
     uniform_setup,
 )
+from rmab_dfl import learning
 from rmab_dfl.datasets import transition_counts
 from rmab_dfl.learning import (
     TEMPERATURE,
@@ -299,6 +301,25 @@ class TestTraining:
             assert value == best_of(r["value"] for r in log if r["split"] == "val")
             assert value == run_epoch(model, None, data.val, None, config.loss, 3)
 
+    def test_val_records_time_their_pass(self, monkeypatch):
+        # each val record carries the seconds of its own validation pass
+        epoch = learning.run_epoch
+
+        def slow_validation(model, optimizer, *args):
+            if optimizer is None:
+                time.sleep(0.05)
+            return epoch(model, optimizer, *args)
+
+        monkeypatch.setattr(learning, "run_epoch", slow_validation)
+        data = self._splits(np.random.default_rng(10))
+        config = TrainingConfig(loss=LossSpec(name="mse"), learning_rate=1e-2, epochs=3, seed=0)
+        _, log, _ = train(config, data)
+        seconds = {split: [r["seconds"] for r in log if r["split"] == split]
+                   for split in ("train", "val")}
+        assert len(seconds["val"]) == 3
+        assert all(s >= 0.05 for s in seconds["val"])
+        assert all(0 < s < 0.05 for s in seconds["train"])
+
     def test_nll_requires_trajectories(self):
         rng = np.random.default_rng(11)
         cohorts = [_cohort(rng)]
@@ -423,6 +444,13 @@ class TestDecisionQuality:
         cohort = _cohort(rng, n=2)
         with pytest.raises(ValueError):
             evaluate_dq(None, [cohort], trajectories=0)
+
+    def test_no_cohorts_rejected(self):
+        # the means over no cohorts are undefined, not 0
+        model = PredictiveModel(ModelSpec(), feature_dim=4, num_states=2)
+        for kwargs in ({"trajectories": 0, "predictions": []}, {"trajectories": 10}):
+            with pytest.raises(ValueError, match="no cohorts"):
+                evaluate_dq(model, [], **kwargs)
 
     def test_cohort_loss_matches_uncached_loss(self):
         # the training path reuses Cohort.true_returns instead of solving the truth again

@@ -14,11 +14,9 @@ from rmab_dfl import (
     SolverConfig,
     WhittleTable,
     WhittleTopB,
-    budget_audit,
     build_returns_table,
     forward_pass,
     simulate_joint,
-    uncorrected_policy,
     top_b_actions,
     uniform_setup,
 )
@@ -29,6 +27,7 @@ from rmab_dfl.mdp import (
     solve_policies,
 )
 from rmab_dfl import planning
+from rmab_dfl.checks import budget_audit, uncorrected_policy
 from rmab_dfl.planning import simulation_horizon
 
 
