@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .mdp import BUDGET, ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, solve_policies
+from .mdp import DiscountedSetup, NumericError
 from .dec_layer import (
     DualSolution,
     RegularizerConfig,
@@ -32,23 +32,12 @@ from .dec_layer import (
 from .planning import Cohort
 
 
-def uncorrected_policy(
-    pred: np.ndarray,
-    cfg: SolverConfig,
-    setup: DiscountedSetup,
-    reg: RegularizerConfig | None = None,
-) -> DualSolution:
-    """Decomposed solve with the budget usage evaluated on *predicted*
-    transitions. Exists to reproduce the budget-overshoot failure mode;
-    never use it for training.
+def uncorrected_policy(pred: np.ndarray, cfg: SolverConfig, setup: DiscountedSetup) -> DualSolution:
+    """The layer at alpha=1e-3 with the budget usage evaluated on the
+    *predicted* transitions. Exists to reproduce the budget-overshoot
+    failure mode; never use it for training.
     """
-    if reg is None:
-        reg = RegularizerConfig(kind="entropy", alpha=1e-3)
-    solved = solve_policies(pred, setup)
-    j_pred = solved.returns(RewardSpec(ENGAGEMENT))
-    j_budget = solved.returns(RewardSpec(BUDGET))
-    tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget)
-    return forward_pass(tables, reg, cfg)
+    return forward_pass(build_returns_table(pred, pred, setup), RegularizerConfig(alpha=1e-3), cfg)
 
 
 def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> float:

@@ -219,17 +219,20 @@ def _load_model(path: Path, manifest: DatasetManifest) -> tuple[PredictiveModel,
     for key in ("states", "feature_dim"):
         if meta[key] != getattr(manifest, key):
             raise ValueError(f"{path} has {key}={meta[key]}, the dataset {getattr(manifest, key)}")
+    theta = np.asarray(blob["theta"], dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"{path} holds a non-finite model parameter")
     model = PredictiveModel(
         MODEL_FLAGS[meta["model"]], meta["feature_dim"], meta["states"], seed=meta["seed"]
     )
-    model.set_theta(blob["theta"])
+    model.set_theta(theta)
     return model, meta
 
 
 MODEL_FLAGS = {
-    "linear": ModelSpec(kind="linear"),
-    "mlp-small": ModelSpec(kind="mlp", layers=2, hidden_dim=64),
-    "mlp-large": ModelSpec(kind="mlp", layers=4, hidden_dim=500),
+    "linear": ModelSpec(),
+    "mlp-small": ModelSpec(layers=2, hidden_dim=64),
+    "mlp-large": ModelSpec(layers=4, hidden_dim=500),
 }
 
 
@@ -375,7 +378,16 @@ def cmd_verify(args) -> int:
 # export
 
 
-DQ_FIELDS = ("loss", "dataset", "split", "normalized_joint_dq", "normalized_decomposed_dq")
+DQ_METRICS = ("normalized_joint_dq", "normalized_decomposed_dq")
+DQ_FIELDS = ("loss", "dataset", "split") + DQ_METRICS
+
+
+def _check_metrics(rec, source) -> None:
+    """Each metric must be a finite JSON number (not a bool) or null."""
+    for metric in DQ_METRICS:
+        value = rec[metric]
+        if value is not None and not (type(value) in (int, float) and -np.inf < value < np.inf):
+            raise ValueError(f"{source}: {metric} must be a finite number or null, got {value!r}")
 
 
 def _export_dq_table(results: Path, out: Path) -> None:
@@ -385,11 +397,12 @@ def _export_dq_table(results: Path, out: Path) -> None:
     for f in files:
         rec = json.loads(_existing_file(f, "results file").read_text())
         _require_fields(rec, DQ_FIELDS, f)
+        _check_metrics(rec, f)
         key = (rec["loss"], rec["dataset"], rec["split"])
         groups.setdefault(key, []).append(rec)
     rows = []
     for (loss, dataset, split), recs in sorted(groups.items()):
-        for metric in ("normalized_joint_dq", "normalized_decomposed_dq"):
+        for metric in DQ_METRICS:
             vals = np.array([r[metric] for r in recs if r[metric] is not None])
             if vals.size == 0:
                 mean, sem = "undefined", "undefined"
@@ -450,10 +463,8 @@ def cmd_export(args) -> int:
         _export_dq_table(results, out)
     elif args.kind == "dq_vs_epoch":
         _export_dq_vs_epoch(results, out)
-    elif args.kind == "wi_scatter":
+    else:  # wi_scatter, the last of argparse's choices
         _export_wi_scatter(args, out)
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown export kind {args.kind!r}")
     print(f"wrote {out / (args.kind + '.csv')}")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import MAX_STATES, DiscountedSetup
+from .mdp import MAX_STATES, DiscountedSetup, checked_transitions
 from .planning import Cohort
 
 FORMAT_VERSION = 1
@@ -297,8 +297,7 @@ def load_dataset(path: str | Path) -> Dataset:
     states, actions = trajectories[..., ::2], trajectories[..., 1::2]
     if not np.isfinite(features).all():
         raise ValueError("malformed dataset: features must be finite")
-    if not ((tensors >= 0).all() and np.abs(tensors.sum(axis=-1) - 1.0).max() <= 1e-9):
-        raise ValueError("malformed dataset: tensor rows must lie on the probability simplex")
+    checked_transitions(tensors, batch_dims=2, name="malformed dataset: tensors")
     if not (((states >= 0) & (states < s)).all() and ((actions == 0) | (actions == 1)).all()):
         raise ValueError("malformed dataset: a trajectory holds a state or action out of range")
     return Dataset(manifest=m, split_assignment=splits, features=features, tensors=tensors,

@@ -18,6 +18,7 @@ objective the tests score mixtures by is in tests/oracles.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +268,8 @@ def solve_stack(
     search; each round evaluates the residuals of all cohorts still
     searching in one call. A cohort's solution is the one it gets when
     solved alone: its reductions never mix cohorts. An infeasible cohort
-    raises before any evaluation.
+    raises before any evaluation, and a non-finite residual (from a
+    non-finite table entry) raises NumericError.
     """
     j_pred = np.ascontiguousarray(j_pred, dtype=float)
     j_budget = np.ascontiguousarray(j_budget, dtype=float)
@@ -293,6 +295,10 @@ def solve_stack(
         for k, (c, used, var) in enumerate(moments):
             evaluations[c] += 1
             residual, slope = _residual_and_slope(used, var, cfgs[c].budget_cap, reg.alpha)
+            # a NaN residual is never <= 0: the search would bisect to machine
+            # resolution and return rows of Z it never wrote
+            if not math.isfinite(residual):
+                raise NumericError(f"cohort {c}: non-finite budget residual at lambda={lams[c]}")
             if residual <= 0:  # a feasible iterate is the new top of c's bracket
                 Z[c], slack[c] = mix[k], -residual
             try:

@@ -21,6 +21,7 @@ from .mdp import (
     ENGAGEMENT,
     NumericError,
     RewardSpec,
+    checked_transitions,
     solve_policies,
     whittle_gradients,
     whittle_indices,
@@ -37,10 +38,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture: linear, or an MLP with `layers` hidden layers of width `hidden_dim`."""
+    """Architecture: `layers` ReLU hidden layers of width `hidden_dim`; linear at layers=0."""
 
-    kind: str = "linear"  # "linear" | "mlp"
-    layers: int = 2
+    layers: int = 0
     hidden_dim: int = 64
 
 
@@ -53,16 +53,9 @@ class PredictiveModel:
     """
 
     def __init__(self, spec: ModelSpec, feature_dim: int, num_states: int, seed: int = 0):
-        self.spec = spec
         self.feature_dim = feature_dim
         self.num_states = num_states
-        out_dim = num_states * 2 * num_states
-        if spec.kind == "linear":
-            dims = [feature_dim, out_dim]
-        elif spec.kind == "mlp":
-            dims = [feature_dim] + [spec.hidden_dim] * spec.layers + [out_dim]
-        else:
-            raise ValueError(f"unknown architecture {spec.kind!r}")
+        dims = [feature_dim] + [spec.hidden_dim] * spec.layers + [num_states * 2 * num_states]
         rng = np.random.default_rng(seed)
         self.weights = [
             rng.standard_normal((fan_in, fan_out)) * 0.01 / np.sqrt(fan_in)
@@ -362,10 +355,8 @@ def _cohort_loss(
         value, grad = dec_layer.dec_dfl_loss(
             tensors, cohort.tensors, reg, cfg, cohort.setup, true_returns=cohort.true_returns
         )
-    elif name == "sim-dfl":
+    else:  # sim-dfl, the one name left that LossSpec accepts
         value, grad = sim_dfl_loss(tensors, cohort, spec.trajectories, seed)
-    else:  # pragma: no cover
-        raise ValueError(name)
     return value, grad, cache
 
 
@@ -487,9 +478,11 @@ class DQReport:
     normalized_decomposed_dq: float | None
 
 
-def _checked_predictions(predictions, cohorts: list[Cohort]) -> list[np.ndarray]:
+def _checked_predictions(predictions, cohorts: list[Cohort], explicit: bool) -> list[np.ndarray]:
     """The predictions as float arrays, one per cohort, each shaped like its
-    cohort's (N, S, 2, S) tensors; anything else raises ValueError."""
+    cohort's (N, S, 2, S) tensors; explicit ones must pass
+    checked_transitions too (a model's are a softmax of finite logits).
+    Anything else raises ValueError."""
     if len(predictions) != len(cohorts):
         raise ValueError(f"got {len(predictions)} predictions for {len(cohorts)} cohorts")
     arrays = [np.asarray(pred, dtype=float) for pred in predictions]
@@ -498,6 +491,8 @@ def _checked_predictions(predictions, cohorts: list[Cohort]) -> list[np.ndarray]
             raise ValueError(
                 f"prediction {k} has shape {pred.shape}, its cohort {cohort.tensors.shape}"
             )
+        if explicit:
+            checked_transitions(pred, 1, f"prediction {k}")
     return arrays
 
 
@@ -577,15 +572,15 @@ def evaluate_dq(
 
     Either a model or explicit predictions must be given: exactly one
     array per cohort, shaped like that cohort's (N, S, 2, S) tensors, or
-    ValueError. An empty cohort list, whose means are undefined, raises
-    ValueError too. Normalized values rescale so never-act maps to 0 and
-    planning with the true tensors maps to 1; a degenerate rescale is
-    reported as None. The decomposed columns come from one stacked dual
-    solve per group of cohorts that share N, S, gamma and initial
-    distribution, with each cohort's predicted and perfect-decomposed
-    problems in the same stack (_decomposed_dq; a DEBUG record per solve
-    gives its solver diagnostics); a cohort's values are those of solving
-    it alone. The joint columns are means over cohorts of rollout
+    ValueError; explicit predictions must pass checked_transitions too. An
+    empty cohort list, whose means are undefined, raises ValueError too.
+    Normalized values rescale so never-act maps to 0 and planning with the
+    true tensors maps to 1; a degenerate rescale is reported as None. The
+    decomposed columns come from one stacked dual solve per group of
+    cohorts that share N, S, gamma and initial distribution, with each
+    cohort's predicted and perfect-decomposed problems in the same stack
+    (_decomposed_dq; a DEBUG record per solve gives its solver
+    diagnostics); a cohort's values are those of solving it alone. The joint columns are means over cohorts of rollout
     estimates, with standard errors sqrt(sum_k se_k^2) / n. Cohort k's
     predicted and perfect Whittle top-B policies roll out in one `rollout`
     pass from seed + k (_joint_pass; a DEBUG record per pass gives its
@@ -598,11 +593,12 @@ def evaluate_dq(
         raise ValueError(f"trajectories must be nonnegative, got {trajectories}")
     if not cohorts:
         raise ValueError("no cohorts to evaluate")
-    if predictions is None:
+    explicit = predictions is not None
+    if not explicit:
         if model is None:
             raise ValueError("need a model or explicit predictions")
         predictions = [model.forward(c.features)[0] for c in cohorts]
-    predictions = _checked_predictions(predictions, cohorts)
+    predictions = _checked_predictions(predictions, cohorts, explicit)
     dec_values, dec_anchors = _decomposed_dq(predictions, cohorts)
     joint = decomposed = never = perfect_joint = perfect_dec = 0.0
     joint_var = perfect_joint_var = 0.0

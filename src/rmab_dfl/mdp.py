@@ -36,30 +36,39 @@ class NumericError(RuntimeError):
     """Raised when a numeric routine fails to converge or is ill-posed."""
 
 
+def checked_transitions(tensors, batch_dims: int, name: str = "transition tensors") -> np.ndarray:
+    """`batch_dims` axes of (|S|, 2, |S|) transition tensors as a float array,
+    where tensors[..., s, a, s'] is the probability of s -> s' under action a.
+
+    The one check of tensors entering the package: every entry finite and
+    in [0, 1 + 1e-12], every (s, a) row summing to 1 within 1e-9, and
+    2 <= |S| <= MAX_STATES. Anything else raises ValueError naming `name`
+    (CapacityError above MAX_STATES).
+    """
+    probs = np.asarray(tensors, dtype=float)
+    shape = probs.shape
+    if probs.ndim != batch_dims + 3 or shape[-2] != 2 or shape[-3] != shape[-1]:
+        raise ValueError(f"{name}: expected {batch_dims} batch axes and (S, 2, S), got {shape}")
+    if shape[-1] > MAX_STATES:
+        raise CapacityError(f"{name}: {shape[-1]} states exceeds the maximum of {MAX_STATES}")
+    if shape[-1] < 2:
+        raise ValueError(f"{name}: need at least 2 states, got {shape[-1]}")
+    # NaN propagates through min and max, so it fails both bounds
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0 + 1e-12):
+        raise ValueError(f"{name}: probabilities must be finite and lie in [0, 1]")
+    if np.abs(probs.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-9:
+        raise ValueError(f"{name}: every (s, a) row must sum to 1 within 1e-9")
+    return probs
+
+
 @dataclass(frozen=True)
 class TransitionTensor:
-    """Per-arm transition probabilities with shape (|S|, 2, |S|).
-
-    probs[s, a, s'] is the probability of moving to s' from s under
-    action a. Rows must lie on the probability simplex.
-    """
+    """One arm's (|S|, 2, |S|) transition probabilities, checked by checked_transitions."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 3 or probs.shape[1] != 2 or probs.shape[0] != probs.shape[2]:
-            raise ValueError(f"expected shape (S, 2, S), got {probs.shape}")
-        if probs.shape[0] > MAX_STATES:
-            raise CapacityError(
-                f"{probs.shape[0]} states exceeds the supported maximum of {MAX_STATES}"
-            )
-        if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = probs.sum(axis=-1)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-            raise ValueError("every (s, a) row must sum to 1 within 1e-9")
+        object.__setattr__(self, "probs", checked_transitions(self.probs, batch_dims=0))
 
     @property
     def num_states(self) -> int:
@@ -84,9 +93,7 @@ class RewardSpec:
 
 
 def engagement_rewards(num_states: int) -> np.ndarray:
-    """State rewards s/(|S|-1); a single state pays 0."""
-    if num_states == 1:
-        return np.zeros(1)
+    """State rewards s/(|S|-1)."""
     return np.arange(num_states, dtype=float) / (num_states - 1)
 
 
@@ -113,8 +120,8 @@ def uniform_setup(num_states: int, gamma: float) -> DiscountedSetup:
 
 def policy_action_matrix(num_states: int) -> np.ndarray:
     """(2^|S|, |S|) matrix of action bits, row j = policy j."""
-    if not 1 <= num_states <= MAX_STATES:
-        raise CapacityError(f"num_states must be in [1, {MAX_STATES}], got {num_states}")
+    if not 2 <= num_states <= MAX_STATES:
+        raise CapacityError(f"num_states must be in [2, {MAX_STATES}], got {num_states}")
     policies = np.arange(2 ** num_states)[:, None]
     return (policies >> np.arange(num_states)[None, :]) & 1
 
@@ -286,7 +293,8 @@ def whittle_indices(tensors, setup: DiscountedSetup, tol: float = 1e-8) -> np.nd
     passive in s, has the sign of Q*(s, act) - Q*(s, passive); the index is
     its root (Gast, Gaujal & Khun, arXiv 2203.05207). One bisection on
     +-1/(1-gamma) finds all N*S roots, ties resolving toward the lower
-    subsidy. Roots at the bracket top (not indexable) are logged.
+    subsidy. Roots at the bracket top (not indexable) are logged once,
+    with their count and up to 5 of the (arm, state) pairs.
     """
     _, a, b = _subsidy_lines(tensors, setup)
     a, b = a.transpose(2, 0, 1), b.transpose(2, 0, 1)  # lines at the indexed state
@@ -302,10 +310,11 @@ def whittle_indices(tensors, setup: DiscountedSetup, tol: float = 1e-8) -> np.nd
         lo, hi = np.where(open_ & higher, mid, lo), np.where(open_ & ~higher, mid, hi)
     if np.any(hi - lo > tol):
         raise NumericError(f"Whittle bisection did not reach tol {tol} in {_MAX_BISECTIONS} steps")
-    at_top = int(np.sum(hi >= bound - tol))
-    if at_top:
+    at_top = np.argwhere(hi >= bound - tol)
+    if len(at_top):
         logger.warning("%d (arm, state) pairs may not be indexable: acting optimal at the "
-                       "bracket top", at_top)
+                       "bracket top, such as %s", len(at_top),
+                       ", ".join(f"({i}, {s})" for i, s in at_top[:5].tolist()))
     value = 0.5 * (lo + hi)
     return np.where(np.abs(value) <= tol, 0.0, value)
 

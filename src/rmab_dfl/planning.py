@@ -14,12 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from .dec_layer import returns_on_truth
-from .mdp import DiscountedSetup, WhittleTable, engagement_rewards
+from .mdp import DiscountedSetup, WhittleTable, checked_transitions, engagement_rewards
 
 
 @dataclass(frozen=True)
 class Cohort:
-    """A set of arms sharing a budget and discounting setup."""
+    """Arms sharing a budget and discounting setup; checked_transitions checks the tensors."""
 
     features: np.ndarray  # (N, d)
     tensors: np.ndarray  # (N, S, 2, S) true transitions
@@ -28,7 +28,7 @@ class Cohort:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "tensors", np.asarray(self.tensors, dtype=float))
+        object.__setattr__(self, "tensors", checked_transitions(self.tensors, 1, "cohort tensors"))
         if not 0 < self.budget <= self.num_arms:
             raise ValueError(f"budget must lie in (0, N={self.num_arms}]")
 
@@ -167,8 +167,6 @@ def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, *acts):
             np.multiply(s, 2, out=rows)
             rows += row_base
             rows += a
-            if num_states == 1:
-                continue  # an arm with one state stays in it
             # the rows are nondecreasing, so leaving out the last entry (about 1)
             # caps the count at S-1
             np.greater(u, flat_cdf[0].take(rows), out=s)

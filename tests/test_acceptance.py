@@ -270,7 +270,7 @@ def test_criterion_09_epoch_timing_separation():
         spec = LossSpec(name=loss_name, trajectories=trajectories, alpha=1.0)
         data = dataset_splits(dataset)
         model = PredictiveModel(
-            ModelSpec(kind="linear"),
+            ModelSpec(),
             data.train[0].features.shape[1],
             data.train[0].num_states,
             seed=0,

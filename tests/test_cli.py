@@ -446,6 +446,36 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert not (tmp_path / "out" / "dq_table.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "wi_scatter"])
+    def test_non_finite_model_parameter(self, tiny_dataset, model_path, tmp_path, command):
+        blob = np.load(model_path)
+        theta = blob["theta"].copy()
+        theta[-1] = np.nan  # an output bias
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, theta=theta, meta=str(blob["meta"]))
+        out = tmp_path / "out"
+        model = ["--dataset", str(tiny_dataset), "--model", str(bad)]
+        if command == "eval":
+            argv = ["eval", *model, "--out", str(out), "--trajectories", "0"]
+        else:
+            argv = ["export", "--kind", "wi_scatter", *model, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ['"abc"', "true", "1e400"])
+    def test_dq_table_over_malformed_metric(self, tmp_path, raw):
+        results = tmp_path / "results"
+        record = {"loss": "mse", "dataset": "d", "split": "test",
+                  "normalized_joint_dq": "METRIC", "normalized_decomposed_dq": 0.5}
+        for run in ("a", "b"):
+            (results / run).mkdir(parents=True)
+            text = json.dumps(record).replace('"METRIC"', raw)
+            (results / run / "dq.json").write_text(text)
+        code = main(["export", "--kind", "dq_table", "--results", str(results),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "out" / "dq_table.csv").exists()
+
     def test_time_table_export_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["export", "--kind", "time_table", "--out", str(tmp_path)])

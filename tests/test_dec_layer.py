@@ -7,6 +7,7 @@ from oracles import objective_value
 from rmab_dfl import (
     DiscountedSetup,
     InfeasibleBudgetError,
+    NumericError,
     RegularizerConfig,
     ReturnsTable,
     SolverConfig,
@@ -440,6 +441,22 @@ class TestStackedSolve:
         assert grown.doublings == 1
         assert forward_pass(tables, RegularizerConfig(alpha=0.1), cfg).doublings == 0
 
+    def test_non_finite_residual_raises(self):
+        # a NaN residual is never <= 0: without the guard the search bisects to
+        # machine resolution and hands back mixture rows it never wrote
+        rng = np.random.default_rng(31)
+        setup = uniform_setup(2, 0.9)
+        tables = [
+            build_returns_table(*rng.dirichlet(np.ones(2), size=(2, 5, 2, 2)), setup)
+            for _ in range(3)
+        ]
+        j_pred, j_budget = _stacked(tables)
+        j_pred[1, 2, 3] = np.nan
+        for budget in (0.5, 2.0):
+            cfgs = [SolverConfig(budget=budget, gamma=0.9)] * 3
+            with pytest.raises(NumericError, match="cohort 1: non-finite budget residual"):
+                dec_layer.solve_stack(j_pred, j_budget, RegularizerConfig(alpha=1e-3), cfgs)
+
     def test_infeasible_cohort_rejected(self):
         rng = np.random.default_rng(3)
         tables = [
@@ -588,7 +605,7 @@ class TestLossWrapper:
         on_truth = build_returns_table(pred, truth, setup)
         pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET))
         assert not np.allclose(on_truth.j_budget, pred_budget)
-        uncorrected = uncorrected_policy(pred, cfg, setup, reg)
+        uncorrected = uncorrected_policy(pred, cfg, setup)  # at alpha=1e-3, as reg
         on_pred = ReturnsTable(j_pred=on_truth.j_pred, j_true=on_truth.j_true, j_budget=pred_budget)
         assert np.array_equal(uncorrected.z_star, forward_pass(on_pred, reg, cfg).z_star)
         assert not np.allclose(uncorrected.z_star, forward_pass(on_truth, reg, cfg).z_star)

@@ -57,19 +57,19 @@ def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
 class TestPredictiveModel:
     def test_predictions_are_stochastic_tensors(self):
         rng = np.random.default_rng(0)
-        model = PredictiveModel(ModelSpec(kind="mlp", layers=2, hidden_dim=8), 4, 2, seed=0)
+        model = PredictiveModel(ModelSpec(layers=2, hidden_dim=8), 4, 2, seed=0)
         tensors, _ = model.forward(rng.normal(size=(5, 4)))
         assert tensors.shape == (5, 2, 2, 2)
         for t in tensors:
             assert np.allclose(TransitionTensor(t).probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_feature_dim_checked(self):
-        model = PredictiveModel(ModelSpec(kind="linear"), 4, 2, seed=0)
+        model = PredictiveModel(ModelSpec(), 4, 2, seed=0)
         with pytest.raises(ValueError):
             model.forward(np.zeros((3, 5)))
 
     def test_theta_round_trip(self):
-        model = PredictiveModel(ModelSpec(kind="mlp", layers=2, hidden_dim=8), 4, 2, seed=0)
+        model = PredictiveModel(ModelSpec(layers=2, hidden_dim=8), 4, 2, seed=0)
         theta = model.get_theta()
         model.set_theta(theta * 2.0)
         assert np.allclose(model.get_theta(), theta * 2.0)
@@ -78,7 +78,7 @@ class TestPredictiveModel:
 
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        model = PredictiveModel(ModelSpec(kind="linear"), 3, 2, seed=0)
+        model = PredictiveModel(ModelSpec(), 3, 2, seed=0)
         # move away from the tiny default init so ReLU/softmax are generic
         model.set_theta(rng.normal(scale=0.3, size=model.get_theta().shape))
         x = rng.normal(size=(4, 3))
@@ -324,7 +324,7 @@ class TestTraining:
         rng = np.random.default_rng(11)
         cohorts = [_cohort(rng)]
         spec = LossSpec(name="nll")
-        model = PredictiveModel(ModelSpec(kind="linear"), 4, 2, seed=0)
+        model = PredictiveModel(ModelSpec(), 4, 2, seed=0)
         with pytest.raises(ValueError):
             run_epoch(model, Adam(1e-3), cohorts, None, spec, 0)
 
@@ -456,7 +456,7 @@ class TestDecisionQuality:
         # the training path reuses Cohort.true_returns instead of solving the truth again
         rng = np.random.default_rng(16)
         cohort = _cohort(rng, n=6, states=3)
-        model = PredictiveModel(ModelSpec(kind="linear"), 4, 3, seed=0)
+        model = PredictiveModel(ModelSpec(), 4, 3, seed=0)
         model.set_theta(rng.normal(size=model.get_theta().shape))
         value, grad, _ = _cohort_loss(model, cohort, None, LossSpec("fast-dec-dfl", alpha=0.5), 0)
         pred = model.forward(cohort.features)[0]

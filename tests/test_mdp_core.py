@@ -1,5 +1,7 @@
 """Unit tests for the per-arm MDP primitives."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from rmab_dfl import (
     whittle_indices,
 )
 from rmab_dfl import mdp
+from rmab_dfl.datasets import DatasetManifest, generate_synthetic, load_dataset, save_dataset
+from rmab_dfl.learning import evaluate_dq
+from rmab_dfl.planning import Cohort
 from rmab_dfl.mdp import (
     BUDGET,
     ENGAGEMENT,
@@ -56,9 +61,77 @@ class TestTransitionTensor:
             TransitionTensor(t)
 
 
+ENTRIES = ("TransitionTensor", "Cohort", "evaluate_dq", "load_dataset")
+BAD_TENSORS = ("nan-entry", "inf-entry", "entry-below-zero", "row-sum-off", "one-state",
+               "thirteen-states")
+
+
+def _bad_tensor(case: str) -> np.ndarray:
+    """One arm's (S, 2, S) tensor that breaks the transition rule as `case` names."""
+    if case == "one-state":
+        return np.ones((1, 2, 1))
+    if case == "thirteen-states":
+        t = np.zeros((13, 2, 13))
+        t[..., 0] = 1.0
+        return t
+    t = np.array([[[0.7, 0.3], [0.2, 0.8]], [[0.4, 0.6], [0.9, 0.1]]])
+    t[0, 0] = {"nan-entry": [np.nan, 0.3], "inf-entry": [np.inf, 0.3],
+               "entry-below-zero": [1.0 + 1e-13, -1e-13], "row-sum-off": [0.7 + 1e-8, 0.3]}[case]
+    return t
+
+
+def _load_with_tensor(tmp_path, tensor):
+    """load_dataset on a dataset file whose first arm was hand-edited to `tensor`."""
+    manifest = DatasetManifest(cohorts=3, arms_per_cohort=2, budget=1.0, feature_dim=2,
+                               split_sizes=(1, 1, 1), feature_layers=1, feature_hidden=2)
+    path = tmp_path / "dataset.json"
+    save_dataset(generate_synthetic(manifest), path)
+    payload = json.loads(path.read_text())
+    payload["cohorts"][0]["tensors"][0] = tensor.tolist()
+    path.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
+    load_dataset(path)
+
+
+def _enter(entry: str, tensor: np.ndarray, tmp_path) -> None:
+    setup = uniform_setup(tensor.shape[-1], 0.9)
+    if entry == "TransitionTensor":
+        TransitionTensor(tensor)
+    elif entry == "Cohort":
+        Cohort(features=np.zeros((1, 1)), tensors=tensor[None], budget=1.0, setup=setup)
+    elif entry == "evaluate_dq":
+        cohort = Cohort(features=np.zeros((1, 1)), tensors=np.full((1, 2, 2, 2), 0.5),
+                        budget=1.0, setup=setup)
+        evaluate_dq(None, [cohort], trajectories=0, predictions=[tensor[None]])
+    else:
+        _load_with_tensor(tmp_path, tensor)
+
+
+class TestTransitionCheck:
+    """checked_transitions at the four places tensors enter: one rule for all."""
+
+    @pytest.mark.parametrize("entry,case", [
+        (entry, case)
+        for entry in ENTRIES
+        for case in BAD_TENSORS
+        # a prediction has its cohort's shape and a dataset its manifest's,
+        # and neither admits |S| outside [2, MAX_STATES]
+        if entry in ("TransitionTensor", "Cohort") or case not in ("one-state", "thirteen-states")
+    ])
+    def test_bad_tensor_refused(self, tmp_path, entry, case):
+        error = CapacityError if case == "thirteen-states" else ValueError
+        with pytest.raises(error):
+            _enter(entry, _bad_tensor(case), tmp_path)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_valid_tensor_accepted(self, tmp_path, entry):
+        tensor = np.array([[[0.7, 0.3], [0.2, 0.8]], [[0.4, 0.6], [0.9, 0.1]]])
+        _enter(entry, tensor, tmp_path)
+
+
 class TestPolicies:
-    def test_single_state_has_two_policies(self):
-        assert policy_action_matrix(1).tolist() == [[0], [1]]
+    def test_single_state_refused(self):
+        with pytest.raises(ValueError):
+            policy_action_matrix(1)
 
     def test_enumeration_count(self):
         assert policy_action_matrix(3).shape == (8, 3)
@@ -74,7 +147,6 @@ class TestRewards:
     def test_engagement_scale(self):
         assert engagement_rewards(2).tolist() == [0.0, 1.0]
         assert engagement_rewards(3).tolist() == [0.0, 0.5, 1.0]
-        assert engagement_rewards(1).tolist() == [0.0]
 
     def test_budget_reward_is_action_bit(self):
         r = RewardSpec(BUDGET).per_step(2, np.array([1, 0]))
@@ -308,6 +380,8 @@ class TestWhittleIndex:
         with caplog.at_level("WARNING", logger="rmab_dfl.mdp"):
             whittle_indices(tensors, uniform_setup(2, 0.9), tol=100.0)
         assert [r.getMessage().split()[0] for r in caplog.records] == ["6"]
+        assert caplog.records[0].getMessage().endswith(
+            "such as (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)")
 
 
 class TestSetupValidation:
