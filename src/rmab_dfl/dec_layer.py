@@ -10,7 +10,9 @@ differentiated in closed form through the KKT conditions, eliminating the
 single budget row against the per-arm blocks in O(N * P). The forward
 solve runs on batch-last (C, P, N) stacks of cohorts (solve_stack), one
 residual call per round for the whole stack; forward_pass and eval_lambda
-are its one-cohort views on the (N, P) tables. A slow reference solver is
+are its one-cohort views on the (N, P) tables. Where the entropy weight lets
+the logits spread past 700, a solve floors them at EXP_FLOOR to keep numpy's
+exp off its slow subnormal path. A slow reference solver is
 the correctness oracle: its inner maximization is a damped Newton solve of
 the per-row KKT equations, never the softmax closed form; the regularized
 objective the tests score mixtures by is in tests/oracles.py.
@@ -26,6 +28,8 @@ import numpy as np
 from .mdp import BUDGET, ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, solve_policies
 
 ENTROPY = "entropy"
+EXP_FLOOR = -700.0  # least max-shifted logit a flooring solve exponentiates
+_EXP_AT_FLOOR = math.exp(EXP_FLOOR)  # about 9.9e-305
 
 
 class InfeasibleBudgetError(NumericError):
@@ -123,18 +127,43 @@ def _batch_last(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(table, dtype=float).T[None])
 
 
+def _floors_logits(alpha: float, cfgs: list[SolverConfig]) -> bool:
+    """Whether a solve's logits may spread past -EXP_FLOOR, so that _mixtures
+    floors them. Engagement and budget returns lie in [0, dual_bound], so at
+    a multiplier within the bound the logits spread at most
+    (1 + bound) * bound / alpha: on at the eval's alpha = 1e-3, off at
+    alpha = 1 with gamma = 0.9."""
+    bound = max((cfg.dual_bound for cfg in cfgs), default=0.0)
+    return (1.0 + bound) * bound / alpha > -EXP_FLOOR
+
+
 def _mixtures(
-    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float
+    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float, floor: bool
 ) -> np.ndarray:
     """Softmax over the policy axis of (j_pred - lam * j_budget) / alpha.
 
     The tables are (C, P, N) stacks and lam holds one multiplier per cohort.
+    With floor set, the max-shifted logits are clamped at EXP_FLOOR = -700
+    and exp(EXP_FLOOR) is subtracted after the exp, so every floored entry
+    is exactly 0 and every other moves by at most 2 * exp(-700) (about
+    2e-304: exp(-700) and the rounding of the subtraction).
+    numpy's SIMD exp covers only inputs above about -707.7; below it
+    (subnormal results down to -745, and 0 beyond) exp is 15-160 times
+    slower, and at alpha = 1e-3 most logits lie there. -700 is inside the
+    fast range with room to spare, and exp(-700) is a normal double that
+    vanishes next to the row's largest entry, 1. The solve decides
+    floor once from its inputs (_floors_logits), so a solve whose logits
+    cannot reach -700 runs the plain softmax.
     """
     logits = lam[:, None, None] * j_budget
     np.subtract(j_pred, logits, out=logits)
     logits /= alpha
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    if floor:
+        np.maximum(logits, EXP_FLOOR, out=logits)
     np.exp(logits, out=logits)
+    if floor:
+        logits -= _EXP_AT_FLOOR
     logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
 
@@ -151,7 +180,7 @@ def _centered(Z: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _usage_moments(
-    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float
+    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float, floor: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected budget usage, its variance and the mixture of every cohort of a stack.
 
@@ -161,9 +190,9 @@ def _usage_moments(
     over the centred table g, a dot of nonnegative terms that keeps its
     digits at small alpha, where the one-pass E[X^2] - E[X]^2 cancels.
     Every reduction runs within one cohort, so a cohort's values do not
-    depend on the rest of the stack.
+    depend on the rest of the stack. floor is _mixtures'.
     """
-    Z = _mixtures(j_pred, j_budget, lam, alpha)
+    Z = _mixtures(j_pred, j_budget, lam, alpha, floor)
     mean, g = _centered(Z, j_budget)
     g *= g  # now the squares g^2
     count = len(Z)
@@ -187,7 +216,7 @@ def eval_lambda(
     multiplier: the one-cohort view of the stacked evaluation."""
     usage, variance, Z = _usage_moments(
         _batch_last(tables.j_pred), _batch_last(tables.j_budget),
-        np.array([lam], dtype=float), reg.alpha,
+        np.array([lam], dtype=float), reg.alpha, _floors_logits(reg.alpha, [cfg]),
     )
     residual, slope = _residual_and_slope(usage.item(), variance.item(), cfg.budget_cap, reg.alpha)
     return residual, slope, np.ascontiguousarray(Z[0].T)
@@ -267,7 +296,9 @@ def solve_stack(
     dual bound, epsilon) per cohort. Each cohort runs its own _rtsafe
     search; each round evaluates the residuals of all cohorts still
     searching in one call. A cohort's solution is the one it gets when
-    solved alone: its reductions never mix cohorts. An infeasible cohort
+    solved alone: its reductions never mix cohorts, and the stack floors
+    the logits (_floors_logits) exactly when each of its cohorts would
+    alone, unless their dual bounds differ. An infeasible cohort
     raises before any evaluation, and a non-finite residual (from a
     non-finite table entry) raises NumericError.
     """
@@ -278,6 +309,7 @@ def solve_stack(
     for least, cfg in zip(j_budget.min(axis=1).sum(axis=1).tolist(), cfgs):
         _check_feasible(least, cfg)
     count = len(cfgs)
+    floor = _floors_logits(reg.alpha, cfgs)
     searches = [_rtsafe(cfg) for cfg in cfgs]
     lams = [search.send(None) for search in searches]
     lam_star, slack = [0.0] * count, [0.0] * count
@@ -289,7 +321,7 @@ def solve_stack(
     while active:
         rounds += 1
         lam = np.array([lams[c] for c in active])
-        usage, variance, mix = _usage_moments(jp, jb, lam, reg.alpha)
+        usage, variance, mix = _usage_moments(jp, jb, lam, reg.alpha, floor)
         moments = zip(active, usage.tolist(), variance.tolist())
         searching = []
         for k, (c, used, var) in enumerate(moments):

@@ -43,6 +43,14 @@ class ModelSpec:
     layers: int = 0
     hidden_dim: int = 64
 
+    def __post_init__(self):
+        # [hidden_dim] * layers is empty for a negative count, and a zero width
+        # builds empty layers whose init divides by sqrt(0)
+        for name, least in (("layers", 0), ("hidden_dim", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
 
 class PredictiveModel:
     """Feature -> transition-tensor predictor with manual backprop.
@@ -522,20 +530,22 @@ def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tupl
         # 2C problems, batch-last: the predictions, then the anchors on the truth
         true_twice = np.concatenate([j_true, j_true]).transpose(0, 2, 1)
         cfgs = [SolverConfig(cohorts[k].budget, cohorts[k].setup.gamma) for k in members]
+        start = time.perf_counter()
         sol = solve_stack(
             np.concatenate([j_pred, j_true]).transpose(0, 2, 1),
             np.concatenate([j_budget, j_budget]).transpose(0, 2, 1),
             reg,
             cfgs * 2,
         )
+        seconds = time.perf_counter() - start
         solved_values = (sol.z_star * true_twice).reshape(2 * count, -1).sum(axis=1).tolist()
         for k, value, anchor in zip(members, solved_values, solved_values[count:]):
             values[k], anchors[k] = value, anchor
         logger.debug(
             "decomposed eval solve of %d cohorts (%d problems): %d rounds, evaluations sum %d "
-            "max %d, lambda* in [%.6g, %.6g], least slack %.3g",
+            "max %d, lambda* in [%.6g, %.6g], least slack %.3g, solved in %.3f s",
             count, 2 * count, sol.rounds, sol.evaluations.sum(), sol.evaluations.max(),
-            sol.lambda_star.min(), sol.lambda_star.max(), sol.slack_xi.min(),
+            sol.lambda_star.min(), sol.lambda_star.max(), sol.slack_xi.min(), seconds,
         )
     return values, anchors
 
@@ -580,7 +590,8 @@ def evaluate_dq(
     cohorts that share N, S, gamma and initial distribution, with each
     cohort's predicted and perfect-decomposed problems in the same stack
     (_decomposed_dq; a DEBUG record per solve gives its solver
-    diagnostics); a cohort's values are those of solving it alone. The joint columns are means over cohorts of rollout
+    diagnostics and wall seconds); a cohort's values are those of solving
+    it alone. The joint columns are means over cohorts of rollout
     estimates, with standard errors sqrt(sum_k se_k^2) / n. Cohort k's
     predicted and perfect Whittle top-B policies roll out in one `rollout`
     pass from seed + k (_joint_pass; a DEBUG record per pass gives its

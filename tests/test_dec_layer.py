@@ -19,7 +19,7 @@ from rmab_dfl import (
     solve_reference,
     uniform_setup,
 )
-from rmab_dfl import dec_layer
+from rmab_dfl import dec_layer, learning
 from rmab_dfl.checks import uncorrected_policy
 from rmab_dfl.dec_layer import DualSolution
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
@@ -469,6 +469,118 @@ class TestStackedSolve:
             dec_layer.solve_stack(*_stacked(tables), RegularizerConfig(alpha=0.1), cfgs)
         with pytest.raises(ValueError):
             dec_layer.solve_stack(*_stacked(tables), RegularizerConfig(alpha=0.1), cfgs[:1])
+
+
+def _plain_softmax(j_pred, j_budget, lam, alpha):
+    """The unfloored max-shifted softmax of a (C, P, N) stack over its policy
+    axis, on C-contiguous copies as solve_stack takes them (numpy sums a
+    strided policy axis in another order)."""
+    j_pred, j_budget = np.ascontiguousarray(j_pred), np.ascontiguousarray(j_budget)
+    logits = (j_pred - lam[:, None, None] * j_budget) / alpha
+    logits = logits - logits.max(axis=1, keepdims=True)
+    return np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True), logits
+
+
+def _floor_instances(rng, count, n=200, states=3):
+    """Random (pred, truth) return tables and 0.9-discounted solver configs."""
+    setup = uniform_setup(states, 0.9)
+    problems = []
+    for _ in range(count):
+        truth = rng.dirichlet(np.ones(states), size=(n, states, 2))
+        pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
+        cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
+        problems.append((build_returns_table(pred, truth, setup), cfg))
+    return problems
+
+
+class TestExpFloor:
+    """The floor on the shifted logits: on where alpha lets them underflow, off at alpha = 1."""
+
+    def test_floored_mixture_matches_plain_softmax(self):
+        problems = _floor_instances(np.random.default_rng(41), 3)
+        j_pred, j_budget = map(np.ascontiguousarray, _stacked([t for t, _ in problems]))
+        # cohort 0's arm 0 prefers policy 2 by 5 units: a one-hot row at lam = 0
+        j_pred[0, :, 0] = 0.0
+        j_pred[0, 2, 0] = 5.0
+        cfgs = [cfg for _, cfg in problems]
+        assert dec_layer._floors_logits(1e-3, cfgs)
+        # the floor's exp is a normal double, above the subnormal range where exp is slow
+        assert np.exp(dec_layer.EXP_FLOOR) >= np.finfo(float).tiny
+        for lam in ([0.0, 5.0, 10.0], [0.3, 2.0, 17.0]):
+            lam = np.array(lam)
+            Z = dec_layer._mixtures(j_pred, j_budget, lam, 1e-3, True)
+            plain, logits = _plain_softmax(j_pred, j_budget, lam, 1e-3)
+            assert np.mean(logits < -745) > 0.25  # most of exp's input is off its fast path
+            # exp(-700), and the rounding of subtracting it from a larger entry
+            assert np.max(np.abs(Z - plain)) <= 2 * np.exp(dec_layer.EXP_FLOOR)
+            assert np.all(Z[logits <= dec_layer.EXP_FLOOR] == 0.0)
+            assert np.array_equal(Z[0, :, 0], [0.0, 0.0, 1.0] + [0.0] * 5)
+
+    def test_gate_is_off_at_unit_alpha(self):
+        problems = _floor_instances(np.random.default_rng(43), 3)
+        j_pred, j_budget = map(np.ascontiguousarray, _stacked([t for t, _ in problems]))
+        cfgs = [cfg for _, cfg in problems]
+        reg = RegularizerConfig(alpha=1.0)
+        assert not dec_layer._floors_logits(reg.alpha, cfgs)
+        lam = np.array([0.0, 4.0, 25.0])  # 25 is past the bracket top 10
+        plain, _ = _plain_softmax(j_pred, j_budget, lam, reg.alpha)
+        for k, (tables, cfg) in enumerate(problems):
+            Z = eval_lambda(tables, float(lam[k]), reg, cfg)[2]
+            assert np.array_equal(Z.T, plain[k])
+
+    def test_eval_lambda_matches_stacked_rounds(self, monkeypatch):
+        # eval_lambda and a one-cohort solve_stack decide the floor by the
+        # same rule, so each of the solve's residuals has the same bits alone
+        reg = RegularizerConfig(alpha=1e-3)
+        for tables, cfg in _floor_instances(np.random.default_rng(47), 4):
+            rounds = []
+            original = dec_layer._usage_moments
+
+            def recording(*args):
+                moments = original(*args)
+                rounds.append((float(args[2][0]), moments, args[4]))
+                return moments
+
+            monkeypatch.setattr(dec_layer, "_usage_moments", recording)
+            j_pred, j_budget = _stacked([tables])
+            sol = dec_layer.solve_stack(j_pred, j_budget, reg, [cfg])
+            monkeypatch.undo()
+            assert sol.lambda_star[0] > 0.0 and len(rounds) == sol.evaluations[0] > 1
+            for lam, (usage, variance, mix), floor in rounds:
+                assert floor
+                residual, slope, Z = eval_lambda(tables, lam, reg, cfg)
+                assert (residual, slope) == dec_layer._residual_and_slope(
+                    usage[0], variance[0], cfg.budget_cap, reg.alpha
+                )
+                assert np.array_equal(Z.T, mix[0])
+
+    def test_eval_outputs_equal_with_floor_off(self, monkeypatch):
+        dataset = generate_synthetic(DatasetManifest(cohorts=8, split_sizes=(1, 1, 6)))
+        cohorts = dataset.cohort_objects("test")
+        rng = np.random.default_rng(53)
+        preds = [rng.dirichlet(np.ones(2), size=c.tensors.shape[:-1]) for c in cohorts]
+        assert dec_layer._floors_logits(
+            learning.EVAL_ALPHA, [SolverConfig(c.budget, c.setup.gamma) for c in cohorts]
+        )
+        runs = []
+        for floors in (dec_layer._floors_logits, lambda alpha, cfgs: False):
+            solves = []
+            monkeypatch.setattr(dec_layer, "_floors_logits", floors)
+            monkeypatch.setattr(
+                learning, "solve_stack",
+                lambda *args: solves.append(dec_layer.solve_stack(*args)) or solves[-1],
+            )
+            report = learning.evaluate_dq(None, cohorts, trajectories=0, predictions=preds)
+            monkeypatch.undo()
+            runs.append((report, solves))
+        (floored, floored_solves), (plain, plain_solves) = runs
+        assert floored == plain  # every DQReport field
+        [with_floor], [without] = floored_solves, plain_solves
+        assert np.array_equal(with_floor.lambda_star, without.lambda_star)
+        assert np.array_equal(with_floor.evaluations, without.evaluations)
+        assert with_floor.rounds == without.rounds
+        moved = np.max(np.abs(with_floor.z_star - without.z_star))
+        assert moved <= 2 * np.exp(dec_layer.EXP_FLOOR)
 
 
 class TestReferenceSolver:

@@ -1,6 +1,7 @@
 """Unit tests for predictive models, losses, training, and DQ metrics."""
 
 import logging
+import re
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from rmab_dfl import (
     uniform_setup,
 )
 from rmab_dfl import learning
+from rmab_dfl.cli import MODEL_FLAGS
 from rmab_dfl.datasets import transition_counts
 from rmab_dfl.learning import (
     TEMPERATURE,
@@ -62,6 +64,27 @@ class TestPredictiveModel:
         assert tensors.shape == (5, 2, 2, 2)
         for t in tensors:
             assert np.allclose(TransitionTensor(t).probs.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_negative_layers_rejected(self):
+        # [hidden_dim] * -1 is empty: it would build a linear model
+        with pytest.raises(ValueError, match="layers"):
+            ModelSpec(layers=-1)
+
+    def test_zero_width_rejected(self):
+        # zero-width hidden layers, initialized by dividing by sqrt(0)
+        with pytest.raises(ValueError, match="hidden_dim"):
+            ModelSpec(layers=2, hidden_dim=0)
+
+    def test_non_integer_shape_rejected(self):
+        for kwargs in ({"layers": 1.5}, {"hidden_dim": 8.0}, {"layers": True}):
+            with pytest.raises(ValueError):
+                ModelSpec(**kwargs)
+
+    def test_model_flags_stay_valid(self):
+        assert [(s.layers, s.hidden_dim) for s in MODEL_FLAGS.values()] == [
+            (0, 64), (2, 64), (4, 500)
+        ]
+        assert ModelSpec(layers=np.int64(2), hidden_dim=np.int64(8)).layers == 2
 
     def test_feature_dim_checked(self):
         model = PredictiveModel(ModelSpec(), 4, 2, seed=0)
@@ -438,6 +461,7 @@ class TestDecisionQuality:
         for message in messages:
             for part in ("rounds, evaluations sum", "max", "lambda* in [", "least slack"):
                 assert part in message
+            assert re.search(r", solved in \d+\.\d{3} s$", message)
 
     def test_model_or_predictions_required(self):
         rng = np.random.default_rng(14)
