@@ -44,7 +44,6 @@ from .planning import (
 from .datasets import (
     Dataset,
     DatasetManifest,
-    estimate_from_trajectories,
     generate_synthetic,
     load_dataset,
     save_dataset,

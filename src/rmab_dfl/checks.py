@@ -48,7 +48,7 @@ def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> f
     denominator is the per-step budget B, the overshoot factor quoted for
     the mismatched-prediction failure case.
     """
-    used = float(np.sum(sol.z_star * cohort.true_returns[1]))
+    used = float(np.sum(sol.z_star * cohort.true_returns[1].T))
     denom = cohort.budget if per_step else cohort.budget / (1.0 - cohort.setup.gamma)
     return used / denom
 
@@ -90,7 +90,7 @@ def check_budget_overshoot() -> dict:
 
 def _uncorrected_loss(pred: np.ndarray, truth: np.ndarray, cfg: SolverConfig, setup) -> float:
     sol = uncorrected_policy(pred, cfg, setup)
-    return float(np.sum(sol.z_star * returns_on_truth(truth, setup)[0]))
+    return float(np.sum(sol.z_star * returns_on_truth(truth, setup)[0].T))
 
 
 def check_spurious_minimum() -> dict:

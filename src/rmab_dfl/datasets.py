@@ -1,5 +1,5 @@
-"""Synthetic cohort generation, trajectory-based transition estimation,
-and the on-disk dataset format.
+"""Synthetic cohort generation, trajectory transition counts, and the
+on-disk dataset format.
 
 A dataset is one self-describing JSON file: a manifest block plus
 per-cohort records (features, true transition tensors, trajectories).
@@ -264,14 +264,22 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def _stack_cohorts(cohorts, key: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """One field of every cohort record as one array of the manifest's shape."""
+    """One field of every cohort record as one dtype array of the manifest's shape.
+
+    Values are checked, not cast: int takes integers, float integers or
+    floats, and anything else (a string, a bool, 0.6 for int) raises ValueError.
+    """
     try:
-        stacked = np.array([rec[key] for rec in cohorts], dtype=dtype)
+        stacked = np.array([rec[key] for rec in cohorts])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed dataset: cannot stack the cohorts' {key!r}: {exc!r}") from exc
+    if stacked.dtype.kind not in ("iuf" if dtype is float else "i"):
+        raise ValueError(
+            f"malformed dataset: {key} holds {stacked.dtype} values, not {dtype.__name__}"
+        )
     if stacked.shape != shape:
         raise ValueError(f"malformed dataset: {key} has shape {stacked.shape}, not {shape}")
-    return stacked
+    return stacked.astype(dtype, copy=False)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -311,23 +319,4 @@ def transition_counts(sequences: np.ndarray, num_states: int) -> np.ndarray:
     arm = np.arange(seqs.shape[0])[:, None]
     np.add.at(counts, (arm, seqs[:, :-1:2], seqs[:, 1::2], seqs[:, 2::2]), 1.0)
     return counts
-
-
-def estimate_from_trajectories(counts: np.ndarray, prior_strength: float) -> np.ndarray:
-    """(N, S, 2, S) transition estimates from (N, S, 2, S) counts, smoothed toward the pooled prior.
-
-    T_i(s, a, s') = (alpha * P_pop(s'|s,a) + N_i(s,a,s')) / row total, where
-    P_pop pools every arm's counts (uniform on a row no arm observed).
-    """
-    if prior_strength < 0:
-        raise ValueError("prior_strength must be nonnegative")
-    pooled = counts.sum(axis=0)
-    row_totals = pooled.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_pop = np.where(row_totals > 0, pooled / row_totals, 1.0 / counts.shape[-1])
-    numer = prior_strength * p_pop + counts
-    denom = numer.sum(axis=-1, keepdims=True)
-    if np.any(denom == 0):
-        raise ValueError("undefined row: no observations and zero prior strength")
-    return numer / denom
 

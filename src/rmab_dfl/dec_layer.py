@@ -7,10 +7,11 @@ solved in the forward direction by a bracketed Newton iteration on the
 budget multiplier (each inner maximization is a softmax over policies, and
 the residual's slope is the summed per-arm variance of the budget usage) and
 differentiated in closed form through the KKT conditions, eliminating the
-single budget row against the per-arm blocks in O(N * P). The forward
-solve runs on batch-last (C, P, N) stacks of cohorts (solve_stack), one
-residual call per round for the whole stack; forward_pass and eval_lambda
-are its one-cohort views on the (N, P) tables. Where the entropy weight lets
+single budget row against the per-arm blocks in O(N * P). Policy tables
+are batch-last from the engine on: the forward solve runs on (C, P, N)
+stacks of cohorts (solve_stack), one residual call per round for the whole
+stack, and forward_pass and eval_lambda are its one-cohort views on the
+(N, P) tables, .T views of (P, N) memory. Where the entropy weight lets
 the logits spread past 700, a solve floors them at EXP_FLOOR to keep numpy's
 exp off its slow subnormal path. A slow reference solver is
 the correctness oracle: its inner maximization is a damped Newton solve of
@@ -95,7 +96,7 @@ class SolverConfig:
 class DualSolution:
     lambda_star: float
     slack_xi: float
-    z_star: np.ndarray  # (N, P), rows on the simplex
+    z_star: np.ndarray  # (N, P), rows on the simplex; from solve_stack, a .T view
     evaluations: int = 0  # residual evaluations the solve used
     doublings: int = 0  # times the top of the dual bracket doubled
 
@@ -112,19 +113,14 @@ class StackSolution:
     rounds: int  # stacked residual calls: the most evaluations of any cohort
 
     def cohort(self, k: int) -> DualSolution:
-        """Cohort k's solution with its mixture as an (N, P) table."""
+        """Cohort k's solution with its mixture as an (N, P) view."""
         return DualSolution(
             float(self.lambda_star[k]),
             float(self.slack_xi[k]),
-            np.ascontiguousarray(self.z_star[k].T),
+            self.z_star[k].T,
             int(self.evaluations[k]),
             int(self.doublings[k]),
         )
-
-
-def _batch_last(table: np.ndarray) -> np.ndarray:
-    """An (N, P) table as a contiguous one-cohort (1, P, N) stack."""
-    return np.ascontiguousarray(np.asarray(table, dtype=float).T[None])
 
 
 def _floors_logits(alpha: float, cfgs: list[SolverConfig]) -> bool:
@@ -215,11 +211,11 @@ def eval_lambda(
     """Budget residual, its slope and the (N, P) mixture at a candidate
     multiplier: the one-cohort view of the stacked evaluation."""
     usage, variance, Z = _usage_moments(
-        _batch_last(tables.j_pred), _batch_last(tables.j_budget),
+        tables.j_pred.T[None], tables.j_budget.T[None],
         np.array([lam], dtype=float), reg.alpha, _floors_logits(reg.alpha, [cfg]),
     )
     residual, slope = _residual_and_slope(usage.item(), variance.item(), cfg.budget_cap, reg.alpha)
-    return residual, slope, np.ascontiguousarray(Z[0].T)
+    return residual, slope, Z[0].T
 
 
 def _check_feasible(least_usage: float, cfg: SolverConfig) -> None:
@@ -352,12 +348,12 @@ def forward_pass(
     """Bracketed Newton solve of the budget residual for the multiplier.
 
     The one-cohort view of solve_stack: the (N, P) tables go in as a
-    (1, P, N) stack and the mixture comes back as (N, P). The search is
+    (1, P, N) stack and the mixture comes back as an (N, P) view. The search is
     _rtsafe's: lam = 0 if the budget is slack there, an error if it is
     infeasible, and otherwise the feasible end of a safeguarded Newton
     bracket, so the realized budget never exceeds the cap.
     """
-    stack = solve_stack(_batch_last(tables.j_pred), _batch_last(tables.j_budget), reg, [cfg])
+    stack = solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
     return stack.cohort(0)
 
 
@@ -479,8 +475,8 @@ def backward_pass(
 
 
 def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:
-    """(j_true, j_budget): engagement and budget returns of every policy
-    on the true transitions, from one solve."""
+    """(j_true, j_budget): (P, N) engagement and budget returns of every
+    policy on the true transitions, from one solve."""
     solved = solve_policies(truth, setup)
     return solved.returns(RewardSpec(ENGAGEMENT)), solved.returns(RewardSpec(BUDGET))
 
@@ -488,13 +484,13 @@ def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndar
 def build_returns_table(
     pred: np.ndarray, truth: np.ndarray, setup: DiscountedSetup
 ) -> ReturnsTable:
-    """Assemble the three (N, P) return tables from transition tensors;
-    the budget side is evaluated on the true transitions."""
+    """The three (N, P) return tables, .T views of the engine's (P, N)
+    returns; the budget side is evaluated on the true transitions."""
     j_true, j_budget = returns_on_truth(truth, setup)
     return ReturnsTable(
-        j_pred=solve_policies(pred, setup).returns(RewardSpec(ENGAGEMENT)),
-        j_true=j_true,
-        j_budget=j_budget,
+        j_pred=solve_policies(pred, setup).returns(RewardSpec(ENGAGEMENT)).T,
+        j_true=j_true.T,
+        j_budget=j_budget.T,
     )
 
 
@@ -528,8 +524,8 @@ def dec_dfl_loss(
     j_true, j_budget = true_returns
     engagement = RewardSpec(ENGAGEMENT)
     pred_solve = solve_policies(pred_arr, setup, values=engagement)
-    tables = ReturnsTable(j_pred=pred_solve.returns(engagement), j_true=j_true, j_budget=j_budget)
+    tables = ReturnsTable(pred_solve.returns(engagement).T, j_true.T, j_budget.T)
     sol = forward_pass(tables, reg, cfg)
     loss = float(np.sum(sol.z_star * tables.j_true))
     grad_j_pred, _ = backward_pass(sol, tables, reg, upstream=tables.j_true)
-    return loss, pred_solve.gradient(grad_j_pred)
+    return loss, pred_solve.gradient(grad_j_pred.T)

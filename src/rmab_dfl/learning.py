@@ -524,16 +524,17 @@ def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tupl
         count = len(members)
         stacked = np.stack([predictions[k] for k in members])
         solved = solve_policies(stacked.reshape(-1, *stacked.shape[2:]), cohorts[members[0]].setup)
-        j_pred = solved.returns(RewardSpec(ENGAGEMENT)).reshape(count, stacked.shape[1], -1)
+        # the group's (P, C*N) returns, split by cohort
+        j_pred = solved.returns(RewardSpec(ENGAGEMENT)).reshape(-1, count, stacked.shape[1])
         j_true = np.stack([cohorts[k].true_returns[0] for k in members])
         j_budget = np.stack([cohorts[k].true_returns[1] for k in members])
-        # 2C problems, batch-last: the predictions, then the anchors on the truth
-        true_twice = np.concatenate([j_true, j_true]).transpose(0, 2, 1)
+        # 2C problems: the predictions, then the anchors on the truth
+        true_twice = np.concatenate([j_true, j_true])
         cfgs = [SolverConfig(cohorts[k].budget, cohorts[k].setup.gamma) for k in members]
         start = time.perf_counter()
         sol = solve_stack(
-            np.concatenate([j_pred, j_true]).transpose(0, 2, 1),
-            np.concatenate([j_budget, j_budget]).transpose(0, 2, 1),
+            np.concatenate([j_pred.swapaxes(0, 1), j_true]),
+            np.concatenate([j_budget, j_budget]),
             reg,
             cfgs * 2,
         )
@@ -621,7 +622,7 @@ def evaluate_dq(
             perfect_joint += perfect.mean_return
             perfect_joint_var += perfect.std_error**2
         decomposed += dec_values[k]
-        never += float(cohort.true_returns[0][:, 0].sum())
+        never += float(cohort.true_returns[0][0].sum())
         perfect_dec += dec_anchors[k]
     n = len(cohorts)
     joint, decomposed, never = joint / n, decomposed / n, never / n

@@ -148,20 +148,20 @@ class PolicySolve:
     values: np.ndarray | None = None  # (S, P, N)
 
     def returns(self, R: RewardSpec) -> np.ndarray:
-        """(N, P) returns d . r_pi of every policy under reward R."""
+        """(P, N) returns d . r_pi of every policy under reward R."""
         num_states = self.actions.shape[1]
         rewards = np.broadcast_to(R.per_step(num_states, self.actions), self.actions.shape)
-        return np.ascontiguousarray(np.einsum("sjn,js->nj", self.occupancy, rewards))
+        return np.einsum("sjn,js->jn", self.occupancy, rewards)
 
     def gradient(self, policy_weights: np.ndarray) -> np.ndarray:
-        """(N, S, 2, S): sum_j policy_weights[i, j] * dJ_i(pi_j)/dT_i(s, a, s').
+        """(N, S, 2, S): sum_j policy_weights[j, i] * dJ_i(pi_j)/dT_i(s, a, s').
 
         The closed form gamma * d(s) * V(s') on the action each policy
         takes in s (zero on the other), contracted over policies.
         """
         if self.values is None:
             raise ValueError("return gradients need the values: solve with values=R")
-        weighted = self.occupancy * (self.gamma * np.asarray(policy_weights, dtype=float).T)
+        weighted = self.occupancy * (self.gamma * np.asarray(policy_weights, dtype=float))
         acted = weighted * self.actions.T[:, :, None]  # (S, P, N)
         weighted -= acted  # what remains is the passive action's share
         n_arms, num_states = self.occupancy.shape[2], self.occupancy.shape[0]
@@ -216,13 +216,17 @@ def solve_policies(
 ) -> PolicySolve:
     """Solve all 2^|S| deterministic policies of every arm at once.
 
-    tensors has shape (N, |S|, 2, |S|). I - gamma*T_pi of every (policy,
-    arm) pair is stacked batch-last and factored once; one left solve gives
-    the occupancy, from which the returns under any reward follow, and
-    values=R adds one right solve for V under R, which return gradients need.
+    tensors has shape (N, |S|, 2, |S|) and setup.initial_dist (|S|,), or
+    ValueError. I - gamma*T_pi of every (policy, arm) pair is stacked
+    batch-last and factored once; one left solve gives the occupancy, from
+    which the returns under any reward follow, and values=R adds one right
+    solve for V under R, which return gradients need.
     """
     tensors = np.asarray(tensors, dtype=float)
     n_arms, num_states = tensors.shape[0], tensors.shape[1]
+    if setup.initial_dist.shape != (num_states,):
+        raise ValueError(f"initial_dist has shape {setup.initial_dist.shape}, "
+                         f"not ({num_states},) for {num_states}-state arms")
     actions = policy_action_matrix(num_states)
     n_policies = actions.shape[0]
     # scaled[s, t, a, i] = -gamma * T_i(s, a, t), contiguous over arms
@@ -343,7 +347,7 @@ def whittle_gradients(tensors, setup: DiscountedSetup, wi: np.ndarray) -> np.nda
     solve = PolicySolve(setup.gamma, policy_action_matrix(num_states),
                         occupancy.transpose(1, 2, 3, 0).reshape(pairs),
                         (a[..., None] + b[..., None] * wi).reshape(pairs))
-    grad = solve.gradient(weights.reshape(n * num_states, -1))
+    grad = solve.gradient(weights.reshape(n * num_states, -1).T)
     return grad.reshape(n, num_states, num_states, 2, num_states)
 
 

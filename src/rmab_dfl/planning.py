@@ -19,7 +19,8 @@ from .mdp import DiscountedSetup, WhittleTable, checked_transitions, engagement_
 
 @dataclass(frozen=True)
 class Cohort:
-    """Arms sharing a budget and discounting setup; checked_transitions checks the tensors."""
+    """Arms sharing a budget and discounting setup; checked_transitions checks the
+    tensors, and the features must be 2-D with one row per arm."""
 
     features: np.ndarray  # (N, d)
     tensors: np.ndarray  # (N, S, 2, S) true transitions
@@ -29,6 +30,8 @@ class Cohort:
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
         object.__setattr__(self, "tensors", checked_transitions(self.tensors, 1, "cohort tensors"))
+        if self.features.ndim != 2 or len(self.features) != self.num_arms:
+            raise ValueError(f"features of shape {self.features.shape} for {self.num_arms} arms")
         if not 0 < self.budget <= self.num_arms:
             raise ValueError(f"budget must lie in (0, N={self.num_arms}]")
 
@@ -42,7 +45,7 @@ class Cohort:
 
     @cached_property
     def true_returns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(j_true, j_budget) of every per-arm policy on the true tensors.
+        """(P, N) j_true and j_budget of every per-arm policy on the true tensors.
 
         Solved on first use and kept, read-only: the true tensors never
         change, while training and evaluation read these tables every pass.

@@ -249,7 +249,7 @@ def test_criterion_08_returns_vs_value_iteration():
         P = rng.dirichlet(np.ones(states), size=(states, 2))
         setup = DiscountedSetup(GAMMA, rng.dirichlet(np.ones(states)))
         j = int(rng.integers(2 ** states))
-        engine = solve_policies(P[None], setup).returns(reward)[0, j]
+        engine = solve_policies(P[None], setup).returns(reward)[j, 0]
         actions = policy_action_matrix(states)[j]
         iterated = value_iteration(P, actions, GAMMA, setup.initial_dist, residual=1e-10)
         worst = max(worst, abs(engine - iterated))

@@ -337,7 +337,7 @@ MALFORMED_DATASETS = (
     "unknown-manifest-key", "cohort-without-tensors", "no-split-assignment", "top-level-list",
     "split-id-out-of-range", "ragged-cohorts", "shapes-disagree-with-manifest",
     "tensor-row-off-simplex", "null-feature", "state-out-of-range", "action-out-of-range",
-    "split-unlike-manifest",
+    "split-unlike-manifest", "fractional-action", "numeric-string-feature",
 )
 
 
@@ -367,6 +367,10 @@ def _malformed(case: str, payload: dict):
         cohort["trajectories"][0][0] = 7
     elif case == "action-out-of-range":
         cohort["trajectories"][0][1] = 2
+    elif case == "fractional-action":  # would load as action 0 if cast
+        cohort["trajectories"][0][1] = 0.6
+    elif case == "numeric-string-feature":  # would load as 1000.0 if cast
+        cohort["features"][0][0] = "1e3"
     elif case == "split-unlike-manifest":  # no val cohorts, test overlapping train
         splits = payload["split_assignment"]
         splits["test"] = sorted(splits["test"] + splits["train"])

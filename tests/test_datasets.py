@@ -1,4 +1,4 @@
-"""Unit tests for synthetic data generation, estimation, and serialization."""
+"""Unit tests for synthetic data generation, transition counts, and serialization."""
 
 import json
 import tracemalloc
@@ -9,7 +9,6 @@ import pytest
 
 from rmab_dfl import (
     DatasetManifest,
-    estimate_from_trajectories,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -273,35 +272,6 @@ class TestTrajectoryEstimation:
                 expected[i, s, a, s_next] += 1.0
         assert np.array_equal(transition_counts(seqs, num_states=3), expected)
 
-    def test_pooled_prior_normalizes(self):
-        # arm 0 leaves row (0, a=1) for state 1 twice and for state 0 once;
-        # arm 1 never observes that row
-        seqs = np.array([[0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]])
-        counts = transition_counts(seqs, num_states=2)
-        assert counts[1, 0, 1].sum() == 0.0
-        # with a unit prior and no counts, arm 1's row is the pooled row itself
-        row = estimate_from_trajectories(counts, prior_strength=1.0)[1, 0, 1]
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(row, [1 / 3, 2 / 3], atol=1e-12)
-
-    def test_estimates_are_smoothed_toward_prior(self):
-        counts = transition_counts(np.array([[0, 1, 1, 1, 1]]), num_states=2)
-        estimates = estimate_from_trajectories(counts, prior_strength=1.0)
-        t = estimates[0]
-        assert np.allclose(t.sum(axis=-1), 1.0, atol=1e-12)
-        # observed row (0, a=1): both transitions went to state 1
-        assert t[0, 1, 1] > t[0, 1, 0]
-
-    def test_zero_prior_with_no_observations_rejected(self):
-        counts = transition_counts(np.array([[0, 1, 1]]), num_states=2)
-        with pytest.raises(ValueError):
-            estimate_from_trajectories(counts, prior_strength=0.0)
-
-    def test_negative_prior_rejected(self):
-        counts = transition_counts(np.array([[0, 1, 1]]), num_states=2)
-        with pytest.raises(ValueError):
-            estimate_from_trajectories(counts, prior_strength=-1.0)
-
     def test_estimation_consistency_on_long_trajectories(self):
         rng = np.random.default_rng(0)
         tensor = rng.dirichlet(np.ones(2), size=(2, 2))
@@ -315,7 +285,7 @@ class TestTrajectoryEstimation:
             seq[2 * t + 1] = action
             seq[2 * t + 2] = state_next
             state = state_next
-        counts = transition_counts(seq[None], num_states=2)
-        est = estimate_from_trajectories(counts, prior_strength=1.0)[0]
+        counts = transition_counts(seq[None], num_states=2)[0]
+        est = counts / counts.sum(axis=-1, keepdims=True)
         assert np.max(np.abs(est - tensor)) < 0.05
 

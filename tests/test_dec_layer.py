@@ -471,6 +471,41 @@ class TestStackedSolve:
             dec_layer.solve_stack(*_stacked(tables), RegularizerConfig(alpha=0.1), cfgs[:1])
 
 
+class TestBatchLastLayout:
+    """(N, P) tables and mixtures are .T views of the engine's and the solve's batch-last arrays."""
+
+    def test_tables_and_mixture_are_views(self):
+        rng = np.random.default_rng(59)
+        truth, cfg, setup = _random_instance(rng, n=6, states=3)
+        pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
+        tables = build_returns_table(pred, truth, setup)
+        reg = RegularizerConfig(alpha=0.1)
+        stack = dec_layer.solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
+        mixtures = (forward_pass(tables, reg, cfg).z_star, stack.cohort(0).z_star)
+        for view in (tables.j_pred, tables.j_true, tables.j_budget) + mixtures:
+            assert view.shape == (6, 8)
+            assert view.T.flags.c_contiguous and not view.flags.owndata
+        assert np.shares_memory(mixtures[1], stack.z_star)
+        assert np.array_equal(mixtures[0], mixtures[1])
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0])
+    def test_loss_on_views_matches_c_order_copies(self, alpha, monkeypatch):
+        rng = np.random.default_rng(61)
+        truth, _, setup = _random_instance(rng, n=200, states=3)
+        pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
+        cfg = SolverConfig(budget=20.0, gamma=0.9)
+        reg = RegularizerConfig(alpha=alpha)
+        loss, grad = dec_dfl_loss(pred, truth, reg, cfg, setup)
+
+        def c_order(j_pred, j_true, j_budget):
+            return ReturnsTable(*map(np.ascontiguousarray, (j_pred, j_true, j_budget)))
+
+        monkeypatch.setattr(dec_layer, "ReturnsTable", c_order)
+        copied_loss, copied_grad = dec_dfl_loss(pred, truth, reg, cfg, setup)
+        assert loss == copied_loss
+        assert np.max(np.abs(grad - copied_grad)) <= 1e-12 * np.max(np.abs(copied_grad))
+
+
 def _plain_softmax(j_pred, j_budget, lam, alpha):
     """The unfloored max-shifted softmax of a (C, P, N) stack over its policy
     axis, on C-contiguous copies as solve_stack takes them (numpy sums a
@@ -715,7 +750,7 @@ class TestLossWrapper:
         pred = rng.dirichlet(np.ones(2), size=(2, 2, 2))
         reg = RegularizerConfig(alpha=1e-3)
         on_truth = build_returns_table(pred, truth, setup)
-        pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET))
+        pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET)).T
         assert not np.allclose(on_truth.j_budget, pred_budget)
         uncorrected = uncorrected_policy(pred, cfg, setup)  # at alpha=1e-3, as reg
         on_pred = ReturnsTable(j_pred=on_truth.j_pred, j_true=on_truth.j_true, j_budget=pred_budget)

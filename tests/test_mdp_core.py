@@ -181,7 +181,7 @@ class TestGetReturns:
         always = _actions(3, 2)
         assert get_returns(T.probs, always, 0.9, mu, "budget") == pytest.approx(1.0 / (1 - 0.9))
         engine = solve_policies(T.probs[None], setup).returns(RewardSpec(BUDGET))
-        assert engine[0, [0, 3]] == pytest.approx([0.0, 1.0 / (1 - 0.9)])
+        assert engine[[0, 3], 0] == pytest.approx([0.0, 1.0 / (1 - 0.9)])
 
     def test_matches_value_iteration(self):
         rng = np.random.default_rng(2)
@@ -233,17 +233,17 @@ class TestBatchedReturns:
         for i in range(4):
             for j in range(4):
                 expected = get_returns(tensors[i], _actions(j, 2), 0.9, setup.initial_dist)
-                assert table[i, j] == pytest.approx(expected, abs=1e-12)
+                assert table[j, i] == pytest.approx(expected, abs=1e-12)
 
     def test_batched_gradients_match_weighted_sum(self):
         rng = np.random.default_rng(6)
         tensors = rng.dirichlet(np.ones(2), size=(3, 2, 2))
         setup = uniform_setup(2, 0.9)
-        weights = rng.normal(size=(3, 4))
+        weights = rng.normal(size=(4, 3))
         batched = solve_policies(tensors, setup, values=RewardSpec(ENGAGEMENT)).gradient(weights)
         for i in range(3):
             manual = sum(
-                weights[i, j] * returns_gradient(tensors[i], _actions(j, 2), 0.9, setup.initial_dist)
+                weights[j, i] * returns_gradient(tensors[i], _actions(j, 2), 0.9, setup.initial_dist)
                 for j in range(4)
             )
             assert np.allclose(batched[i], manual, atol=1e-12)
@@ -254,7 +254,7 @@ class TestBatchedReturns:
         from the scalar np.linalg.solve oracles, over every arm and policy."""
         reward = RewardSpec(kind)
         n, states = tensors.shape[0], tensors.shape[1]
-        weights = rng.normal(size=(n, 2 ** states))
+        weights = rng.normal(size=(2 ** states, n))
         table = solve_policies(tensors, setup).returns(reward)
         grads = solve_policies(tensors, setup, values=reward).gradient(weights)
         oracle = (setup.gamma, setup.initial_dist, kind)
@@ -263,8 +263,8 @@ class TestBatchedReturns:
             manual = np.zeros_like(tensors[i])
             for j, actions in enumerate(policy_action_matrix(states)):
                 expected = get_returns(tensors[i], actions, *oracle)
-                returns_err = max(returns_err, abs(table[i, j] - expected))
-                manual += weights[i, j] * returns_gradient(tensors[i], actions, *oracle)
+                returns_err = max(returns_err, abs(table[j, i] - expected))
+                manual += weights[j, i] * returns_gradient(tensors[i], actions, *oracle)
             grad_err = max(grad_err, float(np.max(np.abs(grads[i] - manual))))
         return returns_err, grad_err
 
@@ -299,7 +299,7 @@ class TestBatchedReturns:
         tensors = rng.dirichlet(np.ones(3), size=(6, 3, 2))
         setup = uniform_setup(3, 0.9)
         reward = RewardSpec(ENGAGEMENT)
-        weights = rng.normal(size=(6, 8))
+        weights = rng.normal(size=(8, 6))
         whole = solve_policies(tensors, setup, values=reward)
         assert mdp._CHUNK_ENTRIES >= 6 * 3 * 3 * 8  # all six arms fit one chunk
         monkeypatch.setattr(mdp, "_CHUNK_ENTRIES", 1)
@@ -394,3 +394,13 @@ class TestSetupValidation:
     def test_initial_dist_must_normalize(self):
         with pytest.raises(ValueError):
             DiscountedSetup(0.9, np.array([0.5, 0.6]))
+
+    def test_initial_dist_must_match_the_states(self):
+        # a length-1 start distribution would broadcast and double every return
+        tensors = np.random.default_rng(12).dirichlet(np.ones(2), size=(5, 2, 2))
+        setup = DiscountedSetup(0.9, np.array([1.0]))
+        with pytest.raises(ValueError, match="initial_dist"):
+            solve_policies(tensors, setup)
+        cohort = Cohort(np.zeros((5, 3)), tensors, 2.0, setup)
+        with pytest.raises(ValueError, match="initial_dist"):
+            evaluate_dq(None, [cohort], 0, predictions=[tensors])

@@ -227,7 +227,7 @@ class TestSimulation:
         rng = np.random.default_rng(2)
         cohort = _cohort(rng)
         passive = solve_policies(cohort.tensors, cohort.setup).returns(RewardSpec(ENGAGEMENT))
-        passive = passive[:, 0].sum()
+        passive = passive[0].sum()
         result = simulate_joint(
             cohort, FixedPerArmPolicy(np.zeros(3, dtype=int)), 4000, seed=5
         )
@@ -313,7 +313,7 @@ class TestBruteForce:
         setup = cohort.setup
         value, policy = brute_force_joint(cohort.tensors, setup.initial_dist, setup.gamma, budget=1)
         passive = solve_policies(cohort.tensors, cohort.setup).returns(RewardSpec(ENGAGEMENT))
-        passive = passive[:, 0].sum()
+        passive = passive[0].sum()
         assert value >= passive - 1e-9
         assert all(sum(a) <= 1 for a in policy.values())
 
@@ -337,8 +337,8 @@ class TestCohortReturnsCache:
         cohort = _cohort(rng, n=5, states=3)
         tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
         j_true, j_budget = cohort.true_returns
-        assert np.array_equal(j_true, tables.j_true)
-        assert np.array_equal(j_budget, tables.j_budget)
+        assert np.array_equal(j_true.T, tables.j_true)
+        assert np.array_equal(j_budget.T, tables.j_budget)
 
     def test_solved_once_on_first_use(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -365,3 +365,9 @@ class TestCohortValidation:
         setup = uniform_setup(2, 0.9)
         with pytest.raises(ValueError):
             Cohort(features=np.zeros((2, 1)), tensors=tensors, budget=3.0, setup=setup)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (5,), (5, 1, 1)])
+    def test_features_need_one_row_per_arm(self, shape):
+        tensors = np.random.default_rng(13).dirichlet(np.ones(2), size=(5, 2, 2))
+        with pytest.raises(ValueError, match="features"):
+            Cohort(np.zeros(shape), tensors, 2.0, uniform_setup(2, 0.9))
