@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .mdp import DiscountedSetup, NumericError
+from .mdp import DiscountedSetup, NumericError, returns_on_truth
 from .dec_layer import (
     DualSolution,
     RegularizerConfig,
@@ -26,7 +26,6 @@ from .dec_layer import (
     build_returns_table,
     eval_lambda,
     forward_pass,
-    returns_on_truth,
     solve_reference,
 )
 from .planning import Cohort

@@ -201,8 +201,7 @@ def cmd_train(args) -> int:
         "feature_dim": dataset.manifest.feature_dim,
         "states": dataset.manifest.states,
     }
-    theta = model.get_theta()
-    atomic_replace(model_path, lambda fh: np.savez(fh, theta=theta, meta=json.dumps(meta)))
+    atomic_replace(model_path, lambda fh: np.savez(fh, theta=model.theta, meta=json.dumps(meta)))
     _atomic_write(out / "result.json", json.dumps(meta, indent=2) + "\n")
     print(f"best lr={lr} seed={seed} val={val_value:.6f}; wrote {model_path}")
     return EXIT_OK

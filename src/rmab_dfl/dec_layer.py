@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import BUDGET, ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, solve_policies
+from .mdp import (
+    ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, returns_on_truth, solve_policies
+)
 
 ENTROPY = "entropy"
 EXP_FLOOR = -700.0  # least max-shifted logit a flooring solve exponentiates
@@ -210,8 +212,9 @@ def eval_lambda(
 ) -> tuple[float, float, np.ndarray]:
     """Budget residual, its slope and the (N, P) mixture at a candidate
     multiplier: the one-cohort view of the stacked evaluation."""
+    # C-order (P, N) tables, as solve_stack copies them: strided ones change the last bits
     usage, variance, Z = _usage_moments(
-        tables.j_pred.T[None], tables.j_budget.T[None],
+        np.ascontiguousarray(tables.j_pred.T)[None], np.ascontiguousarray(tables.j_budget.T)[None],
         np.array([lam], dtype=float), reg.alpha, _floors_logits(reg.alpha, [cfg]),
     )
     residual, slope = _residual_and_slope(usage.item(), variance.item(), cfg.budget_cap, reg.alpha)
@@ -472,13 +475,6 @@ def backward_pass(
     dlam = lam * coupling / (sol.slack_xi - lam * lam * variance)
     dz += (lam * dlam) * w * g_centered
     return dz, -lam * (dz - dlam * Z)
-
-
-def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:
-    """(j_true, j_budget): (P, N) engagement and budget returns of every
-    policy on the true transitions, from one solve."""
-    solved = solve_policies(truth, setup)
-    return solved.returns(RewardSpec(ENGAGEMENT)), solved.returns(RewardSpec(BUDGET))
 
 
 def build_returns_table(

@@ -57,19 +57,29 @@ class PredictiveModel:
 
     Emits one logit per (s, a, s') triple and normalizes each (s, a) row
     with a softmax, so predictions are valid stochastic tensors by
-    construction.
+    construction. All parameters live in one vector, `theta`, which
+    model files store; `backward` returns dL/dθ in the same layout.
     """
 
     def __init__(self, spec: ModelSpec, feature_dim: int, num_states: int, seed: int = 0):
         self.feature_dim = feature_dim
         self.num_states = num_states
         dims = [feature_dim] + [spec.hidden_dim] * spec.layers + [num_states * 2 * num_states]
+        # θ's layout: every weight matrix, then every bias, each raveled in C order
+        shapes = list(zip(dims[:-1], dims[1:])) + [(fan_out,) for fan_out in dims[1:]]
+        ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
+        self._layout = list(zip(map(slice, [0] + ends[:-1], ends), shapes))
+        self.theta = np.zeros(ends[-1])
         rng = np.random.default_rng(seed)
-        self.weights = [
-            rng.standard_normal((fan_in, fan_out)) * 0.01 / np.sqrt(fan_in)
-            for fan_in, fan_out in zip(dims[:-1], dims[1:])
-        ]
-        self.biases = [np.zeros(fan_out) for fan_out in dims[1:]]
+        for W in self._layers(self.theta)[0]:
+            W[...] = rng.standard_normal(W.shape) * 0.01 / np.sqrt(W.shape[0])
+
+    def _layers(self, vector: np.ndarray) -> tuple[list, list]:
+        """(weights, biases) of a vector laid out like θ, as views into it; built per
+        call, never stored, so that an unpickled model's layers follow its θ."""
+        views = [vector[part].reshape(shape) for part, shape in self._layout]
+        half = len(views) // 2
+        return views[:half], views[half:]
 
     # -- forward / backward ------------------------------------------------
 
@@ -80,12 +90,13 @@ class PredictiveModel:
             raise ValueError(
                 f"expected features of shape (N, {self.feature_dim}), got {x.shape}"
             )
+        weights, biases = self._layers(self.theta)
         activations = [x]
         h = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+        for W, b in zip(weights[:-1], biases[:-1]):
             h = np.maximum(h @ W + b, 0.0)
             activations.append(h)
-        logits = h @ self.weights[-1] + self.biases[-1]
+        logits = h @ weights[-1] + biases[-1]
         s = self.num_states
         logits4 = logits.reshape(-1, s, 2, s)
         shifted = logits4 - logits4.max(axis=-1, keepdims=True)
@@ -93,35 +104,27 @@ class PredictiveModel:
         tensors = exp / exp.sum(axis=-1, keepdims=True)
         return tensors, (activations, tensors)
 
-    def backward(self, cache, grad_tensors: np.ndarray):
-        """Parameter gradients given dL/dtensors."""
+    def backward(self, cache, grad_tensors: np.ndarray) -> np.ndarray:
+        """dL/dθ given dL/dtensors, one vector laid out like θ."""
         activations, tensors = cache
         inner = np.sum(grad_tensors * tensors, axis=-1, keepdims=True)
         grad_logits = tensors * (grad_tensors - inner)
         g = grad_logits.reshape(activations[-1].shape[0], -1)
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w[layer] = activations[layer].T @ g
-            grad_b[layer] = g.sum(axis=0)
+        grad = np.empty_like(self.theta)
+        weights = self._layers(self.theta)[0]
+        grad_w, grad_b = self._layers(grad)
+        for layer in range(len(weights) - 1, -1, -1):
+            np.matmul(activations[layer].T, g, out=grad_w[layer])
+            g.sum(axis=0, out=grad_b[layer])
             if layer > 0:
-                g = (g @ self.weights[layer].T) * (activations[layer] > 0)
-        return grad_w, grad_b
-
-    # -- parameter vector helpers -----------------------------------------
-
-    def get_theta(self) -> np.ndarray:
-        parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts)
+                g = (g @ weights[layer].T) * (activations[layer] > 0)
+        return grad
 
     def set_theta(self, theta: np.ndarray) -> None:
-        offset = 0
-        for arrs in (self.weights, self.biases):
-            for i, a in enumerate(arrs):
-                arrs[i] = theta[offset : offset + a.size].reshape(a.shape).copy()
-                offset += a.size
-        if offset != theta.size:
-            raise ValueError("theta size mismatch")
+        """Copy a parameter vector laid out like θ into the model."""
+        if np.shape(theta) != self.theta.shape:
+            raise ValueError(f"theta of shape {np.shape(theta)}, the model's {self.theta.shape}")
+        self.theta[...] = theta
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +333,19 @@ class Adam:
         self.v = None
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """One update of the moments and of theta, all in place."""
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
         m_hat = self.m / (1 - self.beta1 ** self.t)
         v_hat = self.v / (1 - self.beta2 ** self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _cohort_loss(
@@ -390,11 +396,7 @@ def run_epoch(
             raise TrainingDiverged(f"non-finite loss {value} on cohort {k}")
         total += value
         if optimizer is not None:
-            grad_w, grad_b = model.backward(cache, sign * grad_tensors)
-            flat = np.concatenate(
-                [g.ravel() for g in grad_w] + [g.ravel() for g in grad_b]
-            )
-            model.set_theta(optimizer.step(model.get_theta(), flat))
+            optimizer.step(model.theta, model.backward(cache, sign * grad_tensors))
     return total / max(len(cohorts), 1)
 
 
@@ -420,7 +422,7 @@ def train(
     log: list[dict] = []
     tags = {"lr": config.learning_rate, "seed": config.seed}
     best_score, best_value = np.inf, np.nan
-    best_theta = model.get_theta()
+    best_theta = model.theta.copy()
     stale = 0
     for epoch in range(config.epochs):
         start = time.perf_counter()
@@ -432,20 +434,10 @@ def train(
             model, None, data.val, data.val_trajectories, spec, config.seed
         )
         elapsed, val_elapsed = trained - start, time.perf_counter() - trained
-        log.append(
-            {
-                "epoch": epoch,
-                "split": "train",
-                "loss": spec.name,
-                "value": train_value,
-                "seconds": elapsed,
-                **tags,
-            }
-        )
-        log.append(
-            {"epoch": epoch, "split": "val", "loss": spec.name, "value": val_value,
-             "seconds": val_elapsed, **tags}
-        )
+        passes = (("train", train_value, elapsed), ("val", val_value, val_elapsed))
+        for split, value, seconds in passes:
+            log.append({"epoch": epoch, "split": split, "loss": spec.name, "value": value,
+                        "seconds": seconds, **tags})
         logger.debug(
             "lr=%g seed=%d epoch %d: train %.6g in %.3f s, val %.6g in %.3f s",
             config.learning_rate, config.seed, epoch, train_value, elapsed, val_value, val_elapsed,
@@ -453,7 +445,7 @@ def train(
         score = -val_value if spec.maximize else val_value
         if score < best_score - 1e-12:
             best_score, best_value = score, val_value
-            best_theta = model.get_theta()
+            best_theta = model.theta.copy()
             stale = 0
         else:
             stale += 1

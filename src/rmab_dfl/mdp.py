@@ -252,6 +252,13 @@ def solve_policies(
     return PolicySolve(gamma=setup.gamma, actions=actions, occupancy=occupancy, values=V)
 
 
+def returns_on_truth(truth: np.ndarray, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:
+    """(j_true, j_budget): (P, N) engagement and budget returns of every
+    policy on the true transitions, from one solve."""
+    solved = solve_policies(truth, setup)
+    return solved.returns(RewardSpec(ENGAGEMENT)), solved.returns(RewardSpec(BUDGET))
+
+
 @dataclass(frozen=True)
 class WhittleTable:
     """Per-state Whittle indices of one arm (same scale as the reward)."""

@@ -13,14 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .dec_layer import returns_on_truth
-from .mdp import DiscountedSetup, WhittleTable, checked_transitions, engagement_rewards
+from .mdp import (
+    DiscountedSetup, WhittleTable, checked_transitions, engagement_rewards, returns_on_truth
+)
 
 
 @dataclass(frozen=True)
 class Cohort:
     """Arms sharing a budget and discounting setup; checked_transitions checks the
-    tensors, and the features must be 2-D with one row per arm."""
+    tensors, the features must be (N, d) and the start distribution (S,)."""
 
     features: np.ndarray  # (N, d)
     tensors: np.ndarray  # (N, S, 2, S) true transitions
@@ -34,6 +35,9 @@ class Cohort:
             raise ValueError(f"features of shape {self.features.shape} for {self.num_arms} arms")
         if not 0 < self.budget <= self.num_arms:
             raise ValueError(f"budget must lie in (0, N={self.num_arms}]")
+        if self.setup.initial_dist.shape != (self.num_states,):
+            shape = self.setup.initial_dist.shape
+            raise ValueError(f"initial_dist of shape {shape} for {self.num_states}-state arms")
 
     @property
     def num_arms(self) -> int:

@@ -528,6 +528,33 @@ def _floor_instances(rng, count, n=200, states=3):
     return problems
 
 
+def _assert_eval_lambda_matches_rounds(problems, alpha, floors, monkeypatch):
+    """Each round of a one-cohort solve_stack, whose logits are floored
+    exactly when `floors`, has the bits of eval_lambda at its multiplier."""
+    reg = RegularizerConfig(alpha=alpha)
+    for tables, cfg in problems:
+        rounds = []
+        original = dec_layer._usage_moments
+
+        def recording(*args):
+            moments = original(*args)
+            rounds.append((float(args[2][0]), moments, args[4]))
+            return moments
+
+        monkeypatch.setattr(dec_layer, "_usage_moments", recording)
+        j_pred, j_budget = _stacked([tables])
+        sol = dec_layer.solve_stack(j_pred, j_budget, reg, [cfg])
+        monkeypatch.undo()
+        assert sol.lambda_star[0] > 0.0 and len(rounds) == sol.evaluations[0] > 1
+        for lam, (usage, variance, mix), floor in rounds:
+            assert floor == floors
+            residual, slope, Z = eval_lambda(tables, lam, reg, cfg)
+            assert (residual, slope) == dec_layer._residual_and_slope(
+                usage[0], variance[0], cfg.budget_cap, reg.alpha
+            )
+            assert np.array_equal(Z.T, mix[0])
+
+
 class TestExpFloor:
     """The floor on the shifted logits: on where alpha lets them underflow, off at alpha = 1."""
 
@@ -566,28 +593,21 @@ class TestExpFloor:
     def test_eval_lambda_matches_stacked_rounds(self, monkeypatch):
         # eval_lambda and a one-cohort solve_stack decide the floor by the
         # same rule, so each of the solve's residuals has the same bits alone
-        reg = RegularizerConfig(alpha=1e-3)
-        for tables, cfg in _floor_instances(np.random.default_rng(47), 4):
-            rounds = []
-            original = dec_layer._usage_moments
+        _assert_eval_lambda_matches_rounds(
+            _floor_instances(np.random.default_rng(47), 4), 1e-3, True, monkeypatch
+        )
 
-            def recording(*args):
-                moments = original(*args)
-                rounds.append((float(args[2][0]), moments, args[4]))
-                return moments
-
-            monkeypatch.setattr(dec_layer, "_usage_moments", recording)
-            j_pred, j_budget = _stacked([tables])
-            sol = dec_layer.solve_stack(j_pred, j_budget, reg, [cfg])
-            monkeypatch.undo()
-            assert sol.lambda_star[0] > 0.0 and len(rounds) == sol.evaluations[0] > 1
-            for lam, (usage, variance, mix), floor in rounds:
-                assert floor
-                residual, slope, Z = eval_lambda(tables, lam, reg, cfg)
-                assert (residual, slope) == dec_layer._residual_and_slope(
-                    usage[0], variance[0], cfg.budget_cap, reg.alpha
-                )
-                assert np.array_equal(Z.T, mix[0])
+    def test_eval_lambda_matches_stacked_rounds_on_c_order_tables(self, monkeypatch):
+        # (N, P) tables in C order, not .T views of the engine's (P, N) memory:
+        # eval_lambda reads them in the C order solve_stack copies them to
+        rng = np.random.default_rng(59)
+        problems = [
+            (ReturnsTable(*map(np.ascontiguousarray, (t.j_pred, t.j_true, t.j_budget))), cfg)
+            for t, cfg in _floor_instances(rng, 3, n=300, states=4)
+        ]
+        assert all(t.j_pred.flags.c_contiguous for t, _ in problems)
+        _assert_eval_lambda_matches_rounds(problems, 0.1, True, monkeypatch)
+        _assert_eval_lambda_matches_rounds(problems, 1.0, False, monkeypatch)
 
     def test_eval_outputs_equal_with_floor_off(self, monkeypatch):
         dataset = generate_synthetic(DatasetManifest(cohorts=8, split_sizes=(1, 1, 6)))

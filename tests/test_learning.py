@@ -1,6 +1,7 @@
 """Unit tests for predictive models, losses, training, and DQ metrics."""
 
 import logging
+import pickle
 import re
 import time
 
@@ -93,37 +94,83 @@ class TestPredictiveModel:
 
     def test_theta_round_trip(self):
         model = PredictiveModel(ModelSpec(layers=2, hidden_dim=8), 4, 2, seed=0)
-        theta = model.get_theta()
+        theta = model.theta.copy()
         model.set_theta(theta * 2.0)
-        assert np.allclose(model.get_theta(), theta * 2.0)
+        assert np.allclose(model.theta, theta * 2.0)
         with pytest.raises(ValueError):
             model.set_theta(theta[:-1])
 
     def test_backprop_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        model = PredictiveModel(ModelSpec(), 3, 2, seed=0)
-        # move away from the tiny default init so ReLU/softmax are generic
-        model.set_theta(rng.normal(scale=0.3, size=model.get_theta().shape))
+        # the linear model, and an MLP whose backward runs through the ReLUs
+        for spec in (ModelSpec(), ModelSpec(layers=2, hidden_dim=8)):
+            rng = np.random.default_rng(1)
+            model = PredictiveModel(spec, 3, 2, seed=0)
+            # move away from the tiny default init so ReLU/softmax are generic
+            model.set_theta(rng.normal(scale=0.3, size=model.theta.shape))
+            x = rng.normal(size=(4, 3))
+            target = rng.dirichlet(np.ones(2), size=(4, 2, 2))
+
+            def loss_of(theta):
+                model.set_theta(theta)
+                tensors, _ = model.forward(x)
+                return 0.5 * float(np.sum((tensors - target) ** 2))
+
+            theta0 = model.theta.copy()
+            model.set_theta(theta0)
+            tensors, cache = model.forward(x)
+            analytic = model.backward(cache, tensors - target)
+            h = 1e-6
+            for idx in rng.choice(theta0.size, size=10, replace=False):
+                e = np.zeros_like(theta0)
+                e[idx] = h
+                fd = (loss_of(theta0 + e) - loss_of(theta0 - e)) / (2 * h)
+                assert abs(analytic[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
+            model.set_theta(theta0)
+
+    def test_theta_layout_is_weights_then_biases(self):
+        # model files store θ: every weight matrix, then every bias, each raveled in C order
+        rng = np.random.default_rng(2)
+        model = PredictiveModel(ModelSpec(layers=1, hidden_dim=5), 3, 2, seed=0)
+        W1, W2 = rng.normal(size=(3, 5)), rng.normal(size=(5, 8))
+        b1, b2 = rng.normal(size=5), rng.normal(size=8)
+        model.set_theta(np.concatenate([W1.ravel(), W2.ravel(), b1, b2]))
         x = rng.normal(size=(4, 3))
-        target = rng.dirichlet(np.ones(2), size=(4, 2, 2))
+        logits = (np.maximum(x @ W1 + b1, 0.0) @ W2 + b2).reshape(4, 2, 2, 2)
+        expected = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        assert np.allclose(model.forward(x)[0], expected, rtol=0, atol=1e-12)
 
-        def loss_of(theta):
-            model.set_theta(theta)
-            tensors, _ = model.forward(x)
-            return 0.5 * float(np.sum((tensors - target) ** 2))
+    def test_unpickled_model_follows_its_theta(self):
+        # a model sent back from a worker process is a pickle round trip
+        model = PredictiveModel(ModelSpec(layers=2, hidden_dim=8), 4, 2, seed=0)
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        restored = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(restored.theta, model.theta)
+        before = restored.forward(x)[0]
+        assert np.array_equal(before, model.forward(x)[0])
+        restored.set_theta(np.random.default_rng(4).normal(size=restored.theta.shape))
+        after = restored.forward(x)[0]
+        assert not np.allclose(after, before)
+        model.set_theta(restored.theta)
+        assert np.array_equal(model.forward(x)[0], after)
 
-        theta0 = model.get_theta()
-        model.set_theta(theta0)
-        tensors, cache = model.forward(x)
-        gw, gb = model.backward(cache, tensors - target)
-        analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
-        h = 1e-6
-        for idx in rng.choice(theta0.size, size=10, replace=False):
-            e = np.zeros_like(theta0)
-            e[idx] = h
-            fd = (loss_of(theta0 + e) - loss_of(theta0 - e)) / (2 * h)
-            assert abs(analytic[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
-        model.set_theta(theta0)
+
+class TestAdam:
+    def test_in_place_step_equals_formula(self):
+        # Adam's update written out of place, operation for operation
+        rng = np.random.default_rng(5)
+        lr, beta1, beta2, eps = 1e-2, Adam.beta1, Adam.beta2, Adam.eps
+        theta = rng.normal(size=7)
+        expected, m, v = theta.copy(), np.zeros(7), np.zeros(7)
+        optimizer = Adam(lr)
+        for t in range(1, 6):
+            grad = rng.normal(size=7)
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            m_hat, v_hat = m / (1 - beta1**t), v / (1 - beta2**t)
+            expected = expected - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert optimizer.step(theta, grad) is None  # theta is updated in place
+            assert np.array_equal(theta, expected)
+            assert np.array_equal(optimizer.m, m) and np.array_equal(optimizer.v, v)
 
 
 class TestAccuracyLosses:
@@ -481,7 +528,7 @@ class TestDecisionQuality:
         rng = np.random.default_rng(16)
         cohort = _cohort(rng, n=6, states=3)
         model = PredictiveModel(ModelSpec(), 4, 3, seed=0)
-        model.set_theta(rng.normal(size=model.get_theta().shape))
+        model.set_theta(rng.normal(size=model.theta.shape))
         value, grad, _ = _cohort_loss(model, cohort, None, LossSpec("fast-dec-dfl", alpha=0.5), 0)
         pred = model.forward(cohort.features)[0]
         reg = RegularizerConfig(alpha=0.5)

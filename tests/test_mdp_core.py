@@ -401,6 +401,6 @@ class TestSetupValidation:
         setup = DiscountedSetup(0.9, np.array([1.0]))
         with pytest.raises(ValueError, match="initial_dist"):
             solve_policies(tensors, setup)
-        cohort = Cohort(np.zeros((5, 3)), tensors, 2.0, setup)
+        # a cohort refuses it when built, before evaluate_dq can solve or roll it out
         with pytest.raises(ValueError, match="initial_dist"):
-            evaluate_dq(None, [cohort], 0, predictions=[tensors])
+            Cohort(np.zeros((5, 3)), tensors, 2.0, setup)

@@ -371,3 +371,10 @@ class TestCohortValidation:
         tensors = np.random.default_rng(13).dirichlet(np.ones(2), size=(5, 2, 2))
         with pytest.raises(ValueError, match="features"):
             Cohort(np.zeros(shape), tensors, 2.0, uniform_setup(2, 0.9))
+
+    def test_start_distribution_needs_one_entry_per_state(self):
+        # caught here, not at the first returns solve or rollout
+        tensors = np.random.default_rng(14).dirichlet(np.ones(2), size=(5, 2, 2))
+        for dist in ([1.0], [0.2, 0.3, 0.5]):
+            with pytest.raises(ValueError, match="initial_dist"):
+                Cohort(np.zeros((5, 1)), tensors, 2.0, DiscountedSetup(0.9, np.array(dist)))
