@@ -221,11 +221,8 @@ def _load_model(path: Path, manifest: DatasetManifest) -> tuple[PredictiveModel,
     theta = np.asarray(blob["theta"], dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError(f"{path} holds a non-finite model parameter")
-    model = PredictiveModel(
-        MODEL_FLAGS[meta["model"]], meta["feature_dim"], meta["states"], seed=meta["seed"]
-    )
-    model.set_theta(theta)
-    return model, meta
+    spec = MODEL_FLAGS[meta["model"]]
+    return PredictiveModel(spec, meta["feature_dim"], meta["states"], theta=theta), meta
 
 
 MODEL_FLAGS = {

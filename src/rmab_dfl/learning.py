@@ -52,6 +52,23 @@ class ModelSpec:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _sum_next_states(probs: np.ndarray) -> np.ndarray:
+    """(S, 2, N) sums over the S' axis of (S, 2, S', N) arrays, in numpy's own
+    order for a short contiguous axis: pairwise, that is the first 8 terms as
+    a tree and the rest in sequence. So the sums equal a last-axis np.sum of
+    the batch-first (N, S, 2, S') layout bit for bit."""
+    terms = [probs[:, :, t] for t in range(probs.shape[2])]
+    if len(terms) >= 8:
+        head = terms[:8]
+        while len(head) > 1:
+            head = [head[k] + head[k + 1] for k in range(0, len(head), 2)]
+        terms = head + terms[8:]
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 class PredictiveModel:
     """Feature -> transition-tensor predictor with manual backprop.
 
@@ -61,7 +78,16 @@ class PredictiveModel:
     model files store; `backward` returns dL/dθ in the same layout.
     """
 
-    def __init__(self, spec: ModelSpec, feature_dim: int, num_states: int, seed: int = 0):
+    def __init__(
+        self,
+        spec: ModelSpec,
+        feature_dim: int,
+        num_states: int,
+        seed: int = 0,
+        theta: np.ndarray | None = None,
+    ):
+        """A model of `spec`, its θ drawn from `seed`, or copied from `theta`
+        (laid out like θ) with nothing drawn."""
         self.feature_dim = feature_dim
         self.num_states = num_states
         dims = [feature_dim] + [spec.hidden_dim] * spec.layers + [num_states * 2 * num_states]
@@ -70,6 +96,9 @@ class PredictiveModel:
         ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
         self._layout = list(zip(map(slice, [0] + ends[:-1], ends), shapes))
         self.theta = np.zeros(ends[-1])
+        if theta is not None:
+            self.set_theta(theta)
+            return
         rng = np.random.default_rng(seed)
         for W in self._layers(self.theta)[0]:
             W[...] = rng.standard_normal(W.shape) * 0.01 / np.sqrt(W.shape[0])
@@ -84,7 +113,11 @@ class PredictiveModel:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, features: np.ndarray):
-        """Returns ((N, S, 2, S) tensors, cache for backward)."""
+        """Returns ((N, S, 2, S) tensors, cache for backward).
+
+        The tensors are a view of (S, 2, S', N) memory, arms last: the
+        softmax reduces over S' as |S| - 1 slice folds along N.
+        """
         x = np.asarray(features, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(
@@ -96,22 +129,33 @@ class PredictiveModel:
         for W, b in zip(weights[:-1], biases[:-1]):
             h = np.maximum(h @ W + b, 0.0)
             activations.append(h)
-        logits = h @ weights[-1] + biases[-1]
         s = self.num_states
-        logits4 = logits.reshape(-1, s, 2, s)
-        shifted = logits4 - logits4.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        tensors = exp / exp.sum(axis=-1, keepdims=True)
-        return tensors, (activations, tensors)
+        logits = np.matmul(weights[-1].T, h.T)  # (S*2*S', N)
+        logits += biases[-1][:, None]
+        probs = logits.reshape(s, 2, s, -1)
+        top = probs[:, :, 0].copy()
+        for t in range(1, s):
+            np.maximum(top, probs[:, :, t], out=top)
+        probs -= top[:, :, None]
+        np.exp(probs, out=probs)
+        probs /= _sum_next_states(probs)[:, :, None]
+        return probs.transpose(3, 0, 1, 2), (activations, probs)
 
     def backward(self, cache, grad_tensors: np.ndarray) -> np.ndarray:
-        """dL/dθ given dL/dtensors, one vector laid out like θ."""
-        activations, tensors = cache
-        inner = np.sum(grad_tensors * tensors, axis=-1, keepdims=True)
-        grad_logits = tensors * (grad_tensors - inner)
-        g = grad_logits.reshape(activations[-1].shape[0], -1)
-        grad = np.empty_like(self.theta)
+        """dL/dθ given dL/dtensors, one vector laid out like θ.
+
+        grad_tensors is (N, S, 2, S); a view of (S, 2, S', N) memory, as
+        PolicySolve.gradient returns, is read without a copy.
+        """
+        activations, probs = cache
+        grad_probs = np.ascontiguousarray(grad_tensors.transpose(1, 2, 3, 0))
+        grad_logits = grad_probs * probs
+        inner = _sum_next_states(grad_logits)
+        np.subtract(grad_probs, inner[:, :, None], out=grad_logits)
+        grad_logits *= probs
         weights = self._layers(self.theta)[0]
+        g = grad_logits.reshape(weights[-1].shape[1], -1).T  # (N, S*2*S')
+        grad = np.empty_like(self.theta)
         grad_w, grad_b = self._layers(grad)
         for layer in range(len(weights) - 1, -1, -1):
             np.matmul(activations[layer].T, g, out=grad_w[layer])
@@ -246,8 +290,9 @@ def sim_dfl_loss(
     returns, _ = rollout(cohort, trajectories, rng, np.ones_like if cohort.budget >= n else act)
     centered = returns - returns.mean()  # baseline reduces estimator variance
     grad_wi = np.einsum("t,tis->is", centered, score_wi) / trajectories
-    grad_pred = np.einsum("is,isjak->ijak", grad_wi, wi_grads)
-    return float(returns.mean()), grad_pred
+    # written batch-last, as PolicySolve.gradient writes, for model.backward
+    grad_pred = np.einsum("is,isjak->jaki", grad_wi, wi_grads)
+    return float(returns.mean()), grad_pred.transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +558,12 @@ def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tupl
     reg = RegularizerConfig(kind="entropy", alpha=EVAL_ALPHA)
     values, anchors = [0.0] * len(cohorts), [0.0] * len(cohorts)
     for members in groups.values():
-        count = len(members)
-        stacked = np.stack([predictions[k] for k in members])
-        solved = solve_policies(stacked.reshape(-1, *stacked.shape[2:]), cohorts[members[0]].setup)
+        count, n_arms = len(members), cohorts[members[0]].num_arms
+        # the group's predictions joined along the arm axis of (S, 2, S', C*N) memory
+        joined = np.concatenate([predictions[k].transpose(1, 2, 3, 0) for k in members], axis=-1)
+        solved = solve_policies(joined.transpose(3, 0, 1, 2), cohorts[members[0]].setup)
         # the group's (P, C*N) returns, split by cohort
-        j_pred = solved.returns(RewardSpec(ENGAGEMENT)).reshape(-1, count, stacked.shape[1])
+        j_pred = solved.returns(RewardSpec(ENGAGEMENT)).reshape(-1, count, n_arms)
         j_true = np.stack([cohorts[k].true_returns[0] for k in members])
         j_budget = np.stack([cohorts[k].true_returns[1] for k in members])
         # 2C problems: the predictions, then the anchors on the truth

@@ -15,6 +15,7 @@ equation (acting and staying passive are worth the same at each index).
 from __future__ import annotations
 
 import logging
+import string
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -154,21 +155,30 @@ class PolicySolve:
         return np.einsum("sjn,js->jn", self.occupancy, rewards)
 
     def gradient(self, policy_weights: np.ndarray) -> np.ndarray:
-        """(N, S, 2, S): sum_j policy_weights[j, i] * dJ_i(pi_j)/dT_i(s, a, s').
+        """(N, S, 2, S): sum_j policy_weights[j, i] * dJ_i(pi_j)/dT_i(s, a, s'),
+        a view of (S, 2, S', N) memory, arms last.
 
         The closed form gamma * d(s) * V(s') on the action each policy
-        takes in s (zero on the other), contracted over policies.
+        takes in s, contracted over the policies taking action a in s. With
+        the policy axis split into its action bits (policy_action_matrix's
+        order: bit s of j is j's action in s), those policies are a slice.
         """
         if self.values is None:
             raise ValueError("return gradients need the values: solve with values=R")
+        num_states, _, n_arms = self.values.shape
+        by_bits = (num_states,) + (2,) * num_states + (n_arms,)  # bit s on axis S - s
         weighted = self.occupancy * (self.gamma * np.asarray(policy_weights, dtype=float))
-        acted = weighted * self.actions.T[:, :, None]  # (S, P, N)
-        weighted -= acted  # what remains is the passive action's share
-        n_arms, num_states = self.occupancy.shape[2], self.occupancy.shape[0]
-        grad = np.empty((n_arms, num_states, 2, num_states))
-        grad[:, :, 1, :] = np.einsum("sjn,tjn->nst", acted, self.values)
-        grad[:, :, 0, :] = np.einsum("sjn,tjn->nst", weighted, self.values)
-        return grad
+        weighted, values = weighted.reshape(by_bits), self.values.reshape(by_bits)
+        bits = string.ascii_uppercase[:num_states]
+        grad = np.empty((num_states, 2, num_states, n_arms))
+        for s in range(num_states):
+            k = num_states - 1 - s
+            others = bits[:k] + bits[k + 1 :]
+            for a in (0, 1):
+                taking_a = (slice(None),) * k + (a,)
+                np.einsum(f"{others}n,t{others}n->tn", weighted[s][taking_a],
+                          values[(slice(None),) + taking_a], out=grad[s, a])
+        return grad.transpose(3, 0, 1, 2)
 
 
 def _factor_in_place(M: np.ndarray) -> None:
@@ -217,10 +227,11 @@ def solve_policies(
     """Solve all 2^|S| deterministic policies of every arm at once.
 
     tensors has shape (N, |S|, 2, |S|) and setup.initial_dist (|S|,), or
-    ValueError. I - gamma*T_pi of every (policy, arm) pair is stacked
-    batch-last and factored once; one left solve gives the occupancy, from
-    which the returns under any reward follow, and values=R adds one right
-    solve for V under R, which return gradients need.
+    ValueError; a view of (S, 2, S', N) memory, as PredictiveModel.forward
+    gives, is read in memory order. I - gamma*T_pi of every (policy, arm)
+    pair is stacked batch-last and factored once; one left solve gives the
+    occupancy, from which the returns under any reward follow, and values=R
+    adds one right solve for V under R, which return gradients need.
     """
     tensors = np.asarray(tensors, dtype=float)
     n_arms, num_states = tensors.shape[0], tensors.shape[1]
@@ -229,10 +240,10 @@ def solve_policies(
                          f"not ({num_states},) for {num_states}-state arms")
     actions = policy_action_matrix(num_states)
     n_policies = actions.shape[0]
-    # scaled[s, t, a, i] = -gamma * T_i(s, a, t), contiguous over arms
-    scaled = np.ascontiguousarray(tensors.transpose(1, 3, 2, 0)) * -setup.gamma
+    # scaled[s, a, t, i] = -gamma * T_i(s, a, t), contiguous over arms
+    scaled = np.multiply(tensors.transpose(1, 2, 3, 0), -setup.gamma, order="C")
     s = np.arange(num_states)
-    by_policy = (s[:, None, None], s[None, :, None], actions.T[:, None, :])
+    by_policy = (s[:, None, None], actions.T[:, None, :], s[None, :, None])
     initial = setup.initial_dist[:, None, None]
     if values is not None:
         rewards = np.broadcast_to(values.per_step(num_states, actions), actions.shape)
@@ -331,7 +342,8 @@ def whittle_indices(tensors, setup: DiscountedSetup, tol: float = 1e-8) -> np.nd
 
 
 def whittle_gradients(tensors, setup: DiscountedSetup, wi: np.ndarray) -> np.ndarray:
-    """(N, S, S, 2, S): d wi[i, s] / d T_i(x, a, y), by implicit differentiation.
+    """(N, S, S, 2, S): d wi[i, s] / d T_i(x, a, y), by implicit differentiation;
+    a view of (S, 2, S, N, S) memory, as PolicySolve.gradient writes it.
 
     At the root the best acting and best passive policies in s are known,
     so dWI/dT = -(df/dT) / (df/dm) with df/dm = b_act(s) - b_passive(s), and

@@ -291,6 +291,17 @@ class TestEval:
         return main(["eval", "--dataset", str(tiny_dataset), "--model", str(model_path),
                      "--out", str(out), *flags])
 
+    def test_loaded_model_is_its_theta_with_nothing_drawn(self, tiny_dataset, model_path,
+                                                          monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("an initialization was drawn")
+
+        manifest = datasets.load_dataset(tiny_dataset).manifest
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        model, meta = cli._load_model(model_path, manifest)
+        assert np.array_equal(model.theta, np.load(model_path)["theta"])
+        assert meta["model"] == "linear"
+
     def test_existing_result_refused_before_evaluating(self, tiny_dataset, model_path, tmp_path,
                                                        monkeypatch):
         out = tmp_path / "eval"

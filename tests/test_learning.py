@@ -153,6 +153,84 @@ class TestPredictiveModel:
         model.set_theta(restored.theta)
         assert np.array_equal(model.forward(x)[0], after)
 
+    @staticmethod
+    def _row_softmax(model, x):
+        """The (N, S, 2, S) predictions by the batch-first formula: logits
+        x W + b, each (s, a) row normalized by a softmax over its last axis."""
+        weights, biases = model._layers(model.theta)
+        h = x
+        for W, b in zip(weights[:-1], biases[:-1]):
+            h = np.maximum(h @ W + b, 0.0)
+        s = model.num_states
+        logits = (h @ weights[-1] + biases[-1]).reshape(-1, s, 2, s)
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return exp / exp.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("states", range(2, 13))
+    def test_forward_equals_row_softmax(self, states):
+        # the softmax folds follow numpy's own summation order at every |S|;
+        # the (S*2*S', N) logits GEMM can round apart from x W in the last
+        # bit where OpenBLAS's edge kernels differ (1.4e-15 seen at |S| = 3)
+        rng = np.random.default_rng(30 + states)
+        for spec in (ModelSpec(), ModelSpec(layers=1, hidden_dim=7)):
+            model = PredictiveModel(spec, 16, states, seed=0)
+            model.set_theta(rng.normal(scale=2.0, size=model.theta.shape))
+            x = rng.normal(size=(300, 16))
+            tensors, expected = model.forward(x)[0], self._row_softmax(model, x)
+            if states in (2, 4):
+                assert np.array_equal(tensors, expected)
+            else:
+                assert np.max(np.abs(tensors - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("states", range(2, 13))
+    def test_next_state_sums_follow_numpy_order(self, states):
+        probs = np.random.default_rng(states).random((states, 2, states, 500))
+        expected = np.ascontiguousarray(probs.transpose(3, 0, 1, 2)).sum(axis=-1)  # batch-first
+        assert np.array_equal(learning._sum_next_states(probs), expected.transpose(1, 2, 0))
+
+    def test_predictions_are_batch_last_views(self):
+        model = PredictiveModel(ModelSpec(layers=1, hidden_dim=5), 4, 3, seed=0)
+        tensors = model.forward(np.random.default_rng(5).normal(size=(7, 4)))[0]
+        assert tensors.shape == (7, 3, 2, 3)
+        assert tensors.transpose(1, 2, 3, 0).flags.c_contiguous
+
+    def test_backward_reads_either_layout(self):
+        rng = np.random.default_rng(6)
+        model = PredictiveModel(ModelSpec(layers=1, hidden_dim=5), 4, 3, seed=0)
+        model.set_theta(rng.normal(scale=0.5, size=model.theta.shape))
+        x = rng.normal(size=(9, 4))
+        cache = model.forward(x)[1]
+        c_order = rng.normal(size=(9, 3, 2, 3))
+        batch_last = np.ascontiguousarray(c_order.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        assert np.array_equal(model.backward(cache, c_order), model.backward(cache, batch_last))
+
+    def test_backward_equals_batch_first_formula(self):
+        # the linear model's dL/dθ written batch-first: the weight GEMM keeps
+        # its bits; the bias sum now runs pairwise over the arms
+        rng = np.random.default_rng(7)
+        model = PredictiveModel(ModelSpec(), 16, 4, seed=0)
+        model.set_theta(rng.normal(size=model.theta.shape))
+        x = rng.normal(size=(1000, 16))
+        tensors, cache = model.forward(x)
+        upstream = rng.normal(size=tensors.shape)
+        inner = np.sum(upstream * tensors, axis=-1, keepdims=True)
+        g = (tensors * (upstream - inner)).reshape(1000, -1)
+        grad_w, grad_b = model._layers(model.backward(cache, upstream))
+        assert np.array_equal(grad_w[0], x.T @ g)
+        assert np.allclose(grad_b[0], g.sum(axis=0), rtol=1e-14, atol=1e-14)
+
+    def test_theta_given_draws_nothing(self, monkeypatch):
+        theta = np.random.default_rng(8).normal(size=PredictiveModel(ModelSpec(), 4, 2).theta.size)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("an initialization was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        model = PredictiveModel(ModelSpec(), 4, 2, theta=theta)
+        assert np.array_equal(model.theta, theta) and model.theta is not theta
+        with pytest.raises(ValueError):
+            PredictiveModel(ModelSpec(), 4, 2, theta=theta[:-1])
+
 
 class TestAdam:
     def test_in_place_step_equals_formula(self):
@@ -234,6 +312,14 @@ class TestSimDfl:
         ex = np.exp(x[~pos])
         expected[~pos] = ex / (1.0 + ex)
         assert np.array_equal(_sigmoid(x), expected, equal_nan=True)
+
+    def test_gradient_is_batch_last_view(self):
+        rng = np.random.default_rng(7)
+        cohort = _cohort(rng, n=4, states=3, budget=1.0)
+        pred = rng.dirichlet(np.ones(3), size=(4, 3, 2))
+        grad = sim_dfl_loss(pred, cohort, trajectories=10, seed=0)[1]
+        assert grad.shape == pred.shape
+        assert grad.transpose(1, 2, 3, 0).flags.c_contiguous
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -467,6 +553,17 @@ class TestDecisionQuality:
                 f"of B/(1-gamma) = {cap:.6g}"
             )
         assert report.joint_dq is not None
+
+    def test_prediction_layout_leaves_report_unchanged(self):
+        # a model gives batch-last views; explicit predictions may be C order
+        rng = np.random.default_rng(21)
+        cohorts = [_cohort(rng, n=6, states=3, budget=1.0), _cohort(rng, n=6, states=3, budget=2.0)]
+        preds = [rng.dirichlet(np.ones(3), size=(6, 3, 2)) for _ in cohorts]
+        views = [np.ascontiguousarray(p.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2) for p in preds]
+        for trajectories in (0, 20):
+            reports = [evaluate_dq(None, cohorts, trajectories=trajectories, seed=4, predictions=p)
+                       for p in (preds, views)]
+            assert reports[0] == reports[1]
 
     def test_predictions_must_match_cohorts(self):
         rng = np.random.default_rng(17)

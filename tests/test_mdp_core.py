@@ -248,6 +248,33 @@ class TestBatchedReturns:
             )
             assert np.allclose(batched[i], manual, atol=1e-12)
 
+    @pytest.mark.parametrize("states", [2, 3, 4, 6])
+    def test_gradient_is_batch_last_view(self, states):
+        # the closed form over all policies, zero where a policy takes the
+        # other action, written batch-first: the same bits
+        rng = np.random.default_rng(31)
+        tensors = rng.dirichlet(np.ones(states), size=(50, states, 2))
+        solve = solve_policies(tensors, uniform_setup(states, 0.9), values=RewardSpec(ENGAGEMENT))
+        weights = rng.normal(size=(2**states, 50))
+        grad = solve.gradient(weights)
+        assert grad.shape == (50, states, 2, states)
+        assert grad.transpose(1, 2, 3, 0).flags.c_contiguous
+        weighted = solve.occupancy * (0.9 * weights)
+        acted = weighted * solve.actions.T[:, :, None]
+        expected = np.stack([np.einsum("sjn,tjn->nst", weighted - acted, solve.values),
+                             np.einsum("sjn,tjn->nst", acted, solve.values)], axis=2)
+        assert np.array_equal(grad, expected)
+
+    def test_engine_reads_either_layout(self):
+        rng = np.random.default_rng(32)
+        tensors = rng.dirichlet(np.ones(3), size=(5, 3, 2))
+        view = np.ascontiguousarray(tensors.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        setup, reward = uniform_setup(3, 0.9), RewardSpec(ENGAGEMENT)
+        weights = rng.normal(size=(8, 5))
+        a, b = (solve_policies(t, setup, values=reward) for t in (tensors, view))
+        assert np.array_equal(a.returns(reward), b.returns(reward))
+        assert np.array_equal(a.gradient(weights), b.gradient(weights))
+
     @staticmethod
     def _max_errors(tensors, setup, kind, rng):
         """Largest deviation of the batched returns and weighted gradients
