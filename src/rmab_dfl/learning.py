@@ -10,7 +10,9 @@ gradients; the models are small enough that this is both fast and exact.
 from __future__ import annotations
 
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -590,24 +592,73 @@ def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tupl
 
 
 def _joint_pass(
-    pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int, k: int
-) -> list[SimulationResult]:
+    pred: np.ndarray, cohort: Cohort, trajectories: int, seed: int
+) -> tuple[list[SimulationResult], float]:
     """The predicted and the perfect Whittle top-B policy of one cohort,
     rolled out in one `rollout` pass: they share its draws, and each gets
-    what `simulate_joint` gives it from the same seed."""
+    what `simulate_joint` gives it from the same seed. Returns both
+    results and the rollout's wall seconds."""
     budget = int(round(cohort.budget))
     acts = [whittle_act(whittle_indices(t, cohort.setup), budget) for t in (pred, cohort.tensors)]
     start = time.perf_counter()
     returns, budget_used = rollout(cohort, trajectories, np.random.default_rng(seed), *acts)
     results = [SimulationResult.of(r, b) for r, b in zip(returns, budget_used)]
-    logger.debug(
-        "joint pass of cohort %d (predicted and perfect Whittle top-B): %d trajectories x %d "
-        "steps in %.3f s, mean discounted budget used %.6g and %.6g of B/(1-gamma) = %.6g",
-        k, trajectories, simulation_horizon(cohort.setup, cohort.num_arms),
-        time.perf_counter() - start, results[0].mean_budget_used, results[1].mean_budget_used,
-        cohort.budget / (1 - cohort.setup.gamma),
-    )
-    return results
+    return results, time.perf_counter() - start
+
+
+def _pass_workers(cohorts: int) -> int:
+    """Threads for the joint passes: one per CPU this process may run on,
+    at most one per cohort."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, cohorts)
+
+
+def _joint_passes(
+    predictions: list[np.ndarray], cohorts: list[Cohort], trajectories: int, seed: int
+) -> list[list[SimulationResult]]:
+    """Cohort k's _joint_pass from seed + k, for every k, on a pool of
+    _pass_workers threads, returned in cohort order.
+
+    Each pass has its own generator and writes nothing another reads, so
+    the results do not depend on the thread count. This thread logs each
+    pass's DEBUG record in cohort order. Once a pass raises, no other pass
+    starts: queued ones are skipped, and the exception propagates
+    unchanged as soon as the passes already running end. So does an
+    interrupt of this thread.
+    """
+    failures: list[BaseException] = []
+
+    def run(k):
+        if failures:
+            return None
+        try:
+            return _joint_pass(predictions[k], cohorts[k], trajectories, seed + k)
+        except BaseException as exc:
+            failures.append(exc)
+            raise
+
+    passes = []
+    pool = ThreadPoolExecutor(_pass_workers(len(cohorts)))
+    try:
+        for k, (cohort, outcome) in enumerate(zip(cohorts, pool.map(run, range(len(cohorts))))):
+            if outcome is None:  # skipped after a later cohort's pass raised
+                raise failures[0]
+            results, seconds = outcome
+            logger.debug(
+                "joint pass of cohort %d (predicted and perfect Whittle top-B): %d trajectories "
+                "x %d steps in %.3f s, mean discounted budget used %.6g and %.6g of "
+                "B/(1-gamma) = %.6g",
+                k, trajectories, simulation_horizon(cohort.setup, cohort.num_arms), seconds,
+                results[0].mean_budget_used, results[1].mean_budget_used,
+                cohort.budget / (1 - cohort.setup.gamma),
+            )
+            passes.append(results)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return passes
 
 
 def evaluate_dq(
@@ -633,11 +684,18 @@ def evaluate_dq(
     it alone. The joint columns are means over cohorts of rollout
     estimates, with standard errors sqrt(sum_k se_k^2) / n. Cohort k's
     predicted and perfect Whittle top-B policies roll out in one `rollout`
-    pass from seed + k (_joint_pass; a DEBUG record per pass gives its
-    size, seconds and budget use), and each gets the values that
-    `simulate_joint` gives it from that seed.
+    pass from seed + k (_joint_pass), and each gets the values that
+    `simulate_joint` gives it from that seed. The passes run on up to one
+    thread per CPU this process may run on (_joint_passes), so memory
+    holds up to that many passes at once. The outputs do not depend on
+    the thread count: the results are summed in cohort order, and a DEBUG
+    record per pass, giving its size, seconds and budget use, is logged
+    in cohort order from the calling thread. `mdp`'s WARNING of
+    not-indexable arms may come from a pass's own thread. The decomposed
+    solve runs first, on the calling thread, so that `Cohort.true_returns`
+    is solved there and not in a pass.
     trajectories=0 skips the (slow) simulated joint evaluation and reports
-    None for the joint columns.
+    None for the joint columns, and starts no thread.
     """
     if trajectories < 0:
         raise ValueError(f"trajectories must be nonnegative, got {trajectories}")
@@ -652,13 +710,13 @@ def evaluate_dq(
     dec_values, dec_anchors = _decomposed_dq(predictions, cohorts)
     joint = decomposed = never = perfect_joint = perfect_dec = 0.0
     joint_var = perfect_joint_var = 0.0
+    passes = _joint_passes(predictions, cohorts, trajectories, seed) if trajectories > 0 else []
+    for result, perfect in passes:
+        joint += result.mean_return
+        joint_var += result.std_error**2
+        perfect_joint += perfect.mean_return
+        perfect_joint_var += perfect.std_error**2
     for k, cohort in enumerate(cohorts):
-        if trajectories > 0:
-            result, perfect = _joint_pass(predictions[k], cohort, trajectories, seed + k, k)
-            joint += result.mean_return
-            joint_var += result.std_error**2
-            perfect_joint += perfect.mean_return
-            perfect_joint_var += perfect.std_error**2
         decomposed += dec_values[k]
         never += float(cohort.true_returns[0][0].sum())
         perfect_dec += dec_anchors[k]

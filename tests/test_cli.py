@@ -333,6 +333,15 @@ class TestEval:
             assert dq[key] is None, key
         assert dq["normalized_decomposed_dq"] is not None
 
+    def test_worker_count_changes_no_bytes(self, tiny_dataset, model_path, tmp_path, monkeypatch):
+        written = []
+        for workers in (1, 3):
+            monkeypatch.setattr(learning, "_pass_workers", lambda cohorts, w=workers: w)
+            out = tmp_path / f"eval-{workers}"
+            assert self._eval(tiny_dataset, model_path, out, "--trajectories", "20") == EXIT_OK
+            written.append((out / "dq.json").read_bytes())
+        assert written[0] == written[1]
+
     def test_empty_split_is_input_error(self, model_path, tmp_path):
         # a valid dataset whose test split holds no cohorts: no means to report
         manifest = datasets.DatasetManifest(cohorts=4, arms_per_cohort=4, budget=1.0,

@@ -3,7 +3,11 @@
 import logging
 import pickle
 import re
+import signal
+import sys
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from rmab_dfl.learning import (
 )
 from rmab_dfl.mdp import (
     ENGAGEMENT,
+    NumericError,
     RewardSpec,
     TransitionTensor,
     WhittleTable,
@@ -553,6 +558,95 @@ class TestDecisionQuality:
                 f"of B/(1-gamma) = {cap:.6g}"
             )
         assert report.joint_dq is not None
+
+    def test_worker_count_changes_no_output(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        cohorts = [_cohort(rng, n=4, budget=1.0), _cohort(rng, n=6, states=3, budget=2.0),
+                   _cohort(rng, n=5, budget=1.5), _cohort(rng, n=3, states=3, budget=1.0)]
+        preds = [rng.dirichlet(np.ones(c.num_states), size=c.tensors.shape[:3]) for c in cohorts]
+        real_pass = learning._joint_pass
+        # with several workers, the first two passes must run at the same time
+        met = threading.Barrier(2, timeout=30)
+
+        def meeting_pass(pred, cohort, trajectories, seed):
+            if seed in (5, 6):  # cohorts 0 and 1
+                met.wait()
+            return real_pass(pred, cohort, trajectories, seed)
+
+        reports = []
+        for workers, pass_ in ((1, real_pass), (3, meeting_pass)):
+            monkeypatch.setattr(learning, "_pass_workers", lambda cohorts, w=workers: w)
+            monkeypatch.setattr(learning, "_joint_pass", pass_)
+            reports.append(evaluate_dq(None, cohorts, trajectories=25, seed=5, predictions=preds))
+        assert reports[0] == reports[1]
+        for tensors_of, mean, se in (
+            (lambda k: preds[k], reports[0].joint_dq, reports[0].joint_dq_se),
+            (lambda k: cohorts[k].tensors, reports[0].perfect_joint_dq,
+             reports[0].perfect_joint_dq_se),
+        ):
+            results = []
+            for k, cohort in enumerate(cohorts):
+                tables = [WhittleTable(wi) for wi in whittle_indices(tensors_of(k), cohort.setup)]
+                policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
+                results.append(simulate_joint(cohort, policy, 25, 5 + k))
+            assert mean == sum(r.mean_return for r in results) / 4
+            assert se == sum(r.std_error**2 for r in results) ** 0.5 / 4
+
+    def test_failed_pass_starts_no_queued_pass(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cohorts = [_cohort(rng, n=4, budget=1.0) for _ in range(8)]
+        workers, started, error = 2, [], NumericError("pass 0 failed")
+        real_pass = learning._joint_pass
+
+        def failing_pass(pred, cohort, trajectories, seed):
+            started.append(seed)
+            if seed == 0:
+                raise error
+            time.sleep(0.2)
+            return real_pass(pred, cohort, trajectories, seed)
+
+        monkeypatch.setattr(learning, "_pass_workers", lambda cohorts: workers)
+        monkeypatch.setattr(learning, "_joint_pass", failing_pass)
+        threads = threading.active_count()
+        with pytest.raises(NumericError) as raised:
+            evaluate_dq(None, cohorts, trajectories=5, seed=0,
+                        predictions=[c.tensors for c in cohorts])
+        assert raised.value is error
+        assert 0 in started and len(started) <= workers
+        assert threading.active_count() == threads
+
+    def test_interrupt_starts_no_queued_pass(self, monkeypatch):
+        # Ctrl-C reaches the calling thread while it waits for a pass's result
+        rng = np.random.default_rng(24)
+        cohorts = [_cohort(rng, n=4, budget=1.0) for _ in range(8)]
+        workers, started = 2, []
+        real_pass = learning._joint_pass
+        caller = threading.main_thread()
+
+        def caller_waits():
+            frame = sys._current_frames()[caller.ident]
+            while frame is not None and frame.f_code is not Future.result.__code__:
+                frame = frame.f_back
+            return frame is not None
+
+        def interrupted_pass(pred, cohort, trajectories, seed):
+            started.append(seed)
+            if seed == 0:
+                deadline = time.monotonic() + 30
+                while not caller_waits() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                signal.pthread_kill(caller.ident, signal.SIGINT)
+            time.sleep(0.5)
+            return real_pass(pred, cohort, trajectories, seed)
+
+        monkeypatch.setattr(learning, "_pass_workers", lambda cohorts: workers)
+        monkeypatch.setattr(learning, "_joint_pass", interrupted_pass)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_dq(None, cohorts, trajectories=5, seed=0,
+                        predictions=[c.tensors for c in cohorts])
+        assert 0 in started and len(started) <= workers
+        assert threading.active_count() == threads
 
     def test_prediction_layout_leaves_report_unchanged(self):
         # a model gives batch-last views; explicit predictions may be C order
