@@ -119,7 +119,7 @@ def check_truthful_optimality(seed: int, cohorts: int = 20, alternatives: int = 
     random alternative prediction (up to solver tolerance).
     """
     rng = np.random.default_rng(seed)
-    reg = RegularizerConfig(kind="entropy", alpha=1e-3)
+    reg = RegularizerConfig(alpha=1e-3)
     worst = np.inf
     for _ in range(cohorts):
         truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 6)))
@@ -206,7 +206,7 @@ def check_dual_solver(seed: int, instances: int = 100) -> dict:
     reference solve, and satisfies complementary slackness.
     """
     rng = np.random.default_rng(seed)
-    reg = RegularizerConfig(kind="entropy", alpha=0.1)
+    reg = RegularizerConfig(alpha=0.1)
     max_lam_err = max_z_err = max_slack = 0.0
     for _ in range(instances):
         truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 5)))
@@ -237,7 +237,7 @@ def check_residual_monotonicity(seed: int, draws: int = 10_000) -> dict:
         j_pred = rng.normal(scale=5.0, size=(n, p))
         j_budget = rng.uniform(0.0, 10.0, size=(n, p))
         tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget)
-        reg = RegularizerConfig(kind="entropy", alpha=float(rng.uniform(0.01, 2.0)))
+        reg = RegularizerConfig(alpha=float(rng.uniform(0.01, 2.0)))
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         lam_pair = np.sort(rng.uniform(-10.0, 10.0, size=2))
         r_lo, _, _ = eval_lambda(tables, lam_pair[0], reg, cfg)

@@ -303,7 +303,7 @@ def bench_layer_scaling(
         setup = DiscountedSetup(gamma, np.array([0.5, 0.5]))
         tables = build_returns_table(tensors, tensors, setup)
         cfg = SolverConfig(budget=0.1 * n, gamma=gamma)
-        reg = RegularizerConfig(kind="entropy", alpha=0.1)
+        reg = RegularizerConfig(alpha=0.1)
         start = time.perf_counter()
         sol = forward_pass(tables, reg, cfg)
         fwd = time.perf_counter() - start

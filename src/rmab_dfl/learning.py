@@ -275,9 +275,10 @@ def sim_dfl_loss(
     common-random-number coupled through the seed.
     """
     pred = np.asarray(pred, dtype=float)
+    if pred.shape != cohort.tensors.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {cohort.tensors.shape}")
     n, num_states = pred.shape[0], pred.shape[1]
-    wi = whittle_indices(pred, cohort.setup)
-    wi_grads = whittle_gradients(pred, cohort.setup, wi)
+    wi, wi_grads = whittle_gradients(pred, cohort.setup)
     rng = np.random.default_rng(seed)
     traj_idx, arm_idx = np.arange(trajectories)[:, None], np.arange(n)
     score_wi = np.zeros((trajectories, n, num_states))  # d log P / d WI[i, s]
@@ -557,7 +558,7 @@ def _decomposed_dq(predictions: list[np.ndarray], cohorts: list[Cohort]) -> tupl
         setup = cohort.setup
         key = (cohort.tensors.shape, setup.gamma, setup.initial_dist.tobytes())
         groups.setdefault(key, []).append(k)
-    reg = RegularizerConfig(kind="entropy", alpha=EVAL_ALPHA)
+    reg = RegularizerConfig(alpha=EVAL_ALPHA)
     values, anchors = [0.0] * len(cohorts), [0.0] * len(cohorts)
     for members in groups.values():
         count, n_arms = len(members), cohorts[members[0]].num_arms

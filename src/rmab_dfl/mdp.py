@@ -277,24 +277,8 @@ class WhittleTable:
     wi: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-_MAX_BISECTIONS = 200  # so that a tol below float resolution raises, not spins
-
-
-def _subsidy_lines(tensors, setup: DiscountedSetup):
-    """The engine solved from every start state e_y, arms batch-last.
-
-    With a subsidy m paid per passive step, policy j of arm i is worth
-    V(y; m) = a[y, j, i] + m * b[y, j, i] at state y: a is its engagement
-    value, b its discounted count of passive steps. Returns (occupancy, a,
-    b), with occupancy[y] the (S, P, N) occupancy from e_y.
-    """
-    tensors = np.asarray(tensors, dtype=float)
-    num_states = tensors.shape[1]
-    starts = [DiscountedSetup(setup.gamma, e) for e in np.eye(num_states)]
-    occupancy = np.stack([solve_policies(tensors, start).occupancy for start in starts])
-    a = np.einsum("yxjn,x->yjn", occupancy, engagement_rewards(num_states))
-    b = np.einsum("yxjn,jx->yjn", occupancy, 1.0 - policy_action_matrix(num_states))
-    return occupancy, a, b
+_WHITTLE_TOL = 1e-8  # width of each index's final bisection bracket
+_MAX_BISECTIONS = 200  # so that a tolerance below float resolution raises, not spins
 
 
 def _acting_vs_passive(reduce, a, b, subsidy):
@@ -306,20 +290,29 @@ def _acting_vs_passive(reduce, a, b, subsidy):
     return [reduce(np.where(m, lines, -np.inf), axis=-1) for m in (acting, ~acting)]
 
 
-def whittle_indices(tensors, setup: DiscountedSetup, tol: float = 1e-8) -> np.ndarray:
-    """(N, S) Whittle index of every state of every arm, engagement reward.
+def _whittle_solve(tensors, setup: DiscountedSetup):
+    """The subsidy lines of every arm and the Whittle indices they give.
 
-    The index of s is the passive subsidy m at which acting and staying
-    passive in s are worth the same. Every policy's value is affine in m, so
-    f_s(m), the best value in s of a policy acting in s minus that of one
-    passive in s, has the sign of Q*(s, act) - Q*(s, passive); the index is
-    its root (Gast, Gaujal & Khun, arXiv 2203.05207). One bisection on
-    +-1/(1-gamma) finds all N*S roots, ties resolving toward the lower
-    subsidy. Roots at the bracket top (not indexable) are logged once,
-    with their count and up to 5 of the (arm, state) pairs.
+    The engine is solved once from each start state e_y. With a subsidy m
+    paid per passive step, policy j of arm i is worth a[i, y, j] + m *
+    b[i, y, j] at y: a is its engagement value, b its discounted count of
+    passive steps. f_s(m), the best line in s of a policy acting in s minus
+    that of one passive in s, has the sign of Q*(s, act) - Q*(s, passive),
+    so the index of s, where the two are worth the same, is its root (Gast,
+    Gaujal & Khun, arXiv 2203.05207). One bisection on +-1/(1-gamma) finds
+    all N*S roots, ties resolving toward the lower subsidy. Roots at the
+    bracket top (not indexable) are logged once, with their count and up
+    to 5 of the (arm, state) pairs. Returns (occupancy, a, b, wi), with
+    occupancy[y] the (S, P, N) occupancy from e_y and a, b (N, S, P).
     """
-    _, a, b = _subsidy_lines(tensors, setup)
-    a, b = a.transpose(2, 0, 1), b.transpose(2, 0, 1)  # lines at the indexed state
+    tensors, tol = np.asarray(tensors, dtype=float), _WHITTLE_TOL
+    num_states = tensors.shape[1]
+    actions = policy_action_matrix(num_states)
+    occupancy = np.empty((num_states, num_states, len(actions), len(tensors)))
+    for y, start in enumerate(np.eye(num_states)):
+        occupancy[y] = solve_policies(tensors, DiscountedSetup(setup.gamma, start)).occupancy
+    a = np.einsum("yxjn,x->yjn", occupancy, engagement_rewards(num_states)).transpose(2, 0, 1)
+    b = np.einsum("yxjn,jx->yjn", occupancy, 1.0 - actions).transpose(2, 0, 1)
     bound = 1.0 / (1.0 - setup.gamma)  # engagement rewards lie in [0, 1]
     lo, hi = np.full(a.shape[:2], -bound), np.full(a.shape[:2], bound)
     for _ in range(_MAX_BISECTIONS):
@@ -338,43 +331,45 @@ def whittle_indices(tensors, setup: DiscountedSetup, tol: float = 1e-8) -> np.nd
                        "bracket top, such as %s", len(at_top),
                        ", ".join(f"({i}, {s})" for i, s in at_top[:5].tolist()))
     value = 0.5 * (lo + hi)
-    return np.where(np.abs(value) <= tol, 0.0, value)
+    return occupancy, a, b, np.where(np.abs(value) <= tol, 0.0, value)
 
 
-def whittle_gradients(tensors, setup: DiscountedSetup, wi: np.ndarray) -> np.ndarray:
-    """(N, S, S, 2, S): d wi[i, s] / d T_i(x, a, y), by implicit differentiation;
-    a view of (S, 2, S, N, S) memory, as PolicySolve.gradient writes it.
+def whittle_indices(tensors, setup: DiscountedSetup) -> np.ndarray:
+    """(N, S) Whittle index of every state of every arm, engagement reward,
+    by _whittle_solve's bisection to within _WHITTLE_TOL."""
+    return _whittle_solve(tensors, setup)[3]
 
-    At the root the best acting and best passive policies in s are known,
-    so dWI/dT = -(df/dT) / (df/dm) with df/dm = b_act(s) - b_passive(s), and
-    df/dT is the difference of the two policies' return gradients from
-    e_s under the subsidized values a + WI*b: PolicySolve.gradient with one
-    batch entry per (arm, state). A degenerate root (|df/dm| < 1e-12) gets
-    a zero gradient.
+
+def whittle_gradients(tensors, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:
+    """(wi, grad): whittle_indices and grad[i, s] = d wi[i, s] / d T_i(x, a, y),
+    (N, S, S, 2, S) and a view of (S, 2, S, N, S) memory, from the same lines.
+
+    By implicit differentiation at the root of f_s, dWI/dT = -(df/dT) / (df/dm)
+    with df/dm = b_act(s) - b_passive(s) for the best acting and best passive
+    policies there. Each adds gamma * d(x) * V(y) from e_s, under the
+    subsidized values a + WI*b, on the action it takes in x. A degenerate
+    root (|df/dm| < 1e-12) gets a zero gradient.
     """
-    occupancy, a, b = _subsidy_lines(tensors, setup)
-    wi = np.asarray(wi, dtype=float)
+    occupancy, a, b, wi = _whittle_solve(tensors, setup)
     n, num_states = wi.shape
-    b_s = b.transpose(2, 0, 1)
-    best = [j[..., None] for j in _acting_vs_passive(np.argmax, a.transpose(2, 0, 1), b_s, wi)]
-    slope = np.take_along_axis(b_s, best[0], -1) - np.take_along_axis(b_s, best[1], -1)
+    arm, state = np.arange(n)[:, None], np.arange(num_states)
+    best = _acting_vs_passive(np.argmax, a, b, wi)  # (N, S) policy ids
+    slope = b[arm, state, best[0]] - b[arm, state, best[1]]
     scale = np.divide(-1.0, slope, out=np.zeros_like(slope), where=np.abs(slope) >= 1e-12)
-    weights = np.zeros_like(b_s)
-    np.put_along_axis(weights, best[0], scale, -1)
-    np.put_along_axis(weights, best[1], -scale, -1)
-    pairs = (num_states, -1, n * num_states)  # batch entry i*S + s: arm i indexed at s
-    solve = PolicySolve(setup.gamma, policy_action_matrix(num_states),
-                        occupancy.transpose(1, 2, 3, 0).reshape(pairs),
-                        (a[..., None] + b[..., None] * wi).reshape(pairs))
-    grad = solve.gradient(weights.reshape(n * num_states, -1).T)
-    return grad.reshape(n, num_states, num_states, 2, num_states)
+    acting = policy_action_matrix(num_states) == 1
+    grad = np.zeros((num_states, 2, num_states, n, num_states)).transpose(3, 4, 0, 1, 2)
+    for j, weight in zip(best, (scale, -scale)):
+        d = occupancy[state, :, j, arm] * (setup.gamma * weight)[..., None]  # (N, S, x) from e_s
+        V = a[arm, :, j] + b[arm, :, j] * wi[..., None]  # (N, S, y) at subsidy wi
+        term = d[..., None] * V[..., None, :]
+        acts = acting[j][..., None]  # (N, S, x, 1): j acts in x
+        grad[..., 1, :] += np.where(acts, term, 0.0)
+        grad[..., 0, :] += np.where(acts, 0.0, term)
+    return wi, grad
 
 
-def whittle_index(
-    T: TransitionTensor, R: RewardSpec, setup: DiscountedSetup, tol: float = 1e-8
-) -> WhittleTable:
+def whittle_index(T: TransitionTensor, R: RewardSpec, setup: DiscountedSetup) -> WhittleTable:
     """Whittle indices of one arm: the N=1 view of whittle_indices."""
     if R.kind != ENGAGEMENT:
         raise ValueError(f"Whittle indices need the engagement reward, not {R.kind!r}")
-    return WhittleTable(wi=whittle_indices(T.probs[None], setup, tol)[0])
-
+    return WhittleTable(wi=whittle_indices(T.probs[None], setup)[0])

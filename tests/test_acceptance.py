@@ -132,7 +132,7 @@ def _grid_dual_oracle(tables, reg, cfg):
 def test_criterion_05_forward_pass_vs_grid_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(5)
-    reg = RegularizerConfig(kind="entropy", alpha=0.1)
+    reg = RegularizerConfig(alpha=0.1)
     max_lam = max_z = max_slack = 0.0
     for _ in range(100):
         truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 5)))
@@ -168,7 +168,7 @@ def test_criterion_06_residual_monotonicity():
 def test_criterion_07_gradient_correctness():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    reg = RegularizerConfig(kind="entropy", alpha=1.0)
+    reg = RegularizerConfig(alpha=1.0)
     h = 1e-5
     worst_layer = worst_pipeline = 0.0
     for _ in range(50):
@@ -299,7 +299,7 @@ def test_criterion_10_backward_scaling():
         setup = DiscountedSetup(GAMMA, np.array([0.5, 0.5]))
         tables = build_returns_table(tensors, tensors, setup)
         cfg = SolverConfig(budget=0.1 * n, gamma=GAMMA)
-        reg = RegularizerConfig(kind="entropy", alpha=0.1)
+        reg = RegularizerConfig(alpha=0.1)
         sol = forward_pass(tables, reg, cfg)
         best = np.inf
         for _ in range(5):

@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -26,7 +27,7 @@ from rmab_dfl import (
     train,
     uniform_setup,
 )
-from rmab_dfl import learning
+from rmab_dfl import learning, mdp
 from rmab_dfl.cli import MODEL_FLAGS
 from rmab_dfl.datasets import transition_counts
 from rmab_dfl.learning import (
@@ -44,6 +45,7 @@ from rmab_dfl.mdp import (
     RewardSpec,
     TransitionTensor,
     WhittleTable,
+    solve_policies,
     whittle_gradients,
     whittle_index,
     whittle_indices,
@@ -284,14 +286,15 @@ class TestAccuracyLosses:
 
 
 class TestWhittleGradient:
-    def test_matches_finite_differences(self):
+    def test_matches_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_WHITTLE_TOL", 1e-10)
         rng = np.random.default_rng(4)
         reward = RewardSpec(ENGAGEMENT)
         h = 1e-6
         for states in (2, 3):
             setup = uniform_setup(states, 0.9)
             tensors = rng.dirichlet(np.ones(states), size=(5, states, 2))
-            grads = whittle_gradients(tensors, setup, whittle_indices(tensors, setup, tol=1e-10))
+            grads = whittle_gradients(tensors, setup)[1]
             for T, grad in zip(tensors, grads):
                 for s in range(states):
                     d = np.zeros_like(T)
@@ -300,11 +303,31 @@ class TestWhittleGradient:
                     d[sa, aa, to], d[sa, aa, fro] = 1.0, -1.0
                     if min(T[sa, aa, to], T[sa, aa, fro]) < 10 * h:
                         continue
-                    up = whittle_index(TransitionTensor(T + h * d), reward, setup, tol=1e-10)
-                    dn = whittle_index(TransitionTensor(T - h * d), reward, setup, tol=1e-10)
+                    up = whittle_index(TransitionTensor(T + h * d), reward, setup)
+                    dn = whittle_index(TransitionTensor(T - h * d), reward, setup)
                     fd = (up.wi[s] - dn.wi[s]) / (2 * h)
                     an = float(np.sum(grad[s] * d))
                     assert abs(an - fd) <= 1e-3 * max(1.0, abs(fd))
+
+    def test_indices_are_whittle_indices(self):
+        rng = np.random.default_rng(8)
+        tensors = rng.dirichlet(np.full(3, 0.05), size=(40, 3, 2))
+        setup = uniform_setup(3, 0.9)
+        assert np.array_equal(whittle_gradients(tensors, setup)[0], whittle_indices(tensors, setup))
+
+    def test_peak_memory_below_two_occupancies(self):
+        # the (S, S, P, N) occupancy from every start state is the one
+        # array of its size: no stacked copy, transposed copy or weight table
+        n, states = 100, 8
+        tensors = np.random.default_rng(9).dirichlet(np.ones(states), size=(n, states, 2))
+        setup = uniform_setup(states, 0.9)
+        tracemalloc.start()
+        try:
+            whittle_gradients(tensors, setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * states * states * 2**states * n * 8
 
 
 class TestSimDfl:
@@ -325,6 +348,29 @@ class TestSimDfl:
         grad = sim_dfl_loss(pred, cohort, trajectories=10, seed=0)[1]
         assert grad.shape == pred.shape
         assert grad.transpose(1, 2, 3, 0).flags.c_contiguous
+
+    def test_prediction_shape_checked(self):
+        rng = np.random.default_rng(12)
+        cohort = _cohort(rng, n=5, states=2, budget=1.0)
+        for shape in ((1, 2, 2, 2), (5, 3, 2, 3), (7, 2, 2, 2)):
+            pred = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+            with pytest.raises(ValueError, match="shape mismatch"):
+                sim_dfl_loss(pred, cohort, trajectories=5, seed=0)
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_one_subsidy_solve_per_start_state(self, states, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve_policies(*args, **kwargs)
+
+        monkeypatch.setattr(mdp, "solve_policies", counted)
+        rng = np.random.default_rng(13)
+        cohort = _cohort(rng, n=4, states=states, budget=1.0)
+        pred = rng.dirichlet(np.ones(states), size=(4, states, 2))
+        sim_dfl_loss(pred, cohort, trajectories=5, seed=0)
+        assert calls == [pred.shape] * states
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)

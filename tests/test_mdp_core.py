@@ -368,11 +368,17 @@ class TestWhittleIndex:
             V = V_next
         raise AssertionError("value iteration did not converge")
 
-    @pytest.mark.parametrize("states", [2, 3, 4])
-    def test_indifference_by_value_iteration(self, states):
+    # Dirichlet(0.05) arms are near-deterministic and often not indexable;
+    # the indices must still be indifference points there
+    @pytest.mark.parametrize(
+        "states, concentration, arms",
+        [(2, 1.0, 50), (3, 1.0, 50), (4, 1.0, 50), (3, 0.05, 400), (4, 0.05, 400)],
+        ids=["2", "3", "4", "3-sparse", "4-sparse"],
+    )
+    def test_indifference_by_value_iteration(self, states, concentration, arms):
         # at subsidy WI[i, s], acting and staying passive in s are worth the same
         rng = np.random.default_rng(40 + states)
-        tensors = rng.dirichlet(np.ones(states), size=(50, states, 2))
+        tensors = rng.dirichlet(np.full(states, concentration), size=(arms, states, 2))
         setup = DiscountedSetup(0.9, rng.dirichlet(np.ones(states)))
         wi = whittle_indices(tensors, setup)
         Q = self._subsidized_q(tensors, wi, setup.gamma)
@@ -395,17 +401,19 @@ class TestWhittleIndex:
         with pytest.raises(ValueError):
             whittle_index(T, RewardSpec(BUDGET), uniform_setup(2, 0.9))
 
-    def test_tolerance_below_resolution_raises(self):
+    def test_tolerance_below_resolution_raises(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_WHITTLE_TOL", 0.0)
         tensors = np.random.default_rng(46).dirichlet(np.ones(2), size=(3, 2, 2))
         with pytest.raises(NumericError):
-            whittle_indices(tensors, uniform_setup(2, 0.9), tol=0.0)
+            whittle_indices(tensors, uniform_setup(2, 0.9))
 
-    def test_bracket_top_logged_once_with_count(self, caplog):
+    def test_bracket_top_logged_once_with_count(self, caplog, monkeypatch):
         # a tolerance wider than the bracket stops the bisection at once,
         # so every (arm, state) pair is still at the bracket top
+        monkeypatch.setattr(mdp, "_WHITTLE_TOL", 100.0)
         tensors = np.random.default_rng(47).dirichlet(np.ones(2), size=(3, 2, 2))
         with caplog.at_level("WARNING", logger="rmab_dfl.mdp"):
-            whittle_indices(tensors, uniform_setup(2, 0.9), tol=100.0)
+            whittle_indices(tensors, uniform_setup(2, 0.9))
         assert [r.getMessage().split()[0] for r in caplog.records] == ["6"]
         assert caplog.records[0].getMessage().endswith(
             "such as (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)")
