@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (
-    ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, returns_on_truth, solve_policies
+    ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, arm_blocks, returns_on_truth,
+    run_arm_blocks, solve_policies,
 )
 
 ENTROPY = "entropy"
@@ -136,7 +137,8 @@ def _floors_logits(alpha: float, cfgs: list[SolverConfig]) -> bool:
 
 
 def _mixtures(
-    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float, floor: bool
+    j_pred: np.ndarray, j_budget: np.ndarray, lam: np.ndarray, alpha: float, floor: bool,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Softmax over the policy axis of (j_pred - lam * j_budget) / alpha.
 
@@ -151,9 +153,10 @@ def _mixtures(
     fast range with room to spare, and exp(-700) is a normal double that
     vanishes next to the row's largest entry, 1. The solve decides
     floor once from its inputs (_floors_logits), so a solve whose logits
-    cannot reach -700 runs the plain softmax.
+    cannot reach -700 runs the plain softmax. out, if given, receives the
+    mixture.
     """
-    logits = lam[:, None, None] * j_budget
+    logits = np.multiply(lam[:, None, None], j_budget, out=out)
     np.subtract(j_pred, logits, out=logits)
     logits /= alpha
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -166,15 +169,18 @@ def _mixtures(
     return logits
 
 
-def _centered(Z: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centered(
+    Z: np.ndarray, table: np.ndarray, out: tuple = (None, None)
+) -> tuple[np.ndarray, np.ndarray]:
     """Each arm's Z-expectation of a table along the policy axis (axis 1, in
-    both the (C, P, N) stacks and the (N, P) tables), and the table minus it.
+    both the (C, P, N) stacks and the (N, P) tables), and the table minus it,
+    written into out's arrays where given.
 
     The one centring of the KKT elimination: the forward slope's variance
     and the backward pass's budget row and upstream all come from it.
     """
-    mean = np.add.reduce(Z * table, axis=1, keepdims=True)
-    return mean, table - mean
+    mean = np.add.reduce(Z * table, axis=1, keepdims=True, out=out[0])
+    return mean, np.subtract(table, mean, out=out[1])
 
 
 def _usage_moments(
@@ -189,12 +195,29 @@ def _usage_moments(
     digits at small alpha, where the one-pass E[X^2] - E[X]^2 cancels.
     Every reduction runs within one cohort, so a cohort's values do not
     depend on the rest of the stack. floor is _mixtures'.
+
+    The per-arm part (Z, each arm's mean usage and g^2) splits into arm
+    blocks across threads (mdp.run_arm_blocks) once each block gets at
+    least mdp._SPLIT_ENTRIES table entries, as at 10^4 arms; the blocks
+    write into full (C, P, N) buffers. The sums over arms and the dot run
+    here on the full arrays, so no output depends on the CPU count.
     """
-    Z = _mixtures(j_pred, j_budget, lam, alpha, floor)
-    mean, g = _centered(Z, j_budget)
-    g *= g  # now the squares g^2
-    count = len(Z)
-    variance = Z.reshape(count, 1, -1) @ g.reshape(count, -1, 1)  # one dot per cohort
+    count, _, n_arms = j_pred.shape
+
+    def per_arm(j_pred, j_budget, Z=None, mean=None, squares=None):
+        Z = _mixtures(j_pred, j_budget, lam, alpha, floor, out=Z)
+        mean, squares = _centered(Z, j_budget, out=(mean, squares))
+        squares *= squares  # g^2
+        return Z, mean, squares
+
+    blocks = arm_blocks(n_arms, j_pred.size)
+    if blocks == 1:  # no buffers: each new array reuses a freed temporary's warm memory
+        Z, mean, squares = per_arm(j_pred, j_budget)
+    else:
+        Z, squares = np.empty(j_pred.shape), np.empty(j_pred.shape)
+        mean = np.empty((count, 1, n_arms))
+        run_arm_blocks(per_arm, blocks, j_pred, j_budget, Z, mean, squares)
+    variance = Z.reshape(count, 1, -1) @ squares.reshape(count, -1, 1)  # one dot per cohort
     return np.add.reduce(mean.reshape(count, -1), axis=1), variance.reshape(count), Z
 
 

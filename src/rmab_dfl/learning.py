@@ -10,14 +10,13 @@ gradients; the models are small enough that this is both fast and exact.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dec_layer
+from . import dec_layer, mdp
 from .dec_layer import RegularizerConfig, SolverConfig, solve_stack
 from .mdp import (
     ENGAGEMENT,
@@ -608,13 +607,9 @@ def _joint_pass(
 
 
 def _pass_workers(cohorts: int) -> int:
-    """Threads for the joint passes: one per CPU this process may run on,
-    at most one per cohort."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, cohorts)
+    """Threads for the joint passes: mdp.WORKERS, one per CPU this process
+    may run on, at most one per cohort."""
+    return min(mdp.WORKERS, cohorts)
 
 
 def _joint_passes(

@@ -5,7 +5,9 @@ Each arm is a small MDP with binary actions (act / don't act). All
 evaluation is exact (direct linear solves of the Bellman equations), so
 none of the downstream machinery needs Monte Carlo rollouts. The returns
 engine, solve_policies, solves every policy of every arm at once; Whittle
-indices and their gradients are read off its values. Its oracles live in
+indices and their gradients are read off its values. Work independent across
+arms runs on arm blocks (run_arm_blocks), on threads once it is large enough,
+with the same bits on any number of CPUs. Its oracles live in
 tests/oracles.py, on plain arrays and apart from this package: scalar
 np.linalg.solve returns and return gradients, and value iteration; the
 Whittle indices are checked by value iteration on the subsidized Bellman
@@ -15,7 +17,10 @@ equation (acting and staying passive are worth the same at each index).
 from __future__ import annotations
 
 import logging
+import os
 import string
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -131,6 +136,87 @@ def policy_action_matrix(num_states: int) -> np.ndarray:
 # chunks this small so that each elimination step runs in cache; it also
 # bounds the transient factor (one 12-state arm, 4.7 MB, is a chunk alone).
 _CHUNK_ENTRIES = 1 << 18
+# Least entries per worker for which per-arm work other than the engine's
+# chunks is split into arm blocks across threads; all paper-scale work is below.
+_SPLIT_ENTRIES = 1 << 16
+
+# Threads for work that is independent across arms or cohorts: one per CPU
+# this process may run on, read once at import.
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:
+    WORKERS = os.cpu_count() or 1
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the arm-block pool in a forked child: the child's copy has no
+    threads to run its tasks, and its lock may be held by a parent thread."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def arm_blocks(n_arms: int, entries: int) -> int:
+    """How many arm blocks `entries` of work spread evenly over n_arms arms
+    splits into: 1 (run inline) unless each of up to WORKERS blocks, every
+    one of at least 2 arms, gets at least _SPLIT_ENTRIES entries.
+
+    Two arms keep the arm axis innermost in every block, so each arm's sums
+    over policies run in the same order as over all arms; in a block of one
+    arm numpy would sum the policy axis pairwise, which rounds differently.
+    """
+    workers = min(WORKERS, n_arms // 2)
+    if workers < 2 or entries < workers * _SPLIT_ENTRIES:
+        return 1
+    return workers
+
+
+def run_arm_blocks(work, blocks: int, *arrays) -> None:
+    """work(*parts) for `blocks` consecutive blocks of arms, whose lengths
+    differ by at most one, where parts are the views of `arrays` (arms on
+    their last axis; None passes as None) that hold the block's arms.
+
+    One block, or a process with one CPU, runs inline on this thread, and
+    one block gets `arrays` themselves. Otherwise the blocks run on a shared
+    pool of WORKERS threads, created on first use and dropped in forked
+    children; this thread waits for all of them, and the first block to
+    raise, in arm order, re-raises its exception here once no block is left
+    running. work must write only into its own parts and submit nothing to
+    the pool: then the outputs do not depend on the blocks or the thread
+    count, and callers on other threads (evaluate_dq's joint passes) cannot
+    deadlock it.
+    """
+    if blocks == 1:
+        work(*arrays)
+        return
+    size, longer = divmod(arrays[0].shape[-1], blocks)
+    parts = []
+    for k in range(blocks):
+        arms = slice(k * size + min(k, longer), (k + 1) * size + min(k + 1, longer))
+        parts.append([None if array is None else array[..., arms] for array in arrays])
+    if WORKERS < 2:
+        for part in parts:
+            work(*part)
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="rmab-dfl-arms")
+        pool = _pool
+    tasks = [pool.submit(work, *part) for part in parts]
+    try:
+        for task in tasks:
+            task.result()
+    finally:
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
 
 
 @dataclass(frozen=True)
@@ -162,22 +248,32 @@ class PolicySolve:
         takes in s, contracted over the policies taking action a in s. With
         the policy axis split into its action bits (policy_action_matrix's
         order: bit s of j is j's action in s), those policies are a slice.
+        The contractions run on arm blocks (run_arm_blocks), across threads
+        once each block gets at least _SPLIT_ENTRIES occupancy entries; each
+        arm's sums run in the same order in any block of 2 or more arms, so
+        no output depends on the CPU count.
         """
         if self.values is None:
             raise ValueError("return gradients need the values: solve with values=R")
         num_states, _, n_arms = self.values.shape
-        by_bits = (num_states,) + (2,) * num_states + (n_arms,)  # bit s on axis S - s
-        weighted = self.occupancy * (self.gamma * np.asarray(policy_weights, dtype=float))
-        weighted, values = weighted.reshape(by_bits), self.values.reshape(by_bits)
+        by_bits = (num_states,) + (2,) * num_states + (-1,)  # bit s on axis S - s
+        policy_weights = np.asarray(policy_weights, dtype=float)
         bits = string.ascii_uppercase[:num_states]
         grad = np.empty((num_states, 2, num_states, n_arms))
-        for s in range(num_states):
-            k = num_states - 1 - s
-            others = bits[:k] + bits[k + 1 :]
-            for a in (0, 1):
-                taking_a = (slice(None),) * k + (a,)
-                np.einsum(f"{others}n,t{others}n->tn", weighted[s][taking_a],
-                          values[(slice(None),) + taking_a], out=grad[s, a])
+
+        def contract(occupancy, weights, values, grad):
+            weighted = (occupancy * (self.gamma * weights)).reshape(by_bits)
+            values = values.reshape(by_bits)
+            for s in range(num_states):
+                k = num_states - 1 - s
+                others = bits[:k] + bits[k + 1 :]
+                for a in (0, 1):
+                    taking_a = (slice(None),) * k + (a,)
+                    np.einsum(f"{others}n,t{others}n->tn", weighted[s][taking_a],
+                              values[(slice(None),) + taking_a], out=grad[s, a])
+
+        run_arm_blocks(contract, arm_blocks(n_arms, self.occupancy.size),
+                       self.occupancy, policy_weights, self.values, grad)
         return grad.transpose(3, 0, 1, 2)
 
 
@@ -231,7 +327,11 @@ def solve_policies(
     gives, is read in memory order. I - gamma*T_pi of every (policy, arm)
     pair is stacked batch-last and factored once; one left solve gives the
     occupancy, from which the returns under any reward follow, and values=R
-    adds one right solve for V under R, which return gradients need.
+    adds one right solve for V under R, which return gradients need. Arms
+    are factored and solved in chunks of about _CHUNK_ENTRIES matrix
+    entries; more than one chunk runs across threads (run_arm_blocks).
+    Each arm's solve is elementwise over arms, so no output depends on the
+    chunking or the CPU count.
     """
     tensors = np.asarray(tensors, dtype=float)
     n_arms, num_states = tensors.shape[0], tensors.shape[1]
@@ -250,16 +350,18 @@ def solve_policies(
         rewards = rewards.T[:, :, None]
     occupancy = np.empty((num_states, n_policies, n_arms))
     V = None if values is None else np.empty_like(occupancy)
-    chunk = max(1, _CHUNK_ENTRIES // (num_states * num_states * n_policies))
-    for start in range(0, n_arms, chunk):
-        arms = slice(start, start + chunk)
-        M = scaled[by_policy + (arms,)]  # (S, S, P, chunk): -gamma * T_pi
+
+    def solve(scaled, occupancy, V):
+        M = scaled[by_policy]  # (S, S, P, chunk): -gamma * T_pi
         for k in range(num_states):
             M[k, k] += 1.0
         _factor_in_place(M)
-        occupancy[:, :, arms] = _solve_left(M, initial)
+        occupancy[...] = _solve_left(M, initial)
         if V is not None:
-            V[:, :, arms] = _solve_right(M, rewards)
+            V[...] = _solve_right(M, rewards)
+
+    chunk = max(1, _CHUNK_ENTRIES // (num_states * num_states * n_policies))
+    run_arm_blocks(solve, max(1, -(-n_arms // chunk)), scaled, occupancy, V)
     return PolicySolve(gamma=setup.gamma, actions=actions, occupancy=occupancy, values=V)
 
 

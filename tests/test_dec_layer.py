@@ -776,3 +776,31 @@ class TestLossWrapper:
         on_pred = ReturnsTable(j_pred=on_truth.j_pred, j_true=on_truth.j_true, j_budget=pred_budget)
         assert np.array_equal(uncorrected.z_star, forward_pass(on_pred, reg, cfg).z_star)
         assert not np.allclose(uncorrected.z_star, forward_pass(on_truth, reg, cfg).z_star)
+
+
+class TestArmBlocks:
+    """The layer's per-arm work, split into arm blocks across threads, keeps every bit."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e-3])
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_split_keeps_bits(self, arm_threads, states, alpha):
+        rng = np.random.default_rng(70 + states)
+        setup = uniform_setup(states, 0.9)
+        truth = rng.dirichlet(np.ones(states), size=(7, states, 2))
+        preds = rng.dirichlet(np.ones(states), size=(3, 7, states, 2))
+        stack = _stacked([build_returns_table(pred, truth, setup) for pred in preds])
+        cfgs = [SolverConfig(budget=budget, gamma=0.9) for budget in (0.7, 1.4, 2.8)]
+        reg = RegularizerConfig(alpha=alpha)
+        outputs = []
+        for workers in (1, 3):
+            ran = arm_threads(workers, states)
+            sol = dec_layer.solve_stack(*stack, reg, cfgs)
+            loss, grad = dec_dfl_loss(preds[0], truth, reg, cfgs[0], setup)
+            assert bool(ran) == (workers > 1)
+            outputs.append((sol, loss, grad))
+        (one, loss_one, grad_one), (three, loss_three, grad_three) = outputs
+        assert one.rounds == three.rounds > 1
+        for field in ("lambda_star", "slack_xi", "z_star", "evaluations", "doublings"):
+            assert np.array_equal(getattr(one, field), getattr(three, field))
+        assert loss_one == loss_three
+        assert np.array_equal(grad_one, grad_three)

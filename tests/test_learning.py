@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -693,6 +693,32 @@ class TestDecisionQuality:
                         predictions=[c.tensors for c in cohorts])
         assert 0 in started and len(started) <= workers
         assert threading.active_count() == threads
+
+    def test_arm_blocks_inside_joint_passes(self, arm_threads, monkeypatch):
+        # every engine solve splits into arm blocks, also those of the
+        # joint passes' whittle_indices, which run on the passes' threads
+        rng = np.random.default_rng(25)
+        cohorts = [_cohort(rng, n=7, budget=1.0) for _ in range(4)]
+        preds = [rng.dirichlet(np.ones(2), size=(7, 2, 2)) for _ in cohorts]
+        reports = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave at many more points
+        try:
+            for passes in (1, 3):
+                for arms in (1, 3):
+                    ran = arm_threads(arms, 2)
+                    monkeypatch.setattr(learning, "_pass_workers", lambda cohorts, w=passes: w)
+                    waiter = ThreadPoolExecutor(1)
+                    done = waiter.submit(evaluate_dq, None, cohorts, trajectories=20, seed=3,
+                                         predictions=preds)
+                    try:
+                        reports.append(done.result(timeout=60))  # a deadlock fails here
+                    finally:
+                        waiter.shutdown(wait=done.done())
+                    assert bool(ran) == (arms > 1)
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(report == reports[0] for report in reports)
 
     def test_prediction_layout_leaves_report_unchanged(self):
         # a model gives batch-last views; explicit predictions may be C order

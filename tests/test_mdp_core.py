@@ -1,6 +1,10 @@
 """Unit tests for the per-arm MDP primitives."""
 
+import itertools
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from rmab_dfl.mdp import (
     ENGAGEMENT,
     policy_action_matrix,
     solve_policies,
+    whittle_gradients,
 )
 
 
@@ -439,3 +444,92 @@ class TestSetupValidation:
         # a cohort refuses it when built, before evaluate_dq can solve or roll it out
         with pytest.raises(ValueError, match="initial_dist"):
             Cohort(np.zeros((5, 3)), tensors, 2.0, setup)
+
+
+class TestArmBlocks:
+    """Per-arm work split into arm blocks across threads keeps every bit."""
+
+    @staticmethod
+    def _arms(states, seed):
+        rng = np.random.default_rng(seed)
+        tensors = rng.dirichlet(np.ones(states), size=(7, states, 2))
+        return rng, tensors, DiscountedSetup(0.9, rng.dirichlet(np.ones(states)))
+
+    def test_split_rule(self, monkeypatch):
+        monkeypatch.setattr(mdp, "WORKERS", 2)
+        assert mdp.arm_blocks(100, 4 * 100) == 1  # a paper-scale cohort's returns
+        assert mdp.arm_blocks(120 * 100, 4 * 120 * 100) == 1  # a paper-scale eval stack
+        assert mdp.arm_blocks(10**4, 16 * 10**4) == 2  # a scale-out cohort's returns
+        assert mdp.arm_blocks(3, 10**9) == 1  # a block keeps 2 arms
+        monkeypatch.setattr(mdp, "WORKERS", 3)
+        assert mdp.arm_blocks(5, 10**9) == 2
+        monkeypatch.setattr(mdp, "WORKERS", 1)
+        assert mdp.arm_blocks(10**6, 10**9) == 1
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_engine_and_gradient_keep_bits(self, arm_threads, states):
+        rng, tensors, setup = self._arms(states, 50 + states)
+        weights = rng.normal(size=(2**states, 7))
+        reward = RewardSpec(ENGAGEMENT)
+        outputs = []
+        for workers in (1, 3):
+            ran = arm_threads(workers, states)
+            solved = solve_policies(tensors, setup, values=reward)
+            outputs.append((solved.occupancy, solved.values, solved.gradient(weights)))
+            assert bool(ran) == (workers > 1)
+        for one, three in zip(*outputs):
+            assert np.array_equal(one, three)
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_whittle_gradients_keep_bits(self, arm_threads, states):
+        _, tensors, setup = self._arms(states, 55 + states)
+        outputs = []
+        for workers in (1, 3):
+            ran = arm_threads(workers, states)
+            outputs.append(whittle_gradients(tensors, setup))
+            assert bool(ran) == (workers > 1)
+        for one, three in zip(*outputs):
+            assert np.array_equal(one, three)
+
+    def test_failed_block_raises_its_exception(self, arm_threads, monkeypatch):
+        _, tensors, setup = self._arms(3, 60)
+        whole = solve_policies(tensors, setup).occupancy
+        arm_threads(3, 3)
+        error, calls, real = NumericError("block failed"), itertools.count(1), mdp._factor_in_place
+
+        def failing(M):
+            if next(calls) == 2:
+                raise error
+            real(M)
+
+        monkeypatch.setattr(mdp, "_factor_in_place", failing)
+        with pytest.raises(NumericError) as raised:
+            solve_policies(tensors, setup)
+        assert raised.value is error
+        monkeypatch.setattr(mdp, "_factor_in_place", real)
+        assert np.array_equal(solve_policies(tensors, setup).occupancy, whole)
+
+    def test_forked_child_solves_split(self, arm_threads):
+        _, tensors, setup = self._arms(3, 61)
+        ran = arm_threads(3, 3)
+        before = solve_policies(tensors, setup).occupancy
+        assert ran  # the parent's pool has threads, which the child lacks
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # the parent's pool, copied without its threads, would queue
+                # tasks that no thread runs, so the child must start its own
+                fresh = mdp._pool is None
+                code = int(not (fresh and np.array_equal(
+                    solve_policies(tensors, setup).occupancy, before)))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's split solve did not end within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
