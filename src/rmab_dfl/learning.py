@@ -203,61 +203,94 @@ def nll_loss(pred: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray]:
 TEMPERATURE = 0.1  # tau of the soft top-B selection
 
 
-def _soft_top_b_probs(scores: np.ndarray, budget: float) -> np.ndarray:
+def _soft_top_b_probs(
+    scores: np.ndarray, budget: float, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Soft top-B marginals p_i = sigmoid((w_i - theta) / tau), with theta
     chosen per row so that sum_i p_i = B, for 0 < B < N.
 
     Safeguarded Newton per row on h(theta) = log sum_i p_i - log B, whose
     slope is -sum_i p_i (1 - p_i) / (tau sum_i p_i). The bracket runs from
     the (floor(B)+1)-th largest score - 40 tau, where sum p > B, to the
-    ceil(B)-th largest + 40 tau, where sum p < B; both come from one
-    `np.partition`. Newton starts at the midpoint of those two scores,
-    bisects when a step leaves the bracket, and stops a row once
-    |sum p - B| <= 1e-12 B, after at most 60 iterations.
+    ceil(B)-th largest + 40 tau, where sum p < B. One `np.partition` at the
+    first gives both: the second is the same score when B is fractional,
+    and otherwise the least score above the kth. Newton starts at the
+    midpoint of those two scores, bisects when a step leaves the bracket,
+    and stops a row once |sum p - B| <= 1e-12 B, after at most 60 sweeps.
+
+    Every sweep runs over all rows; a finished row keeps its theta, so it
+    recomputes the same p. `out` and `work`, arrays of the scores' shape,
+    take the marginals and the scratch space when given.
     """
     n = scores.shape[1]
-    k_hi, k_lo = n - int(np.ceil(budget)), n - int(np.floor(budget)) - 1
-    part = np.partition(scores, (k_lo, k_hi), axis=1)
-    lo = part[:, k_lo] - 40.0 * TEMPERATURE
-    hi = part[:, k_hi] + 40.0 * TEMPERATURE
-    theta = 0.5 * (part[:, k_lo] + part[:, k_hi])
-    probs = np.empty(scores.shape)
-    rows = np.arange(scores.shape[0])
-    for _ in range(60):
-        p = _sigmoid((scores[rows] - theta[:, None]) / TEMPERATURE)
-        mass = p.sum(axis=1)
-        done = np.abs(mass - budget) <= 1e-12 * budget
-        probs[rows[done]] = p[done]
-        if done.all():
-            return probs
-        rows, p, mass, theta = rows[~done], p[~done], mass[~done], theta[~done]
-        too_big = mass > budget
-        lo = np.where(too_big, theta, lo[~done])
-        hi = np.where(too_big, hi[~done], theta)
-        # a row whose p are all 0 or 1 has no slope: its inf or nan step bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = theta + TEMPERATURE * mass * np.log(mass / budget) / np.sum(p * (1 - p), axis=1)
-        theta = np.where((lo < theta) & (theta < hi), theta, 0.5 * (lo + hi))
-    probs[rows] = p
-    return probs
+    k_lo = n - int(np.floor(budget)) - 1
+    part = np.partition(scores, k_lo, axis=1)
+    low = part[:, k_lo]
+    high = low if n - int(np.ceil(budget)) == k_lo else part[:, k_lo + 1:].min(axis=1)
+    lo = low - 40.0 * TEMPERATURE
+    hi = high + 40.0 * TEMPERATURE
+    theta = 0.5 * (low + high)
+    p = np.empty(scores.shape) if out is None else out
+    z = np.empty(scores.shape) if work is None else work
+    # a row whose p are all 0 or 1 has no slope: its inf or nan step bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
+            np.subtract(scores, theta[:, None], out=z)
+            z /= TEMPERATURE
+            _sigmoid(z, out=p, work=z)
+            mass = p.sum(axis=1)
+            going = ~(np.abs(mass - budget) <= 1e-12 * budget)
+            if not going.any():
+                break
+            # a finished row keeps its theta, lo and hi
+            too_big = mass > budget
+            lo = np.where(going & too_big, theta, lo)
+            hi = np.where(going & ~too_big, theta, hi)
+            np.subtract(1, p, out=z)
+            z *= p
+            step = theta + TEMPERATURE * mass * np.log(mass / budget) / z.sum(axis=1)
+            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            theta = np.where(going, step, theta)
+    return p
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, without a mask
-    return np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None):
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, without a mask.
+
+    `out` and `work`, arrays of x's shape, take the result and the
+    denominator when given; work may be x itself.
+    """
+    num = np.minimum(x, 0, out=out)
+    np.exp(num, out=num)
+    den = np.abs(x, out=work)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1
+    return np.divide(num, den, out=num)
 
 
-def _score_term(actions: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _score_term(
+    actions: np.ndarray,
+    p: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """d log P(actions | w) / dw for 0/1 actions drawn from the soft top-B marginals p.
 
     With sigma'_i = p_i (1 - p_i) and dtheta/dw_i = sigma'_i / sum_k sigma'_k,
     the sigma' of the Bernoulli likelihood cancels:
-    ((a - p) - dtheta/dw * sum_k (a_k - p_k)) / tau.
+    ((a - p) - dtheta/dw * sum_k (a_k - p_k)) / tau. The actions may be
+    bool. `out` and `work`, arrays of p's shape, take the result and the
+    scratch space when given.
     """
-    sig_prime = p * (1.0 - p)
-    dtheta_dw = sig_prime / np.clip(sig_prime.sum(axis=1, keepdims=True), 1e-12, None)
-    excess = actions - p
-    return (excess - dtheta_dw * excess.sum(axis=1, keepdims=True)) / TEMPERATURE
+    dtheta_dw = np.subtract(1.0, p, out=work)
+    dtheta_dw *= p
+    dtheta_dw /= np.maximum(dtheta_dw.sum(axis=1, keepdims=True), 1e-12)
+    excess = np.subtract(actions, p, out=out)
+    dtheta_dw *= excess.sum(axis=1, keepdims=True)
+    excess -= dtheta_dw
+    excess /= TEMPERATURE
+    return excess
 
 
 def sim_dfl_loss(
@@ -271,22 +304,36 @@ def sim_dfl_loss(
     (every arm acts when B >= N, and then the gradient is zero). The
     gradient combines the score-function term of those samples with the
     implicit derivatives of the Whittle indices. Sampling is
-    common-random-number coupled through the seed.
+    common-random-number coupled through the seed. Every step works in
+    the same (trajectories, N) arrays, made once per call.
     """
     pred = np.asarray(pred, dtype=float)
     if pred.shape != cohort.tensors.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {cohort.tensors.shape}")
+    if trajectories < 1:
+        raise ValueError(f"trajectories must be at least 1, got {trajectories}")
     n, num_states = pred.shape[0], pred.shape[1]
     wi, wi_grads = whittle_gradients(pred, cohort.setup)
     rng = np.random.default_rng(seed)
-    traj_idx, arm_idx = np.arange(trajectories)[:, None], np.arange(n)
     score_wi = np.zeros((trajectories, n, num_states))  # d log P / d WI[i, s]
+    # row-major codes S*i + s of (arm, state) into the flat indices
+    flat_wi, arm_codes = wi.ravel(), num_states * np.arange(n)
+    codes = np.empty((trajectories, n), dtype=np.intp)
+    scores, p, work, u = (np.empty((trajectories, n)) for _ in range(4))
+    actions, in_state = (np.empty((trajectories, n), dtype=bool) for _ in range(2))
 
     def act(states):
-        p = _soft_top_b_probs(wi[arm_idx, states], cohort.budget)
-        actions = (rng.random(size=p.shape) < p).astype(int)
-        # each (trajectory, arm) sits in one state, so no index repeats
-        score_wi[traj_idx, arm_idx, states] += _score_term(actions, p)
+        np.add(states, arm_codes, out=codes)
+        flat_wi.take(codes, out=scores, mode="clip")  # every code is in range
+        _soft_top_b_probs(scores, cohort.budget, out=p, work=work)
+        np.less(rng.random(out=u), p, out=actions)
+        term = _score_term(actions, p, out=u, work=scores)
+        # each (trajectory, arm) sits in one state. The term is finite, so
+        # the other states add +-0.0 to sums that are never -0.0: no bit moves
+        for s in range(num_states):
+            np.equal(states, s, out=in_state)
+            np.multiply(term, in_state, out=work)
+            score_wi[..., s] += work
         return actions
 
     returns, _ = rollout(cohort, trajectories, rng, np.ones_like if cohort.budget >= n else act)

@@ -132,7 +132,9 @@ def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, *acts):
     """Roll joint policies out on the cohort's true dynamics, in one pass.
 
     Draws the initial states, then for `simulation_horizon` steps asks
-    each `act(states)` for its (trajectories, N) 0/1 actions, adds the
+    each `act(states)` for its (trajectories, N) 0/1 actions (int or
+    bool, and the same array each step if the act likes: the pass is done
+    with them before it asks again), adds the
     discounted engagement and action count, draws one uniform per
     (trajectory, arm) and samples every arm's next state from it. Returns
     the per-trajectory discounted (returns, budget_used): each (T,) for
@@ -154,6 +156,8 @@ def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, *acts):
     """
     if not acts:
         raise ValueError("need at least one act")
+    if trajectories < 1:
+        raise ValueError("need at least one trajectory")
     n, num_states = cohort.num_arms, cohort.num_states
     setup = cohort.setup
     rewards = engagement_rewards(num_states)
@@ -214,8 +218,6 @@ def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> Simu
     Other input raises ValueError before any step. Deterministic for a
     fixed seed.
     """
-    if trajectories < 1:
-        raise ValueError("need at least one trajectory")
     n, num_states = cohort.num_arms, cohort.num_states
     if isinstance(policy, WhittleTopB):
         wi = [np.asarray(table.wi, dtype=float) for table in policy.tables]

@@ -6,7 +6,8 @@ bits (one per state), the discount gamma and the initial-state
 distribution. Nothing here imports rmab_dfl (a test parses this file to
 enforce it), so the engine, the dual layer and the joint planners are
 checked against code that shares none of their types, reward rules or
-solvers.
+solvers. SIM-DFL's soft top-B selection is checked against a
+compacting Newton solve.
 """
 
 from __future__ import annotations
@@ -132,3 +133,42 @@ def objective_value(j_pred, Z, alpha: float) -> float:
     Z = np.asarray(Z, dtype=float)
     Zc = np.clip(Z, 1e-300, None)
     return float(np.sum(Z * np.asarray(j_pred))) - alpha * float(np.sum(Z * np.log(Zc)))
+
+
+def soft_top_b(scores, budget: float, tau: float) -> np.ndarray:
+    """Soft top-B marginals sigmoid((w_i - theta) / tau) with sum_i p_i = B
+    per row, for 0 < B < N: safeguarded Newton on log sum p - log B that
+    drops each row from the sweeps once |sum p - B| <= 1e-12 B.
+
+    The bracket comes from a two-kth `np.partition`: the
+    (floor(B)+1)-th largest score - 40 tau and the ceil(B)-th largest +
+    40 tau. Newton starts at their midpoint and bisects when a step
+    leaves the bracket, for at most 60 sweeps. The sigmoid is
+    exp(min(x, 0)) / (1 + exp(-|x|)).
+    """
+    scores = np.asarray(scores, dtype=float)
+    n = scores.shape[1]
+    k_hi, k_lo = n - int(np.ceil(budget)), n - int(np.floor(budget)) - 1
+    part = np.partition(scores, (k_lo, k_hi), axis=1)
+    lo = part[:, k_lo] - 40.0 * tau
+    hi = part[:, k_hi] + 40.0 * tau
+    theta = 0.5 * (part[:, k_lo] + part[:, k_hi])
+    probs = np.empty(scores.shape)
+    rows = np.arange(scores.shape[0])
+    for _ in range(60):
+        x = (scores[rows] - theta[:, None]) / tau
+        p = np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
+        mass = p.sum(axis=1)
+        done = np.abs(mass - budget) <= 1e-12 * budget
+        probs[rows[done]] = p[done]
+        if done.all():
+            return probs
+        rows, p, mass, theta = rows[~done], p[~done], mass[~done], theta[~done]
+        too_big = mass > budget
+        lo = np.where(too_big, theta, lo[~done])
+        hi = np.where(too_big, hi[~done], theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = theta + tau * mass * np.log(mass / budget) / np.sum(p * (1 - p), axis=1)
+        theta = np.where((lo < theta) & (theta < hi), theta, 0.5 * (lo + hi))
+    probs[rows] = p
+    return probs

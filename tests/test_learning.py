@@ -13,6 +13,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import oracles
 from rmab_dfl import (
     Cohort,
     DatasetSplits,
@@ -51,7 +52,9 @@ from rmab_dfl.mdp import (
     whittle_indices,
 )
 from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
-from rmab_dfl.planning import FixedPerArmPolicy, WhittleTopB, simulate_joint, simulation_horizon
+from rmab_dfl.planning import (
+    FixedPerArmPolicy, WhittleTopB, rollout, simulate_joint, simulation_horizon
+)
 
 
 def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
@@ -330,6 +333,32 @@ class TestWhittleGradient:
         assert peak <= 2 * states * states * 2**states * n * 8
 
 
+def _reference_sim_dfl_loss(pred, cohort, trajectories, seed):
+    """`sim_dfl_loss` on the compacting soft top-B oracle, with fresh arrays
+    every step, int actions and a fancy-index update of the score term."""
+    n, num_states = pred.shape[0], pred.shape[1]
+    wi, wi_grads = whittle_gradients(pred, cohort.setup)
+    rng = np.random.default_rng(seed)
+    traj_idx, arm_idx = np.arange(trajectories)[:, None], np.arange(n)
+    score_wi = np.zeros((trajectories, n, num_states))
+
+    def act(states):
+        p = oracles.soft_top_b(wi[arm_idx, states], cohort.budget, TEMPERATURE)
+        actions = (rng.random(size=p.shape) < p).astype(int)
+        sig_prime = p * (1.0 - p)
+        dtheta_dw = sig_prime / np.clip(sig_prime.sum(axis=1, keepdims=True), 1e-12, None)
+        excess = actions - p
+        term = (excess - dtheta_dw * excess.sum(axis=1, keepdims=True)) / TEMPERATURE
+        score_wi[traj_idx, arm_idx, states] += term
+        return actions
+
+    returns, _ = rollout(cohort, trajectories, rng, np.ones_like if cohort.budget >= n else act)
+    centered = returns - returns.mean()
+    grad_wi = np.einsum("t,tis->is", centered, score_wi) / trajectories
+    grad_pred = np.einsum("is,isjak->jaki", grad_wi, wi_grads)
+    return float(returns.mean()), grad_pred.transpose(3, 0, 1, 2)
+
+
 class TestSimDfl:
     def test_sigmoid_matches_two_branch_formula(self):
         x = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 3.5, -3.5, 40.0, -40.0, np.nan])
@@ -418,6 +447,51 @@ class TestSimDfl:
             p = _soft_top_b_probs(scores, budget)
             assert np.max(np.abs(p - reference(scores, budget))) <= 1e-10
             assert np.all(np.abs(p.sum(axis=1) - budget) <= 1e-12 * budget)
+
+    def test_soft_top_b_matches_compacting_oracle(self):
+        rng = np.random.default_rng(19)
+        n = 40
+        spread = rng.uniform(0.0, 1e6 * TEMPERATURE, size=(6, n))
+        # at 1e17 one ulp is 16 = 160 tau: no theta reaches sum p = B
+        stuck = 1e17 + 16.0 * rng.integers(0, 3, size=(4, n))
+        scores = np.concatenate([
+            rng.normal(scale=0.2, size=(20, n)),
+            rng.uniform(0.0, 1e3 * TEMPERATURE, size=(10, n)),
+            np.full((3, n), 0.7),
+            rng.choice([-1.0, 0.0, 2.0], size=(5, n)),
+            spread,
+            stuck,
+        ])
+        out, work = np.full(scores.shape, np.nan), np.full(scores.shape, np.nan)
+        for budget in (3, 2.5, 0.5, n - 1):
+            expected = oracles.soft_top_b(scores, budget, TEMPERATURE)
+            assert np.array_equal(_soft_top_b_probs(scores, budget), expected)
+            # dirty buffers (NaN, then the last budget's marginals) change nothing
+            assert _soft_top_b_probs(scores, budget, out=out, work=work) is out
+            assert np.array_equal(out, expected)
+            # spread over 10^6 tau, every p is 0 or 1 but a fractional budget's middle one
+            assert np.all(np.isin(expected[-10:-4], (0.0, 0.5, 1.0)))
+            # the stuck rows ran all 60 sweeps and missed the tolerance
+            assert np.all(np.abs(expected[-4:].sum(axis=1) - budget) > 1e-12 * budget)
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_loss_matches_reference(self, states):
+        rng = np.random.default_rng(40 + states)
+        for n, budget in ((8, 2.0), (8, 2.5), (3, 0.15), (5, 5.0), (4, 4.0)):
+            cohort = _cohort(rng, n=n, states=states, budget=budget)
+            pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
+            value, grad = sim_dfl_loss(pred, cohort, trajectories=13, seed=3)
+            ref_value, ref_grad = _reference_sim_dfl_loss(pred, cohort, 13, 3)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+    def test_needs_trajectories(self):
+        rng = np.random.default_rng(14)
+        cohort = _cohort(rng, budget=1.0)
+        pred = rng.dirichlet(np.ones(2), size=(3, 2, 2))
+        for trajectories in (0, -1):
+            with pytest.raises(ValueError, match="trajector"):
+                sim_dfl_loss(pred, cohort, trajectories, seed=0)
 
     def test_score_term_matches_finite_differences(self):
         # d log P(a | w) / dw, with theta re-solved at every perturbed w

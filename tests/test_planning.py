@@ -198,6 +198,27 @@ class TestRollout:
         with pytest.raises(ValueError):
             planning.rollout(_cohort(rng), 10, rng)
 
+    def test_needs_trajectories(self):
+        rng = np.random.default_rng(43)
+        cohort = _cohort(rng)
+        for trajectories in (0, -1):
+            with pytest.raises(ValueError, match="trajectory"):
+                planning.rollout(cohort, trajectories, rng, lambda s: np.zeros_like(s))
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_bool_actions_match_int_actions(self, states):
+        cohort = _cohort(np.random.default_rng(60 + states), n=9, states=states, budget=3.0)
+
+        def run(dtype):
+            # the act draws from the rollout's own generator, as SIM-DFL's does
+            rng = np.random.default_rng(states)
+            act = lambda s: ((rng.random(s.shape) < 0.3) | (s == states - 1)).astype(dtype)
+            return planning.rollout(cohort, 25, rng, act)
+
+        (bool_returns, bool_used), (int_returns, int_used) = run(bool), run(int)
+        assert np.array_equal(bool_returns, int_returns)
+        assert np.array_equal(bool_used, int_used)
+
 
 class TestSimulation:
     def test_deterministic_given_seed(self):
