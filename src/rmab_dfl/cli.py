@@ -215,6 +215,9 @@ def _load_model(path: Path, manifest: DatasetManifest) -> tuple[PredictiveModel,
     _require_fields(meta, ("loss", "model", "feature_dim", "states", "seed"), path)
     if meta["model"] not in MODEL_FLAGS:
         raise ValueError(f"{path} names the unknown model {meta['model']!r}")
+    for key in ("states", "feature_dim", "seed"):
+        if type(meta[key]) is not int:  # a JSON integer, not a bool or a float
+            raise ValueError(f"{path}: {key} must be an integer, got {meta[key]!r}")
     for key in ("states", "feature_dim"):
         if meta[key] != getattr(manifest, key):
             raise ValueError(f"{path} has {key}={meta[key]}, the dataset {getattr(manifest, key)}")

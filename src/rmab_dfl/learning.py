@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dec_layer, mdp
+from . import dec_layer
 from .dec_layer import RegularizerConfig, SolverConfig, solve_stack
 from .mdp import (
     ENGAGEMENT,
     NumericError,
     RewardSpec,
     checked_transitions,
+    run_tasks,
     solve_policies,
     whittle_gradients,
     whittle_indices,
@@ -653,57 +653,6 @@ def _joint_pass(
     return results, time.perf_counter() - start
 
 
-def _pass_workers(cohorts: int) -> int:
-    """Threads for the joint passes: mdp.WORKERS, one per CPU this process
-    may run on, at most one per cohort."""
-    return min(mdp.WORKERS, cohorts)
-
-
-def _joint_passes(
-    predictions: list[np.ndarray], cohorts: list[Cohort], trajectories: int, seed: int
-) -> list[list[SimulationResult]]:
-    """Cohort k's _joint_pass from seed + k, for every k, on a pool of
-    _pass_workers threads, returned in cohort order.
-
-    Each pass has its own generator and writes nothing another reads, so
-    the results do not depend on the thread count. This thread logs each
-    pass's DEBUG record in cohort order. Once a pass raises, no other pass
-    starts: queued ones are skipped, and the exception propagates
-    unchanged as soon as the passes already running end. So does an
-    interrupt of this thread.
-    """
-    failures: list[BaseException] = []
-
-    def run(k):
-        if failures:
-            return None
-        try:
-            return _joint_pass(predictions[k], cohorts[k], trajectories, seed + k)
-        except BaseException as exc:
-            failures.append(exc)
-            raise
-
-    passes = []
-    pool = ThreadPoolExecutor(_pass_workers(len(cohorts)))
-    try:
-        for k, (cohort, outcome) in enumerate(zip(cohorts, pool.map(run, range(len(cohorts))))):
-            if outcome is None:  # skipped after a later cohort's pass raised
-                raise failures[0]
-            results, seconds = outcome
-            logger.debug(
-                "joint pass of cohort %d (predicted and perfect Whittle top-B): %d trajectories "
-                "x %d steps in %.3f s, mean discounted budget used %.6g and %.6g of "
-                "B/(1-gamma) = %.6g",
-                k, trajectories, simulation_horizon(cohort.setup, cohort.num_arms), seconds,
-                results[0].mean_budget_used, results[1].mean_budget_used,
-                cohort.budget / (1 - cohort.setup.gamma),
-            )
-            passes.append(results)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return passes
-
-
 def evaluate_dq(
     model: PredictiveModel | None,
     cohorts: list[Cohort],
@@ -728,15 +677,14 @@ def evaluate_dq(
     estimates, with standard errors sqrt(sum_k se_k^2) / n. Cohort k's
     predicted and perfect Whittle top-B policies roll out in one `rollout`
     pass from seed + k (_joint_pass), and each gets the values that
-    `simulate_joint` gives it from that seed. The passes run on up to one
-    thread per CPU this process may run on (_joint_passes), so memory
-    holds up to that many passes at once. The outputs do not depend on
-    the thread count: the results are summed in cohort order, and a DEBUG
-    record per pass, giving its size, seconds and budget use, is logged
-    in cohort order from the calling thread. `mdp`'s WARNING of
-    not-indexable arms may come from a pass's own thread. The decomposed
-    solve runs first, on the calling thread, so that `Cohort.true_returns`
-    is solved there and not in a pass.
+    `simulate_joint` gives it from that seed. The passes are mdp.run_tasks,
+    so memory holds up to mdp.WORKERS passes at once; the results are
+    summed, and a DEBUG record per pass (its size, seconds and budget use)
+    is logged, in cohort order from the calling thread, so no output
+    depends on the thread count. `mdp`'s WARNING of not-indexable arms may
+    come from a pool thread. The decomposed solve runs first, on the
+    calling thread, so that `Cohort.true_returns` is solved there and not
+    in a pass.
     trajectories=0 skips the (slow) simulated joint evaluation and reports
     None for the joint columns, and starts no thread.
     """
@@ -753,8 +701,17 @@ def evaluate_dq(
     dec_values, dec_anchors = _decomposed_dq(predictions, cohorts)
     joint = decomposed = never = perfect_joint = perfect_dec = 0.0
     joint_var = perfect_joint_var = 0.0
-    passes = _joint_passes(predictions, cohorts, trajectories, seed) if trajectories > 0 else []
-    for result, perfect in passes:
+    passes = run_tasks(lambda k: _joint_pass(predictions[k], cohorts[k], trajectories, seed + k),
+                       len(cohorts) if trajectories > 0 else 0)
+    for k, (cohort, ((result, perfect), seconds)) in enumerate(zip(cohorts, passes)):
+        logger.debug(
+            "joint pass of cohort %d (predicted and perfect Whittle top-B): %d trajectories "
+            "x %d steps in %.3f s, mean discounted budget used %.6g and %.6g of "
+            "B/(1-gamma) = %.6g",
+            k, trajectories, simulation_horizon(cohort.setup, cohort.num_arms), seconds,
+            result.mean_budget_used, perfect.mean_budget_used,
+            cohort.budget / (1 - cohort.setup.gamma),
+        )
         joint += result.mean_return
         joint_var += result.std_error**2
         perfect_joint += perfect.mean_return

@@ -6,8 +6,8 @@ evaluation is exact (direct linear solves of the Bellman equations), so
 none of the downstream machinery needs Monte Carlo rollouts. The returns
 engine, solve_policies, solves every policy of every arm at once; Whittle
 indices and their gradients are read off its values. Work independent across
-arms runs on arm blocks (run_arm_blocks), on threads once it is large enough,
-with the same bits on any number of CPUs. Its oracles live in
+arms runs on arm blocks (run_arm_blocks), on threads (run_tasks) once it is
+large enough, with the same bits on any number of CPUs. Its oracles live in
 tests/oracles.py, on plain arrays and apart from this package: scalar
 np.linalg.solve returns and return gradients, and value iteration; the
 Whittle indices are checked by value iteration on the subsidized Bellman
@@ -20,7 +20,7 @@ import logging
 import os
 import string
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -149,17 +149,67 @@ else:
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_pool_thread = threading.local()  # .marked on the pool's threads
 
 
 def _drop_pool() -> None:
-    """Forget the arm-block pool in a forked child: the child's copy has no
-    threads to run its tasks, and its lock may be held by a parent thread."""
+    """Forget the pool in a forked child: the child's copy has no threads to
+    run its tasks, and its lock may be held by a parent thread."""
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
+
+
+def run_tasks(task, count: int) -> list:
+    """[task(0), ..., task(count - 1)], run on the package's one pool of
+    WORKERS threads, created on first use and dropped in forked children.
+
+    They run inline, in order, when count is 1, when WORKERS < 2, or when
+    this is a pool thread, so tasks may fan out again without deadlock.
+    Once a task raises, no queued task starts; the first task to raise, in
+    task order, re-raises here once no task is left running, and so does
+    an interrupt of this thread.
+    """
+    if count < 2 or WORKERS < 2 or getattr(_pool_thread, "marked", False):
+        return [task(k) for k in range(count)]
+    state = threading.Condition()
+    running, stop = 0, False
+
+    def run(k):
+        nonlocal running, stop
+        _pool_thread.marked = True
+        with state:
+            if stop:  # a task raised, or the caller has left
+                return None
+            running += 1
+        try:
+            return task(k)
+        except BaseException:
+            with state:
+                stop = True
+            raise
+        finally:
+            with state:
+                running -= 1
+                state.notify()
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="rmab-dfl-arms")
+        pool = _pool
+    futures = []
+    try:  # a task queued by a submit that raises is waited for too
+        for k in range(count):
+            futures.append(pool.submit(run, k))
+        return [future.result() for future in futures]
+    finally:
+        with state:
+            stop = True
+            state.wait_for(lambda: running == 0)
 
 
 def arm_blocks(n_arms: int, entries: int) -> int:
@@ -182,41 +232,20 @@ def run_arm_blocks(work, blocks: int, *arrays) -> None:
     differ by at most one, where parts are the views of `arrays` (arms on
     their last axis; None passes as None) that hold the block's arms.
 
-    One block, or a process with one CPU, runs inline on this thread, and
-    one block gets `arrays` themselves. Otherwise the blocks run on a shared
-    pool of WORKERS threads, created on first use and dropped in forked
-    children; this thread waits for all of them, and the first block to
-    raise, in arm order, re-raises its exception here once no block is left
-    running. work must write only into its own parts and submit nothing to
-    the pool: then the outputs do not depend on the blocks or the thread
-    count, and callers on other threads (evaluate_dq's joint passes) cannot
-    deadlock it.
+    One block runs inline and gets `arrays` themselves; more run as
+    run_tasks. work must write only into its own parts: then the outputs do
+    not depend on the blocks or the thread count.
     """
     if blocks == 1:
         work(*arrays)
         return
     size, longer = divmod(arrays[0].shape[-1], blocks)
-    parts = []
-    for k in range(blocks):
+
+    def block(k):
         arms = slice(k * size + min(k, longer), (k + 1) * size + min(k + 1, longer))
-        parts.append([None if array is None else array[..., arms] for array in arrays])
-    if WORKERS < 2:
-        for part in parts:
-            work(*part)
-        return
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="rmab-dfl-arms")
-        pool = _pool
-    tasks = [pool.submit(work, *part) for part in parts]
-    try:
-        for task in tasks:
-            task.result()
-    finally:
-        for task in tasks:
-            task.cancel()
-        wait(tasks)
+        work(*(None if array is None else array[..., arms] for array in arrays))
+
+    run_tasks(block, blocks)
 
 
 @dataclass(frozen=True)

@@ -333,10 +333,10 @@ class TestEval:
             assert dq[key] is None, key
         assert dq["normalized_decomposed_dq"] is not None
 
-    def test_worker_count_changes_no_bytes(self, tiny_dataset, model_path, tmp_path, monkeypatch):
+    def test_worker_count_changes_no_bytes(self, tiny_dataset, model_path, tmp_path, pool_size):
         written = []
         for workers in (1, 3):
-            monkeypatch.setattr(learning, "_pass_workers", lambda cohorts, w=workers: w)
+            pool_size(workers)
             out = tmp_path / f"eval-{workers}"
             assert self._eval(tiny_dataset, model_path, out, "--trajectories", "20") == EXIT_OK
             written.append((out / "dq.json").read_bytes())
@@ -477,14 +477,33 @@ class TestMalformedInput:
         theta[-1] = np.nan  # an output bias
         bad = tmp_path / "bad.npz"
         np.savez(bad, theta=theta, meta=str(blob["meta"]))
-        out = tmp_path / "out"
-        model = ["--dataset", str(tiny_dataset), "--model", str(bad)]
+        self._model_input_error(tiny_dataset, bad, tmp_path / "out", command)
+
+    @staticmethod
+    def _model_input_error(dataset, model_path, out, command):
+        model = ["--dataset", str(dataset), "--model", str(model_path)]
         if command == "eval":
             argv = ["eval", *model, "--out", str(out), "--trajectories", "0"]
         else:
             argv = ["export", "--kind", "wi_scatter", *model, "--out", str(out)]
         assert main(argv) == EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "wi_scatter"])
+    @pytest.mark.parametrize("key, retype", [
+        ("feature_dim", float), ("states", float), ("states", lambda v: True),
+        ("seed", str), ("seed", float), ("seed", lambda v: True),
+    ], ids=["float-feature-dim", "float-states", "bool-states", "string-seed", "float-seed",
+            "bool-seed"])
+    def test_model_meta_not_an_integer(self, tiny_dataset, model_path, tmp_path, command,
+                                       key, retype):
+        # a float dimension equals the dataset's, so only its type is wrong
+        blob = np.load(model_path)
+        meta = json.loads(str(blob["meta"]))
+        meta[key] = retype(meta[key])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, theta=blob["theta"], meta=json.dumps(meta))
+        self._model_input_error(tiny_dataset, bad, tmp_path / "out", command)
 
     @pytest.mark.parametrize("raw", ['"abc"', "true", "1e400"])
     def test_dq_table_over_malformed_metric(self, tmp_path, raw):

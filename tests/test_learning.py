@@ -679,7 +679,7 @@ class TestDecisionQuality:
             )
         assert report.joint_dq is not None
 
-    def test_worker_count_changes_no_output(self, monkeypatch):
+    def test_worker_count_changes_no_output(self, pool_size, monkeypatch):
         rng = np.random.default_rng(22)
         cohorts = [_cohort(rng, n=4, budget=1.0), _cohort(rng, n=6, states=3, budget=2.0),
                    _cohort(rng, n=5, budget=1.5), _cohort(rng, n=3, states=3, budget=1.0)]
@@ -695,7 +695,7 @@ class TestDecisionQuality:
 
         reports = []
         for workers, pass_ in ((1, real_pass), (3, meeting_pass)):
-            monkeypatch.setattr(learning, "_pass_workers", lambda cohorts, w=workers: w)
+            pool_size(workers)
             monkeypatch.setattr(learning, "_joint_pass", pass_)
             reports.append(evaluate_dq(None, cohorts, trajectories=25, seed=5, predictions=preds))
         assert reports[0] == reports[1]
@@ -712,11 +712,26 @@ class TestDecisionQuality:
             assert mean == sum(r.mean_return for r in results) / 4
             assert se == sum(r.std_error**2 for r in results) ** 0.5 / 4
 
-    def test_failed_pass_starts_no_queued_pass(self, monkeypatch):
+    @staticmethod
+    def _counted(pass_, live):
+        """pass_, keeping in live[0] the number of passes running."""
+
+        def counted(*args):
+            with live[1]:
+                live[0] += 1
+            try:
+                return pass_(*args)
+            finally:
+                with live[1]:
+                    live[0] -= 1
+
+        return counted
+
+    def test_failed_pass_starts_no_queued_pass(self, pool_size, monkeypatch):
         rng = np.random.default_rng(23)
         cohorts = [_cohort(rng, n=4, budget=1.0) for _ in range(8)]
         workers, started, error = 2, [], NumericError("pass 0 failed")
-        real_pass = learning._joint_pass
+        real_pass, live = learning._joint_pass, [0, threading.Lock()]
 
         def failing_pass(pred, cohort, trajectories, seed):
             started.append(seed)
@@ -725,22 +740,23 @@ class TestDecisionQuality:
             time.sleep(0.2)
             return real_pass(pred, cohort, trajectories, seed)
 
-        monkeypatch.setattr(learning, "_pass_workers", lambda cohorts: workers)
-        monkeypatch.setattr(learning, "_joint_pass", failing_pass)
+        pool_size(workers)
+        monkeypatch.setattr(learning, "_joint_pass", self._counted(failing_pass, live))
         threads = threading.active_count()
         with pytest.raises(NumericError) as raised:
             evaluate_dq(None, cohorts, trajectories=5, seed=0,
                         predictions=[c.tensors for c in cohorts])
+        assert live[0] == 0  # no pass is left running
         assert raised.value is error
         assert 0 in started and len(started) <= workers
-        assert threading.active_count() == threads
+        assert threading.active_count() <= threads + workers
 
-    def test_interrupt_starts_no_queued_pass(self, monkeypatch):
+    def test_interrupt_starts_no_queued_pass(self, pool_size, monkeypatch):
         # Ctrl-C reaches the calling thread while it waits for a pass's result
         rng = np.random.default_rng(24)
         cohorts = [_cohort(rng, n=4, budget=1.0) for _ in range(8)]
         workers, started = 2, []
-        real_pass = learning._joint_pass
+        real_pass, live = learning._joint_pass, [0, threading.Lock()]
         caller = threading.main_thread()
 
         def caller_waits():
@@ -759,40 +775,69 @@ class TestDecisionQuality:
             time.sleep(0.5)
             return real_pass(pred, cohort, trajectories, seed)
 
-        monkeypatch.setattr(learning, "_pass_workers", lambda cohorts: workers)
-        monkeypatch.setattr(learning, "_joint_pass", interrupted_pass)
+        pool_size(workers)
+        monkeypatch.setattr(learning, "_joint_pass", self._counted(interrupted_pass, live))
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             evaluate_dq(None, cohorts, trajectories=5, seed=0,
                         predictions=[c.tensors for c in cohorts])
+        assert live[0] == 0  # no pass is left running
         assert 0 in started and len(started) <= workers
-        assert threading.active_count() == threads
+        assert threading.active_count() <= threads + workers
 
     def test_arm_blocks_inside_joint_passes(self, arm_threads, monkeypatch):
-        # every engine solve splits into arm blocks, also those of the
-        # joint passes' whittle_indices, which run on the passes' threads
+        # every engine solve splits into arm blocks, also those of the joint
+        # passes' whittle_indices: inside a pass on a pool thread they run
+        # inline on that thread, and under a pass run inline they spread
         rng = np.random.default_rng(25)
         cohorts = [_cohort(rng, n=7, budget=1.0) for _ in range(4)]
         preds = [rng.dirichlet(np.ones(2), size=(7, 2, 2)) for _ in cohorts]
+        real_pass, real_factor = learning._joint_pass, mdp._factor_in_place
+        in_pass = set()  # the threads running a pass now
+        chunks = []  # (thread, whether it runs a pass) of each engine chunk during the passes
+
+        def marked_pass(*args):
+            in_pass.add(threading.current_thread())
+            try:
+                return real_pass(*args)
+            finally:
+                in_pass.discard(threading.current_thread())
+
+        def seen_factor(M):
+            if in_pass:
+                thread = threading.current_thread()
+                chunks.append((thread.name, thread in in_pass))
+            real_factor(M)
+
+        monkeypatch.setattr(learning, "_joint_pass", marked_pass)
+        monkeypatch.setattr(mdp, "_factor_in_place", seen_factor)
         reports = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # threads interleave at many more points
         try:
-            for passes in (1, 3):
-                for arms in (1, 3):
-                    ran = arm_threads(arms, 2)
-                    monkeypatch.setattr(learning, "_pass_workers", lambda cohorts, w=passes: w)
+            for workers in (1, 3):
+                for count in (4, 1):
+                    ran = arm_threads(workers, 2)
+                    chunks.clear()
                     waiter = ThreadPoolExecutor(1)
-                    done = waiter.submit(evaluate_dq, None, cohorts, trajectories=20, seed=3,
-                                         predictions=preds)
+                    done = waiter.submit(evaluate_dq, None, cohorts[:count], trajectories=20,
+                                         seed=3, predictions=preds[:count])
                     try:
                         reports.append(done.result(timeout=60))  # a deadlock fails here
                     finally:
                         waiter.shutdown(wait=done.done())
-                    assert bool(ran) == (arms > 1)
+                    assert bool(ran) == (workers > 1) and chunks
+                    on_pool = {name.startswith("rmab-dfl-arms") for name, _ in chunks}
+                    passing = {runs_pass for _, runs_pass in chunks}
+                    if workers == 1:
+                        assert on_pool == {False} and passing == {True}
+                    elif count > 1:  # each pass's blocks run on its own pool thread
+                        assert on_pool == {True} and passing == {True}
+                    else:  # the one pass runs inline on the waiter; its blocks spread
+                        assert on_pool == {True} and passing == {False}
         finally:
             sys.setswitchinterval(switch)
-        assert all(report == reports[0] for report in reports)
+        assert reports[0] == reports[2] and reports[1] == reports[3]
 
     def test_prediction_layout_leaves_report_unchanged(self):
         # a model gives batch-last views; explicit predictions may be C order

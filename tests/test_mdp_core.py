@@ -4,7 +4,9 @@ import itertools
 import json
 import os
 import signal
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -533,3 +535,109 @@ class TestArmBlocks:
                 pytest.fail("the forked child's split solve did not end within 60 s")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+class TestRunTasks:
+    """run_tasks: the package's one thread pool, and the cases run inline."""
+
+    def test_results_in_task_order(self, pool_size):
+        pool_size(3)
+
+        def task(k):
+            time.sleep(0.05 * (4 - k))  # later tasks finish first
+            return k * k, threading.current_thread().name
+
+        results = mdp.run_tasks(task, 5)
+        assert [square for square, _ in results] == [0, 1, 4, 9, 16]
+        assert all(name.startswith("rmab-dfl-arms") for _, name in results)
+
+    def test_inline_cases_run_on_calling_thread(self, pool_size):
+        def threads(count):
+            return mdp.run_tasks(lambda k: threading.current_thread(), count)
+
+        caller = threading.current_thread()
+        pool_size(3)
+        assert threads(1) == [caller]
+        pool_size(1)
+        assert threads(4) == [caller] * 4
+        pool_size(2)
+
+        def outer(k):
+            return threading.current_thread(), threads(3)
+
+        # both pool threads run an outer task, so a nested task queued on
+        # the pool would wait forever: they must run on their outer task's thread
+        waiter = ThreadPoolExecutor(1)
+        done = waiter.submit(mdp.run_tasks, outer, 2)
+        try:
+            nested = done.result(timeout=30)  # a deadlock fails here
+        finally:
+            waiter.shutdown(wait=done.done())
+        for thread, inner in nested:
+            assert thread.name.startswith("rmab-dfl-arms") and inner == [thread] * 3
+
+    def test_first_failure_in_task_order_is_raised(self, pool_size):
+        pool_size(2)
+        running, failed = threading.Event(), threading.Event()
+        first, later = NumericError("task 0 failed"), NumericError("task 1 failed")
+
+        def task(k):
+            if k == 0:
+                running.set()
+                failed.wait(30)
+                time.sleep(0.05)
+                raise first
+            running.wait(30)  # task 1 fails while task 0 still runs
+            try:
+                raise later
+            finally:
+                failed.set()
+
+        with pytest.raises(NumericError) as raised:
+            mdp.run_tasks(task, 2)
+        assert raised.value is first
+
+    def test_failure_starts_no_queued_task(self, pool_size):
+        pool_size(2)
+        second, started, error = threading.Event(), [], NumericError("task 0 failed")
+
+        def task(k):
+            started.append(k)
+            if k == 0:
+                second.wait(30)  # both pool threads are busy, the rest queued
+                raise error
+            second.set()
+            time.sleep(0.2)
+
+        with pytest.raises(NumericError) as raised:
+            mdp.run_tasks(task, 6)
+        assert raised.value is error
+        mdp.run_tasks(lambda k: None, 2)  # queued behind the skipped tasks
+        assert sorted(started) == [0, 1]
+
+    def test_raise_during_submission_leaves_no_task_running(self, pool_size, monkeypatch):
+        # as an interrupt inside the pool's Thread.start() would: the second
+        # task is queued, but submit raises before returning its future
+        pool_size(2)
+        mdp.run_tasks(lambda k: None, 2)
+        pool = mdp._pool
+        real_submit, submitted = pool.submit, itertools.count()
+        running, started, finished = threading.Event(), [], []
+
+        def task(k):
+            started.append(k)
+            running.set()
+            time.sleep(0.2)
+            finished.append(k)
+
+        def submit(fn, *args):
+            future = real_submit(fn, *args)
+            if next(submitted) == 1:
+                running.wait(30)  # task 0 runs
+                raise KeyboardInterrupt
+            return future
+
+        monkeypatch.setattr(pool, "submit", submit)
+        with pytest.raises(KeyboardInterrupt):
+            mdp.run_tasks(task, 4)
+        assert 0 in started and sorted(finished) == sorted(started)
