@@ -32,14 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mdp import DiscountedSetup, NumericError, whittle_indices
-from .dec_layer import (
-    RegularizerConfig,
-    SolverConfig,
-    backward_pass,
-    build_returns_table,
-    forward_pass,
-)
+from .mdp import DiscountedSetup, NumericError, returns_on_truth, whittle_indices
+from .dec_layer import RegularizerConfig, SolverConfig, backward_pass, solve_stack
 from .checks import run_verification
 from .datasets import (
     DatasetManifest,
@@ -304,14 +298,15 @@ def bench_layer_scaling(
     for n in sizes:
         tensors = rng.dirichlet(np.ones(2), size=(n, 2, 2))
         setup = DiscountedSetup(gamma, np.array([0.5, 0.5]))
-        tables = build_returns_table(tensors, tensors, setup)
+        j_true, j_budget = returns_on_truth(tensors, setup)
         cfg = SolverConfig(budget=0.1 * n, gamma=gamma)
         reg = RegularizerConfig(alpha=0.1)
         start = time.perf_counter()
-        sol = forward_pass(tables, reg, cfg)
+        sol = solve_stack(j_true[None], j_budget[None], reg, [cfg])
         fwd = time.perf_counter() - start
         start = time.perf_counter()
-        backward_pass(sol, tables, reg, upstream=tables.j_true)
+        backward_pass(sol.z_star[0], sol.lambda_star[0], sol.slack_xi[0], j_budget, reg,
+                      upstream=j_true)
         bwd = time.perf_counter() - start
         out[n] = (fwd, bwd)
     return out
@@ -381,8 +376,12 @@ DQ_METRICS = ("normalized_joint_dq", "normalized_decomposed_dq")
 DQ_FIELDS = ("loss", "dataset", "split") + DQ_METRICS
 
 
-def _check_metrics(rec, source) -> None:
-    """Each metric must be a finite JSON number (not a bool) or null."""
+def _check_dq_record(rec, source) -> None:
+    """The key fields must be strings, which the table groups and sorts by,
+    and each metric a finite JSON number (not a bool) or null."""
+    for key in ("loss", "dataset", "split"):
+        if not isinstance(rec[key], str):
+            raise ValueError(f"{source}: {key} must be a string, got {rec[key]!r}")
     for metric in DQ_METRICS:
         value = rec[metric]
         if value is not None and not (type(value) in (int, float) and -np.inf < value < np.inf):
@@ -396,7 +395,7 @@ def _export_dq_table(results: Path, out: Path) -> None:
     for f in files:
         rec = json.loads(_existing_file(f, "results file").read_text())
         _require_fields(rec, DQ_FIELDS, f)
-        _check_metrics(rec, f)
+        _check_dq_record(rec, f)
         key = (rec["loss"], rec["dataset"], rec["split"])
         groups.setdefault(key, []).append(rec)
     rows = []

@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,13 @@ class DatasetManifest:
     trajectory_actions: str = "uniform"  # action policy when rolling trajectories
 
     def __post_init__(self):
+        # a manifest read from JSON may hold 2.0 or true where an integer
+        # belongs, and one that holds a numpy integer cannot be written as JSON
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        if any(type(size) is not int for size in self.split_sizes):
+            raise ValueError(f"split_sizes must be integers, got {self.split_sizes!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.budget <= self.arms_per_cohort:
@@ -290,9 +297,9 @@ def load_dataset(path: str | Path) -> Dataset:
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported dataset format version {payload.get('format_version')}")
     try:
-        fields = dict(payload["manifest"])
-        fields["split_sizes"] = tuple(fields["split_sizes"])
-        m = DatasetManifest(**fields)
+        given = dict(payload["manifest"])
+        given["split_sizes"] = tuple(given["split_sizes"])
+        m = DatasetManifest(**given)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed dataset manifest: {exc!r}") from exc
     splits = _split_assignment(m)

@@ -10,13 +10,16 @@ differentiated in closed form through the KKT conditions, eliminating the
 single budget row against the per-arm blocks in O(N * P). Policy tables
 are batch-last from the engine on: the forward solve runs on (C, P, N)
 stacks of cohorts (solve_stack), one residual call per round for the whole
-stack, and forward_pass and eval_lambda are its one-cohort views on the
-(N, P) tables, .T views of (P, N) memory. Where the entropy weight lets
-the logits spread past 700, a solve floors them at EXP_FLOOR to keep numpy's
-exp off its slow subnormal path. A slow reference solver is
-the correctness oracle: its inner maximization is a damped Newton solve of
-the per-row KKT equations, never the softmax closed form; the regularized
-objective the tests score mixtures by is in tests/oracles.py.
+stack, and backward_pass takes one cohort's (P, N) arrays from it, as
+dec_dfl_loss does. The (N, P) names, ReturnsTable, build_returns_table,
+forward_pass, eval_lambda, DualSolution and StackSolution.cohort, are .T
+views of that memory, kept for perfbench and the verify checks. Where the
+entropy weight lets the logits spread past 700, a solve floors them at
+EXP_FLOOR to keep numpy's exp off its slow subnormal path. A slow (N, P)
+reference solver is the correctness oracle: its inner maximization is a
+damped Newton solve of the per-row KKT equations, never the softmax
+closed form; the regularized objective the tests score mixtures by is in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -172,14 +175,14 @@ def _mixtures(
 def _centered(
     Z: np.ndarray, table: np.ndarray, out: tuple = (None, None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each arm's Z-expectation of a table along the policy axis (axis 1, in
-    both the (C, P, N) stacks and the (N, P) tables), and the table minus it,
-    written into out's arrays where given.
+    """Each arm's Z-expectation of a table along the policy axis (the second
+    to last, of one cohort's (P, N) arrays or of (C, P, N) stacks), and the
+    table minus it, written into out's arrays where given.
 
     The one centring of the KKT elimination: the forward slope's variance
     and the backward pass's budget row and upstream all come from it.
     """
-    mean = np.add.reduce(Z * table, axis=1, keepdims=True, out=out[0])
+    mean = np.add.reduce(Z * table, axis=-2, keepdims=True, out=out[0])
     return mean, np.subtract(table, mean, out=out[1])
 
 
@@ -470,32 +473,30 @@ def solve_reference(
 
 
 def backward_pass(
-    sol: DualSolution,
-    tables: ReturnsTable,
-    reg: RegularizerConfig,
+    Z: np.ndarray, lam: float, xi: float, j_budget: np.ndarray, reg: RegularizerConfig,
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form gradients of a scalar loss through the entropy layer.
 
-    upstream is dloss/dZ*. Differentiates the KKT system of the
-    regularized program: the N row-sum multipliers are eliminated against
-    the diagonal mixture block, then the budget row (with its -xi corner)
-    against the rest, so the work is O(N * P) at any multiplier. The
-    budget cap enters only through the slack xi of the solution.
-    Returns (dloss/dj_pred, dloss/dj_budget).
+    Z, lam and xi are one cohort's solution as solve_stack returns it
+    (z_star[k], lambda_star[k], slack_xi[k]); Z, the budget table j_budget
+    and upstream = dloss/dZ are (P, N). Differentiates the KKT system of
+    the regularized program: the N column-sum multipliers are eliminated
+    against the diagonal mixture block, then the budget row (with its -xi
+    corner) against the rest, so the work is O(N * P) at any multiplier.
+    The budget cap enters only through the slack xi. Returns
+    (dloss/dj_pred, dloss/dj_budget), both (P, N).
     """
-    Z = sol.z_star
     u = np.asarray(upstream, dtype=float)
     w = Z / reg.alpha
     dz = w * _centered(Z, u)[1]
-    lam = sol.lambda_star
     if lam <= 0.0:
         # slack budget: the constraint row is inactive and contributes nothing
         return dz, np.zeros_like(Z)
-    g_centered = _centered(Z, tables.j_budget)[1]
+    g_centered = _centered(Z, j_budget)[1]
     coupling = float(np.sum(w * g_centered * u))
     variance = float(np.sum(w * g_centered * g_centered))
-    dlam = lam * coupling / (sol.slack_xi - lam * lam * variance)
+    dlam = lam * coupling / (xi - lam * lam * variance)
     dz += (lam * dlam) * w * g_centered
     return dz, -lam * (dz - dlam * Z)
 
@@ -543,8 +544,7 @@ def dec_dfl_loss(
     j_true, j_budget = true_returns
     engagement = RewardSpec(ENGAGEMENT)
     pred_solve = solve_policies(pred_arr, setup, values=engagement)
-    tables = ReturnsTable(pred_solve.returns(engagement).T, j_true.T, j_budget.T)
-    sol = forward_pass(tables, reg, cfg)
-    loss = float(np.sum(sol.z_star * tables.j_true))
-    grad_j_pred, _ = backward_pass(sol, tables, reg, upstream=tables.j_true)
-    return loss, pred_solve.gradient(grad_j_pred.T)
+    sol = solve_stack(pred_solve.returns(engagement)[None], j_budget[None], reg, [cfg])
+    Z = sol.z_star[0]
+    grad_j_pred, _ = backward_pass(Z, sol.lambda_star[0], sol.slack_xi[0], j_budget, reg, j_true)
+    return float(np.sum(Z * j_true)), pred_solve.gradient(grad_j_pred)

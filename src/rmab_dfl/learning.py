@@ -53,23 +53,6 @@ class ModelSpec:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _sum_next_states(probs: np.ndarray) -> np.ndarray:
-    """(S, 2, N) sums over the S' axis of (S, 2, S', N) arrays, in numpy's own
-    order for a short contiguous axis: pairwise, that is the first 8 terms as
-    a tree and the rest in sequence. So the sums equal a last-axis np.sum of
-    the batch-first (N, S, 2, S') layout bit for bit."""
-    terms = [probs[:, :, t] for t in range(probs.shape[2])]
-    if len(terms) >= 8:
-        head = terms[:8]
-        while len(head) > 1:
-            head = [head[k] + head[k + 1] for k in range(0, len(head), 2)]
-        terms = head + terms[8:]
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
-
-
 class PredictiveModel:
     """Feature -> transition-tensor predictor with manual backprop.
 
@@ -116,8 +99,8 @@ class PredictiveModel:
     def forward(self, features: np.ndarray):
         """Returns ((N, S, 2, S) tensors, cache for backward).
 
-        The tensors are a view of (S, 2, S', N) memory, arms last: the
-        softmax reduces over S' as |S| - 1 slice folds along N.
+        The tensors are a view of (S, 2, S', N) memory, arms last, and the
+        softmax reduces over the S' axis of that memory.
         """
         x = np.asarray(features, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
@@ -134,12 +117,9 @@ class PredictiveModel:
         logits = np.matmul(weights[-1].T, h.T)  # (S*2*S', N)
         logits += biases[-1][:, None]
         probs = logits.reshape(s, 2, s, -1)
-        top = probs[:, :, 0].copy()
-        for t in range(1, s):
-            np.maximum(top, probs[:, :, t], out=top)
-        probs -= top[:, :, None]
+        probs -= probs.max(axis=2, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= _sum_next_states(probs)[:, :, None]
+        probs /= probs.sum(axis=2, keepdims=True)
         return probs.transpose(3, 0, 1, 2), (activations, probs)
 
     def backward(self, cache, grad_tensors: np.ndarray) -> np.ndarray:
@@ -151,8 +131,8 @@ class PredictiveModel:
         activations, probs = cache
         grad_probs = np.ascontiguousarray(grad_tensors.transpose(1, 2, 3, 0))
         grad_logits = grad_probs * probs
-        inner = _sum_next_states(grad_logits)
-        np.subtract(grad_probs, inner[:, :, None], out=grad_logits)
+        inner = grad_logits.sum(axis=2, keepdims=True)
+        np.subtract(grad_probs, inner, out=grad_logits)
         grad_logits *= probs
         weights = self._layers(self.theta)[0]
         g = grad_logits.reshape(weights[-1].shape[1], -1).T  # (N, S*2*S')

@@ -412,29 +412,24 @@ _WHITTLE_TOL = 1e-8  # width of each index's final bisection bracket
 _MAX_BISECTIONS = 200  # so that a tolerance below float resolution raises, not spins
 
 
-def _acting_vs_passive(reduce, a, b, subsidy):
-    """reduce (np.max or np.argmax) over the policies acting, then over those
-    passive, in each arm's indexed state, of the (N, S, P) lines a + m*b at
-    the (N, S) subsidies m."""
-    lines = a + subsidy[..., None] * b
-    acting = policy_action_matrix(lines.shape[1]).T == 1
-    return [reduce(np.where(m, lines, -np.inf), axis=-1) for m in (acting, ~acting)]
-
-
 def _whittle_solve(tensors, setup: DiscountedSetup):
     """The subsidy lines of every arm and the Whittle indices they give.
 
     The engine is solved once from each start state e_y. With a subsidy m
-    paid per passive step, policy j of arm i is worth a[i, y, j] + m *
-    b[i, y, j] at y: a is its engagement value, b its discounted count of
+    paid per passive step, policy j of arm i is worth a[y, j, i] + m *
+    b[y, j, i] at y: a is its engagement value, b its discounted count of
     passive steps. f_s(m), the best line in s of a policy acting in s minus
     that of one passive in s, has the sign of Q*(s, act) - Q*(s, passive),
     so the index of s, where the two are worth the same, is its root (Gast,
-    Gaujal & Khun, arXiv 2203.05207). One bisection on +-1/(1-gamma) finds
-    all N*S roots, ties resolving toward the lower subsidy. Roots at the
+    Gaujal & Khun, arXiv 2203.05207). Each state's lines from e_s are
+    gathered once into two (S, P/2, N) halves, of the policies acting in s
+    and of those passive there, in increasing policy id. One bisection on
+    +-1/(1-gamma) finds all N*S roots, each sweep a multiply-add and a max
+    over each half, ties resolving toward the lower subsidy. Roots at the
     bracket top (not indexable) are logged once, with their count and up
-    to 5 of the (arm, state) pairs. Returns (occupancy, a, b, wi), with
-    occupancy[y] the (S, P, N) occupancy from e_y and a, b (N, S, P).
+    to 5 of the (arm, state) pairs. Returns (occupancy, a, b, halves, wi),
+    with occupancy[y] the (S, P, N) occupancy from e_y, a and b (S, P, N),
+    wi (N, S), and each half an (ids, a, b) triple, row k at s policy ids[s, k].
     """
     tensors, tol = np.asarray(tensors, dtype=float), _WHITTLE_TOL
     num_states = tensors.shape[1]
@@ -442,33 +437,40 @@ def _whittle_solve(tensors, setup: DiscountedSetup):
     occupancy = np.empty((num_states, num_states, len(actions), len(tensors)))
     for y, start in enumerate(np.eye(num_states)):
         occupancy[y] = solve_policies(tensors, DiscountedSetup(setup.gamma, start)).occupancy
-    a = np.einsum("yxjn,x->yjn", occupancy, engagement_rewards(num_states)).transpose(2, 0, 1)
-    b = np.einsum("yxjn,jx->yjn", occupancy, 1.0 - actions).transpose(2, 0, 1)
+    a = np.einsum("yxjn,x->yjn", occupancy, engagement_rewards(num_states))
+    b = np.einsum("yxjn,jx->yjn", occupancy, 1.0 - actions)
+    state = np.arange(num_states)[:, None]
+    ids = (np.nonzero(actions.T == bit)[1].reshape(num_states, -1) for bit in (1, 0))
+    halves = [(j, a[state, j], b[state, j]) for j in ids]
+    lines = np.empty_like(halves[0][1])
     bound = 1.0 / (1.0 - setup.gamma)  # engagement rewards lie in [0, 1]
-    lo, hi = np.full(a.shape[:2], -bound), np.full(a.shape[:2], bound)
+    lo, hi = np.full(a.shape[::2], -bound), np.full(a.shape[::2], bound)  # (S, N)
     for _ in range(_MAX_BISECTIONS):
         open_ = hi - lo > tol
         if not open_.any():
             break
         mid = 0.5 * (lo + hi)
-        act, passive = _acting_vs_passive(np.max, a, b, mid)
-        higher = act - passive > 1e-14  # acting still strictly better: subsidy too low
+        best = []  # (S, N) best line of each half at mid
+        for _, ha, hb in halves:
+            np.multiply(hb, mid[:, None], out=lines)
+            best.append(np.maximum.reduce(np.add(lines, ha, out=lines), axis=1))
+        higher = best[0] - best[1] > 1e-14  # acting still strictly better: subsidy too low
         lo, hi = np.where(open_ & higher, mid, lo), np.where(open_ & ~higher, mid, hi)
     if np.any(hi - lo > tol):
         raise NumericError(f"Whittle bisection did not reach tol {tol} in {_MAX_BISECTIONS} steps")
-    at_top = np.argwhere(hi >= bound - tol)
+    at_top = np.argwhere(hi.T >= bound - tol)
     if len(at_top):
         logger.warning("%d (arm, state) pairs may not be indexable: acting optimal at the "
                        "bracket top, such as %s", len(at_top),
                        ", ".join(f"({i}, {s})" for i, s in at_top[:5].tolist()))
-    value = 0.5 * (lo + hi)
-    return occupancy, a, b, np.where(np.abs(value) <= tol, 0.0, value)
+    value = np.ascontiguousarray((0.5 * (lo + hi)).T)
+    return occupancy, a, b, halves, np.where(np.abs(value) <= tol, 0.0, value)
 
 
 def whittle_indices(tensors, setup: DiscountedSetup) -> np.ndarray:
     """(N, S) Whittle index of every state of every arm, engagement reward,
     by _whittle_solve's bisection to within _WHITTLE_TOL."""
-    return _whittle_solve(tensors, setup)[3]
+    return _whittle_solve(tensors, setup)[4]
 
 
 def whittle_gradients(tensors, setup: DiscountedSetup) -> tuple[np.ndarray, np.ndarray]:
@@ -477,21 +479,23 @@ def whittle_gradients(tensors, setup: DiscountedSetup) -> tuple[np.ndarray, np.n
 
     By implicit differentiation at the root of f_s, dWI/dT = -(df/dT) / (df/dm)
     with df/dm = b_act(s) - b_passive(s) for the best acting and best passive
-    policies there. Each adds gamma * d(x) * V(y) from e_s, under the
+    policies there, each the first maximum of its half, so the lowest policy
+    id among ties. Each adds gamma * d(x) * V(y) from e_s, under the
     subsidized values a + WI*b, on the action it takes in x. A degenerate
     root (|df/dm| < 1e-12) gets a zero gradient.
     """
-    occupancy, a, b, wi = _whittle_solve(tensors, setup)
+    occupancy, a, b, halves, wi = _whittle_solve(tensors, setup)
     n, num_states = wi.shape
     arm, state = np.arange(n)[:, None], np.arange(num_states)
-    best = _acting_vs_passive(np.argmax, a, b, wi)  # (N, S) policy ids
-    slope = b[arm, state, best[0]] - b[arm, state, best[1]]
+    best = [ids[state[:, None], np.argmax(ha + wi.T[:, None] * hb, axis=1)].T  # (N, S) ids
+            for ids, ha, hb in halves]
+    slope = b[state, best[0], arm] - b[state, best[1], arm]
     scale = np.divide(-1.0, slope, out=np.zeros_like(slope), where=np.abs(slope) >= 1e-12)
     acting = policy_action_matrix(num_states) == 1
     grad = np.zeros((num_states, 2, num_states, n, num_states)).transpose(3, 4, 0, 1, 2)
     for j, weight in zip(best, (scale, -scale)):
         d = occupancy[state, :, j, arm] * (setup.gamma * weight)[..., None]  # (N, S, x) from e_s
-        V = a[arm, :, j] + b[arm, :, j] * wi[..., None]  # (N, S, y) at subsidy wi
+        V = (a[:, j, arm] + b[:, j, arm] * wi).transpose(1, 2, 0)  # (N, S, y) at subsidy wi
         term = d[..., None] * V[..., None, :]
         acts = acting[j][..., None]  # (N, S, x, 1): j acts in x
         grad[..., 1, :] += np.where(acts, term, 0.0)

@@ -7,7 +7,8 @@ distribution. Nothing here imports rmab_dfl (a test parses this file to
 enforce it), so the engine, the dual layer and the joint planners are
 checked against code that shares none of their types, reward rules or
 solvers. SIM-DFL's soft top-B selection is checked against a
-compacting Newton solve.
+compacting Newton solve, and the Whittle bisection on batch-last halves
+against the masked arms-first rule it replaced.
 """
 
 from __future__ import annotations
@@ -172,3 +173,56 @@ def soft_top_b(scores, budget: float, tau: float) -> np.ndarray:
         theta = np.where((lo < theta) & (theta < hi), theta, 0.5 * (lo + hi))
     probs[rows] = p
     return probs
+
+
+def whittle_by_masked_lines(occupancy, gamma: float, tol: float = 1e-8):
+    """Whittle indices (N, S) and their gradients (N, S, S, 2, S) by the
+    masked arms-first rule, from occupancy[y], the (S, P, N) occupancy of
+    every policy of every arm from start state e_y.
+
+    The subsidy lines a + m * b are (N, S, P), arms first: a is a policy's
+    engagement value from each start state, b its discounted count of
+    passive steps. Each sweep and the choice of tied policies reduce them
+    over all P policies, with -inf in place of those not acting in the
+    indexed state (for the acting side) or not passive there (for the
+    passive side), so the argmax takes the lowest policy id among ties.
+    The bisection runs on +-1/(1-gamma) until every bracket is narrower
+    than tol, acting winning by more than 1e-14; an index within tol of 0
+    is 0. Each tied policy adds gamma * d(x) * V(y) from e_s, at the
+    subsidized values, on its action in x, scaled by -1/slope (0 where
+    |slope| < 1e-12).
+    """
+    occupancy = np.asarray(occupancy, dtype=float)
+    num_states, _, n_policies, n = occupancy.shape
+    actions = (np.arange(n_policies)[:, None] >> np.arange(num_states)) & 1
+    a = np.einsum("yxjn,x->yjn", occupancy, _engagement(num_states)).transpose(2, 0, 1)
+    b = np.einsum("yxjn,jx->yjn", occupancy, 1.0 - actions).transpose(2, 0, 1)
+    acting = actions.T == 1
+
+    def masked(reduce, subsidy):
+        lines = a + subsidy[..., None] * b
+        return [reduce(np.where(mask, lines, -np.inf), axis=-1) for mask in (acting, ~acting)]
+
+    bound = 1.0 / (1.0 - gamma)
+    lo, hi = np.full((n, num_states), -bound), np.full((n, num_states), bound)
+    while np.any(hi - lo > tol):
+        open_ = hi - lo > tol
+        mid = 0.5 * (lo + hi)
+        act, passive = masked(np.max, mid)
+        higher = act - passive > 1e-14
+        lo, hi = np.where(open_ & higher, mid, lo), np.where(open_ & ~higher, mid, hi)
+    value = 0.5 * (lo + hi)
+    wi = np.where(np.abs(value) <= tol, 0.0, value)
+    arm, state = np.arange(n)[:, None], np.arange(num_states)
+    best = masked(np.argmax, wi)
+    slope = b[arm, state, best[0]] - b[arm, state, best[1]]
+    scale = np.divide(-1.0, slope, out=np.zeros_like(slope), where=np.abs(slope) >= 1e-12)
+    grad = np.zeros((n, num_states, num_states, 2, num_states))
+    for j, weight in zip(best, (scale, -scale)):
+        d = occupancy[state, :, j, arm] * (gamma * weight)[..., None]
+        V = a[arm, :, j] + b[arm, :, j] * wi[..., None]
+        term = d[..., None] * V[..., None, :]
+        acts = (actions == 1)[j][..., None]
+        grad[..., 1, :] += np.where(acts, term, 0.0)
+        grad[..., 0, :] += np.where(acts, 0.0, term)
+    return wi, grad

@@ -183,7 +183,9 @@ def test_criterion_07_gradient_correctness():
         # (a) closed-form layer backward vs finite differences on the tables
         tables = build_returns_table(pred, truth, setup)
         sol = forward_pass(tables, reg, cfg)
-        g_pred, g_budget = backward_pass(sol, tables, reg, upstream=tables.j_true)
+        g_pred, g_budget = (g.T for g in backward_pass(
+            sol.z_star.T, sol.lambda_star, sol.slack_xi, tables.j_budget.T, reg,
+            upstream=tables.j_true.T))
 
         def loss_of(jp, jb):
             t = ReturnsTable(j_pred=jp, j_true=tables.j_true, j_budget=jb)
@@ -304,7 +306,8 @@ def test_criterion_10_backward_scaling():
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            backward_pass(sol, tables, reg, upstream=tables.j_true)
+            backward_pass(sol.z_star.T, sol.lambda_star, sol.slack_xi, tables.j_budget.T, reg,
+                          upstream=tables.j_true.T)
             best = min(best, time.perf_counter() - t0)
         times[n] = best
     ratio = times[2000] / times[200]

@@ -411,10 +411,15 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert not run.exists()
 
+    # an integer field holding a float equal to its value, or a bool, is
+    # wrong in its type only
     @pytest.mark.parametrize(
         "field,value",
         [("trajectory_len", -1), ("feature_layers", 0), ("feature_hidden", 0),
-         ("feature_gain", -3.0)],
+         ("feature_gain", -3.0), ("cohorts", 6.0), ("arms_per_cohort", 4.0), ("states", 2.0),
+         ("states", True), ("feature_dim", 16.0), ("seed", 0.0), ("seed", 1.5),
+         ("trajectory_len", 10.0), ("feature_layers", 8.0), ("feature_hidden", 1000.0),
+         ("split_sizes", [1.0, 1, 4])],
     )
     def test_manifest_field_out_of_domain(self, tiny_dataset, tmp_path, capsys, field, value):
         payload = json.loads(tiny_dataset.read_text())
@@ -517,6 +522,23 @@ class TestMalformedInput:
         code = main(["export", "--kind", "dq_table", "--results", str(results),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_INPUT
+        assert not (tmp_path / "out" / "dq_table.csv").exists()
+
+    @pytest.mark.parametrize("key", ["loss", "dataset", "split"])
+    @pytest.mark.parametrize("value", [3, ["mse"], None], ids=["number", "list", "null"])
+    def test_dq_table_over_non_string_key(self, tmp_path, capsys, key, value):
+        # beside a string, a number would break the sort and a list the grouping
+        results = tmp_path / "results"
+        record = {"loss": "mse", "dataset": "d", "split": "test",
+                  "normalized_joint_dq": 0.4, "normalized_decomposed_dq": 0.5}
+        for run, rec in (("a", record), ("b", {**record, key: value})):
+            (results / run).mkdir(parents=True)
+            (results / run / "dq.json").write_text(json.dumps(rec))
+        capsys.readouterr()
+        code = main(["export", "--kind", "dq_table", "--results", str(results),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert f"{key} must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dq_table.csv").exists()
 
     def test_time_table_export_removed(self, tmp_path):

@@ -202,7 +202,7 @@ class TestSharedElimination:
             solved += 1
             G = tables.j_budget
             u = G - np.sum(Z * G, axis=1, keepdims=True)
-            dz, dj_budget = backward_pass(sol, tables, reg, u)
+            dz, dj_budget = backward_pass(Z.T, lam, xi, G.T, reg, u.T)
             dlam = float(np.sum(dz + dj_budget / lam)) / len(Z)
             coupling = float(np.sum(Z * _long_double_centred(Z, G) * u) / alpha)
             pivot = (xi - lam * coupling / dlam) / lam**2
@@ -693,7 +693,8 @@ class TestBackwardPass:
             tables = build_returns_table(truth, truth, setup)
             sol = forward_pass(tables, reg, cfg)
             upstream = rng.normal(size=tables.j_pred.shape)
-            fast = backward_pass(sol, tables, reg, upstream)
+            fast = [g.T for g in backward_pass(sol.z_star.T, sol.lambda_star, sol.slack_xi,
+                                               tables.j_budget.T, reg, upstream.T)]
             dense = _backward_dense(sol, tables, reg, upstream)
             assert np.max(np.abs(fast[0] - dense[0])) <= 1e-8
             assert np.max(np.abs(fast[1] - dense[1])) <= 1e-8
@@ -714,7 +715,8 @@ class TestBackwardPass:
             lambda_star=lam, slack_xi=3e-7, z_star=eval_lambda(tables, lam, reg, cfg)[2]
         )
         upstream = rng.normal(size=(3, 4))
-        fast = backward_pass(sol, tables, reg, upstream)
+        fast = [g.T for g in backward_pass(sol.z_star.T, lam, sol.slack_xi, tables.j_budget.T,
+                                           reg, upstream.T)]
         dense = _backward_dense(sol, tables, reg, upstream)
         assert np.max(np.abs(fast[0] - dense[0])) <= 1e-10
         assert np.max(np.abs(fast[1] - dense[1])) <= 1e-10
@@ -728,7 +730,8 @@ class TestBackwardPass:
         reg = RegularizerConfig(alpha=0.5)
         sol = forward_pass(tables, reg, cfg)
         assert sol.lambda_star == 0.0
-        _, g_budget = backward_pass(sol, tables, reg, tables.j_true)
+        _, g_budget = backward_pass(sol.z_star.T, sol.lambda_star, sol.slack_xi,
+                                    tables.j_budget.T, reg, tables.j_true.T)
         assert np.all(g_budget == 0.0)
 
     def test_requires_entropy(self):

@@ -192,12 +192,6 @@ class TestPredictiveModel:
             else:
                 assert np.max(np.abs(tensors - expected)) <= 1e-14
 
-    @pytest.mark.parametrize("states", range(2, 13))
-    def test_next_state_sums_follow_numpy_order(self, states):
-        probs = np.random.default_rng(states).random((states, 2, states, 500))
-        expected = np.ascontiguousarray(probs.transpose(3, 0, 1, 2)).sum(axis=-1)  # batch-first
-        assert np.array_equal(learning._sum_next_states(probs), expected.transpose(1, 2, 0))
-
     def test_predictions_are_batch_last_views(self):
         model = PredictiveModel(ModelSpec(layers=1, hidden_dim=5), 4, 3, seed=0)
         tensors = model.forward(np.random.default_rng(5).normal(size=(7, 4)))[0]

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import get_returns, returns_gradient, value_iteration
+from oracles import get_returns, returns_gradient, value_iteration, whittle_by_masked_lines
 from rmab_dfl import (
     CapacityError,
     DiscountedSetup,
@@ -392,6 +392,26 @@ class TestWhittleIndex:
         s = np.arange(states)
         gap = np.abs(Q[:, s, s, 1] - Q[:, s, s, 0])
         assert np.max(gap) <= 1e-6
+
+    @pytest.mark.parametrize("concentration", [1.0, 0.05], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("states", range(2, 7))
+    def test_halves_match_masked_rule(self, states, concentration):
+        # the batch-last halves give the bits of the masked arms-first rule.
+        # The last 10 arms act like they stay passive, so every policy ties
+        # at the root and the lowest acting and passive ids must win
+        rng = np.random.default_rng(60 + states)
+        tensors = rng.dirichlet(np.full(states, concentration), size=(210, states, 2))
+        tensors[200:, :, 1] = tensors[200:, :, 0]
+        setup = DiscountedSetup(0.9, rng.dirichlet(np.ones(states)))
+        occupancy = np.stack([
+            solve_policies(tensors, DiscountedSetup(0.9, start)).occupancy
+            for start in np.eye(states)
+        ])
+        wi, grad = whittle_by_masked_lines(occupancy, 0.9)
+        assert np.array_equal(whittle_indices(tensors, setup), wi)
+        fast_wi, fast_grad = whittle_gradients(tensors, setup)
+        assert np.array_equal(fast_wi, wi)
+        assert np.array_equal(fast_grad, grad)
 
     def test_scalar_view_matches_batched(self):
         rng = np.random.default_rng(44)
