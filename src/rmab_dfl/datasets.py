@@ -5,7 +5,9 @@ A dataset is one self-describing JSON file: a manifest block plus
 per-cohort records (features, true transition tensors, trajectories).
 In memory the records stack into three arrays with a leading cohort axis.
 Floats are serialized with shortest-round-trip repr, so write-then-read
-is exact, and the file is written one cohort's record at a time.
+is exact, and the file is written one cohort's record at a time; a record
+read back becomes arrays as soon as it is parsed, so the parsed lists of
+only one record are held at a time.
 
 A cohort's trajectories are rolled for all its arms at once, from the
 same PCG64 words, and so to the same values, as drawing each arm's start
@@ -54,10 +56,14 @@ class DatasetManifest:
 
     def __post_init__(self):
         # a manifest read from JSON may hold 2.0 or true where an integer
-        # belongs, and one that holds a numpy integer cannot be written as JSON
+        # belongs, or true or a string where a real number does, and one that
+        # holds a numpy integer cannot be written as JSON
         for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (type(value) is bool or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if any(type(size) is not int for size in self.split_sizes):
             raise ValueError(f"split_sizes must be integers, got {self.split_sizes!r}")
         if not 0.0 < self.gamma < 1.0:
@@ -84,8 +90,8 @@ class DatasetManifest:
             raise ValueError(f"feature_layers must be at least 1, got {self.feature_layers}")
         if self.feature_hidden < 1:
             raise ValueError(f"feature_hidden must be at least 1, got {self.feature_hidden}")
-        if not self.feature_gain > 0:
-            raise ValueError(f"feature_gain must be positive, got {self.feature_gain}")
+        if not 0.0 < self.feature_gain < np.inf:
+            raise ValueError(f"feature_gain must be positive and finite, got {self.feature_gain}")
         # the generator only implements these; any other value would mislabel the data
         if (self.feature_activation, self.trajectory_actions) != ("tanh", "uniform"):
             raise ValueError("feature_activation must be 'tanh' and trajectory_actions 'uniform'")
@@ -122,13 +128,40 @@ def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator
     ]
 
 
-def _apply_feature_network(flat: np.ndarray, weights, buffers: np.ndarray, out: np.ndarray) -> None:
-    """Push flat through the net into out; the hidden layers alternate between two buffers."""
-    h = flat
-    for layer, W in enumerate(weights[:-1]):
-        buf = buffers[layer % 2]
-        h = np.tanh(np.matmul(h, W, out=buf), out=buf)
-    np.matmul(h, weights[-1], out=out)
+# Bytes of each of the feature network's two activation buffers (8 MB): a
+# cohort goes through the network in blocks of rows that fit them.
+_FEATURE_BLOCK_BYTES = 1 << 23
+# Row blocks start on multiples of this many rows.
+_FEATURE_BLOCK_ALIGN = 64
+
+
+def _feature_blocks(n: int, hidden: int) -> list[int]:
+    """The bounds of the row blocks a cohort of n arms goes through the network in.
+
+    Each output row of a matrix product depends only on its own input row,
+    so blocks give the bits of one pass over all rows as long as BLAS runs
+    each block as it runs the whole. So the blocks are as even as possible,
+    never full blocks and a remainder of a few rows: a single row goes
+    through gemv and a few rows through OpenBLAS's small-matrix kernels,
+    which sum in another order. And they start on multiples of 64 rows,
+    because gemv (feature_dim = 1) takes its rows in groups from the start.
+    """
+    blocks = -(-n // max(1, _FEATURE_BLOCK_BYTES // (8 * hidden)))
+    align = _FEATURE_BLOCK_ALIGN
+    return [n * i // blocks // align * align for i in range(blocks)] + [n]
+
+
+def _apply_feature_network(flat, weights, bounds: list[int], buffers, out: np.ndarray) -> None:
+    """Push flat through the net into out, block by block of rows between bounds.
+
+    The hidden layers alternate between two buffers of at least a block's rows.
+    """
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        h = flat[start:stop]
+        for layer, W in enumerate(weights[:-1]):
+            buf = buffers[layer % 2, : stop - start]
+            h = np.tanh(np.matmul(h, W, out=buf), out=buf)
+        np.matmul(h, weights[-1], out=out[start:stop])
 
 
 _LOW = np.uint64(0xFFFFFFFF)
@@ -220,11 +253,13 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     features = np.empty((c, n, manifest.feature_dim))
     tensors = np.empty((c, n, s, 2, s))
     trajectories = np.empty((c, n, 2 * manifest.trajectory_len + 1), dtype=int)
-    buffers = np.empty((min(manifest.feature_layers - 1, 2), n, manifest.feature_hidden))
+    bounds = _feature_blocks(n, manifest.feature_hidden)
+    rows = max(np.diff(bounds))
+    buffers = np.empty((min(manifest.feature_layers - 1, 2), rows, manifest.feature_hidden))
     for k in range(c):
         rng = np.random.default_rng(cohort_seeds[k])
         tensors[k] = rng.dirichlet(np.ones(s), size=(n, s, 2))
-        _apply_feature_network(tensors[k].reshape(n, -1), weights, buffers, features[k])
+        _apply_feature_network(tensors[k].reshape(n, -1), weights, bounds, buffers, features[k])
         trajectories[k] = _roll_trajectories(tensors[k], manifest.trajectory_len, rng)
     return Dataset(
         manifest=manifest,
@@ -289,9 +324,29 @@ def _stack_cohorts(cohorts, key: str, dtype, shape: tuple[int, ...]) -> np.ndarr
     return stacked.astype(dtype, copy=False)
 
 
+_RECORD_KEYS = {"features", "tensors", "trajectories"}
+
+
+def _record_as_arrays(pairs: list) -> dict:
+    """json's object_pairs_hook: a cohort record's values as arrays once it is parsed.
+
+    Any other object stays the dict it parses to, and a value numpy cannot
+    convert (a ragged list) stays as parsed, for `_stack_cohorts` to reject
+    with the message it gives for lists; duplicate keys resolve last-wins.
+    """
+    obj = dict(pairs)
+    if obj.keys() == _RECORD_KEYS:
+        for key, value in obj.items():
+            try:
+                obj[key] = np.array(value)
+            except (TypeError, ValueError):
+                pass
+    return obj
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset file; a malformed one raises ValueError."""
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_text(), object_pairs_hook=_record_as_arrays)
     if not isinstance(payload, dict):
         raise ValueError("malformed dataset: expected a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:

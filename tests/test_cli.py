@@ -411,15 +411,16 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert not run.exists()
 
-    # an integer field holding a float equal to its value, or a bool, is
-    # wrong in its type only
+    # an integer field holding a float equal to its value, or a bool, and a
+    # real field holding a bool (true == 1) or a string, are wrong in their type only
     @pytest.mark.parametrize(
         "field,value",
         [("trajectory_len", -1), ("feature_layers", 0), ("feature_hidden", 0),
          ("feature_gain", -3.0), ("cohorts", 6.0), ("arms_per_cohort", 4.0), ("states", 2.0),
          ("states", True), ("feature_dim", 16.0), ("seed", 0.0), ("seed", 1.5),
          ("trajectory_len", 10.0), ("feature_layers", 8.0), ("feature_hidden", 1000.0),
-         ("split_sizes", [1.0, 1, 4])],
+         ("split_sizes", [1.0, 1, 4]), ("budget", True), ("budget", "1.0"), ("gamma", True),
+         ("feature_gain", True), ("feature_gain", float("inf"))],
     )
     def test_manifest_field_out_of_domain(self, tiny_dataset, tmp_path, capsys, field, value):
         payload = json.loads(tiny_dataset.read_text())

@@ -1,8 +1,12 @@
 """Unit tests for synthetic data generation, transition counts, and serialization."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,7 +163,8 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "field,value",
         [("trajectory_len", -1), ("feature_layers", 0), ("feature_hidden", 0),
-         ("feature_gain", 0.0)],
+         ("feature_gain", 0.0), ("feature_gain", float("inf")), ("feature_gain", True),
+         ("budget", True), ("gamma", True), ("gamma", "0.9")],
     )
     def test_network_and_trajectory_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -179,6 +184,72 @@ class TestGeneration:
         arrays = ds.features.nbytes + ds.tensors.nbytes + ds.trajectories.nbytes
         slack = buffer // 2  # trajectory bookkeeping and draws: about 5 MB here
         assert peak <= 2 * buffer + sum(w.nbytes for w in weights) + arrays + slack
+
+    @pytest.mark.parametrize("states", [2, 4])
+    def test_row_blocks_give_the_bits_of_one_block(self, monkeypatch, states):
+        m = DatasetManifest(cohorts=2, arms_per_cohort=2500, budget=10.0, states=states,
+                            split_sizes=(1, 1, 0), feature_layers=3)
+        row = 8 * m.feature_hidden
+        monkeypatch.setattr(datasets, "_FEATURE_BLOCK_BYTES", 1000 * row)
+        sizes = np.diff(datasets._feature_blocks(m.arms_per_cohort, m.feature_hidden))
+        assert len(sizes) == 3 and sizes[-1] != sizes[0]  # 832, 832, 836
+        blocked = generate_synthetic(m)
+        monkeypatch.setattr(datasets, "_FEATURE_BLOCK_BYTES", m.arms_per_cohort * row)
+        assert datasets._feature_blocks(m.arms_per_cohort, m.feature_hidden) == [0, 2500]
+        whole = generate_synthetic(m)
+        for name in ("features", "tensors", "trajectories"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+    def test_row_blocks_keep_matrix_vector_bits_on_one_blas_thread(self):
+        # at feature_dim=1 the last layer is a gemv, which groups rows from a
+        # block's start; with blocks from rows 350 and 700 the bits moved. One
+        # BLAS thread must be set before numpy loads, so this runs in a child.
+        script = """
+import numpy as np
+from rmab_dfl import DatasetManifest, datasets, generate_synthetic
+m = DatasetManifest(cohorts=2, arms_per_cohort=1050, budget=10.0, split_sizes=(1, 1, 0),
+                    feature_dim=1, feature_layers=2)
+datasets._FEATURE_BLOCK_BYTES = 400 * 8 * m.feature_hidden
+assert datasets._feature_blocks(1050, m.feature_hidden) == [0, 320, 640, 1050]
+blocked = generate_synthetic(m).features
+datasets._FEATURE_BLOCK_BYTES = 1050 * 8 * m.feature_hidden
+assert np.array_equal(blocked, generate_synthetic(m).features)
+"""
+        one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        src = str(Path(datasets.__file__).parents[1])
+        env = {**os.environ, **one_thread, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+    def test_row_blocks_are_even_aligned_and_fit_the_buffers(self):
+        hidden = 1000
+        cap = datasets._FEATURE_BLOCK_BYTES // (8 * hidden)  # 1048 rows
+        for n in [1, 64, cap, cap + 1, 2 * cap - 1, 2 * cap + 1, 10_000, 30_001]:
+            bounds = datasets._feature_blocks(n, hidden)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n, n
+            assert all(b % datasets._FEATURE_BLOCK_ALIGN == 0 for b in bounds[:-1]), n
+            assert sizes.max() <= cap + datasets._FEATURE_BLOCK_ALIGN, n
+            assert len(sizes) == 1 or sizes.min() >= cap // 2 - datasets._FEATURE_BLOCK_ALIGN, n
+
+    def test_generation_memory_does_not_grow_with_arms_beyond_the_arrays(self):
+        # what generation holds besides the network and the dataset: two
+        # (block, hidden) buffers and the trajectory roll's bookkeeping, which
+        # grows by about 6 MB from 2000 to 8000 arms; two (N, hidden) buffers
+        # would grow by 2 * 6000 * 1000 * 8 bytes = 96 MB
+        def held(arms):
+            m = DatasetManifest(cohorts=2, arms_per_cohort=arms, budget=10.0,
+                                split_sizes=(1, 1, 0), feature_layers=3)
+            weights = datasets._feature_network_weights(m, np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                ds = generate_synthetic(m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            arrays = ds.features.nbytes + ds.tensors.nbytes + ds.trajectories.nbytes
+            return peak - sum(w.nbytes for w in weights) - arrays
+
+        assert held(8000) - held(2000) <= 8 * 2**20
 
     def test_trajectories_follow_true_dynamics(self):
         # a deterministic arm leaves no freedom in the rolled trajectory
@@ -242,6 +313,76 @@ class TestSerialization:
             save_dataset(generate_synthetic(_small_manifest(seed=1)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dataset.json"]
+
+    @pytest.mark.parametrize("cohorts", [3, 12])
+    def test_load_holds_one_records_lists_at_a_time(self, tmp_path, cohorts):
+        # the file's text, the per-record arrays and their stack, and the
+        # parsed lists of one record; with every record's lists held at
+        # once the peak was 2 MB over this at 3 cohorts and 19 MB at 12
+        m = _small_manifest(cohorts=cohorts, arms_per_cohort=2000, budget=10.0,
+                            split_sizes=(1, 1, cohorts - 2), feature_dim=16)
+        path = tmp_path / "dataset.json"
+        save_dataset(generate_synthetic(m), path)
+        record_text = json.dumps(json.loads(path.read_text())["cohorts"][0])
+        tracemalloc.start()
+        try:
+            record = json.loads(record_text)
+            record_lists = tracemalloc.get_traced_memory()[0]
+            del record
+            tracemalloc.reset_peak()
+            ds = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = ds.features.nbytes + ds.tensors.nbytes + ds.trajectories.nbytes
+        assert peak <= path.stat().st_size + 2 * arrays + record_lists
+
+    @staticmethod
+    def _load_error(path, payload) -> str:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        return str(info.value)
+
+    @staticmethod
+    def _stack_error(cohorts, key, dtype, shape) -> str:
+        """The error of stacking the records as parsed lists, as every record was once read."""
+        with pytest.raises(ValueError) as info:
+            datasets._stack_cohorts(cohorts, key, dtype, shape)
+        return str(info.value)
+
+    def test_ragged_record_among_good_ones_fails_as_lists_do(self, tmp_path):
+        ds = generate_synthetic(_small_manifest())
+        path = tmp_path / "dataset.json"
+        save_dataset(ds, path)
+        payload = json.loads(path.read_text())
+        payload["cohorts"][2]["tensors"][1][0].pop()  # one arm's state 0 has one action
+        expected = self._stack_error(payload["cohorts"], "tensors", float, ds.tensors.shape)
+        assert "inhomogeneous" in expected
+        assert self._load_error(path, payload) == expected
+
+    def test_record_with_an_extra_key_stays_lists(self, tmp_path):
+        ds = generate_synthetic(_small_manifest())
+        path = tmp_path / "dataset.json"
+        save_dataset(ds, path)
+        payload = json.loads(path.read_text())
+        payload["cohorts"][1]["note"] = "kept as parsed"
+        path.write_text(json.dumps(payload))
+        loaded = load_dataset(path)
+        for name in ("features", "tensors", "trajectories"):
+            assert np.array_equal(getattr(loaded, name), getattr(ds, name)), name
+        payload["cohorts"][1]["features"].pop()  # one arm fewer
+        expected = self._stack_error(payload["cohorts"], "features", float, ds.features.shape)
+        assert "inhomogeneous" in expected
+        assert self._load_error(path, payload) == expected
+
+    def test_duplicate_record_keys_resolve_last_wins(self, tmp_path):
+        ds = generate_synthetic(_small_manifest())
+        path = tmp_path / "dataset.json"
+        save_dataset(ds, path)
+        path.write_text(path.read_text().replace('{"features": ', '{"features": "x", "features": '))
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.features, ds.features)
 
     def test_rejects_unknown_format_version(self, tmp_path):
         path = tmp_path / "bad.json"
