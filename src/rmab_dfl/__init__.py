@@ -29,7 +29,6 @@ from .dec_layer import (
     backward_pass,
     build_returns_table,
     dec_dfl_loss,
-    eval_lambda,
     forward_pass,
     solve_reference,
 )

@@ -4,11 +4,13 @@ Six claims of the decomposed layer, each a function returning a report
 dict (claim name, pass flag, measured values): the uncorrected layer's
 budget overshoot and spurious optimum on fixed example arms, truthful
 optimality under the reference solver, decomposed/joint mixture
-equivalence by linear programming, forward-pass agreement with the
+equivalence by linear programming, agreement of solve_stack with the
 reference solver, and residual monotonicity. The acceptance suite calls
 the same functions. The uncorrected relaxation (budget checked on the
 predictions) and the budget audit live here, with the claims that use
-them. scipy is imported only inside the two LP oracles.
+them. Every table and mixture here is (P, N), as the engine and
+solve_stack give them; the (N, P) shim of dec_layer is for perfbench/
+only. scipy is imported only inside the two LP oracles.
 """
 
 from __future__ import annotations
@@ -17,37 +19,35 @@ import itertools
 
 import numpy as np
 
-from .mdp import DiscountedSetup, NumericError, returns_on_truth
-from .dec_layer import (
-    DualSolution,
-    RegularizerConfig,
-    ReturnsTable,
-    SolverConfig,
-    build_returns_table,
-    eval_lambda,
-    forward_pass,
-    solve_reference,
+from . import dec_layer
+from .mdp import (
+    ENGAGEMENT, DiscountedSetup, NumericError, RewardSpec, returns_on_truth, solve_policies,
 )
+from .dec_layer import RegularizerConfig, SolverConfig, StackSolution, solve_reference, solve_stack
 from .planning import Cohort
 
 
-def uncorrected_policy(pred: np.ndarray, cfg: SolverConfig, setup: DiscountedSetup) -> DualSolution:
+def uncorrected_policy(
+    pred: np.ndarray, cfg: SolverConfig, setup: DiscountedSetup
+) -> StackSolution:
     """The layer at alpha=1e-3 with the budget usage evaluated on the
-    *predicted* transitions. Exists to reproduce the budget-overshoot
-    failure mode; never use it for training.
+    *predicted* transitions, as a one-cohort stack. Exists to reproduce the
+    budget-overshoot failure mode; never use it for training.
     """
-    return forward_pass(build_returns_table(pred, pred, setup), RegularizerConfig(alpha=1e-3), cfg)
+    j_pred, j_budget = returns_on_truth(pred, setup)
+    return solve_stack(j_pred[None], j_budget[None], RegularizerConfig(alpha=1e-3), [cfg])
 
 
-def budget_audit(cohort: Cohort, sol: DualSolution, per_step: bool = False) -> float:
-    """Ratio of true-transition budget usage to the available budget.
+def budget_audit(cohort: Cohort, z: np.ndarray, per_step: bool = False) -> float:
+    """Ratio of the true-transition budget usage of the (P, N) mixture z to
+    the available budget.
 
     By default the denominator is the discounted cap B/(1-gamma), so a
     feasible corrected solution audits at <= 1. With per_step=True the
     denominator is the per-step budget B, the overshoot factor quoted for
     the mismatched-prediction failure case.
     """
-    used = float(np.sum(sol.z_star * cohort.true_returns[1].T))
+    used = float(np.sum(z * cohort.true_returns[1]))
     denom = cohort.budget if per_step else cohort.budget / (1.0 - cohort.setup.gamma)
     return used / denom
 
@@ -79,7 +79,7 @@ def check_budget_overshoot() -> dict:
     cohort = Cohort(
         features=np.zeros((1, 1)), tensors=t_absorbing[None], budget=1.0 - gamma, setup=setup
     )
-    ratio = budget_audit(cohort, sol, per_step=True)
+    ratio = budget_audit(cohort, sol.z_star[0], per_step=True)
     return {
         "claim": "budget-overshoot",
         "passed": bool(abs(ratio - 100.0) <= 1.0),
@@ -89,7 +89,7 @@ def check_budget_overshoot() -> dict:
 
 def _uncorrected_loss(pred: np.ndarray, truth: np.ndarray, cfg: SolverConfig, setup) -> float:
     sol = uncorrected_policy(pred, cfg, setup)
-    return float(np.sum(sol.z_star * returns_on_truth(truth, setup)[0].T))
+    return float(np.sum(sol.z_star[0] * returns_on_truth(truth, setup)[0]))
 
 
 def check_spurious_minimum() -> dict:
@@ -120,17 +120,20 @@ def check_truthful_optimality(seed: int, cohorts: int = 20, alternatives: int = 
     """
     rng = np.random.default_rng(seed)
     reg = RegularizerConfig(alpha=1e-3)
+    engagement = RewardSpec(ENGAGEMENT)
     worst = np.inf
     for _ in range(cohorts):
         truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 6)))
-        tables = build_returns_table(truth, truth, setup)
-        sol = solve_reference(tables, reg, cfg, dual_tol=1e-8)
-        truthful = float(np.sum(sol.z_star * tables.j_true))
+        j_true, j_budget = returns_on_truth(truth, setup)
+        # the reference's mixture is a .T view: score it in its own (N, P)
+        # memory order, since a reordered product sums in another order
+        z = solve_reference(j_true, j_budget, reg, cfg, dual_tol=1e-8)[2]
+        truthful = float(np.sum(z.T * j_true.T))
         for _ in range(alternatives):
             other = rng.dirichlet(np.ones(truth.shape[1]), size=truth.shape[:-1])
-            t2 = build_returns_table(other, truth, setup)
-            s2 = solve_reference(t2, reg, cfg, dual_tol=1e-8)
-            worst = min(worst, truthful - float(np.sum(s2.z_star * t2.j_true)))
+            j_other = solve_policies(other, setup).returns(engagement)
+            z2 = solve_reference(j_other, j_budget, reg, cfg, dual_tol=1e-8)[2]
+            worst = min(worst, truthful - float(np.sum(z2.T * j_true.T)))
     return {
         "claim": "truthful-optimality",
         "passed": bool(worst >= -1e-3),
@@ -138,18 +141,17 @@ def check_truthful_optimality(seed: int, cohorts: int = 20, alternatives: int = 
     }
 
 
-def decomposed_lp_value(tables: ReturnsTable, cfg: SolverConfig) -> float:
-    """Unregularized decomposed optimum by linear programming."""
+def decomposed_lp_value(j_pred: np.ndarray, j_budget: np.ndarray, cfg: SolverConfig) -> float:
+    """Unregularized decomposed optimum of (P, N) tables by linear programming."""
     from scipy.optimize import linprog  # only verify needs scipy; keep start-up light
 
-    n, p = tables.j_pred.shape
-    c = -tables.j_pred.reshape(-1)
+    p, n = j_pred.shape
     a_eq = np.zeros((n, n * p))
     for i in range(n):
         a_eq[i, i * p : (i + 1) * p] = 1.0
     res = linprog(
-        c,
-        A_ub=tables.j_budget.reshape(1, -1),
+        -j_pred.T.reshape(-1),  # arm-major variables: arm i's P policies side by side
+        A_ub=j_budget.T.reshape(1, -1),
         b_ub=[cfg.budget_cap],
         A_eq=a_eq,
         b_eq=np.ones(n),
@@ -161,14 +163,14 @@ def decomposed_lp_value(tables: ReturnsTable, cfg: SolverConfig) -> float:
     return -res.fun
 
 
-def joint_mixture_lp_value(tables: ReturnsTable, cfg: SolverConfig) -> float:
-    """Unregularized optimum over mixtures of joint (product) policies."""
+def joint_mixture_lp_value(j_pred: np.ndarray, j_budget: np.ndarray, cfg: SolverConfig) -> float:
+    """Unregularized optimum over mixtures of joint (product) policies of (P, N) tables."""
     from scipy.optimize import linprog
 
-    n, p = tables.j_pred.shape
+    p, n = j_pred.shape
     combos = list(itertools.product(range(p), repeat=n))
-    j = np.array([sum(tables.j_pred[i, k[i]] for i in range(n)) for k in combos])
-    g = np.array([sum(tables.j_budget[i, k[i]] for i in range(n)) for k in combos])
+    j = np.array([sum(j_pred[k[i], i] for i in range(n)) for k in combos])
+    g = np.array([sum(j_budget[k[i], i] for i in range(n)) for k in combos])
     res = linprog(
         -j,
         A_ub=g.reshape(1, -1),
@@ -191,8 +193,9 @@ def check_mixture_equivalence(seed: int, instances: int = 25) -> dict:
     worst = 0.0
     for _ in range(instances):
         truth, cfg, setup = _random_cohort(rng, n=2)
-        tables = build_returns_table(truth, truth, setup)
-        gap = abs(decomposed_lp_value(tables, cfg) - joint_mixture_lp_value(tables, cfg))
+        j_true, j_budget = returns_on_truth(truth, setup)
+        decomposed = decomposed_lp_value(j_true, j_budget, cfg)
+        gap = abs(decomposed - joint_mixture_lp_value(j_true, j_budget, cfg))
         worst = max(worst, gap)
     return {
         "claim": "mixture-equivalence",
@@ -202,8 +205,8 @@ def check_mixture_equivalence(seed: int, instances: int = 25) -> dict:
 
 
 def check_dual_solver(seed: int, instances: int = 100) -> dict:
-    """Fast bracketed-Newton forward pass agrees with the slow damped-Newton
-    reference solve, and satisfies complementary slackness.
+    """solve_stack's bracketed Newton solve agrees with the slow
+    damped-Newton reference solve, and satisfies complementary slackness.
     """
     rng = np.random.default_rng(seed)
     reg = RegularizerConfig(alpha=0.1)
@@ -211,12 +214,13 @@ def check_dual_solver(seed: int, instances: int = 100) -> dict:
     for _ in range(instances):
         truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 5)))
         cfg = SolverConfig(budget=cfg.budget, gamma=cfg.gamma, epsilon=1e-9)
-        tables = build_returns_table(truth, truth, setup)
-        fast = forward_pass(tables, reg, cfg)
-        ref = solve_reference(tables, reg, cfg)
-        max_lam_err = max(max_lam_err, abs(fast.lambda_star - ref.lambda_star))
-        max_z_err = max(max_z_err, float(np.max(np.abs(fast.z_star - ref.z_star))))
-        max_slack = max(max_slack, abs(fast.lambda_star * fast.slack_xi) / cfg.budget_cap)
+        j_true, j_budget = returns_on_truth(truth, setup)
+        fast = solve_stack(j_true[None], j_budget[None], reg, [cfg])
+        lam, xi = float(fast.lambda_star[0]), float(fast.slack_xi[0])
+        ref_lam, _, ref_z = solve_reference(j_true, j_budget, reg, cfg)
+        max_lam_err = max(max_lam_err, abs(lam - ref_lam))
+        max_z_err = max(max_z_err, float(np.max(np.abs(fast.z_star[0] - ref_z))))
+        max_slack = max(max_slack, abs(lam * xi) / cfg.budget_cap)
     return {
         "claim": "dual-solver",
         "passed": bool(max_lam_err <= 2e-5 and max_z_err <= 1e-4 and max_slack <= 1e-6),
@@ -228,20 +232,23 @@ def check_dual_solver(seed: int, instances: int = 100) -> dict:
 
 def check_residual_monotonicity(seed: int, draws: int = 10_000) -> dict:
     """Budget residual of the inner softmax solution never increases in
-    the multiplier.
+    the multiplier. Each draw evaluates its two multipliers as one
+    two-cohort call of the moments solve_stack runs.
     """
     rng = np.random.default_rng(seed)
+    cfg = SolverConfig(budget=1.0, gamma=0.9)
     violations = 0
     for _ in range(draws):
         n, p = int(rng.integers(1, 6)), int(2 ** rng.integers(1, 4))
-        j_pred = rng.normal(scale=5.0, size=(n, p))
-        j_budget = rng.uniform(0.0, 10.0, size=(n, p))
-        tables = ReturnsTable(j_pred=j_pred, j_true=j_pred, j_budget=j_budget)
-        reg = RegularizerConfig(alpha=float(rng.uniform(0.01, 2.0)))
-        cfg = SolverConfig(budget=1.0, gamma=0.9)
+        j_pred = rng.normal(scale=5.0, size=(n, p)).T
+        j_budget = rng.uniform(0.0, 10.0, size=(n, p)).T
+        alpha = float(rng.uniform(0.01, 2.0))
         lam_pair = np.sort(rng.uniform(-10.0, 10.0, size=2))
-        r_lo, _, _ = eval_lambda(tables, lam_pair[0], reg, cfg)
-        r_hi, _, _ = eval_lambda(tables, lam_pair[1], reg, cfg)
+        usage, _, _ = dec_layer._usage_moments(
+            np.stack([j_pred, j_pred]), np.stack([j_budget, j_budget]), lam_pair, alpha,
+            dec_layer._floors_logits(alpha, [cfg]),
+        )
+        r_lo, r_hi = (usage - cfg.budget_cap).tolist()
         if r_hi > r_lo + 1e-12:
             violations += 1
     return {

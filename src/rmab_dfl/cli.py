@@ -108,10 +108,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list], provenance: str)
 
 
 def _out_dir(arg: str | None) -> Path:
+    """The output directory: --out, else $RMAB_DFL_OUT, else results/. Each
+    command asks for it before any work, so a path that names a file, or
+    lies under one, is refused (exit 2) before anything runs."""
     if arg is not None:
-        return Path(arg)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    return Path(root) if root else Path("results")
+        out = Path(arg)
+    else:
+        root = os.environ.get(OUTPUT_ROOT_ENV)
+        out = Path(root) if root else Path("results")
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"output directory {out}: {nearest} is not a directory")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +324,12 @@ def cmd_bench(args) -> int:
     dataset_path = _existing_file(args.dataset, "dataset")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    out = _out_dir(args.out)
     dataset = load_dataset(dataset_path)
     epoch_times = bench_epoch_times(
         dataset, args.losses, args.repeats, args.seed, args.trajectories
     )
     scaling = bench_layer_scaling(seed=args.seed, gamma=dataset.manifest.gamma)
-    out = _out_dir(args.out)
     prov = _provenance_line(_manifest_hash(dataset.manifest), args.seed)
     _write_csv(
         out / "time_table.csv",
@@ -346,6 +354,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    out = None if args.out is None else _out_dir(args.out)
     reports = run_verification(args.seed)
     all_passed = True
     for rep in reports:
@@ -357,8 +366,7 @@ def cmd_verify(args) -> int:
         )
         print(f"[{status}] {rep['claim']}: {detail}")
         all_passed &= rep["passed"]
-    if args.out is not None:
-        out = _out_dir(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _atomic_write(
             out / "verify.json",

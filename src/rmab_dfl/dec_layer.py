@@ -11,15 +11,16 @@ single budget row against the per-arm blocks in O(N * P). Policy tables
 are batch-last from the engine on: the forward solve runs on (C, P, N)
 stacks of cohorts (solve_stack), one residual call per round for the whole
 stack, and backward_pass takes one cohort's (P, N) arrays from it, as
-dec_dfl_loss does. The (N, P) names, ReturnsTable, build_returns_table,
-forward_pass, eval_lambda, DualSolution and StackSolution.cohort, are .T
-views of that memory, kept for perfbench and the verify checks. Where the
-entropy weight lets the logits spread past 700, a solve floors them at
-EXP_FLOOR to keep numpy's exp off its slow subnormal path. A slow (N, P)
-reference solver is the correctness oracle: its inner maximization is a
-damped Newton solve of the per-row KKT equations, never the softmax
-closed form; the regularized objective the tests score mixtures by is in
-tests/oracles.py.
+dec_dfl_loss does. Where the entropy weight lets the logits spread past
+700, a solve floors them at EXP_FLOOR to keep numpy's exp off its slow
+subnormal path. A slow reference solver on (P, N) tables is the
+correctness oracle: its inner maximization is a damped Newton solve of the
+per-row KKT equations, never the softmax closed form; the regularized
+objective the tests score mixtures by is in tests/oracles.py.
+
+The (N, P) shim, ReturnsTable, build_returns_table, forward_pass and
+DualSolution, holds .T views of that memory and exists only for the
+benchmark in perfbench/; nothing else in the package uses it.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ class SolverConfig:
 class DualSolution:
     lambda_star: float
     slack_xi: float
-    z_star: np.ndarray  # (N, P), rows on the simplex; from solve_stack, a .T view
-    evaluations: int = 0  # residual evaluations the solve used
-    doublings: int = 0  # times the top of the dual bracket doubled
+    z_star: np.ndarray  # (N, P), rows on the simplex; a .T view of solve_stack's mixture
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,6 @@ class StackSolution:
     evaluations: np.ndarray  # (C,) residual evaluations of each cohort
     doublings: np.ndarray  # (C,) bracket doublings of each cohort
     rounds: int  # stacked residual calls: the most evaluations of any cohort
-
-    def cohort(self, k: int) -> DualSolution:
-        """Cohort k's solution with its mixture as an (N, P) view."""
-        return DualSolution(
-            float(self.lambda_star[k]),
-            float(self.slack_xi[k]),
-            self.z_star[k].T,
-            int(self.evaluations[k]),
-            int(self.doublings[k]),
-        )
 
 
 def _floors_logits(alpha: float, cfgs: list[SolverConfig]) -> bool:
@@ -222,29 +211,6 @@ def _usage_moments(
         run_arm_blocks(per_arm, blocks, j_pred, j_budget, Z, mean, squares)
     variance = Z.reshape(count, 1, -1) @ squares.reshape(count, -1, 1)  # one dot per cohort
     return np.add.reduce(mean.reshape(count, -1), axis=1), variance.reshape(count), Z
-
-
-def _residual_and_slope(
-    usage: float, variance: float, cap: float, alpha: float
-) -> tuple[float, float]:
-    """residual = usage - cap is nonincreasing in lam, so a sign change brackets
-    the optimal multiplier; its slope is -variance / alpha (the variance
-    term of backward_pass)."""
-    return usage - cap, -variance / alpha
-
-
-def eval_lambda(
-    tables: ReturnsTable, lam: float, reg: RegularizerConfig, cfg: SolverConfig
-) -> tuple[float, float, np.ndarray]:
-    """Budget residual, its slope and the (N, P) mixture at a candidate
-    multiplier: the one-cohort view of the stacked evaluation."""
-    # C-order (P, N) tables, as solve_stack copies them: strided ones change the last bits
-    usage, variance, Z = _usage_moments(
-        np.ascontiguousarray(tables.j_pred.T)[None], np.ascontiguousarray(tables.j_budget.T)[None],
-        np.array([lam], dtype=float), reg.alpha, _floors_logits(reg.alpha, [cfg]),
-    )
-    residual, slope = _residual_and_slope(usage.item(), variance.item(), cfg.budget_cap, reg.alpha)
-    return residual, slope, Z[0].T
 
 
 def _check_feasible(least_usage: float, cfg: SolverConfig) -> None:
@@ -351,7 +317,9 @@ def solve_stack(
         searching = []
         for k, (c, used, var) in enumerate(moments):
             evaluations[c] += 1
-            residual, slope = _residual_and_slope(used, var, cfgs[c].budget_cap, reg.alpha)
+            # usage - cap is nonincreasing in lam, so a sign change brackets
+            # lam*; its slope is the variance term of backward_pass
+            residual, slope = used - cfgs[c].budget_cap, -var / reg.alpha
             # a NaN residual is never <= 0: the search would bisect to machine
             # resolution and return rows of Z it never wrote
             if not math.isfinite(residual):
@@ -383,7 +351,7 @@ def forward_pass(
     bracket, so the realized budget never exceeds the cap.
     """
     stack = solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
-    return stack.cohort(0)
+    return DualSolution(float(stack.lambda_star[0]), float(stack.slack_xi[0]), stack.z_star[0].T)
 
 
 def _newton_refine_rows(
@@ -423,33 +391,36 @@ def _newton_refine_rows(
 
 
 def solve_reference(
-    tables: ReturnsTable,
+    j_pred: np.ndarray,
+    j_budget: np.ndarray,
     reg: RegularizerConfig,
     cfg: SolverConfig,
     dual_tol: float = 1e-9,
     max_outer: int = 200,
-) -> DualSolution:
-    """Slow reference solve: bisection on the multiplier, with the inner
-    maximization over the product of simplices solved by damped Newton on
-    the per-row KKT equations (_newton_refine_rows), warm-started from the
-    previous multiplier's mixture.
+) -> tuple[float, float, np.ndarray]:
+    """Slow reference solve of one cohort's (P, N) tables: bisection on the
+    multiplier, with the inner maximization over the product of simplices
+    solved by damped Newton on the per-row KKT equations
+    (_newton_refine_rows), warm-started from the previous multiplier's
+    mixture. Returns (lambda*, slack, (P, N) mixture).
 
     The residual of the inner optimum is nonincreasing in the multiplier
     because the dual function of a concave program is convex. Feasibility
-    and the growing bracket follow the same rule as forward_pass.
+    and the growing bracket follow the same rule as solve_stack.
     """
-    _check_feasible(float(np.sum(tables.j_budget.min(axis=1))), cfg)
-    n, p = tables.j_pred.shape
+    # the Newton rows are arms: the solve runs on (N, P) views
+    j_pred, j_budget = np.asarray(j_pred, dtype=float).T, np.asarray(j_budget, dtype=float).T
+    _check_feasible(float(np.sum(j_budget.min(axis=1))), cfg)
+    n, p = j_pred.shape
     Z0 = np.full((n, p), 1.0 / p)
 
     def residual_at(lam: float, Z_init: np.ndarray) -> tuple[float, np.ndarray]:
-        linear = tables.j_pred - lam * tables.j_budget
-        Z = _newton_refine_rows(linear, reg.alpha, Z_init)
-        return float(np.sum(Z * tables.j_budget) - cfg.budget_cap), Z
+        Z = _newton_refine_rows(j_pred - lam * j_budget, reg.alpha, Z_init)
+        return float(np.sum(Z * j_budget) - cfg.budget_cap), Z
 
     residual_zero, Z_zero = residual_at(0.0, Z0)
     if residual_zero <= 0:
-        return DualSolution(lambda_star=0.0, slack_xi=-residual_zero, z_star=Z_zero)
+        return 0.0, -residual_zero, Z_zero.T
     lo, hi = 0.0, cfg.dual_bound
     while residual_at(hi, Z0)[0] > 0:
         lo, hi = hi, 2.0 * hi
@@ -469,7 +440,7 @@ def solve_reference(
         raise NumericError(f"reference dual bisection stalled: bracket [{lo}, {hi}]")
     lam = 0.5 * (lo + hi)
     residual, Z = residual_at(lam, Z)
-    return DualSolution(lambda_star=lam, slack_xi=-residual, z_star=Z)
+    return lam, -residual, Z.T
 
 
 def backward_pass(

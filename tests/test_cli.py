@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmab_dfl import cli, datasets, learning
+from rmab_dfl import checks, cli, datasets, dec_layer, learning
 from rmab_dfl.checks import run_verification
 from rmab_dfl.cli import (
     EXIT_INPUT,
@@ -664,3 +665,57 @@ class TestVerify:
             "dual-solver",
             "residual-monotonicity",
         }
+
+    def test_residual_monotonicity_can_fail(self, monkeypatch):
+        # the claim reads the moments solve_stack runs: make usage rise with lam
+        original = dec_layer._usage_moments
+
+        def rising(j_pred, j_budget, lam, alpha, floor):
+            usage, variance, Z = original(j_pred, j_budget, lam, alpha, floor)
+            return usage + 1e3 * lam, variance, Z
+
+        assert checks.check_residual_monotonicity(seed=0, draws=50)["passed"]
+        monkeypatch.setattr(dec_layer, "_usage_moments", rising)
+        report = checks.check_residual_monotonicity(seed=0, draws=50)
+        assert not report["passed"] and report["violations"] > 0
+
+    def test_dual_solver_can_fail(self, monkeypatch):
+        original = checks.solve_stack
+
+        def shifted(*args):
+            sol = original(*args)
+            return dataclasses.replace(sol, lambda_star=sol.lambda_star + 1e-3)
+
+        assert checks.check_dual_solver(seed=2, instances=10)["passed"]
+        monkeypatch.setattr(checks, "solve_stack", shifted)
+        report = checks.check_dual_solver(seed=2, instances=10)
+        assert not report["passed"] and report["max_lambda_err"] > 2e-5
+
+
+class TestOutputPath:
+    """An --out that names a file, or a path under one, is refused before any work."""
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "bench", "verify", "export"])
+    def test_refused_with_nothing_written(self, tmp_path, monkeypatch, command, where):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("generate_synthetic", "load_dataset", "run_verification"):
+            monkeypatch.setattr(cli, name, no_work)
+        dataset, model, blocker = (tmp_path / name for name in ("data.json", "model.npz", "taken"))
+        for path in (dataset, model, blocker):
+            path.write_text("{}")
+        out = blocker if where == "file" else blocker / "sub" / "dir"
+        argv = {
+            "generate": ["generate"],
+            "train": ["train", "--dataset", str(dataset)],
+            "eval": ["eval", "--dataset", str(dataset), "--model", str(model)],
+            "bench": ["bench", "--dataset", str(dataset)],
+            "verify": ["verify"],
+            "export": ["export", "--kind", "dq_table", "--results", str(tmp_path)],
+        }[command]
+        before = sorted((p, p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*"))
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        after = sorted((p, p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*"))
+        assert after == before

@@ -1,5 +1,7 @@
 """Unit tests for the decomposed mixture-policy layer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from rmab_dfl import (
     backward_pass,
     build_returns_table,
     dec_dfl_loss,
-    eval_lambda,
     forward_pass,
     solve_reference,
     uniform_setup,
@@ -57,6 +58,35 @@ def _backward_dense(sol, tables, reg, upstream):
     grad_j_pred = d_z.reshape(n, p)
     grad_j_budget = -lam * (d_z - d_lam * z).reshape(n, p)
     return grad_j_pred, grad_j_budget
+
+
+def _solve_alone(tables, reg, cfg):
+    """The (N, P) tables of one cohort solved alone by solve_stack: its
+    lambda_star, slack_xi, evaluations and doublings, and z_star as an
+    (N, P) view of the stack's mixture."""
+    stack = dec_layer.solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
+    return SimpleNamespace(
+        lambda_star=float(stack.lambda_star[0]), slack_xi=float(stack.slack_xi[0]),
+        z_star=stack.z_star[0].T, evaluations=int(stack.evaluations[0]),
+        doublings=int(stack.doublings[0]),
+    )
+
+
+def _moments_at(tables, lam, reg, cfg):
+    """Budget residual, its slope and the (N, P) mixture of (N, P) tables at
+    the multiplier lam, from the moments solve_stack evaluates each round,
+    on C-order (P, N) copies as solve_stack takes them."""
+    usage, variance, Z = dec_layer._usage_moments(
+        np.ascontiguousarray(tables.j_pred.T)[None], np.ascontiguousarray(tables.j_budget.T)[None],
+        np.array([lam], dtype=float), reg.alpha, dec_layer._floors_logits(reg.alpha, [cfg]),
+    )
+    return usage.item() - cfg.budget_cap, -variance.item() / reg.alpha, Z[0].T
+
+
+def _reference(tables, reg, cfg, **kwargs):
+    """solve_reference on (N, P) tables, its mixture as an (N, P) array."""
+    lam, xi, Z = solve_reference(tables.j_pred.T, tables.j_budget.T, reg, cfg, **kwargs)
+    return DualSolution(lam, xi, Z.T)
 
 
 def _random_instance(rng, n=3, states=2, gamma=0.9):
@@ -103,7 +133,7 @@ class TestInnerSolution:
         )
         reg = RegularizerConfig(alpha=0.7)
         lam = 1.3
-        Z = eval_lambda(tables, lam, reg, SolverConfig(budget=1.0, gamma=0.9))[2]
+        Z = _moments_at(tables, lam, reg, SolverConfig(budget=1.0, gamma=0.9))[2]
         logits = (tables.j_pred - lam * tables.j_budget) / reg.alpha
         expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         assert np.allclose(Z, expected, atol=1e-12)
@@ -119,7 +149,7 @@ class TestInnerSolution:
         reg = RegularizerConfig(alpha=0.5)
         cfg = SolverConfig(budget=0.5, gamma=0.9)
         lams = np.linspace(-5, 5, 50)
-        residuals = [eval_lambda(tables, l, reg, cfg)[0] for l in lams]
+        residuals = [_moments_at(tables, l, reg, cfg)[0] for l in lams]
         assert np.all(np.diff(residuals) <= 1e-12)
 
     def test_slope_matches_finite_difference(self):
@@ -132,9 +162,9 @@ class TestInnerSolution:
         reg = RegularizerConfig(alpha=0.5)
         cfg = SolverConfig(budget=0.5, gamma=0.9)
         h = 1e-6
-        _, slope, _ = eval_lambda(tables, 0.7, reg, cfg)
+        _, slope, _ = _moments_at(tables, 0.7, reg, cfg)
         central = (
-            eval_lambda(tables, 0.7 + h, reg, cfg)[0] - eval_lambda(tables, 0.7 - h, reg, cfg)[0]
+            _moments_at(tables, 0.7 + h, reg, cfg)[0] - _moments_at(tables, 0.7 - h, reg, cfg)[0]
         ) / (2 * h)
         assert slope < 0
         assert slope == pytest.approx(central, rel=1e-6)
@@ -174,7 +204,7 @@ class TestSharedElimination:
                 j_pred=lam * j_budget + alpha * log_weights, j_true=np.zeros((n, p)),
                 j_budget=j_budget,
             )
-            _, slope, Z = eval_lambda(tables, lam, reg, cfg)
+            _, slope, Z = _moments_at(tables, lam, reg, cfg)
             expected = -_long_double_variance(Z, j_budget) / alpha
             assert abs(slope - expected) <= 1e-12 * abs(expected)
             small += 1e-10 <= abs(slope) <= 1e-6
@@ -206,7 +236,7 @@ class TestSharedElimination:
             dlam = float(np.sum(dz + dj_budget / lam)) / len(Z)
             coupling = float(np.sum(Z * _long_double_centred(Z, G) * u) / alpha)
             pivot = (xi - lam * coupling / dlam) / lam**2
-            _, slope, _ = eval_lambda(tables, lam, reg, cfg)
+            _, slope, _ = _moments_at(tables, lam, reg, cfg)
             assert abs(slope + pivot) <= 1e-13 * pivot
         assert solved >= 20
 
@@ -228,7 +258,7 @@ class TestForwardPass:
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=2.0, gamma=0.9)  # budget covers always-acting
         tables = build_returns_table(truth, truth, setup)
-        sol = forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
+        sol = _solve_alone(tables, RegularizerConfig(alpha=0.1), cfg)
         assert sol.lambda_star == 0.0
         assert sol.evaluations == 1
 
@@ -279,7 +309,7 @@ class TestNewtonDualSolve:
             sol = forward_pass(tables, reg, cfg)
             assert sol.slack_xi >= 0.0
             assert float(np.sum(sol.z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
-            assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+            assert abs(sol.lambda_star - _reference(tables, reg, cfg).lambda_star) <= 2e-5
 
     def test_flat_residual_is_not_convergence(self):
         # at alpha = 1e-3 every row is one-hot at the bracket top, so the
@@ -294,11 +324,11 @@ class TestNewtonDualSolve:
             truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
             pred = rng.dirichlet(np.ones(2), size=(100, 2, 2))
             tables = build_returns_table(pred, truth, setup)
-            residual_top, slope_top, _ = eval_lambda(tables, cfg.dual_bound, reg, cfg)
+            residual_top, slope_top, _ = _moments_at(tables, cfg.dual_bound, reg, cfg)
             assert residual_top < 0 and slope_top == 0.0
-            sol = forward_pass(tables, reg, cfg)
+            sol = _solve_alone(tables, reg, cfg)
             assert 0 < sol.evaluations <= 27
-            assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+            assert abs(sol.lambda_star - _reference(tables, reg, cfg).lambda_star) <= 2e-5
 
     def test_newton_from_infeasible_side_ends_feasible(self):
         # the residual is convex left of the root here: a Newton step from
@@ -311,11 +341,11 @@ class TestNewtonDualSolve:
         cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
         tables = build_returns_table(pred, truth, uniform_setup(2, 0.9))
         reg = RegularizerConfig(alpha=1.0)
-        ref = solve_reference(tables, reg, cfg)
+        ref = _reference(tables, reg, cfg)
         start = ref.lambda_star - 0.05
-        residual, slope, _ = eval_lambda(tables, start, reg, cfg)
+        residual, slope, _ = _moments_at(tables, start, reg, cfg)
         assert residual > 0
-        assert eval_lambda(tables, start - residual / slope, reg, cfg)[0] > 0
+        assert _moments_at(tables, start - residual / slope, reg, cfg)[0] > 0
         sol = forward_pass(tables, reg, cfg)
         assert sol.slack_xi >= 0.0
         assert abs(sol.lambda_star * sol.slack_xi) <= 1e-6 * cfg.budget_cap
@@ -332,7 +362,7 @@ class TestNewtonDualSolve:
         reg = RegularizerConfig(alpha=0.1)
         sol = forward_pass(tables, reg, cfg)
         assert sol.slack_xi >= 0.0
-        assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+        assert abs(sol.lambda_star - _reference(tables, reg, cfg).lambda_star) <= 2e-5
 
     def test_evaluations_count_every_residual(self, monkeypatch):
         # every residual, alone or stacked, comes from one dec_layer._usage_moments call
@@ -343,7 +373,8 @@ class TestNewtonDualSolve:
         )
         rng = np.random.default_rng(2)
         truth, cfg, setup = _random_instance(rng, n=20)
-        sol = forward_pass(build_returns_table(truth, truth, setup), RegularizerConfig(alpha=1.0), cfg)
+        tables = build_returns_table(truth, truth, setup)
+        sol = _solve_alone(tables, RegularizerConfig(alpha=1.0), cfg)
         assert sol.lambda_star > 0.0
         assert sol.evaluations == len(calls)
 
@@ -355,7 +386,7 @@ class TestNewtonDualSolve:
             truth = rng.dirichlet(np.ones(4), size=(10_000, 4, 2))
             pred = rng.dirichlet(np.ones(4), size=(10_000, 4, 2))
             tables = build_returns_table(pred, truth, setup)
-            sol = forward_pass(tables, RegularizerConfig(alpha=1.0), cfg)
+            sol = _solve_alone(tables, RegularizerConfig(alpha=1.0), cfg)
             assert 0 < sol.evaluations <= 12
 
 
@@ -392,15 +423,14 @@ class TestStackedSolve:
             stack = dec_layer.solve_stack(j_pred, j_budget, reg, cfgs)
             assert stack.rounds == stack.evaluations.max()
             for k, (tables, cfg) in enumerate(problems):
-                alone = dec_layer.solve_stack(j_pred[k : k + 1], j_budget[k : k + 1], reg, [cfg])
+                alone = _solve_alone(tables, reg, cfg)
                 single = forward_pass(tables, reg, cfg)
-                stacked = stack.cohort(k)
-                for sol in (alone.cohort(0), single):
-                    assert sol.lambda_star == stacked.lambda_star
-                    assert sol.slack_xi == stacked.slack_xi
-                    assert sol.evaluations == stacked.evaluations
-                    assert sol.doublings == stacked.doublings
-                    assert np.array_equal(sol.z_star, stacked.z_star)
+                for sol in (alone, single):
+                    assert sol.lambda_star == stack.lambda_star[k]
+                    assert sol.slack_xi == stack.slack_xi[k]
+                    assert np.array_equal(sol.z_star, stack.z_star[k].T)
+                assert alone.evaluations == stack.evaluations[k]
+                assert alone.doublings == stack.doublings[k]
 
     def test_budget_never_over_cap_on_random_stacks(self):
         rng = np.random.default_rng(29)
@@ -424,10 +454,10 @@ class TestStackedSolve:
             )
             grown += int(np.count_nonzero(stack.doublings))
             for j, (tables, cfg) in enumerate(problems):
-                sol = stack.cohort(j)
-                assert sol.slack_xi >= 0.0
-                assert float(np.sum(sol.z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
-                assert abs(sol.lambda_star - solve_reference(tables, reg, cfg).lambda_star) <= 2e-5
+                z_star = stack.z_star[j].T
+                assert stack.slack_xi[j] >= 0.0
+                assert float(np.sum(z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
+                assert abs(stack.lambda_star[j] - _reference(tables, reg, cfg).lambda_star) <= 2e-5
         assert grown > 0
 
     def test_doublings_count_bracket_growth(self):
@@ -435,11 +465,11 @@ class TestStackedSolve:
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         truth = np.random.default_rng(2024).dirichlet(np.ones(2), size=(100, 2, 2))
         tables = build_returns_table(truth, truth, setup)
-        grown = forward_pass(tables, RegularizerConfig(alpha=10.0), cfg)
+        grown = _solve_alone(tables, RegularizerConfig(alpha=10.0), cfg)
         # lambda* is about 10.8: one doubling of the top 1/(1-gamma) = 10 brackets it
         assert cfg.dual_bound < grown.lambda_star < 2 * cfg.dual_bound
         assert grown.doublings == 1
-        assert forward_pass(tables, RegularizerConfig(alpha=0.1), cfg).doublings == 0
+        assert _solve_alone(tables, RegularizerConfig(alpha=0.1), cfg).doublings == 0
 
     def test_non_finite_residual_raises(self):
         # a NaN residual is never <= 0: without the guard the search bisects to
@@ -481,7 +511,7 @@ class TestBatchLastLayout:
         tables = build_returns_table(pred, truth, setup)
         reg = RegularizerConfig(alpha=0.1)
         stack = dec_layer.solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
-        mixtures = (forward_pass(tables, reg, cfg).z_star, stack.cohort(0).z_star)
+        mixtures = (forward_pass(tables, reg, cfg).z_star, stack.z_star[0].T)
         for view in (tables.j_pred, tables.j_true, tables.j_budget) + mixtures:
             assert view.shape == (6, 8)
             assert view.T.flags.c_contiguous and not view.flags.owndata
@@ -528,33 +558,6 @@ def _floor_instances(rng, count, n=200, states=3):
     return problems
 
 
-def _assert_eval_lambda_matches_rounds(problems, alpha, floors, monkeypatch):
-    """Each round of a one-cohort solve_stack, whose logits are floored
-    exactly when `floors`, has the bits of eval_lambda at its multiplier."""
-    reg = RegularizerConfig(alpha=alpha)
-    for tables, cfg in problems:
-        rounds = []
-        original = dec_layer._usage_moments
-
-        def recording(*args):
-            moments = original(*args)
-            rounds.append((float(args[2][0]), moments, args[4]))
-            return moments
-
-        monkeypatch.setattr(dec_layer, "_usage_moments", recording)
-        j_pred, j_budget = _stacked([tables])
-        sol = dec_layer.solve_stack(j_pred, j_budget, reg, [cfg])
-        monkeypatch.undo()
-        assert sol.lambda_star[0] > 0.0 and len(rounds) == sol.evaluations[0] > 1
-        for lam, (usage, variance, mix), floor in rounds:
-            assert floor == floors
-            residual, slope, Z = eval_lambda(tables, lam, reg, cfg)
-            assert (residual, slope) == dec_layer._residual_and_slope(
-                usage[0], variance[0], cfg.budget_cap, reg.alpha
-            )
-            assert np.array_equal(Z.T, mix[0])
-
-
 class TestExpFloor:
     """The floor on the shifted logits: on where alpha lets them underflow, off at alpha = 1."""
 
@@ -587,27 +590,8 @@ class TestExpFloor:
         lam = np.array([0.0, 4.0, 25.0])  # 25 is past the bracket top 10
         plain, _ = _plain_softmax(j_pred, j_budget, lam, reg.alpha)
         for k, (tables, cfg) in enumerate(problems):
-            Z = eval_lambda(tables, float(lam[k]), reg, cfg)[2]
+            Z = _moments_at(tables, float(lam[k]), reg, cfg)[2]
             assert np.array_equal(Z.T, plain[k])
-
-    def test_eval_lambda_matches_stacked_rounds(self, monkeypatch):
-        # eval_lambda and a one-cohort solve_stack decide the floor by the
-        # same rule, so each of the solve's residuals has the same bits alone
-        _assert_eval_lambda_matches_rounds(
-            _floor_instances(np.random.default_rng(47), 4), 1e-3, True, monkeypatch
-        )
-
-    def test_eval_lambda_matches_stacked_rounds_on_c_order_tables(self, monkeypatch):
-        # (N, P) tables in C order, not .T views of the engine's (P, N) memory:
-        # eval_lambda reads them in the C order solve_stack copies them to
-        rng = np.random.default_rng(59)
-        problems = [
-            (ReturnsTable(*map(np.ascontiguousarray, (t.j_pred, t.j_true, t.j_budget))), cfg)
-            for t, cfg in _floor_instances(rng, 3, n=300, states=4)
-        ]
-        assert all(t.j_pred.flags.c_contiguous for t, _ in problems)
-        _assert_eval_lambda_matches_rounds(problems, 0.1, True, monkeypatch)
-        _assert_eval_lambda_matches_rounds(problems, 1.0, False, monkeypatch)
 
     def test_eval_outputs_equal_with_floor_off(self, monkeypatch):
         dataset = generate_synthetic(DatasetManifest(cohorts=8, split_sizes=(1, 1, 6)))
@@ -647,7 +631,7 @@ class TestReferenceSolver:
             cfg = SolverConfig(budget=cfg.budget, gamma=cfg.gamma, epsilon=1e-9)
             tables = build_returns_table(truth, truth, setup)
             fast = forward_pass(tables, reg, cfg)
-            ref = solve_reference(tables, reg, cfg)
+            ref = _reference(tables, reg, cfg)
             assert abs(fast.lambda_star - ref.lambda_star) <= 2e-5
             assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-4
 
@@ -662,7 +646,7 @@ class TestReferenceSolver:
             truth = np.random.default_rng(seed).dirichlet(np.ones(2), size=(100, 2, 2))
             tables = build_returns_table(truth, truth, setup)
             fast = forward_pass(tables, reg, cfg)
-            ref = solve_reference(tables, reg, cfg)
+            ref = _reference(tables, reg, cfg)
             if seed == 2024:
                 assert ref.lambda_star == pytest.approx(10.8002085, abs=1e-6)
             assert fast.lambda_star > cfg.dual_bound
@@ -674,7 +658,7 @@ class TestReferenceSolver:
         truth, cfg, setup = _random_instance(rng, n=2)
         reg = RegularizerConfig(alpha=0.5)
         tables = build_returns_table(truth, truth, setup)
-        sol = solve_reference(tables, reg, cfg, dual_tol=1e-9)
+        sol = _reference(tables, reg, cfg, dual_tol=1e-9)
         best = objective_value(tables.j_pred, sol.z_star, reg.alpha)
         for _ in range(200):
             n, num_policies = tables.j_pred.shape
@@ -712,7 +696,7 @@ class TestBackwardPass:
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         lam = 1e-13
         sol = DualSolution(
-            lambda_star=lam, slack_xi=3e-7, z_star=eval_lambda(tables, lam, reg, cfg)[2]
+            lambda_star=lam, slack_xi=3e-7, z_star=_moments_at(tables, lam, reg, cfg)[2]
         )
         upstream = rng.normal(size=(3, 4))
         fast = [g.T for g in backward_pass(sol.z_star.T, lam, sol.slack_xi, tables.j_budget.T,
@@ -775,10 +759,10 @@ class TestLossWrapper:
         on_truth = build_returns_table(pred, truth, setup)
         pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET)).T
         assert not np.allclose(on_truth.j_budget, pred_budget)
-        uncorrected = uncorrected_policy(pred, cfg, setup)  # at alpha=1e-3, as reg
+        uncorrected = uncorrected_policy(pred, cfg, setup).z_star[0].T  # at alpha=1e-3, as reg
         on_pred = ReturnsTable(j_pred=on_truth.j_pred, j_true=on_truth.j_true, j_budget=pred_budget)
-        assert np.array_equal(uncorrected.z_star, forward_pass(on_pred, reg, cfg).z_star)
-        assert not np.allclose(uncorrected.z_star, forward_pass(on_truth, reg, cfg).z_star)
+        assert np.array_equal(uncorrected, forward_pass(on_pred, reg, cfg).z_star)
+        assert not np.allclose(uncorrected, forward_pass(on_truth, reg, cfg).z_star)
 
 
 class TestArmBlocks:

@@ -315,15 +315,15 @@ class TestBudgetAudit:
         cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
         tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
         sol = forward_pass(tables, RegularizerConfig(alpha=1e-3), cfg)
-        assert budget_audit(cohort, sol) <= 1.0 + 1e-4
+        assert budget_audit(cohort, sol.z_star.T) <= 1.0 + 1e-4
 
     def test_per_step_denominator(self):
         rng = np.random.default_rng(6)
         cohort = _cohort(rng, n=2)
         cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
         sol = uncorrected_policy(cohort.tensors, cfg, cohort.setup)
-        discounted = budget_audit(cohort, sol, per_step=False)
-        per_step = budget_audit(cohort, sol, per_step=True)
+        discounted = budget_audit(cohort, sol.z_star[0], per_step=False)
+        per_step = budget_audit(cohort, sol.z_star[0], per_step=True)
         assert per_step == pytest.approx(discounted / (1 - cohort.setup.gamma))
 
 
