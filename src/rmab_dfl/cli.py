@@ -5,9 +5,11 @@ chosen loss), eval (decision-quality report on the test split), bench
 (epoch and layer timings), verify (counterexample and property checks),
 export (plot-ready CSV files). Every command is deterministic given its
 flags and seed, but generate's features also depend on the BLAS thread
-count, unlike its tensors, trajectories and splits. Result files carry
-the dataset manifest hash, seed, and toolkit version, and are written
-atomically (temp + rename).
+count, unlike its tensors, trajectories and splits. No byte depends on
+the CPU count: at one BLAS thread generate runs the feature network's
+row blocks on one worker per CPU, which changes only its speed. Result
+files carry the dataset manifest hash, seed, and toolkit version, and
+are written atomically (temp + rename).
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 failed
 verification.

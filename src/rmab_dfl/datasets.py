@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import mdp
 from .mdp import MAX_STATES, DiscountedSetup, checked_transitions
 from .planning import Cohort
 
@@ -122,11 +123,34 @@ def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator
         + [manifest.feature_hidden] * (manifest.feature_layers - 1)
         + [manifest.feature_dim]
     )
-    return [
-        rng.standard_normal((fan_in, fan_out)) * (manifest.feature_gain / np.sqrt(fan_in))
-        for fan_in, fan_out in zip(dims[:-1], dims[1:])
-    ]
+    weights = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        W = rng.standard_normal((fan_in, fan_out))
+        W *= manifest.feature_gain / np.sqrt(fan_in)  # in place: one matrix per layer at a time
+        weights.append(W)
+    return weights
 
+
+def _blas_is_serial(environ, cpus: int) -> bool:
+    """Whether BLAS runs each call on its calling thread alone, read as
+    OpenBLAS reads its thread count: the first positive one of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, else one
+    thread per CPU. A value that is not a positive integer counts as unset.
+    """
+    if cpus <= 1:
+        return True
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(name, "")
+        if value.isascii() and value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+# Whether the feature network's row blocks may run on mdp's pool, read once
+# at import. Only then: two callers that each ask BLAS for every CPU are
+# slower than one. Each block's products are the same BLAS calls on any
+# thread, so the features do not depend on the CPU count either way.
+_SERIAL_BLAS = _blas_is_serial(os.environ, mdp.WORKERS)
 
 # Bytes of each of the feature network's two activation buffers (8 MB): a
 # cohort goes through the network in blocks of rows that fit them.
@@ -244,6 +268,12 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     Transition rows are uniform on the simplex (Dirichlet(1)); features
     push the flattened tensor through a fixed random tanh network;
     trajectories roll the true dynamics under uniform random actions.
+
+    Every cohort's tensors and trajectories are drawn first, in cohort
+    order. The network draws nothing, so its (cohort, row block) pairs
+    then run in any order: as min(mdp.WORKERS, pairs) strided mdp.run_tasks
+    tasks, each on its own pair of activation buffers, when BLAS runs one
+    thread (_SERIAL_BLAS), and in order on this thread otherwise.
     """
     root = np.random.SeedSequence(manifest.seed)
     net_rng = np.random.default_rng(root.spawn(1)[0])
@@ -253,14 +283,22 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     features = np.empty((c, n, manifest.feature_dim))
     tensors = np.empty((c, n, s, 2, s))
     trajectories = np.empty((c, n, 2 * manifest.trajectory_len + 1), dtype=int)
-    bounds = _feature_blocks(n, manifest.feature_hidden)
-    rows = max(np.diff(bounds))
-    buffers = np.empty((min(manifest.feature_layers - 1, 2), rows, manifest.feature_hidden))
     for k in range(c):
         rng = np.random.default_rng(cohort_seeds[k])
         tensors[k] = rng.dirichlet(np.ones(s), size=(n, s, 2))
-        _apply_feature_network(tensors[k].reshape(n, -1), weights, bounds, buffers, features[k])
         trajectories[k] = _roll_trajectories(tensors[k], manifest.trajectory_len, rng)
+    bounds = _feature_blocks(n, manifest.feature_hidden)
+    pairs = [(k, i) for k in range(c) for i in range(len(bounds) - 1)]
+    workers = min(mdp.WORKERS, len(pairs)) if _SERIAL_BLAS else 1
+    shape = (min(manifest.feature_layers - 1, 2), max(np.diff(bounds)), manifest.feature_hidden)
+    buffers = [np.empty(shape) for _ in range(workers)]
+    flat = tensors.reshape(c, n, -1)
+
+    def run(w):
+        for k, i in pairs[w::workers]:
+            _apply_feature_network(flat[k], weights, bounds[i : i + 2], buffers[w], features[k])
+
+    mdp.run_tasks(run, workers)
     return Dataset(
         manifest=manifest,
         split_assignment=_split_assignment(manifest),

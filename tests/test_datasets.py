@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -266,6 +268,133 @@ assert np.array_equal(blocked, generate_synthetic(m).features)
         assert len(cohorts) == 2
         assert cohorts[0].budget == 1.0
         assert cohorts[0].setup.gamma == 0.9
+
+
+class TestFeatureFanOut:
+    """The feature network's (cohort, row block) pairs on mdp's pool when BLAS runs one thread."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("cohorts,arms,blocks", [(7, 50, 1), (2, 2500, 3)])
+    def test_fan_out_keeps_the_inline_bits(self, monkeypatch, pool_size, workers, cohorts, arms,
+                                           blocks):
+        m = DatasetManifest(cohorts=cohorts, arms_per_cohort=arms, budget=5.0, states=4,
+                            split_sizes=(1, 1, cohorts - 2), feature_layers=3)
+        monkeypatch.setattr(datasets, "_FEATURE_BLOCK_BYTES", 1000 * 8 * m.feature_hidden)
+        assert len(datasets._feature_blocks(arms, m.feature_hidden)) == blocks + 1
+        monkeypatch.setattr(datasets, "_SERIAL_BLAS", False)
+        inline = generate_synthetic(m)
+        monkeypatch.setattr(datasets, "_SERIAL_BLAS", True)
+        pool_size(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch between the workers as often as they allow
+        try:
+            fanned = generate_synthetic(m)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("features", "tensors", "trajectories"):
+            assert np.array_equal(getattr(inline, name), getattr(fanned, name)), name
+
+    def test_matrix_vector_blocks_keep_the_inline_bits_on_one_blas_thread(self):
+        # feature_dim=1 ends in a gemv; one BLAS thread must be set before
+        # numpy loads, so this runs in a child, where the flag is on by itself
+        script = """
+import numpy as np
+from rmab_dfl import DatasetManifest, datasets, generate_synthetic, mdp
+assert datasets._SERIAL_BLAS
+m = DatasetManifest(cohorts=3, arms_per_cohort=1050, budget=10.0, split_sizes=(1, 1, 1),
+                    feature_dim=1, feature_layers=2)
+datasets._FEATURE_BLOCK_BYTES = 400 * 8 * m.feature_hidden
+assert datasets._feature_blocks(1050, m.feature_hidden) == [0, 320, 640, 1050]
+mdp.WORKERS = 1
+inline = generate_synthetic(m).features
+for workers in (2, 3):
+    mdp.WORKERS, mdp._pool = workers, None
+    assert np.array_equal(inline, generate_synthetic(m).features), workers
+"""
+        one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        src = str(Path(datasets.__file__).parents[1])
+        env = {**os.environ, **one_thread, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_blocks_run_on_the_pool_only_when_blas_is_serial(self, monkeypatch, pool_size, serial):
+        threads, real = set(), datasets._apply_feature_network
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            time.sleep(0.01)  # so that one worker cannot take every block
+            return real(*args)
+
+        monkeypatch.setattr(datasets, "_apply_feature_network", spy)
+        monkeypatch.setattr(datasets, "_SERIAL_BLAS", serial)
+        pool_size(2)
+        generate_synthetic(_small_manifest(cohorts=6, split_sizes=(2, 2, 2)))
+        if serial:
+            assert len(threads) == 2 and all(t.startswith("rmab-dfl-arms") for t in threads)
+        else:
+            assert threads == {threading.current_thread().name}
+
+    def test_a_raising_block_propagates_and_leaves_none_running(self, monkeypatch, pool_size):
+        error, real = ValueError("block failed"), datasets._apply_feature_network
+        live, started, lock = [0], [0], threading.Lock()
+
+        def failing(*args):
+            with lock:
+                live[0] += 1
+                started[0] += 1
+                k = started[0]
+            try:
+                if k == 2:
+                    raise error
+                time.sleep(0.05)  # the other worker's blocks are still running when k=2 raises
+                real(*args)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(datasets, "_apply_feature_network", failing)
+        monkeypatch.setattr(datasets, "_SERIAL_BLAS", True)
+        pool_size(2)
+        with pytest.raises(ValueError) as raised:
+            generate_synthetic(_small_manifest(cohorts=8, split_sizes=(4, 2, 2)))
+        assert raised.value is error
+        assert live[0] == 0  # no block is left running
+
+    @pytest.mark.parametrize(
+        "environ,cpus,serial",
+        [
+            ({}, 2, False),
+            ({}, 1, True),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 1, True),
+            # OpenBLAS's precedence: OPENBLAS_, then GOTO_, then OMP_NUM_THREADS
+            ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2, False),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+            ({"OMP_NUM_THREADS": "1"}, 2, True),
+            ({"OMP_NUM_THREADS": "3"}, 2, False),
+            # 0, negative and non-integer values count as unset
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "1"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": "1.5", "OMP_NUM_THREADS": "1"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": "one", "GOTO_NUM_THREADS": "-2"}, 2, False),
+            ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "0"}, 2, False),
+            ({"OMP_NUM_THREADS": "1.0"}, 2, False),
+            ({"MKL_NUM_THREADS": "1"}, 2, False),  # OpenBLAS does not read it
+        ],
+    )
+    def test_serial_blas_rule(self, environ, cpus, serial):
+        assert datasets._blas_is_serial(environ, cpus) is serial
+
+    def test_weights_are_the_scaled_draws(self):
+        m = _small_manifest()
+        weights = datasets._feature_network_weights(m, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for W, fan_in, fan_out in zip(weights, [8, 20, 20], [20, 20, 4]):
+            draw = rng.standard_normal((fan_in, fan_out))
+            assert np.array_equal(W, draw * (m.feature_gain / np.sqrt(fan_in)))
 
 
 class TestSerialization:

@@ -24,7 +24,7 @@ from rmab_dfl import dec_layer, learning
 from rmab_dfl.checks import uncorrected_policy
 from rmab_dfl.dec_layer import DualSolution
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
-from rmab_dfl.mdp import BUDGET, RewardSpec, solve_policies
+from rmab_dfl.mdp import BUDGET, ENGAGEMENT, RewardSpec, solve_policies
 
 
 def _backward_dense(sol, tables, reg, upstream):
@@ -519,21 +519,35 @@ class TestBatchLastLayout:
         assert np.array_equal(mixtures[0], mixtures[1])
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.0])
-    def test_loss_on_views_matches_c_order_copies(self, alpha, monkeypatch):
+    def test_loss_on_views_matches_c_order_copies(self, alpha):
+        # the layer on C-order (P, N) copies of the one-cohort tables gives
+        # the bits it gives on views: dec_dfl_loss's (P, N) arrays as the
+        # engine returns them, and (P, N) .T views of C-order (N, P) tables
         rng = np.random.default_rng(61)
         truth, _, setup = _random_instance(rng, n=200, states=3)
         pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
         cfg = SolverConfig(budget=20.0, gamma=0.9)
         reg = RegularizerConfig(alpha=alpha)
+        tables = build_returns_table(pred, truth, setup)
+        named = (tables.j_pred, tables.j_true, tables.j_budget)
+        copies = [np.ascontiguousarray(table.T) for table in named]
+        transposed = [np.ascontiguousarray(table).T for table in named]
+        assert all(c.flags.c_contiguous and not t.flags.c_contiguous
+                   for c, t in zip(copies, transposed))
+
+        def layer(j_pred, j_true, j_budget):
+            sol = dec_layer.solve_stack(j_pred[None], j_budget[None], reg, [cfg])
+            Z = sol.z_star[0]
+            grads = backward_pass(Z, sol.lambda_star[0], sol.slack_xi[0], j_budget, reg, j_true)
+            return float(np.sum(Z * j_true)), sol.lambda_star, Z, *grads
+
+        copied = layer(*copies)
+        for got, want in zip(layer(*transposed), copied):
+            assert np.array_equal(got, want)
         loss, grad = dec_dfl_loss(pred, truth, reg, cfg, setup)
-
-        def c_order(j_pred, j_true, j_budget):
-            return ReturnsTable(*map(np.ascontiguousarray, (j_pred, j_true, j_budget)))
-
-        monkeypatch.setattr(dec_layer, "ReturnsTable", c_order)
-        copied_loss, copied_grad = dec_dfl_loss(pred, truth, reg, cfg, setup)
-        assert loss == copied_loss
-        assert np.max(np.abs(grad - copied_grad)) <= 1e-12 * np.max(np.abs(copied_grad))
+        assert loss == copied[0]
+        engine = solve_policies(pred, setup, values=RewardSpec(ENGAGEMENT))
+        assert np.array_equal(grad, engine.gradient(copied[3]))
 
 
 def _plain_softmax(j_pred, j_budget, lam, alpha):
