@@ -7,7 +7,7 @@ export (plot-ready CSV files). Every command is deterministic given its
 flags and seed, but generate's features also depend on the BLAS thread
 count, unlike its tensors, trajectories and splits. No byte depends on
 the CPU count: at one BLAS thread generate runs the feature network's
-row blocks on one worker per CPU, which changes only its speed. Result
+row blocks on up to two workers, which changes only its speed. Result
 files carry the dataset manifest hash, seed, and toolkit version, and
 are written atomically (temp + rename).
 

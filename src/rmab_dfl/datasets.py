@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -133,17 +134,18 @@ def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator
 
 def _blas_is_serial(environ, cpus: int) -> bool:
     """Whether BLAS runs each call on its calling thread alone, read as
-    OpenBLAS reads its thread count: the first positive one of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, else one
-    thread per CPU. A value that is not a positive integer counts as unset.
+    numpy's bundled (pthreads) OpenBLAS reads its thread count: the first
+    positive one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, each parsed as C's atoi parses it (its leading
+    integer, else 0), else one thread per CPU, and never more than cpus.
+    A build that reads another variable may be misjudged; that changes
+    only whether the feature network fans out, never a byte.
     """
-    if cpus <= 1:
-        return True
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(name, "")
-        if value.isascii() and value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
+        value = re.match(r"\s*[+-]?\d+", environ.get(name, ""), re.ASCII)
+        if value and int(value[0]) > 0:
+            return min(int(value[0]), cpus) <= 1
+    return cpus <= 1
 
 
 # Whether the feature network's row blocks may run on mdp's pool, read once
@@ -151,9 +153,13 @@ def _blas_is_serial(environ, cpus: int) -> bool:
 # slower than one. Each block's products are the same BLAS calls on any
 # thread, so the features do not depend on the CPU count either way.
 _SERIAL_BLAS = _blas_is_serial(os.environ, mdp.WORKERS)
+# At most this many workers run the blocks, each on its own pair of
+# activation buffers, so generation holds two pairs of about 8 MB buffers
+# at most, whatever the CPU count. Two is the one count measured (on 2 CPUs).
+_FEATURE_WORKERS = 2
 
-# Bytes of each of the feature network's two activation buffers (8 MB): a
-# cohort goes through the network in blocks of rows that fit them.
+# Bytes of each of a worker's two activation buffers (8 MB): a cohort
+# goes through the network in blocks of rows that fit them.
 _FEATURE_BLOCK_BYTES = 1 << 23
 # Row blocks start on multiples of this many rows.
 _FEATURE_BLOCK_ALIGN = 64
@@ -271,9 +277,10 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
 
     Every cohort's tensors and trajectories are drawn first, in cohort
     order. The network draws nothing, so its (cohort, row block) pairs
-    then run in any order: as min(mdp.WORKERS, pairs) strided mdp.run_tasks
-    tasks, each on its own pair of activation buffers, when BLAS runs one
-    thread (_SERIAL_BLAS), and in order on this thread otherwise.
+    then run in any order: as min(_FEATURE_WORKERS, mdp.WORKERS, pairs)
+    strided mdp.run_tasks tasks, each on its own pair of activation
+    buffers, when BLAS runs one thread (_SERIAL_BLAS), and in order on
+    this thread otherwise.
     """
     root = np.random.SeedSequence(manifest.seed)
     net_rng = np.random.default_rng(root.spawn(1)[0])
@@ -289,7 +296,7 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
         trajectories[k] = _roll_trajectories(tensors[k], manifest.trajectory_len, rng)
     bounds = _feature_blocks(n, manifest.feature_hidden)
     pairs = [(k, i) for k in range(c) for i in range(len(bounds) - 1)]
-    workers = min(mdp.WORKERS, len(pairs)) if _SERIAL_BLAS else 1
+    workers = min(_FEATURE_WORKERS, mdp.WORKERS, len(pairs)) if _SERIAL_BLAS else 1
     shape = (min(manifest.feature_layers - 1, 2), max(np.diff(bounds)), manifest.feature_hidden)
     buffers = [np.empty(shape) for _ in range(workers)]
     flat = tensors.reshape(c, n, -1)

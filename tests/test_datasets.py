@@ -284,6 +284,7 @@ class TestFeatureFanOut:
         monkeypatch.setattr(datasets, "_SERIAL_BLAS", False)
         inline = generate_synthetic(m)
         monkeypatch.setattr(datasets, "_SERIAL_BLAS", True)
+        monkeypatch.setattr(datasets, "_FEATURE_WORKERS", workers)
         pool_size(workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch between the workers as often as they allow
@@ -308,7 +309,7 @@ assert datasets._feature_blocks(1050, m.feature_hidden) == [0, 320, 640, 1050]
 mdp.WORKERS = 1
 inline = generate_synthetic(m).features
 for workers in (2, 3):
-    mdp.WORKERS, mdp._pool = workers, None
+    mdp.WORKERS, mdp._pool, datasets._FEATURE_WORKERS = workers, None, workers
     assert np.array_equal(inline, generate_synthetic(m).features), workers
 """
         one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
@@ -360,6 +361,8 @@ for workers in (2, 3):
         assert raised.value is error
         assert live[0] == 0  # no block is left running
 
+    # every row agrees with the thread count that numpy's bundled OpenBLAS
+    # (0.3.31, pthreads) reports in a child started with that environment
     @pytest.mark.parametrize(
         "environ,cpus,serial",
         [
@@ -375,18 +378,37 @@ for workers in (2, 3):
             ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
             ({"OMP_NUM_THREADS": "1"}, 2, True),
             ({"OMP_NUM_THREADS": "3"}, 2, False),
-            # 0, negative and non-integer values count as unset
+            # atoi reads a leading integer
+            ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, True),
+            ({"OMP_NUM_THREADS": "1.0"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": " +1"}, 2, True),
+            # 0, negative values and no leading integer count as unset
             ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
             ({"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "1"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": "1.5", "OMP_NUM_THREADS": "1"}, 2, True),
             ({"OPENBLAS_NUM_THREADS": "one", "GOTO_NUM_THREADS": "-2"}, 2, False),
             ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "0"}, 2, False),
-            ({"OMP_NUM_THREADS": "1.0"}, 2, False),
             ({"MKL_NUM_THREADS": "1"}, 2, False),  # OpenBLAS does not read it
         ],
     )
     def test_serial_blas_rule(self, environ, cpus, serial):
         assert datasets._blas_is_serial(environ, cpus) is serial
+
+    def test_buffers_stay_bounded_on_many_cpus(self, monkeypatch, pool_size):
+        # the two memory tests of TestGeneration, run with the flag on and a
+        # pool of 8: the workers are capped, so their buffers are too
+        monkeypatch.setattr(datasets, "_SERIAL_BLAS", True)
+        pool_size(8)
+        threads, real = set(), datasets._apply_feature_network
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(datasets, "_apply_feature_network", spy)
+        TestGeneration().test_generation_peaks_at_two_activation_buffers()
+        TestGeneration().test_generation_memory_does_not_grow_with_arms_beyond_the_arrays()
+        assert all(t.startswith("rmab-dfl-arms") for t in threads)
+        assert len(threads) <= datasets._FEATURE_WORKERS == 2
 
     def test_weights_are_the_scaled_draws(self):
         m = _small_manifest()
