@@ -6,10 +6,8 @@ chosen loss), eval (decision-quality report on the test split), bench
 export (plot-ready CSV files). Every command is deterministic given its
 flags and seed, but generate's features also depend on the BLAS thread
 count, unlike its tensors, trajectories and splits. No byte depends on
-the CPU count: at one BLAS thread generate runs the feature network's
-row blocks on up to two workers, which changes only its speed. Result
-files carry the dataset manifest hash, seed, and toolkit version, and
-are written atomically (temp + rename).
+the CPU count. Result files carry the dataset manifest hash, seed, and
+toolkit version, and are written atomically (temp + rename).
 
 Exit codes: 0 success, 2 input error, 3 numeric error, 4 failed
 verification.
@@ -181,7 +179,7 @@ def cmd_train(args) -> int:
     ]
     run = functools.partial(train_model, data=dataset_splits(dataset))
     if args.jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(configs))) as pool:
             results = list(pool.map(run, configs))
     else:
         results = [run(config) for config in configs]
@@ -326,6 +324,8 @@ def cmd_bench(args) -> int:
     dataset_path = _existing_file(args.dataset, "dataset")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     out = _out_dir(args.out)
     dataset = load_dataset(dataset_path)
     epoch_times = bench_epoch_times(
@@ -356,6 +356,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     out = None if args.out is None else _out_dir(args.out)
     reports = run_verification(args.seed)
     all_passed = True

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -86,8 +85,9 @@ class DatasetManifest:
             raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
         if not 2 <= self.states <= MAX_STATES:
             raise ValueError(f"states must lie in [2, {MAX_STATES}], got {self.states}")
-        if self.trajectory_len < 0:
-            raise ValueError(f"trajectory_len must be at least 0, got {self.trajectory_len}")
+        for name in ("seed", "trajectory_len"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if self.feature_layers < 1:
             raise ValueError(f"feature_layers must be at least 1, got {self.feature_layers}")
         if self.feature_hidden < 1:
@@ -132,27 +132,20 @@ def _feature_network_weights(manifest: DatasetManifest, rng: np.random.Generator
     return weights
 
 
-def _blas_is_serial(environ, cpus: int) -> bool:
-    """Whether BLAS runs each call on its calling thread alone, read as
-    numpy's bundled (pthreads) OpenBLAS reads its thread count: the first
-    positive one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, each parsed as C's atoi parses it (its leading
-    integer, else 0), else one thread per CPU, and never more than cpus.
-    A build that reads another variable may be misjudged; that changes
-    only whether the feature network fans out, never a byte.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = re.match(r"\s*[+-]?\d+", environ.get(name, ""), re.ASCII)
-        if value and int(value[0]) > 0:
-            return min(int(value[0]), cpus) <= 1
-    return cpus <= 1
+def _blas_is_serial(environ) -> bool:
+    """Whether the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is set is "1". Any other value reads as threaded,
+    so a serial BLAS may be misread, never a threaded one; that changes only
+    whether the feature network fans out, never a byte."""
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    first_set = next((environ[name] for name in names if name in environ), None)
+    return first_set == "1"
 
 
-# Whether the feature network's row blocks may run on mdp's pool, read once
-# at import. Only then: two callers that each ask BLAS for every CPU are
-# slower than one. Each block's products are the same BLAS calls on any
-# thread, so the features do not depend on the CPU count either way.
-_SERIAL_BLAS = _blas_is_serial(os.environ, mdp.WORKERS)
+# Read once at import. The row blocks run on mdp's pool only when BLAS runs
+# one thread: two callers that each ask BLAS for every CPU are slower than
+# one. A block makes the same BLAS calls on any thread, so no byte moves.
+_SERIAL_BLAS = _blas_is_serial(os.environ)
 # At most this many workers run the blocks, each on its own pair of
 # activation buffers, so generation holds two pairs of about 8 MB buffers
 # at most, whatever the CPU count. Two is the one count measured (on 2 CPUs).
@@ -181,17 +174,16 @@ def _feature_blocks(n: int, hidden: int) -> list[int]:
     return [n * i // blocks // align * align for i in range(blocks)] + [n]
 
 
-def _apply_feature_network(flat, weights, bounds: list[int], buffers, out: np.ndarray) -> None:
-    """Push flat through the net into out, block by block of rows between bounds.
+def _apply_feature_network(rows, weights, buffers, out: np.ndarray) -> None:
+    """Push one block of rows through the net into out.
 
-    The hidden layers alternate between two buffers of at least a block's rows.
+    The hidden layers alternate between two buffers of at least the block's rows.
     """
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        h = flat[start:stop]
-        for layer, W in enumerate(weights[:-1]):
-            buf = buffers[layer % 2, : stop - start]
-            h = np.tanh(np.matmul(h, W, out=buf), out=buf)
-        np.matmul(h, weights[-1], out=out[start:stop])
+    h = rows
+    for layer, W in enumerate(weights[:-1]):
+        buf = buffers[layer % 2, : len(rows)]
+        h = np.tanh(np.matmul(h, W, out=buf), out=buf)
+    np.matmul(h, weights[-1], out=out)
 
 
 _LOW = np.uint64(0xFFFFFFFF)
@@ -276,11 +268,12 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
     trajectories roll the true dynamics under uniform random actions.
 
     Every cohort's tensors and trajectories are drawn first, in cohort
-    order. The network draws nothing, so its (cohort, row block) pairs
-    then run in any order: as min(_FEATURE_WORKERS, mdp.WORKERS, pairs)
-    strided mdp.run_tasks tasks, each on its own pair of activation
-    buffers, when BLAS runs one thread (_SERIAL_BLAS), and in order on
-    this thread otherwise.
+    order. The network draws nothing, so its (cohort, start, stop) row
+    blocks then run in any order: when BLAS runs one thread (_SERIAL_BLAS),
+    as min(_FEATURE_WORKERS, mdp.WORKERS, blocks) strided mdp.run_tasks
+    tasks, and in order on this thread otherwise. Each task has its own pair
+    of activation buffers, allocated on this thread: allocated on the pool
+    threads, they raised perfbench's paper-scale peak RSS by 3 MB.
     """
     root = np.random.SeedSequence(manifest.seed)
     net_rng = np.random.default_rng(root.spawn(1)[0])
@@ -295,15 +288,15 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
         tensors[k] = rng.dirichlet(np.ones(s), size=(n, s, 2))
         trajectories[k] = _roll_trajectories(tensors[k], manifest.trajectory_len, rng)
     bounds = _feature_blocks(n, manifest.feature_hidden)
-    pairs = [(k, i) for k in range(c) for i in range(len(bounds) - 1)]
-    workers = min(_FEATURE_WORKERS, mdp.WORKERS, len(pairs)) if _SERIAL_BLAS else 1
+    blocks = [(k, start, stop) for k in range(c) for start, stop in zip(bounds[:-1], bounds[1:])]
+    workers = min(_FEATURE_WORKERS, mdp.WORKERS, len(blocks)) if _SERIAL_BLAS else 1
     shape = (min(manifest.feature_layers - 1, 2), max(np.diff(bounds)), manifest.feature_hidden)
     buffers = [np.empty(shape) for _ in range(workers)]
     flat = tensors.reshape(c, n, -1)
 
     def run(w):
-        for k, i in pairs[w::workers]:
-            _apply_feature_network(flat[k], weights, bounds[i : i + 2], buffers[w], features[k])
+        for k, start, stop in blocks[w::workers]:
+            _apply_feature_network(flat[k, start:stop], weights, buffers[w], features[k, start:stop])
 
     mdp.run_tasks(run, workers)
     return Dataset(

@@ -365,6 +365,8 @@ class TrainingConfig:
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -670,6 +672,8 @@ def evaluate_dq(
     """
     if trajectories < 0:
         raise ValueError(f"trajectories must be nonnegative, got {trajectories}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if not cohorts:
         raise ValueError("no cohorts to evaluate")
     explicit = predictions is not None

@@ -183,6 +183,29 @@ class TestTrainEvalExport:
 
         assert log_without_seconds(serial) == log_without_seconds(parallel)
 
+    def test_jobs_start_no_more_processes_than_runs(self, tiny_dataset, tmp_path, monkeypatch):
+        # a fork pool starts all its workers at the first submit
+        workers = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        assert main(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "run"),
+                     "--loss", "mse", "--lr", "1e-2", "1e-3", "--epochs", "1",
+                     "--jobs", "3"]) == EXIT_OK
+        assert workers == [2]
+
     def test_grid_loads_once_and_validates_in_training(self, tiny_dataset, tmp_path, monkeypatch):
         loads, epochs = [], []
         load_dataset, run_epoch = datasets.load_dataset, learning.run_epoch
@@ -421,7 +444,7 @@ class TestMalformedInput:
          ("states", True), ("feature_dim", 16.0), ("seed", 0.0), ("seed", 1.5),
          ("trajectory_len", 10.0), ("feature_layers", 8.0), ("feature_hidden", 1000.0),
          ("split_sizes", [1.0, 1, 4]), ("budget", True), ("budget", "1.0"), ("gamma", True),
-         ("feature_gain", True), ("feature_gain", float("inf"))],
+         ("feature_gain", True), ("feature_gain", float("inf")), ("seed", -1)],
     )
     def test_manifest_field_out_of_domain(self, tiny_dataset, tmp_path, capsys, field, value):
         payload = json.loads(tiny_dataset.read_text())
@@ -542,6 +565,31 @@ class TestMalformedInput:
         assert code == EXIT_INPUT
         assert f"{key} must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dq_table.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--cohorts", "6", "--arms", "4", "--budget", "1.0", "--seed", "-1"],
+        ["train", "DATASET", "--loss", "mse", "--lr", "1e-2", "--epochs", "2", "--seed", "0", "-1"],
+        ["eval", "DATASET", "MODEL", "--seed", "-1", "--trajectories", "10"],
+        ["eval", "DATASET", "MODEL", "--seed", "-1", "--trajectories", "0"],
+        ["bench", "DATASET", "--seed", "-1", "--repeats", "1"],
+        ["verify", "--seed", "-1"],
+    ], ids=["generate", "train", "eval", "eval-without-rollouts", "bench", "verify"])
+    def test_negative_seed_is_refused_before_any_work(self, tiny_dataset, model_path, tmp_path,
+                                                      monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in [(cli, "generate_synthetic"), (learning, "run_epoch"),
+                             (learning, "_decomposed_dq"), (learning, "_joint_pass"),
+                             (cli, "bench_epoch_times"), (cli, "run_verification")]:
+            monkeypatch.setattr(module, name, no_work)
+        paths = {"DATASET": ["--dataset", str(tiny_dataset)], "MODEL": ["--model", str(model_path)]}
+        out = tmp_path / "out"
+        argv = [flag for arg in argv for flag in paths.get(arg, [arg])] + ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_time_table_export_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -295,7 +295,12 @@ class TestFeatureFanOut:
         for name in ("features", "tensors", "trajectories"):
             assert np.array_equal(getattr(inline, name), getattr(fanned, name)), name
 
-    def test_matrix_vector_blocks_keep_the_inline_bits_on_one_blas_thread(self):
+    # every variable at 1, as CI and the benchmark set them, or only
+    # OMP_NUM_THREADS, which the rule and OpenBLAS fall back to
+    @pytest.mark.parametrize("one_thread", [("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS"), ("OMP_NUM_THREADS",)],
+                             ids=["all", "omp-only"])
+    def test_matrix_vector_blocks_keep_the_inline_bits_on_one_blas_thread(self, one_thread):
         # feature_dim=1 ends in a gemv; one BLAS thread must be set before
         # numpy loads, so this runs in a child, where the flag is on by itself
         script = """
@@ -312,9 +317,9 @@ for workers in (2, 3):
     mdp.WORKERS, mdp._pool, datasets._FEATURE_WORKERS = workers, None, workers
     assert np.array_equal(inline, generate_synthetic(m).features), workers
 """
-        one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-        src = str(Path(datasets.__file__).parents[1])
-        env = {**os.environ, **one_thread, "PYTHONPATH": src}
+        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {name: value for name, value in os.environ.items() if name not in blas}
+        env.update(dict.fromkeys(one_thread, "1"), PYTHONPATH=str(Path(datasets.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
     @pytest.mark.parametrize("serial", [True, False])
@@ -361,37 +366,51 @@ for workers in (2, 3):
         assert raised.value is error
         assert live[0] == 0  # no block is left running
 
-    # every row agrees with the thread count that numpy's bundled OpenBLAS
-    # (0.3.31, pthreads) reports in a child started with that environment
+    # the rule reads a BLAS as serial only where numpy's bundled OpenBLAS
+    # (0.3.31, pthreads) reports one thread in a child started with that
+    # environment; the rows it reads as threaded although that OpenBLAS runs
+    # one thread show the safe direction: the network runs inline, to the same bytes
     @pytest.mark.parametrize(
-        "environ,cpus,serial",
+        "environ,serial",
         [
-            ({}, 2, False),
-            ({}, 1, True),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
-            ({"OPENBLAS_NUM_THREADS": "4"}, 1, True),
-            # OpenBLAS's precedence: OPENBLAS_, then GOTO_, then OMP_NUM_THREADS
-            ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2, False),
-            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
-            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
-            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
-            ({"OMP_NUM_THREADS": "1"}, 2, True),
-            ({"OMP_NUM_THREADS": "3"}, 2, False),
-            # atoi reads a leading integer
-            ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, True),
-            ({"OMP_NUM_THREADS": "1.0"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": " +1"}, 2, True),
-            # 0, negative values and no leading integer count as unset
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "1"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": "one", "GOTO_NUM_THREADS": "-2"}, 2, False),
-            ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "0"}, 2, False),
-            ({"MKL_NUM_THREADS": "1"}, 2, False),  # OpenBLAS does not read it
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            # the first set of OPENBLAS_, GOTO_ and OMP_NUM_THREADS decides
+            ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "3"}, False),
+            # one thread to OpenBLAS, which parses with atoi and skips 0 and
+            # negative values, but threaded to the rule
+            ({"OPENBLAS_NUM_THREADS": "1.5"}, False),
+            ({"OMP_NUM_THREADS": "1.0"}, False),
+            ({"OPENBLAS_NUM_THREADS": " +1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "1"}, False),
+            # threaded to both
+            ({"OPENBLAS_NUM_THREADS": "one", "GOTO_NUM_THREADS": "-2"}, False),
+            ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "0"}, False),
+            ({"MKL_NUM_THREADS": "1"}, False),  # OpenBLAS does not read it
         ],
     )
-    def test_serial_blas_rule(self, environ, cpus, serial):
-        assert datasets._blas_is_serial(environ, cpus) is serial
+    def test_serial_blas_rule(self, environ, serial):
+        assert datasets._blas_is_serial(environ) is serial
+
+    def test_blocks_run_on_the_calling_thread_on_one_cpu(self, monkeypatch, pool_size):
+        threads, real = set(), datasets._apply_feature_network
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(datasets, "_apply_feature_network", spy)
+        monkeypatch.setattr(datasets, "_SERIAL_BLAS", True)
+        pool_size(1)
+        generate_synthetic(_small_manifest(cohorts=6, split_sizes=(2, 2, 2)))
+        assert threads == {threading.current_thread().name}
 
     def test_buffers_stay_bounded_on_many_cpus(self, monkeypatch, pool_size):
         # the two memory tests of TestGeneration, run with the flag on and a
