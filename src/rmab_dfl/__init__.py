@@ -12,34 +12,23 @@ from .mdp import (
     DiscountedSetup,
     NumericError,
     RewardSpec,
-    TransitionTensor,
-    WhittleTable,
     engagement_rewards,
+    returns_on_truth,
+    solve_policies,
     uniform_setup,
     whittle_gradients,
-    whittle_index,
     whittle_indices,
 )
 from .dec_layer import (
-    DualSolution,
     InfeasibleBudgetError,
     RegularizerConfig,
-    ReturnsTable,
     SolverConfig,
     backward_pass,
-    build_returns_table,
     dec_dfl_loss,
-    forward_pass,
     solve_reference,
+    solve_stack,
 )
-from .planning import (
-    Cohort,
-    FixedPerArmPolicy,
-    SimulationResult,
-    WhittleTopB,
-    simulate_joint,
-    top_b_actions,
-)
+from .planning import Cohort, SimulationResult, rollout, top_b_actions, whittle_act
 from .datasets import (
     Dataset,
     DatasetManifest,

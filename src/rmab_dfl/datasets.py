@@ -35,6 +35,11 @@ from .planning import Cohort
 
 FORMAT_VERSION = 1
 
+# the mode open() gives a new file, read once: reading the umask sets it (to 0o077 meanwhile)
+_UMASK = os.umask(0o077)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 logger = logging.getLogger(__name__)
 
 
@@ -65,8 +70,10 @@ class DatasetManifest:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float" and (type(value) is bool or not isinstance(value, (int, float))):
                 raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        if any(type(size) is not int for size in self.split_sizes):
-            raise ValueError(f"split_sizes must be integers, got {self.split_sizes!r}")
+        if len(self.split_sizes) != 3 or any(type(size) is not int for size in self.split_sizes):
+            raise ValueError(
+                f"split_sizes must be three integers (train, val, test), got {self.split_sizes!r}"
+            )
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.budget <= self.arms_per_cohort:
@@ -309,12 +316,14 @@ def generate_synthetic(manifest: DatasetManifest) -> Dataset:
 
 
 def atomic_replace(path: Path, write) -> None:
-    """Call write(binary file) on a temp file beside path, then rename it over path."""
+    """Call write(binary file) on a temp file beside path, then rename it over
+    path, with the mode open() would give a new file (mkstemp makes it 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

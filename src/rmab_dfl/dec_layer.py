@@ -115,7 +115,11 @@ class StackSolution:
     z_star: np.ndarray  # (C, P, N), each column on the simplex
     evaluations: np.ndarray  # (C,) residual evaluations of each cohort
     doublings: np.ndarray  # (C,) bracket doublings of each cohort
-    rounds: int  # stacked residual calls: the most evaluations of any cohort
+
+    @property
+    def rounds(self) -> int:
+        """Stacked residual calls: the most evaluations of any cohort (0 if none)."""
+        return int(self.evaluations.max(initial=0))
 
 
 def _floors_logits(alpha: float, cfgs: list[SolverConfig]) -> bool:
@@ -308,9 +312,7 @@ def solve_stack(
     Z = np.empty_like(j_pred)
     active = list(range(count))
     jp, jb = j_pred, j_budget
-    rounds = 0
     while active:
-        rounds += 1
         lam = np.array([lams[c] for c in active])
         usage, variance, mix = _usage_moments(jp, jb, lam, reg.alpha, floor)
         moments = zip(active, usage.tolist(), variance.tolist())
@@ -335,7 +337,7 @@ def solve_stack(
             jp, jb = j_pred[searching], j_budget[searching]
         active = searching
     return StackSolution(
-        np.array(lam_star), np.array(slack), Z, np.array(evaluations), np.array(doublings), rounds
+        np.array(lam_star), np.array(slack), Z, np.array(evaluations), np.array(doublings)
     )
 
 

@@ -625,10 +625,11 @@ def _joint_pass(
 ) -> tuple[list[SimulationResult], float]:
     """The predicted and the perfect Whittle top-B policy of one cohort,
     rolled out in one `rollout` pass: they share its draws, and each gets
-    what `simulate_joint` gives it from the same seed. Returns both
+    what its one-act `rollout` gives it from the same seed. Returns both
     results and the rollout's wall seconds."""
-    budget = int(round(cohort.budget))
-    acts = [whittle_act(whittle_indices(t, cohort.setup), budget) for t in (pred, cohort.tensors)]
+    budget, shape = int(round(cohort.budget)), (cohort.num_arms, cohort.num_states)
+    indices = (whittle_indices(t, cohort.setup) for t in (pred, cohort.tensors))
+    acts = [whittle_act(wi, budget, shape) for wi in indices]
     start = time.perf_counter()
     returns, budget_used = rollout(cohort, trajectories, np.random.default_rng(seed), *acts)
     results = [SimulationResult.of(r, b) for r, b in zip(returns, budget_used)]
@@ -658,8 +659,8 @@ def evaluate_dq(
     it alone. The joint columns are means over cohorts of rollout
     estimates, with standard errors sqrt(sum_k se_k^2) / n. Cohort k's
     predicted and perfect Whittle top-B policies roll out in one `rollout`
-    pass from seed + k (_joint_pass), and each gets the values that
-    `simulate_joint` gives it from that seed. The passes are mdp.run_tasks,
+    pass from seed + k (_joint_pass), and each gets the values that its
+    one-act `rollout` gives it from that seed. The passes are mdp.run_tasks,
     so memory holds up to mdp.WORKERS passes at once; the results are
     summed, and a DEBUG record per pass (its size, seconds and budget use)
     is logged, in cohort order from the calling thread, so no output

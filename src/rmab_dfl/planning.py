@@ -190,50 +190,47 @@ def rollout(cohort: Cohort, trajectories: int, rng: np.random.Generator, *acts):
     return returns, budget_used
 
 
-def whittle_act(wi: np.ndarray, budget: int):
+def whittle_act(wi, budget: int, shape: tuple[int, int]):
     """`act` of Whittle top-B on the (N, S) indices `wi`, by integer ranks.
 
-    One stable argsort of -wi ranks all N*S (arm, state) codes S*i + s:
-    higher index first, and equal indices by code, so by arm id. Each step
-    then passes the negated int32 ranks of the current codes to
-    `top_b_actions`; they have no ties, so it picks the same arms as on
-    the indices themselves (lowest arm id first among equal indices), and
-    partitions integers instead of floats.
+    `shape` is the cohort's (N, S): indices of another shape, or not all
+    finite, raise ValueError before any step. One stable argsort of -wi
+    ranks all N*S (arm, state) codes S*i + s: higher index first, and equal
+    indices by code, so by arm id. Each step then passes the negated int32
+    ranks of the current codes to `top_b_actions`; they have no ties, so it
+    picks the same arms as on the indices themselves (lowest arm id first
+    among equal indices), and partitions integers instead of floats.
     """
-    n, num_states = wi.shape
+    wi = np.asarray(wi, dtype=float)
+    if wi.shape != tuple(shape) or not np.isfinite(wi).all():
+        raise ValueError(f"Whittle top-B needs {shape} finite indices, got shape {wi.shape}")
+    n, num_states = shape
     neg_rank = np.empty(wi.size, dtype=np.int32)
     neg_rank[np.argsort(-wi, axis=None, kind="stable")] = -np.arange(wi.size, dtype=np.int32)
     arm_codes = num_states * np.arange(n)
     return lambda states: top_b_actions(neg_rank.take(arm_codes + states), budget)
 
 
+def policy_bits_act(indices, shape: tuple[int, int]):
+    """`act` of a fixed per-arm policy index for every arm: bit s of arm i's
+    index is its action in state s. `shape` is the cohort's (N, S): anything
+    but N integers in [0, 2^S) raises ValueError before any step."""
+    indices, (n, num_states) = np.asarray(indices), shape
+    in_range = indices.dtype.kind in "iu" and np.all((indices >= 0) & (indices < 2**num_states))
+    if indices.shape != (n,) or not in_range:
+        raise ValueError(f"policy indices must be {n} integers in [0, {2**num_states})")
+    return lambda states: (indices >> states) & 1
+
+
 def simulate_joint(cohort: Cohort, policy, trajectories: int, seed: int) -> SimulationResult:
-    """Monte Carlo estimate of a joint policy's discounted return: the
-    one-policy view of `rollout`.
-
-    `WhittleTopB` acts on the B arms with the largest current-state indices
-    (ties to the lowest arm id, by `whittle_act`), and must hold N tables
-    of S finite indices. `FixedPerArmPolicy` acts by the bits of one
-    per-arm policy index per arm, which must be N integers in [0, 2^S).
-    Other input raises ValueError before any step. Deterministic for a
-    fixed seed.
-    """
-    n, num_states = cohort.num_arms, cohort.num_states
+    """Monte Carlo estimate of a joint policy's discounted return: the one-policy
+    view of `rollout`, with `whittle_act` for a `WhittleTopB` and
+    `policy_bits_act` for a `FixedPerArmPolicy`. Deterministic for a fixed seed."""
+    shape = (cohort.num_arms, cohort.num_states)
     if isinstance(policy, WhittleTopB):
-        wi = [np.asarray(table.wi, dtype=float) for table in policy.tables]
-        if len(wi) != n or any(w.shape != (num_states,) for w in wi) or not np.isfinite(wi).all():
-            raise ValueError(f"a WhittleTopB needs {n} tables of {num_states} finite indices")
-        act = whittle_act(np.stack(wi), policy.budget)
+        act = whittle_act([table.wi for table in policy.tables], policy.budget, shape)
     elif isinstance(policy, FixedPerArmPolicy):
-        indices, top = np.asarray(policy.policy_indices), 2**num_states
-        in_range = indices.dtype.kind in "iu" and np.all((indices >= 0) & (indices < top))
-        if indices.shape != (n,) or not in_range:
-            raise ValueError(f"policy_indices must be {n} integers in [0, {top})")
-
-        def act(states):
-            # bit s of a per-arm policy index is its action in state s
-            return (indices >> states) & 1
-
+        act = policy_bits_act(policy.policy_indices, shape)
     else:
         raise TypeError(f"unknown joint policy {type(policy).__name__}")
     return SimulationResult.of(*rollout(cohort, trajectories, np.random.default_rng(seed), act))

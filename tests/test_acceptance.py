@@ -21,15 +21,14 @@ from rmab_dfl import (
     DiscountedSetup,
     LossSpec,
     RegularizerConfig,
-    ReturnsTable,
     RewardSpec,
     SolverConfig,
     TrainingConfig,
     backward_pass,
-    build_returns_table,
     dataset_splits,
     evaluate_dq,
-    forward_pass,
+    returns_on_truth,
+    solve_stack,
     train,
 )
 from rmab_dfl.checks import (
@@ -102,19 +101,20 @@ def test_criterion_04_decomposed_joint_mixture_equivalence():
     )
 
 
-def _grid_dual_oracle(tables, reg, cfg):
-    """Dual multiplier by dense grid search with local refinement.
+def _grid_dual_oracle(j_pred, j_budget, reg, cfg):
+    """Dual multiplier and (P, N) mixture of (P, N) tables by dense grid
+    search with local refinement.
 
     Independent of the forward-pass code path: the inner softmax and
     residual are recomputed here from scratch.
     """
 
     def residual(lam):
-        logits = (tables.j_pred - lam * tables.j_budget) / reg.alpha
-        logits = logits - logits.max(axis=1, keepdims=True)
+        logits = (j_pred - lam * j_budget) / reg.alpha
+        logits = logits - logits.max(axis=0, keepdims=True)
         e = np.exp(logits)
-        z = e / e.sum(axis=1, keepdims=True)
-        return float(np.sum(z * tables.j_budget) - cfg.budget_cap), z
+        z = e / e.sum(axis=0, keepdims=True)
+        return float(np.sum(z * j_budget) - cfg.budget_cap), z
 
     if residual(0.0)[0] <= 0:
         return 0.0, residual(0.0)[1]
@@ -137,12 +137,12 @@ def test_criterion_05_forward_pass_vs_grid_oracle():
     for _ in range(100):
         truth, cfg, setup = _random_cohort(rng, n=int(rng.integers(2, 5)))
         cfg = SolverConfig(budget=cfg.budget, gamma=cfg.gamma, epsilon=1e-9)
-        tables = build_returns_table(truth, truth, setup)
-        fast = forward_pass(tables, reg, cfg)
-        lam_oracle, z_oracle = _grid_dual_oracle(tables, reg, cfg)
-        max_lam = max(max_lam, abs(fast.lambda_star - lam_oracle))
-        max_z = max(max_z, float(np.max(np.abs(fast.z_star - z_oracle))))
-        max_slack = max(max_slack, abs(fast.lambda_star * fast.slack_xi) / cfg.budget_cap)
+        j_true, j_budget = returns_on_truth(truth, setup)
+        fast = solve_stack(j_true[None], j_budget[None], reg, [cfg])
+        lam_oracle, z_oracle = _grid_dual_oracle(j_true, j_budget, reg, cfg)
+        max_lam = max(max_lam, abs(fast.lambda_star[0] - lam_oracle))
+        max_z = max(max_z, float(np.max(np.abs(fast.z_star[0] - z_oracle))))
+        max_slack = max(max_slack, abs(fast.lambda_star[0] * fast.slack_xi[0]) / cfg.budget_cap)
     elapsed = time.perf_counter() - start
     _report(
         5,
@@ -180,34 +180,32 @@ def test_criterion_07_gradient_correctness():
         cfg = SolverConfig(budget=cfg.budget, gamma=cfg.gamma, epsilon=1e-15)
         pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
 
-        # (a) closed-form layer backward vs finite differences on the tables
-        tables = build_returns_table(pred, truth, setup)
-        sol = forward_pass(tables, reg, cfg)
-        g_pred, g_budget = (g.T for g in backward_pass(
-            sol.z_star.T, sol.lambda_star, sol.slack_xi, tables.j_budget.T, reg,
-            upstream=tables.j_true.T))
+        # (a) closed-form layer backward vs finite differences on the (P, N) tables
+        j_true, j_budget = returns_on_truth(truth, setup)
+        j_pred = solve_policies(pred, setup).returns(RewardSpec(ENGAGEMENT))
+        sol = solve_stack(j_pred[None], j_budget[None], reg, [cfg])
+        g_pred, g_budget = backward_pass(
+            sol.z_star[0], sol.lambda_star[0], sol.slack_xi[0], j_budget, reg, upstream=j_true
+        )
 
         def loss_of(jp, jb):
-            t = ReturnsTable(j_pred=jp, j_true=tables.j_true, j_budget=jb)
-            s = forward_pass(t, reg, cfg)
-            return float(np.sum(s.z_star * t.j_true))
+            s = solve_stack(jp[None], jb[None], reg, [cfg])
+            return float(np.sum(s.z_star[0] * j_true))
 
         hl = 1e-6  # small enough that the O(h^2) truncation term is negligible
         scale = max(float(np.max(np.abs(g_pred))), float(np.max(np.abs(g_budget))), 1e-8)
-        for (i, j) in zip(*np.nonzero(np.ones_like(tables.j_pred))):
-            e = np.zeros_like(tables.j_pred)
+        for (i, j) in zip(*np.nonzero(np.ones_like(j_pred))):
+            e = np.zeros_like(j_pred)
             e[i, j] = hl
-            fd = (loss_of(tables.j_pred + e, tables.j_budget)
-                  - loss_of(tables.j_pred - e, tables.j_budget)) / (2 * hl)
+            fd = (loss_of(j_pred + e, j_budget) - loss_of(j_pred - e, j_budget)) / (2 * hl)
             worst_layer = max(worst_layer, abs(g_pred[i, j] - fd) / max(abs(fd), scale * 1e-3, 1e-8))
-            if tables.j_budget[i, j] >= hl:
-                fd = (loss_of(tables.j_pred, tables.j_budget + e)
-                      - loss_of(tables.j_pred, tables.j_budget - e)) / (2 * hl)
+            if j_budget[i, j] >= hl:
+                fd = (loss_of(j_pred, j_budget + e) - loss_of(j_pred, j_budget - e)) / (2 * hl)
             else:  # second-order one-sided stencil: usage cannot go negative
                 fd = (
-                    -3.0 * loss_of(tables.j_pred, tables.j_budget)
-                    + 4.0 * loss_of(tables.j_pred, tables.j_budget + e)
-                    - loss_of(tables.j_pred, tables.j_budget + 2 * e)
+                    -3.0 * loss_of(j_pred, j_budget)
+                    + 4.0 * loss_of(j_pred, j_budget + e)
+                    - loss_of(j_pred, j_budget + 2 * e)
                 ) / (2 * hl)
             worst_layer = max(worst_layer, abs(g_budget[i, j] - fd) / max(abs(fd), scale * 1e-3, 1e-8))
 
@@ -299,15 +297,15 @@ def test_criterion_10_backward_scaling():
     for n in (200, 2000):
         tensors = rng.dirichlet(np.ones(2), size=(n, 2, 2))
         setup = DiscountedSetup(GAMMA, np.array([0.5, 0.5]))
-        tables = build_returns_table(tensors, tensors, setup)
+        j_true, j_budget = returns_on_truth(tensors, setup)
         cfg = SolverConfig(budget=0.1 * n, gamma=GAMMA)
         reg = RegularizerConfig(alpha=0.1)
-        sol = forward_pass(tables, reg, cfg)
+        sol = solve_stack(j_true[None], j_budget[None], reg, [cfg])
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            backward_pass(sol.z_star.T, sol.lambda_star, sol.slack_xi, tables.j_budget.T, reg,
-                          upstream=tables.j_true.T)
+            backward_pass(sol.z_star[0], sol.lambda_star[0], sol.slack_xi[0], j_budget, reg,
+                          upstream=j_true)
             best = min(best, time.perf_counter() - t0)
         times[n] = best
     ratio = times[2000] / times[200]

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,15 @@ class TestGenerate:
                      "--states", "2"])
         assert code == EXIT_OK
         assert (tmp_path / "envroot" / "dataset.json").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_files_get_the_umask_mode(self, tmp_path, umask):
+        out = tmp_path / "data"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-m", "rmab_dfl.cli", "generate", "--out", str(out),
+                        "--cohorts", "3", "--arms", "2", "--budget", "1"],
+                       env=env, umask=umask, check=True, timeout=120)
+        assert (out / "dataset.json").stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_invalid_manifest_is_input_error(self, tmp_path):
         cases = {
@@ -444,7 +456,8 @@ class TestMalformedInput:
          ("states", True), ("feature_dim", 16.0), ("seed", 0.0), ("seed", 1.5),
          ("trajectory_len", 10.0), ("feature_layers", 8.0), ("feature_hidden", 1000.0),
          ("split_sizes", [1.0, 1, 4]), ("budget", True), ("budget", "1.0"), ("gamma", True),
-         ("feature_gain", True), ("feature_gain", float("inf")), ("seed", -1)],
+         ("feature_gain", True), ("feature_gain", float("inf")), ("seed", -1),
+         ("split_sizes", [3, 2]), ("split_sizes", [2, 2, 1, 1])],
     )
     def test_manifest_field_out_of_domain(self, tiny_dataset, tmp_path, capsys, field, value):
         payload = json.loads(tiny_dataset.read_text())

@@ -153,6 +153,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             _small_manifest(split_sizes=sizes)
 
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 1, 1, 0)])
+    def test_split_sizes_need_three_entries(self, sizes):
+        with pytest.raises(ValueError, match="^split_sizes must be three integers"):
+            _small_manifest(split_sizes=sizes)
+
     @pytest.mark.parametrize(
         "field", [{"feature_activation": "relu"}, {"trajectory_actions": "greedy"}]
     )
@@ -438,7 +443,22 @@ for workers in (2, 3):
             assert np.array_equal(W, draw * (m.feature_gain / np.sqrt(fan_in)))
 
 
+def _under_umask(args, umask):
+    """Run python with `args` under `umask`, with this package importable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(datasets.__file__).parents[1])}
+    subprocess.run([sys.executable, *args], env=env, umask=umask, check=True, timeout=120)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_atomic_replace_gives_the_umask_mode(self, tmp_path, umask):
+        # open() would make the file 0o666 & ~umask; mkstemp alone makes it 0o600
+        script = ("import pathlib, sys; from rmab_dfl.datasets import atomic_replace; "
+                  "atomic_replace(pathlib.Path(sys.argv[1]), lambda fh: fh.write(b'x'))")
+        _under_umask(["-c", script, str(tmp_path / "out.bin")], umask)
+        assert (tmp_path / "out.bin").stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
     def test_round_trip_is_exact(self, tmp_path):
         ds = generate_synthetic(_small_manifest())
         path = tmp_path / "dataset.json"

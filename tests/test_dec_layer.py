@@ -7,38 +7,48 @@ import pytest
 
 from oracles import objective_value
 from rmab_dfl import (
-    DiscountedSetup,
     InfeasibleBudgetError,
     NumericError,
     RegularizerConfig,
-    ReturnsTable,
     SolverConfig,
     backward_pass,
-    build_returns_table,
     dec_dfl_loss,
-    forward_pass,
+    returns_on_truth,
     solve_reference,
     uniform_setup,
 )
 from rmab_dfl import dec_layer, learning
 from rmab_dfl.checks import uncorrected_policy
-from rmab_dfl.dec_layer import DualSolution
 from rmab_dfl.datasets import DatasetManifest, generate_synthetic
 from rmab_dfl.mdp import BUDGET, ENGAGEMENT, RewardSpec, solve_policies
 
 
-def _backward_dense(sol, tables, reg, upstream):
+def _tables(pred, truth, setup):
+    """One cohort's (P, N) j_pred, j_true and j_budget, as the engine returns
+    them; the budget side is evaluated on the true transitions."""
+    j_true, j_budget = returns_on_truth(truth, setup)
+    return solve_policies(pred, setup).returns(RewardSpec(ENGAGEMENT)), j_true, j_budget
+
+
+def _pred_budget(pred, truth, setup):
+    """The two of _tables that the dual solve reads: j_pred and j_budget."""
+    j_pred, _, j_budget = _tables(pred, truth, setup)
+    return j_pred, j_budget
+
+
+def _backward_dense(sol, j_budget, reg, upstream):
     """Dense solve of the full KKT linear system; oracle for backward_pass.
 
     Builds the (N*P + N + 1) arrow system over the mixture block, the N
     row-sum multipliers, and the budget multiplier (with its -xi corner),
-    then solves it directly. O((N*P)^3): small instances only.
+    then solves it directly. O((N*P)^3): small instances only. The mixture,
+    j_budget, upstream and both gradients are (P, N); the system is arm-major.
     """
-    Z = sol.z_star
+    Z = sol.z_star.T
     n, p = Z.shape
-    G = tables.j_budget.reshape(-1)
+    G = j_budget.T.reshape(-1)
     z = Z.reshape(-1)
-    u = np.asarray(upstream, dtype=float).reshape(-1)
+    u = np.asarray(upstream, dtype=float).T.reshape(-1)
     lam, xi = sol.lambda_star, sol.slack_xi
     dim = n * p + n + 1
     K = np.zeros((dim, dim))
@@ -57,36 +67,35 @@ def _backward_dense(sol, tables, reg, upstream):
     d_lam = d[-1]
     grad_j_pred = d_z.reshape(n, p)
     grad_j_budget = -lam * (d_z - d_lam * z).reshape(n, p)
-    return grad_j_pred, grad_j_budget
+    return grad_j_pred.T, grad_j_budget.T
 
 
-def _solve_alone(tables, reg, cfg):
-    """The (N, P) tables of one cohort solved alone by solve_stack: its
-    lambda_star, slack_xi, evaluations and doublings, and z_star as an
-    (N, P) view of the stack's mixture."""
-    stack = dec_layer.solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
+def _solve_alone(j_pred, j_budget, reg, cfg):
+    """One cohort's (P, N) tables solved alone by solve_stack: its
+    lambda_star, slack_xi, evaluations and doublings, and its (P, N) z_star."""
+    stack = dec_layer.solve_stack(j_pred[None], j_budget[None], reg, [cfg])
     return SimpleNamespace(
         lambda_star=float(stack.lambda_star[0]), slack_xi=float(stack.slack_xi[0]),
-        z_star=stack.z_star[0].T, evaluations=int(stack.evaluations[0]),
+        z_star=stack.z_star[0], evaluations=int(stack.evaluations[0]),
         doublings=int(stack.doublings[0]),
     )
 
 
-def _moments_at(tables, lam, reg, cfg):
-    """Budget residual, its slope and the (N, P) mixture of (N, P) tables at
+def _moments_at(j_pred, j_budget, lam, reg, cfg):
+    """Budget residual, its slope and the (P, N) mixture of (P, N) tables at
     the multiplier lam, from the moments solve_stack evaluates each round,
-    on C-order (P, N) copies as solve_stack takes them."""
+    on C-order copies as solve_stack takes them."""
     usage, variance, Z = dec_layer._usage_moments(
-        np.ascontiguousarray(tables.j_pred.T)[None], np.ascontiguousarray(tables.j_budget.T)[None],
+        np.ascontiguousarray(j_pred)[None], np.ascontiguousarray(j_budget)[None],
         np.array([lam], dtype=float), reg.alpha, dec_layer._floors_logits(reg.alpha, [cfg]),
     )
-    return usage.item() - cfg.budget_cap, -variance.item() / reg.alpha, Z[0].T
+    return usage.item() - cfg.budget_cap, -variance.item() / reg.alpha, Z[0]
 
 
-def _reference(tables, reg, cfg, **kwargs):
-    """solve_reference on (N, P) tables, its mixture as an (N, P) array."""
-    lam, xi, Z = solve_reference(tables.j_pred.T, tables.j_budget.T, reg, cfg, **kwargs)
-    return DualSolution(lam, xi, Z.T)
+def _reference(j_pred, j_budget, reg, cfg, **kwargs):
+    """solve_reference on (P, N) tables, by name: lambda_star, slack_xi, z_star."""
+    lam, xi, Z = solve_reference(j_pred, j_budget, reg, cfg, **kwargs)
+    return SimpleNamespace(lambda_star=lam, slack_xi=xi, z_star=Z)
 
 
 def _random_instance(rng, n=3, states=2, gamma=0.9):
@@ -118,66 +127,56 @@ class TestConfigs:
 
     def test_tables_shape_check(self):
         with pytest.raises(ValueError):
-            ReturnsTable(
-                j_pred=np.zeros((2, 4)), j_true=np.zeros((2, 4)), j_budget=np.zeros((2, 3))
+            dec_layer.solve_stack(
+                np.zeros((1, 4, 2)), np.zeros((1, 3, 2)), RegularizerConfig(),
+                [SolverConfig(budget=1.0, gamma=0.9)],
             )
 
 
 class TestInnerSolution:
     def test_mixture_is_row_softmax(self):
         rng = np.random.default_rng(0)
-        tables = ReturnsTable(
-            j_pred=rng.normal(size=(3, 4)),
-            j_true=np.zeros((3, 4)),
-            j_budget=rng.uniform(0, 5, size=(3, 4)),
-        )
+        # (P, N) views of (N, P) draws
+        j_pred, j_budget = rng.normal(size=(3, 4)).T, rng.uniform(0, 5, size=(3, 4)).T
         reg = RegularizerConfig(alpha=0.7)
         lam = 1.3
-        Z = _moments_at(tables, lam, reg, SolverConfig(budget=1.0, gamma=0.9))[2]
-        logits = (tables.j_pred - lam * tables.j_budget) / reg.alpha
-        expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        Z = _moments_at(j_pred, j_budget, lam, reg, SolverConfig(budget=1.0, gamma=0.9))[2]
+        logits = (j_pred - lam * j_budget) / reg.alpha
+        expected = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
         assert np.allclose(Z, expected, atol=1e-12)
-        assert np.allclose(Z.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(Z.sum(axis=0), 1.0, atol=1e-12)
 
     def test_residual_decreases_in_lambda(self):
         rng = np.random.default_rng(1)
-        tables = ReturnsTable(
-            j_pred=rng.normal(size=(2, 4)),
-            j_true=np.zeros((2, 4)),
-            j_budget=rng.uniform(0, 5, size=(2, 4)),
-        )
+        j_pred, j_budget = rng.normal(size=(2, 4)).T, rng.uniform(0, 5, size=(2, 4)).T
         reg = RegularizerConfig(alpha=0.5)
         cfg = SolverConfig(budget=0.5, gamma=0.9)
         lams = np.linspace(-5, 5, 50)
-        residuals = [_moments_at(tables, l, reg, cfg)[0] for l in lams]
+        residuals = [_moments_at(j_pred, j_budget, l, reg, cfg)[0] for l in lams]
         assert np.all(np.diff(residuals) <= 1e-12)
 
     def test_slope_matches_finite_difference(self):
         rng = np.random.default_rng(18)
-        tables = ReturnsTable(
-            j_pred=rng.normal(size=(5, 4)),
-            j_true=np.zeros((5, 4)),
-            j_budget=rng.uniform(0, 5, size=(5, 4)),
-        )
+        tables = rng.normal(size=(5, 4)).T, rng.uniform(0, 5, size=(5, 4)).T
         reg = RegularizerConfig(alpha=0.5)
         cfg = SolverConfig(budget=0.5, gamma=0.9)
         h = 1e-6
-        _, slope, _ = _moments_at(tables, 0.7, reg, cfg)
+        _, slope, _ = _moments_at(*tables, 0.7, reg, cfg)
         central = (
-            _moments_at(tables, 0.7 + h, reg, cfg)[0] - _moments_at(tables, 0.7 - h, reg, cfg)[0]
+            _moments_at(*tables, 0.7 + h, reg, cfg)[0] - _moments_at(*tables, 0.7 - h, reg, cfg)[0]
         ) / (2 * h)
         assert slope < 0
         assert slope == pytest.approx(central, rel=1e-6)
 
 
 def _long_double_centred(Z, G):
-    """G minus each row's Z-expectation, for (N, P) tables, in long double."""
+    """G minus each arm's Z-expectation, for (P, N) tables, in long double."""
     Z, G = Z.astype(np.longdouble), G.astype(np.longdouble)
-    return G - np.sum(Z * G, axis=1, keepdims=True)
+    return G - np.sum(Z * G, axis=0, keepdims=True)
 
 
 def _long_double_variance(Z, G):
-    """sum_i Var_{Z_i}(G_i) of (N, P) tables, centred in long double."""
+    """sum_i Var_{Z_i}(G_i) of (P, N) tables, centred in long double."""
     g = _long_double_centred(Z, G)
     return np.sum(Z * g * g)
 
@@ -200,12 +199,9 @@ class TestSharedElimination:
             log_weights = -(rng.uniform(0.0, 40.0) + rng.exponential(size=(n, p)))
             log_weights[np.arange(n), rng.integers(0, p, size=n)] = 0.0
             lam = float(rng.uniform(0.0, 5.0))
-            tables = ReturnsTable(
-                j_pred=lam * j_budget + alpha * log_weights, j_true=np.zeros((n, p)),
-                j_budget=j_budget,
-            )
-            _, slope, Z = _moments_at(tables, lam, reg, cfg)
-            expected = -_long_double_variance(Z, j_budget) / alpha
+            j_pred = lam * j_budget + alpha * log_weights
+            _, slope, Z = _moments_at(j_pred.T, j_budget.T, lam, reg, cfg)
+            expected = -_long_double_variance(Z, j_budget.T) / alpha
             assert abs(slope - expected) <= 1e-12 * abs(expected)
             small += 1e-10 <= abs(slope) <= 1e-6
         if alpha == 1e-3:
@@ -224,19 +220,18 @@ class TestSharedElimination:
         for _ in range(30):
             truth, cfg, setup = _random_instance(rng, n=int(rng.integers(2, 40)), states=3)
             pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
-            tables = build_returns_table(pred, truth, setup)
-            sol = forward_pass(tables, reg, cfg)
+            j_pred, _, G = _tables(pred, truth, setup)
+            sol = _solve_alone(j_pred, G, reg, cfg)
             lam, xi, Z = sol.lambda_star, sol.slack_xi, sol.z_star
             if lam == 0.0:
                 continue
             solved += 1
-            G = tables.j_budget
-            u = G - np.sum(Z * G, axis=1, keepdims=True)
-            dz, dj_budget = backward_pass(Z.T, lam, xi, G.T, reg, u.T)
-            dlam = float(np.sum(dz + dj_budget / lam)) / len(Z)
+            u = G - np.sum(Z * G, axis=0, keepdims=True)
+            dz, dj_budget = backward_pass(Z, lam, xi, G, reg, u)
+            dlam = float(np.sum(dz + dj_budget / lam)) / Z.shape[1]
             coupling = float(np.sum(Z * _long_double_centred(Z, G) * u) / alpha)
             pivot = (xi - lam * coupling / dlam) / lam**2
-            _, slope, _ = _moments_at(tables, lam, reg, cfg)
+            _, slope, _ = _moments_at(j_pred, G, lam, reg, cfg)
             assert abs(slope + pivot) <= 1e-13 * pivot
         assert solved >= 20
 
@@ -245,9 +240,9 @@ class TestForwardPass:
     def test_budget_met_at_optimum(self):
         rng = np.random.default_rng(2)
         truth, cfg, setup = _random_instance(rng)
-        tables = build_returns_table(truth, truth, setup)
-        sol = forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
-        used = float(np.sum(sol.z_star * tables.j_budget))
+        j_pred, _, j_budget = _tables(truth, truth, setup)
+        sol = _solve_alone(j_pred, j_budget, RegularizerConfig(alpha=0.1), cfg)
+        used = float(np.sum(sol.z_star * j_budget))
         assert used <= cfg.budget_cap + 1e-4
         # complementary slackness
         assert abs(sol.lambda_star * sol.slack_xi) <= 1e-6 * cfg.budget_cap
@@ -257,8 +252,8 @@ class TestForwardPass:
         truth = rng.dirichlet(np.ones(2), size=(2, 2, 2))
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=2.0, gamma=0.9)  # budget covers always-acting
-        tables = build_returns_table(truth, truth, setup)
-        sol = _solve_alone(tables, RegularizerConfig(alpha=0.1), cfg)
+        j_pred, _, j_budget = _tables(truth, truth, setup)
+        sol = _solve_alone(j_pred, j_budget, RegularizerConfig(alpha=0.1), cfg)
         assert sol.lambda_star == 0.0
         assert sol.evaluations == 1
 
@@ -266,15 +261,11 @@ class TestForwardPass:
         # force positive budget usage under every policy: acting usage is
         # 1/(1-gamma) per arm, cap far below the passive-policy floor of 0
         # cannot happen with nonnegative usage, so fake a strictly positive
-        # minimum usage table instead
-        tables = ReturnsTable(
-            j_pred=np.zeros((1, 2)),
-            j_true=np.zeros((1, 2)),
-            j_budget=np.array([[5.0, 6.0]]),
-        )
+        # minimum usage table instead: one arm, two policies
+        j_pred, j_budget = np.zeros((2, 1)), np.array([[5.0], [6.0]])
         cfg = SolverConfig(budget=0.1, gamma=0.9)  # cap = 1 < min usage 5
         with pytest.raises(InfeasibleBudgetError):
-            forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
+            _solve_alone(j_pred, j_budget, RegularizerConfig(alpha=0.1), cfg)
 
 
     def test_bracket_grows_for_feasible_tight_budget(self):
@@ -285,10 +276,10 @@ class TestForwardPass:
         truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=1.0, gamma=0.9)
-        tables = build_returns_table(truth, truth, setup)
-        sol = forward_pass(tables, RegularizerConfig(alpha=10.0), cfg)
+        j_pred, _, j_budget = _tables(truth, truth, setup)
+        sol = _solve_alone(j_pred, j_budget, RegularizerConfig(alpha=10.0), cfg)
         assert sol.lambda_star > cfg.dual_bound
-        used = float(np.sum(sol.z_star * tables.j_budget))
+        used = float(np.sum(sol.z_star * j_budget))
         assert used <= cfg.budget_cap * (1 + 1e-6)
 
 
@@ -304,12 +295,12 @@ class TestNewtonDualSolve:
             truth = rng.dirichlet(np.ones(states), size=(n, states, 2))
             pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
             cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
-            tables = build_returns_table(pred, truth, uniform_setup(states, 0.9))
+            j_pred, _, j_budget = _tables(pred, truth, uniform_setup(states, 0.9))
             reg = RegularizerConfig(alpha=alpha)
-            sol = forward_pass(tables, reg, cfg)
+            sol = _solve_alone(j_pred, j_budget, reg, cfg)
             assert sol.slack_xi >= 0.0
-            assert float(np.sum(sol.z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
-            assert abs(sol.lambda_star - _reference(tables, reg, cfg).lambda_star) <= 2e-5
+            assert float(np.sum(sol.z_star * j_budget)) <= cfg.budget_cap * (1 + 1e-12)
+            assert abs(sol.lambda_star - _reference(j_pred, j_budget, reg, cfg).lambda_star) <= 2e-5
 
     def test_flat_residual_is_not_convergence(self):
         # at alpha = 1e-3 every row is one-hot at the bracket top, so the
@@ -323,12 +314,12 @@ class TestNewtonDualSolve:
             rng = np.random.default_rng(seed)
             truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
             pred = rng.dirichlet(np.ones(2), size=(100, 2, 2))
-            tables = build_returns_table(pred, truth, setup)
-            residual_top, slope_top, _ = _moments_at(tables, cfg.dual_bound, reg, cfg)
+            tables = _pred_budget(pred, truth, setup)
+            residual_top, slope_top, _ = _moments_at(*tables, cfg.dual_bound, reg, cfg)
             assert residual_top < 0 and slope_top == 0.0
-            sol = _solve_alone(tables, reg, cfg)
+            sol = _solve_alone(*tables, reg, cfg)
             assert 0 < sol.evaluations <= 27
-            assert abs(sol.lambda_star - _reference(tables, reg, cfg).lambda_star) <= 2e-5
+            assert abs(sol.lambda_star - _reference(*tables, reg, cfg).lambda_star) <= 2e-5
 
     def test_newton_from_infeasible_side_ends_feasible(self):
         # the residual is convex left of the root here: a Newton step from
@@ -339,30 +330,28 @@ class TestNewtonDualSolve:
         truth = rng.dirichlet(np.ones(2), size=(n, 2, 2))
         pred = rng.dirichlet(np.ones(2), size=(n, 2, 2))
         cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
-        tables = build_returns_table(pred, truth, uniform_setup(2, 0.9))
+        tables = _pred_budget(pred, truth, uniform_setup(2, 0.9))
         reg = RegularizerConfig(alpha=1.0)
-        ref = _reference(tables, reg, cfg)
+        ref = _reference(*tables, reg, cfg)
         start = ref.lambda_star - 0.05
-        residual, slope, _ = _moments_at(tables, start, reg, cfg)
+        residual, slope, _ = _moments_at(*tables, start, reg, cfg)
         assert residual > 0
-        assert _moments_at(tables, start - residual / slope, reg, cfg)[0] > 0
-        sol = forward_pass(tables, reg, cfg)
+        assert _moments_at(*tables, start - residual / slope, reg, cfg)[0] > 0
+        sol = _solve_alone(*tables, reg, cfg)
         assert sol.slack_xi >= 0.0
         assert abs(sol.lambda_star * sol.slack_xi) <= 1e-6 * cfg.budget_cap
         assert abs(sol.lambda_star - ref.lambda_star) <= 2e-5
 
     def test_budget_just_above_least_usage_solves(self):
         rng = np.random.default_rng(7)
-        j_budget = rng.uniform(1.0, 10.0, size=(50, 4))
-        tables = ReturnsTable(
-            j_pred=rng.normal(size=(50, 4)), j_true=np.zeros((50, 4)), j_budget=j_budget
-        )
-        cap = 1.001 * float(j_budget.min(axis=1).sum())
+        j_budget = rng.uniform(1.0, 10.0, size=(50, 4)).T
+        j_pred = rng.normal(size=(50, 4)).T
+        cap = 1.001 * float(j_budget.min(axis=0).sum())
         cfg = SolverConfig(budget=cap * (1 - 0.9), gamma=0.9)
         reg = RegularizerConfig(alpha=0.1)
-        sol = forward_pass(tables, reg, cfg)
+        sol = _solve_alone(j_pred, j_budget, reg, cfg)
         assert sol.slack_xi >= 0.0
-        assert abs(sol.lambda_star - _reference(tables, reg, cfg).lambda_star) <= 2e-5
+        assert abs(sol.lambda_star - _reference(j_pred, j_budget, reg, cfg).lambda_star) <= 2e-5
 
     def test_evaluations_count_every_residual(self, monkeypatch):
         # every residual, alone or stacked, comes from one dec_layer._usage_moments call
@@ -373,8 +362,8 @@ class TestNewtonDualSolve:
         )
         rng = np.random.default_rng(2)
         truth, cfg, setup = _random_instance(rng, n=20)
-        tables = build_returns_table(truth, truth, setup)
-        sol = _solve_alone(tables, RegularizerConfig(alpha=1.0), cfg)
+        j_pred, _, j_budget = _tables(truth, truth, setup)
+        sol = _solve_alone(j_pred, j_budget, RegularizerConfig(alpha=1.0), cfg)
         assert sol.lambda_star > 0.0
         assert sol.evaluations == len(calls)
 
@@ -385,17 +374,14 @@ class TestNewtonDualSolve:
             rng = np.random.default_rng(seed)
             truth = rng.dirichlet(np.ones(4), size=(10_000, 4, 2))
             pred = rng.dirichlet(np.ones(4), size=(10_000, 4, 2))
-            tables = build_returns_table(pred, truth, setup)
-            sol = _solve_alone(tables, RegularizerConfig(alpha=1.0), cfg)
+            j_pred, _, j_budget = _tables(pred, truth, setup)
+            sol = _solve_alone(j_pred, j_budget, RegularizerConfig(alpha=1.0), cfg)
             assert 0 < sol.evaluations <= 12
 
 
-def _stacked(tables_list):
-    """(C, P, N) predicted-return and budget stacks of (N, P) tables."""
-    return (
-        np.stack([t.j_pred.T for t in tables_list]),
-        np.stack([t.j_budget.T for t in tables_list]),
-    )
+def _stacked(pairs):
+    """(C, P, N) predicted-return and budget stacks of (P, N) (j_pred, j_budget) pairs."""
+    return np.stack([j_pred for j_pred, _ in pairs]), np.stack([j_budget for _, j_budget in pairs])
 
 
 class TestStackedSolve:
@@ -406,7 +392,7 @@ class TestStackedSolve:
         cohorts = dataset.cohort_objects("test")
         setup = cohorts[0].setup
         problems = [
-            (build_returns_table(0.5 * c.tensors + 0.25, c.tensors, c.setup),
+            (_pred_budget(0.5 * c.tensors + 0.25, c.tensors, c.setup),
              SolverConfig(budget=c.budget, gamma=c.setup.gamma))
             for c in cohorts
         ]
@@ -415,7 +401,7 @@ class TestStackedSolve:
         for budget in (0.5, 1.0, 2.0, 5.0, 10.0, 40.0, 90.0):
             truth = rng.dirichlet(np.ones(2), size=(100, 2, 2))
             pred = rng.dirichlet(np.ones(2), size=(100, 2, 2))
-            problems.append((build_returns_table(pred, truth, setup), SolverConfig(budget, 0.9)))
+            problems.append((_pred_budget(pred, truth, setup), SolverConfig(budget, 0.9)))
         j_pred, j_budget = _stacked([t for t, _ in problems])
         cfgs = [cfg for _, cfg in problems]
         for alpha in (1.0, 0.1, 1e-3):
@@ -423,14 +409,18 @@ class TestStackedSolve:
             stack = dec_layer.solve_stack(j_pred, j_budget, reg, cfgs)
             assert stack.rounds == stack.evaluations.max()
             for k, (tables, cfg) in enumerate(problems):
-                alone = _solve_alone(tables, reg, cfg)
-                single = forward_pass(tables, reg, cfg)
-                for sol in (alone, single):
-                    assert sol.lambda_star == stack.lambda_star[k]
-                    assert sol.slack_xi == stack.slack_xi[k]
-                    assert np.array_equal(sol.z_star, stack.z_star[k].T)
+                alone = _solve_alone(*tables, reg, cfg)
+                assert alone.lambda_star == stack.lambda_star[k]
+                assert alone.slack_xi == stack.slack_xi[k]
+                assert np.array_equal(alone.z_star, stack.z_star[k])
                 assert alone.evaluations == stack.evaluations[k]
                 assert alone.doublings == stack.doublings[k]
+
+    def test_empty_stack_takes_no_rounds(self):
+        empty = np.zeros((0, 4, 3))
+        stack = dec_layer.solve_stack(empty, empty, RegularizerConfig(alpha=0.1), [])
+        assert stack.z_star.shape == (0, 4, 3)
+        assert stack.rounds == 0
 
     def test_budget_never_over_cap_on_random_stacks(self):
         rng = np.random.default_rng(29)
@@ -447,39 +437,36 @@ class TestStackedSolve:
                 # need a multiplier above the initial bracket top
                 share = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5))))
                 cfg = SolverConfig(budget=share * n, gamma=0.9)
-                problems.append((build_returns_table(pred, truth, uniform_setup(states, 0.9)), cfg))
+                problems.append((_pred_budget(pred, truth, uniform_setup(states, 0.9)), cfg))
             reg = RegularizerConfig(alpha=alpha)
             stack = dec_layer.solve_stack(
                 *_stacked([t for t, _ in problems]), reg, [c for _, c in problems]
             )
             grown += int(np.count_nonzero(stack.doublings))
             for j, (tables, cfg) in enumerate(problems):
-                z_star = stack.z_star[j].T
                 assert stack.slack_xi[j] >= 0.0
-                assert float(np.sum(z_star * tables.j_budget)) <= cfg.budget_cap * (1 + 1e-12)
-                assert abs(stack.lambda_star[j] - _reference(tables, reg, cfg).lambda_star) <= 2e-5
+                assert float(np.sum(stack.z_star[j] * tables[1])) <= cfg.budget_cap * (1 + 1e-12)
+                assert abs(stack.lambda_star[j] - _reference(*tables, reg, cfg).lambda_star) <= 2e-5
         assert grown > 0
 
     def test_doublings_count_bracket_growth(self):
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         truth = np.random.default_rng(2024).dirichlet(np.ones(2), size=(100, 2, 2))
-        tables = build_returns_table(truth, truth, setup)
-        grown = _solve_alone(tables, RegularizerConfig(alpha=10.0), cfg)
+        tables = _pred_budget(truth, truth, setup)
+        grown = _solve_alone(*tables, RegularizerConfig(alpha=10.0), cfg)
         # lambda* is about 10.8: one doubling of the top 1/(1-gamma) = 10 brackets it
         assert cfg.dual_bound < grown.lambda_star < 2 * cfg.dual_bound
         assert grown.doublings == 1
-        assert _solve_alone(tables, RegularizerConfig(alpha=0.1), cfg).doublings == 0
+        assert _solve_alone(*tables, RegularizerConfig(alpha=0.1), cfg).doublings == 0
 
     def test_non_finite_residual_raises(self):
         # a NaN residual is never <= 0: without the guard the search bisects to
         # machine resolution and hands back mixture rows it never wrote
         rng = np.random.default_rng(31)
         setup = uniform_setup(2, 0.9)
-        tables = [
-            build_returns_table(*rng.dirichlet(np.ones(2), size=(2, 5, 2, 2)), setup)
-            for _ in range(3)
-        ]
+        draws = [rng.dirichlet(np.ones(2), size=(2, 5, 2, 2)) for _ in range(3)]
+        tables = [_pred_budget(pred, truth, setup) for pred, truth in draws]
         j_pred, j_budget = _stacked(tables)
         j_pred[1, 2, 3] = np.nan
         for budget in (0.5, 2.0):
@@ -490,9 +477,7 @@ class TestStackedSolve:
     def test_infeasible_cohort_rejected(self):
         rng = np.random.default_rng(3)
         tables = [
-            ReturnsTable(j_pred=rng.normal(size=(5, 4)), j_true=np.zeros((5, 4)),
-                         j_budget=rng.uniform(1.0, 2.0, size=(5, 4)))
-            for _ in range(2)
+            (rng.normal(size=(5, 4)).T, rng.uniform(1.0, 2.0, size=(5, 4)).T) for _ in range(2)
         ]
         cfgs = [SolverConfig(budget=1.0, gamma=0.9), SolverConfig(budget=0.01, gamma=0.9)]
         with pytest.raises(InfeasibleBudgetError):
@@ -502,21 +487,7 @@ class TestStackedSolve:
 
 
 class TestBatchLastLayout:
-    """(N, P) tables and mixtures are .T views of the engine's and the solve's batch-last arrays."""
-
-    def test_tables_and_mixture_are_views(self):
-        rng = np.random.default_rng(59)
-        truth, cfg, setup = _random_instance(rng, n=6, states=3)
-        pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
-        tables = build_returns_table(pred, truth, setup)
-        reg = RegularizerConfig(alpha=0.1)
-        stack = dec_layer.solve_stack(tables.j_pred.T[None], tables.j_budget.T[None], reg, [cfg])
-        mixtures = (forward_pass(tables, reg, cfg).z_star, stack.z_star[0].T)
-        for view in (tables.j_pred, tables.j_true, tables.j_budget) + mixtures:
-            assert view.shape == (6, 8)
-            assert view.T.flags.c_contiguous and not view.flags.owndata
-        assert np.shares_memory(mixtures[1], stack.z_star)
-        assert np.array_equal(mixtures[0], mixtures[1])
+    """The layer gives the same bits on C-order (P, N) tables and on .T views of (N, P) ones."""
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.0])
     def test_loss_on_views_matches_c_order_copies(self, alpha):
@@ -528,10 +499,9 @@ class TestBatchLastLayout:
         pred = rng.dirichlet(np.ones(3), size=truth.shape[:-1])
         cfg = SolverConfig(budget=20.0, gamma=0.9)
         reg = RegularizerConfig(alpha=alpha)
-        tables = build_returns_table(pred, truth, setup)
-        named = (tables.j_pred, tables.j_true, tables.j_budget)
-        copies = [np.ascontiguousarray(table.T) for table in named]
-        transposed = [np.ascontiguousarray(table).T for table in named]
+        named = _tables(pred, truth, setup)
+        copies = [np.ascontiguousarray(table) for table in named]
+        transposed = [np.ascontiguousarray(table.T).T for table in named]
         assert all(c.flags.c_contiguous and not t.flags.c_contiguous
                    for c, t in zip(copies, transposed))
 
@@ -568,7 +538,7 @@ def _floor_instances(rng, count, n=200, states=3):
         truth = rng.dirichlet(np.ones(states), size=(n, states, 2))
         pred = rng.dirichlet(np.ones(states), size=(n, states, 2))
         cfg = SolverConfig(budget=float(rng.uniform(0.05, 0.5)) * n, gamma=0.9)
-        problems.append((build_returns_table(pred, truth, setup), cfg))
+        problems.append((_pred_budget(pred, truth, setup), cfg))
     return problems
 
 
@@ -604,8 +574,8 @@ class TestExpFloor:
         lam = np.array([0.0, 4.0, 25.0])  # 25 is past the bracket top 10
         plain, _ = _plain_softmax(j_pred, j_budget, lam, reg.alpha)
         for k, (tables, cfg) in enumerate(problems):
-            Z = _moments_at(tables, float(lam[k]), reg, cfg)[2]
-            assert np.array_equal(Z.T, plain[k])
+            Z = _moments_at(*tables, float(lam[k]), reg, cfg)[2]
+            assert np.array_equal(Z, plain[k])
 
     def test_eval_outputs_equal_with_floor_off(self, monkeypatch):
         dataset = generate_synthetic(DatasetManifest(cohorts=8, split_sizes=(1, 1, 6)))
@@ -643,24 +613,24 @@ class TestReferenceSolver:
         for _ in range(5):
             truth, cfg, setup = _random_instance(rng, n=int(rng.integers(2, 5)))
             cfg = SolverConfig(budget=cfg.budget, gamma=cfg.gamma, epsilon=1e-9)
-            tables = build_returns_table(truth, truth, setup)
-            fast = forward_pass(tables, reg, cfg)
-            ref = _reference(tables, reg, cfg)
+            tables = _pred_budget(truth, truth, setup)
+            fast = _solve_alone(*tables, reg, cfg)
+            ref = _reference(*tables, reg, cfg)
             assert abs(fast.lambda_star - ref.lambda_star) <= 2e-5
             assert np.max(np.abs(fast.z_star - ref.z_star)) <= 1e-4
 
     def test_grown_bracket_matches_forward_pass(self):
         # feasible tight-budget instances (alpha = 10, B = 1) whose multiplier
         # lies above the initial bracket top: the oracle grows its bracket
-        # like forward_pass
+        # like solve_stack
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=1.0, gamma=0.9, epsilon=1e-9)
         reg = RegularizerConfig(alpha=10.0)
         for seed in (2024, 2025, 2026):
             truth = np.random.default_rng(seed).dirichlet(np.ones(2), size=(100, 2, 2))
-            tables = build_returns_table(truth, truth, setup)
-            fast = forward_pass(tables, reg, cfg)
-            ref = _reference(tables, reg, cfg)
+            tables = _pred_budget(truth, truth, setup)
+            fast = _solve_alone(*tables, reg, cfg)
+            ref = _reference(*tables, reg, cfg)
             if seed == 2024:
                 assert ref.lambda_star == pytest.approx(10.8002085, abs=1e-6)
             assert fast.lambda_star > cfg.dual_bound
@@ -671,14 +641,14 @@ class TestReferenceSolver:
         rng = np.random.default_rng(6)
         truth, cfg, setup = _random_instance(rng, n=2)
         reg = RegularizerConfig(alpha=0.5)
-        tables = build_returns_table(truth, truth, setup)
-        sol = _reference(tables, reg, cfg, dual_tol=1e-9)
-        best = objective_value(tables.j_pred, sol.z_star, reg.alpha)
+        j_pred, _, j_budget = _tables(truth, truth, setup)
+        sol = _reference(j_pred, j_budget, reg, cfg, dual_tol=1e-9)
+        best = objective_value(j_pred, sol.z_star, reg.alpha)
         for _ in range(200):
-            n, num_policies = tables.j_pred.shape
-            cand = rng.dirichlet(np.ones(num_policies), size=n)
-            if float(np.sum(cand * tables.j_budget)) <= cfg.budget_cap:
-                assert objective_value(tables.j_pred, cand, reg.alpha) <= best + 1e-6
+            num_policies, n = j_pred.shape
+            cand = rng.dirichlet(np.ones(num_policies), size=n).T
+            if float(np.sum(cand * j_budget)) <= cfg.budget_cap:
+                assert objective_value(j_pred, cand, reg.alpha) <= best + 1e-6
 
 
 class TestBackwardPass:
@@ -688,12 +658,11 @@ class TestBackwardPass:
         for _ in range(5):
             truth, cfg, setup = _random_instance(rng, n=3)
             cfg = SolverConfig(budget=cfg.budget, gamma=cfg.gamma, epsilon=1e-12)
-            tables = build_returns_table(truth, truth, setup)
-            sol = forward_pass(tables, reg, cfg)
-            upstream = rng.normal(size=tables.j_pred.shape)
-            fast = [g.T for g in backward_pass(sol.z_star.T, sol.lambda_star, sol.slack_xi,
-                                               tables.j_budget.T, reg, upstream.T)]
-            dense = _backward_dense(sol, tables, reg, upstream)
+            j_pred, _, j_budget = _tables(truth, truth, setup)
+            sol = _solve_alone(j_pred, j_budget, reg, cfg)
+            upstream = rng.normal(size=j_pred.shape[::-1]).T  # a (P, N) view of (N, P) draws
+            fast = backward_pass(sol.z_star, sol.lambda_star, sol.slack_xi, j_budget, reg, upstream)
+            dense = _backward_dense(sol, j_budget, reg, upstream)
             assert np.max(np.abs(fast[0] - dense[0])) <= 1e-8
             assert np.max(np.abs(fast[1] - dense[1])) <= 1e-8
 
@@ -701,21 +670,17 @@ class TestBackwardPass:
         # at lambda = 1e-13 the -xi corner of the KKT system dominates the
         # budget row; dropping it would blow the multiplier step up by 1/lambda
         rng = np.random.default_rng(16)
-        tables = ReturnsTable(
-            j_pred=rng.normal(size=(3, 4)),
-            j_true=np.zeros((3, 4)),
-            j_budget=rng.uniform(0, 10, size=(3, 4)),
-        )
+        # (P, N) views of (N, P) draws
+        j_pred, j_budget = rng.normal(size=(3, 4)).T, rng.uniform(0, 10, size=(3, 4)).T
         reg = RegularizerConfig(alpha=1.0)
         cfg = SolverConfig(budget=1.0, gamma=0.9)
         lam = 1e-13
-        sol = DualSolution(
-            lambda_star=lam, slack_xi=3e-7, z_star=_moments_at(tables, lam, reg, cfg)[2]
+        sol = SimpleNamespace(
+            lambda_star=lam, slack_xi=3e-7, z_star=_moments_at(j_pred, j_budget, lam, reg, cfg)[2]
         )
-        upstream = rng.normal(size=(3, 4))
-        fast = [g.T for g in backward_pass(sol.z_star.T, lam, sol.slack_xi, tables.j_budget.T,
-                                           reg, upstream.T)]
-        dense = _backward_dense(sol, tables, reg, upstream)
+        upstream = rng.normal(size=(3, 4)).T
+        fast = backward_pass(sol.z_star, lam, sol.slack_xi, j_budget, reg, upstream)
+        dense = _backward_dense(sol, j_budget, reg, upstream)
         assert np.max(np.abs(fast[0] - dense[0])) <= 1e-10
         assert np.max(np.abs(fast[1] - dense[1])) <= 1e-10
 
@@ -724,19 +689,14 @@ class TestBackwardPass:
         truth = rng.dirichlet(np.ones(2), size=(2, 2, 2))
         setup = uniform_setup(2, 0.9)
         cfg = SolverConfig(budget=2.0, gamma=0.9)
-        tables = build_returns_table(truth, truth, setup)
+        j_pred, j_true, j_budget = _tables(truth, truth, setup)
         reg = RegularizerConfig(alpha=0.5)
-        sol = forward_pass(tables, reg, cfg)
+        sol = _solve_alone(j_pred, j_budget, reg, cfg)
         assert sol.lambda_star == 0.0
-        _, g_budget = backward_pass(sol.z_star.T, sol.lambda_star, sol.slack_xi,
-                                    tables.j_budget.T, reg, tables.j_true.T)
+        _, g_budget = backward_pass(
+            sol.z_star, sol.lambda_star, sol.slack_xi, j_budget, reg, j_true
+        )
         assert np.all(g_budget == 0.0)
-
-    def test_requires_entropy(self):
-        # the closed-form backward holds for entropy only, and no other
-        # regularizer can be configured
-        with pytest.raises(ValueError):
-            RegularizerConfig(kind="l2", alpha=1.0)
 
 
 class TestLossWrapper:
@@ -770,13 +730,12 @@ class TestLossWrapper:
         truth, cfg, setup = _random_instance(rng, n=2)
         pred = rng.dirichlet(np.ones(2), size=(2, 2, 2))
         reg = RegularizerConfig(alpha=1e-3)
-        on_truth = build_returns_table(pred, truth, setup)
-        pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET)).T
-        assert not np.allclose(on_truth.j_budget, pred_budget)
-        uncorrected = uncorrected_policy(pred, cfg, setup).z_star[0].T  # at alpha=1e-3, as reg
-        on_pred = ReturnsTable(j_pred=on_truth.j_pred, j_true=on_truth.j_true, j_budget=pred_budget)
-        assert np.array_equal(uncorrected, forward_pass(on_pred, reg, cfg).z_star)
-        assert not np.allclose(uncorrected, forward_pass(on_truth, reg, cfg).z_star)
+        j_pred, _, on_truth = _tables(pred, truth, setup)
+        pred_budget = solve_policies(pred, setup).returns(RewardSpec(BUDGET))
+        assert not np.allclose(on_truth, pred_budget)
+        uncorrected = uncorrected_policy(pred, cfg, setup).z_star[0]  # at alpha=1e-3, as reg
+        assert np.array_equal(uncorrected, _solve_alone(j_pred, pred_budget, reg, cfg).z_star)
+        assert not np.allclose(uncorrected, _solve_alone(j_pred, on_truth, reg, cfg).z_star)
 
 
 class TestArmBlocks:
@@ -789,7 +748,7 @@ class TestArmBlocks:
         setup = uniform_setup(states, 0.9)
         truth = rng.dirichlet(np.ones(states), size=(7, states, 2))
         preds = rng.dirichlet(np.ones(states), size=(3, 7, states, 2))
-        stack = _stacked([build_returns_table(pred, truth, setup) for pred in preds])
+        stack = _stacked([_pred_budget(pred, truth, setup) for pred in preds])
         cfgs = [SolverConfig(budget=budget, gamma=0.9) for budget in (0.7, 1.4, 2.8)]
         reg = RegularizerConfig(alpha=alpha)
         outputs = []

@@ -41,19 +41,15 @@ from rmab_dfl.learning import (
     run_epoch,
 )
 from rmab_dfl.mdp import (
-    ENGAGEMENT,
     NumericError,
-    RewardSpec,
-    TransitionTensor,
-    WhittleTable,
+    checked_transitions,
     solve_policies,
     whittle_gradients,
-    whittle_index,
     whittle_indices,
 )
 from rmab_dfl.dec_layer import RegularizerConfig, SolverConfig, dec_dfl_loss
 from rmab_dfl.planning import (
-    FixedPerArmPolicy, WhittleTopB, rollout, simulate_joint, simulation_horizon
+    SimulationResult, policy_bits_act, rollout, simulation_horizon, whittle_act
 )
 
 
@@ -67,6 +63,14 @@ def _cohort(rng, n=3, states=2, gamma=0.9, feature_dim=4, budget=None):
     )
 
 
+def _whittle_top_b(tensors, cohort, trajectories, seed):
+    """Whittle top-B on the indices of `tensors`, rolled out alone on the
+    cohort from a fresh generator of `seed`, as a SimulationResult."""
+    shape = (cohort.num_arms, cohort.num_states)
+    act = whittle_act(whittle_indices(tensors, cohort.setup), int(round(cohort.budget)), shape)
+    return SimulationResult.of(*rollout(cohort, trajectories, np.random.default_rng(seed), act))
+
+
 class TestPredictiveModel:
     def test_predictions_are_stochastic_tensors(self):
         rng = np.random.default_rng(0)
@@ -74,7 +78,7 @@ class TestPredictiveModel:
         tensors, _ = model.forward(rng.normal(size=(5, 4)))
         assert tensors.shape == (5, 2, 2, 2)
         for t in tensors:
-            assert np.allclose(TransitionTensor(t).probs.sum(axis=-1), 1.0, atol=1e-12)
+            assert np.allclose(checked_transitions(t, 0).sum(axis=-1), 1.0, atol=1e-12)
 
     def test_negative_layers_rejected(self):
         # [hidden_dim] * -1 is empty: it would build a linear model
@@ -286,7 +290,6 @@ class TestWhittleGradient:
     def test_matches_finite_differences(self, monkeypatch):
         monkeypatch.setattr(mdp, "_WHITTLE_TOL", 1e-10)
         rng = np.random.default_rng(4)
-        reward = RewardSpec(ENGAGEMENT)
         h = 1e-6
         for states in (2, 3):
             setup = uniform_setup(states, 0.9)
@@ -300,9 +303,9 @@ class TestWhittleGradient:
                     d[sa, aa, to], d[sa, aa, fro] = 1.0, -1.0
                     if min(T[sa, aa, to], T[sa, aa, fro]) < 10 * h:
                         continue
-                    up = whittle_index(TransitionTensor(T + h * d), reward, setup)
-                    dn = whittle_index(TransitionTensor(T - h * d), reward, setup)
-                    fd = (up.wi[s] - dn.wi[s]) / (2 * h)
+                    up = whittle_indices((T + h * d)[None], setup)[0]
+                    dn = whittle_indices((T - h * d)[None], setup)[0]
+                    fd = (up[s] - dn[s]) / (2 * h)
                     an = float(np.sum(grad[s] * d))
                     assert abs(an - fd) <= 1e-3 * max(1.0, abs(fd))
 
@@ -413,8 +416,9 @@ class TestSimDfl:
         value, grad = sim_dfl_loss(pred, cohort, trajectories=10, seed=0)
         assert np.all(grad == 0.0)
         # and the rollout is the all-acting policy's, draw for draw
-        all_act = FixedPerArmPolicy(np.full(2, 2**2 - 1))
-        assert value == simulate_joint(cohort, all_act, 10, seed=0).mean_return
+        all_act = policy_bits_act(np.full(2, 2**2 - 1), (2, 2))
+        rolled = SimulationResult.of(*rollout(cohort, 10, np.random.default_rng(0), all_act))
+        assert value == rolled.mean_return
 
     def test_soft_top_b_matches_bisection(self):
         def reference(scores, budget):
@@ -633,17 +637,12 @@ class TestDecisionQuality:
         preds = [rng.dirichlet(np.ones(2), size=(c.num_arms, 2, 2)) for c in cohorts]
         report = evaluate_dq(None, cohorts, trajectories=30, seed=7, predictions=preds)
 
-        def rollout(tensors, cohort, seed):
-            tables = [WhittleTable(wi) for wi in whittle_indices(tensors, cohort.setup)]
-            policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
-            return simulate_joint(cohort, policy, 30, seed)
-
         # the shared pass reproduces each one-policy rollout to the bit
         for tensors_of, mean, se in (
             (lambda k: preds[k], report.joint_dq, report.joint_dq_se),
             (lambda k: cohorts[k].tensors, report.perfect_joint_dq, report.perfect_joint_dq_se),
         ):
-            results = [rollout(tensors_of(k), c, 7 + k) for k, c in enumerate(cohorts)]
+            results = [_whittle_top_b(tensors_of(k), c, 30, 7 + k) for k, c in enumerate(cohorts)]
             assert mean == sum(r.mean_return for r in results) / 2
             expected = sum(r.std_error**2 for r in results) ** 0.5 / 2
             assert expected > 0
@@ -700,9 +699,7 @@ class TestDecisionQuality:
         ):
             results = []
             for k, cohort in enumerate(cohorts):
-                tables = [WhittleTable(wi) for wi in whittle_indices(tensors_of(k), cohort.setup)]
-                policy = WhittleTopB(tables=tables, budget=int(round(cohort.budget)))
-                results.append(simulate_joint(cohort, policy, 25, 5 + k))
+                results.append(_whittle_top_b(tensors_of(k), cohort, 25, 5 + k))
             assert mean == sum(r.mean_return for r in results) / 4
             assert se == sum(r.std_error**2 for r in results) ** 0.5 / 4
 

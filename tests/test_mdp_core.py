@@ -17,10 +17,8 @@ from rmab_dfl import (
     DiscountedSetup,
     NumericError,
     RewardSpec,
-    TransitionTensor,
     engagement_rewards,
     uniform_setup,
-    whittle_index,
     whittle_indices,
 )
 from rmab_dfl import mdp
@@ -30,6 +28,7 @@ from rmab_dfl.planning import Cohort
 from rmab_dfl.mdp import (
     BUDGET,
     ENGAGEMENT,
+    checked_transitions,
     policy_action_matrix,
     solve_policies,
     whittle_gradients,
@@ -37,43 +36,46 @@ from rmab_dfl.mdp import (
 
 
 def _random_tensor(rng, states=2):
-    return TransitionTensor(rng.dirichlet(np.ones(states), size=(states, 2)))
+    """One arm's random (S, 2, S) transition tensor."""
+    return rng.dirichlet(np.ones(states), size=(states, 2))
 
 
 class TestTransitionTensor:
+    """One arm's (S, 2, S) tensor through checked_transitions with no batch axis."""
+
     def test_valid(self):
-        t = _random_tensor(np.random.default_rng(0), 3)
-        assert t.num_states == 3
-        assert t.probs.shape == (3, 2, 3)
+        t = checked_transitions(_random_tensor(np.random.default_rng(0), 3), batch_dims=0)
+        assert len(t) == 3
+        assert t.shape == (3, 2, 3)
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
-            TransitionTensor(np.ones((2, 3, 2)) / 2)
+            checked_transitions(np.ones((2, 3, 2)) / 2, batch_dims=0)
 
     def test_rows_must_sum_to_one(self):
         bad = np.full((2, 2, 2), 0.4)
         with pytest.raises(ValueError):
-            TransitionTensor(bad)
+            checked_transitions(bad, batch_dims=0)
 
     def test_negative_probability(self):
         bad = np.array([[[1.5, -0.5], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])
         with pytest.raises(ValueError):
-            TransitionTensor(bad)
+            checked_transitions(bad, batch_dims=0)
 
     def test_too_many_states(self):
         s = 13
         t = np.zeros((s, 2, s))
         t[..., 0] = 1.0
         with pytest.raises(CapacityError):
-            TransitionTensor(t)
+            checked_transitions(t, batch_dims=0)
 
 
-ENTRIES = ("TransitionTensor", "Cohort", "evaluate_dq", "load_dataset")
+ENTRIES = ("Cohort", "evaluate_dq", "load_dataset")
 BAD_TENSORS = ("nan-entry", "inf-entry", "entry-below-zero", "row-sum-off", "one-state",
                "thirteen-states")
 
 
-def _bad_tensor(case: str) -> np.ndarray:
+def bad_tensor(case: str) -> np.ndarray:
     """One arm's (S, 2, S) tensor that breaks the transition rule as `case` names."""
     if case == "one-state":
         return np.ones((1, 2, 1))
@@ -101,9 +103,7 @@ def _load_with_tensor(tmp_path, tensor):
 
 def _enter(entry: str, tensor: np.ndarray, tmp_path) -> None:
     setup = uniform_setup(tensor.shape[-1], 0.9)
-    if entry == "TransitionTensor":
-        TransitionTensor(tensor)
-    elif entry == "Cohort":
+    if entry == "Cohort":
         Cohort(features=np.zeros((1, 1)), tensors=tensor[None], budget=1.0, setup=setup)
     elif entry == "evaluate_dq":
         cohort = Cohort(features=np.zeros((1, 1)), tensors=np.full((1, 2, 2, 2), 0.5),
@@ -114,7 +114,7 @@ def _enter(entry: str, tensor: np.ndarray, tmp_path) -> None:
 
 
 class TestTransitionCheck:
-    """checked_transitions at the four places tensors enter: one rule for all."""
+    """checked_transitions at the places tensors enter: one rule for all."""
 
     @pytest.mark.parametrize("entry,case", [
         (entry, case)
@@ -122,12 +122,12 @@ class TestTransitionCheck:
         for case in BAD_TENSORS
         # a prediction has its cohort's shape and a dataset its manifest's,
         # and neither admits |S| outside [2, MAX_STATES]
-        if entry in ("TransitionTensor", "Cohort") or case not in ("one-state", "thirteen-states")
+        if entry == "Cohort" or case not in ("one-state", "thirteen-states")
     ])
     def test_bad_tensor_refused(self, tmp_path, entry, case):
         error = CapacityError if case == "thirteen-states" else ValueError
         with pytest.raises(error):
-            _enter(entry, _bad_tensor(case), tmp_path)
+            _enter(entry, bad_tensor(case), tmp_path)
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_valid_tensor_accepted(self, tmp_path, entry):
@@ -184,10 +184,10 @@ class TestGetReturns:
         T = _random_tensor(rng)
         setup = uniform_setup(2, 0.9)
         mu = setup.initial_dist
-        assert get_returns(T.probs, _actions(0, 2), 0.9, mu, "budget") == pytest.approx(0.0)
+        assert get_returns(T, _actions(0, 2), 0.9, mu, "budget") == pytest.approx(0.0)
         always = _actions(3, 2)
-        assert get_returns(T.probs, always, 0.9, mu, "budget") == pytest.approx(1.0 / (1 - 0.9))
-        engine = solve_policies(T.probs[None], setup).returns(RewardSpec(BUDGET))
+        assert get_returns(T, always, 0.9, mu, "budget") == pytest.approx(1.0 / (1 - 0.9))
+        engine = solve_policies(T[None], setup).returns(RewardSpec(BUDGET))
         assert engine[[0, 3], 0] == pytest.approx([0.0, 1.0 / (1 - 0.9)])
 
     def test_matches_value_iteration(self):
@@ -196,8 +196,8 @@ class TestGetReturns:
             T = _random_tensor(rng, 3)
             setup = DiscountedSetup(0.9, rng.dirichlet(np.ones(3)))
             actions = _actions(int(rng.integers(8)), 3)
-            direct = get_returns(T.probs, actions, 0.9, setup.initial_dist)
-            iterated = value_iteration(T.probs, actions, 0.9, setup.initial_dist)
+            direct = get_returns(T, actions, 0.9, setup.initial_dist)
+            iterated = value_iteration(T, actions, 0.9, setup.initial_dist)
             assert direct == pytest.approx(iterated, abs=1e-8)
 
 
@@ -209,16 +209,16 @@ class TestReturnsGradient:
         for _ in range(50):
             T = _random_tensor(rng)
             actions = _actions(int(rng.integers(4)), 2)
-            grad = returns_gradient(T.probs, actions, 0.9, mu)
+            grad = returns_gradient(T, actions, 0.9, mu)
             # finite differences along simplex-preserving directions
             for s in range(2):
                 a = actions[s]
                 d = np.zeros((2, 2, 2))
                 d[s, a, 0], d[s, a, 1] = 1.0, -1.0
-                if min(T.probs[s, a, 0], T.probs[s, a, 1]) < h:
+                if min(T[s, a, 0], T[s, a, 1]) < h:
                     continue
-                up = get_returns(T.probs + h * d, actions, 0.9, mu)
-                dn = get_returns(T.probs - h * d, actions, 0.9, mu)
+                up = get_returns(T + h * d, actions, 0.9, mu)
+                dn = get_returns(T - h * d, actions, 0.9, mu)
                 fd = (up - dn) / (2 * h)
                 an = float(np.sum(grad * d))
                 assert abs(an - fd) / max(abs(fd), 1e-6) < 1e-4
@@ -227,7 +227,7 @@ class TestReturnsGradient:
         rng = np.random.default_rng(4)
         T = _random_tensor(rng)
         mu = uniform_setup(2, 0.9).initial_dist
-        grad = returns_gradient(T.probs, _actions(0, 2), 0.9, mu)
+        grad = returns_gradient(T, _actions(0, 2), 0.9, mu)
         assert np.all(grad[:, 1, :] == 0.0)
 
 
@@ -348,16 +348,15 @@ class TestWhittleIndex:
         # the index there is gamma / (1 - gamma); acting in state 1 is useless
         t_opt = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]])
         setup = DiscountedSetup(0.9, np.array([1.0, 0.0]))
-        table = whittle_index(TransitionTensor(t_opt), RewardSpec(ENGAGEMENT), setup)
-        assert table.wi[0] == pytest.approx(0.9 / 0.1, abs=1e-6)
-        assert table.wi[1] == pytest.approx(0.0, abs=1e-6)
+        wi = whittle_indices(t_opt[None], setup)[0]
+        assert wi[0] == pytest.approx(0.9 / 0.1, abs=1e-6)
+        assert wi[1] == pytest.approx(0.0, abs=1e-6)
 
     def test_action_independent_arm_has_zero_indices(self):
         probs = np.zeros((2, 2, 2))
         probs[:, :, 0] = 1.0
         setup = uniform_setup(2, 0.9)
-        table = whittle_index(TransitionTensor(probs), RewardSpec(ENGAGEMENT), setup)
-        assert np.allclose(table.wi, 0.0, atol=1e-6)
+        assert np.allclose(whittle_indices(probs[None], setup)[0], 0.0, atol=1e-6)
 
     @staticmethod
     def _subsidized_q(tensors, wi, gamma):
@@ -418,15 +417,9 @@ class TestWhittleIndex:
         tensors = rng.dirichlet(np.ones(3), size=(5, 3, 2))
         setup = uniform_setup(3, 0.9)
         batched = whittle_indices(tensors, setup)
+        # each arm alone gets the bits of its row of the batch
         for T, row in zip(tensors, batched):
-            table = whittle_index(TransitionTensor(T), RewardSpec(ENGAGEMENT), setup)
-            assert np.array_equal(table.wi, whittle_indices(T[None], setup)[0])
-            assert np.array_equal(table.wi, row)
-
-    def test_budget_reward_rejected(self):
-        T = _random_tensor(np.random.default_rng(45))
-        with pytest.raises(ValueError):
-            whittle_index(T, RewardSpec(BUDGET), uniform_setup(2, 0.9))
+            assert np.array_equal(whittle_indices(T[None], setup)[0], row)
 
     def test_tolerance_below_resolution_raises(self, monkeypatch):
         monkeypatch.setattr(mdp, "_WHITTLE_TOL", 0.0)

@@ -9,18 +9,15 @@ from oracles import brute_force_joint
 from rmab_dfl import (
     Cohort,
     DiscountedSetup,
-    FixedPerArmPolicy,
     RegularizerConfig,
+    SimulationResult,
     SolverConfig,
-    WhittleTable,
-    WhittleTopB,
-    build_returns_table,
-    forward_pass,
-    simulate_joint,
+    solve_stack,
     top_b_actions,
     uniform_setup,
 )
 from rmab_dfl.mdp import (
+    BUDGET,
     ENGAGEMENT,
     RewardSpec,
     engagement_rewards,
@@ -37,6 +34,12 @@ def _cohort(rng, n=3, states=2, gamma=0.9, budget=None):
         budget = 0.5 * n * (1 - gamma)
     setup = uniform_setup(states, gamma)
     return Cohort(features=np.zeros((n, 1)), tensors=tensors, budget=budget, setup=setup)
+
+
+def _simulate(cohort, act, trajectories, seed):
+    """One act's `rollout` from a fresh generator of `seed`, as a SimulationResult."""
+    rng = np.random.default_rng(seed)
+    return SimulationResult.of(*planning.rollout(cohort, trajectories, rng, act))
 
 
 class TestTopB:
@@ -87,7 +90,8 @@ class TestTopB:
             for budget in (-1, 0, 1, n // 2, n - 1, n, n + 3):
                 expected = top_b_actions(wi[np.arange(n), current], budget)
                 assert np.array_equal(top_b_actions(-rank[codes], budget), expected)
-                assert np.array_equal(planning.whittle_act(wi, budget)(current), expected)
+                act = planning.whittle_act(wi, budget, wi.shape)
+                assert np.array_equal(act(current), expected)
 
 
 def _reference_rollout(cohort, trajectories, rng, act):
@@ -126,20 +130,20 @@ class TestRollout:
         rng = np.random.default_rng(30 + states)
         n = 6
         cohort = _cohort(rng, n=n, states=states, budget=2.0)
-        tables = [WhittleTable(wi=rng.choice([0.0, 0.5, 1.0], size=states)) for _ in range(n)]
+        wi = [rng.choice([0.0, 0.5, 1.0], size=states) for _ in range(n)]
         z = rng.dirichlet(np.ones(2**states), size=n)
-        policies = [
-            WhittleTopB(tables=tables, budget=2),
-            FixedPerArmPolicy(rng.integers(2**states, size=n)),
+        acts = [
+            planning.whittle_act(wi, 2, (n, states)),
+            planning.policy_bits_act(rng.integers(2**states, size=n), (n, states)),
         ]
         decomposed = []
         for roll in (planning.rollout, _reference_rollout):
             draws = np.random.default_rng(9)
             decomposed.append(roll(cohort, 40, draws, _decomposed_act(z, 40, draws)))
         assert all(np.array_equal(a, b) for a, b in zip(*decomposed))
-        fast = [simulate_joint(cohort, policy, 40, seed=9) for policy in policies]
+        fast = [_simulate(cohort, act, 40, seed=9) for act in acts]
         monkeypatch.setattr(planning, "rollout", _reference_rollout)
-        slow = [simulate_joint(cohort, policy, 40, seed=9) for policy in policies]
+        slow = [_simulate(cohort, act, 40, seed=9) for act in acts]
         assert fast == slow
 
     def test_step_memory_does_not_grow_with_states(self):
@@ -164,7 +168,7 @@ class TestRollout:
         for budget in (1, n - 1, n):
             # tie-heavy indices, with -0.0 beside 0.0
             indices = rng.choice([0.0, -0.0, 0.5, 1.0], size=(2, n, states))
-            acts = [planning.whittle_act(wi, budget) for wi in indices]
+            acts = [planning.whittle_act(wi, budget, (n, states)) for wi in indices]
             returns, budget_used = planning.rollout(cohort, 40, np.random.default_rng(budget), *acts)
             assert returns.shape == budget_used.shape == (2, 40)
             for k, (wi, act) in enumerate(zip(indices, acts)):
@@ -181,7 +185,7 @@ class TestRollout:
     def test_shared_pass_memory_below_two_rollouts(self):
         rng = np.random.default_rng(41)
         cohort = _cohort(rng, n=500, states=4, budget=10.0)
-        acts = [planning.whittle_act(wi, 10) for wi in rng.random((2, 500, 4))]
+        acts = [planning.whittle_act(wi, 10, (500, 4)) for wi in rng.random((2, 500, 4))]
 
         def peak(*acts):
             tracemalloc.start()
@@ -224,20 +228,21 @@ class TestSimulation:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
         cohort = _cohort(rng)
-        policy = FixedPerArmPolicy(policy_indices=np.zeros(3, dtype=int))
-        a = simulate_joint(cohort, policy, trajectories=50, seed=7)
-        b = simulate_joint(cohort, policy, trajectories=50, seed=7)
+        act = planning.policy_bits_act(np.zeros(3, dtype=int), (3, 2))
+        a = _simulate(cohort, act, trajectories=50, seed=7)
+        b = _simulate(cohort, act, trajectories=50, seed=7)
         assert a == b
 
     def test_decomposed_policy_matches_analytic_value(self):
         rng = np.random.default_rng(1)
         cohort = _cohort(rng, n=4)
         cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
-        tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
-        sol = forward_pass(tables, RegularizerConfig(alpha=0.1), cfg)
-        analytic = float(np.sum(sol.z_star * tables.j_true))
+        j_true, j_budget = cohort.true_returns
+        sol = solve_stack(j_true[None], j_budget[None], RegularizerConfig(alpha=0.1), [cfg])
+        analytic = float(np.sum(sol.z_star[0] * j_true))
         draws = np.random.default_rng(3)
-        returns, _ = planning.rollout(cohort, 4000, draws, _decomposed_act(sol.z_star, 4000, draws))
+        z = sol.z_star[0].T  # _decomposed_act draws each arm's policy from its row
+        returns, _ = planning.rollout(cohort, 4000, draws, _decomposed_act(z, 4000, draws))
         mean, std_error = float(returns.mean()), float(returns.std(ddof=1) / np.sqrt(4000))
         # pinned to the bit: the per-arm draws and the rollout consume one
         # generator in a fixed order, so any change to either shows here
@@ -249,56 +254,46 @@ class TestSimulation:
         cohort = _cohort(rng)
         passive = solve_policies(cohort.tensors, cohort.setup).returns(RewardSpec(ENGAGEMENT))
         passive = passive[0].sum()
-        result = simulate_joint(
-            cohort, FixedPerArmPolicy(np.zeros(3, dtype=int)), 4000, seed=5
-        )
+        never = planning.policy_bits_act(np.zeros(3, dtype=int), (3, 2))
+        result = _simulate(cohort, never, 4000, seed=5)
         assert abs(result.mean_return - passive) <= 3 * result.std_error + 0.05
         assert result.mean_budget_used == 0.0
 
     def test_whittle_policy_respects_budget(self):
         rng = np.random.default_rng(3)
         cohort = _cohort(rng, n=4, budget=2.0)
-        tables = [WhittleTable(wi=rng.uniform(0, 1, size=2)) for _ in range(4)]
-        result = simulate_joint(cohort, WhittleTopB(tables=tables, budget=2), 100, seed=1)
+        wi = [rng.uniform(0, 1, size=2) for _ in range(4)]
+        result = _simulate(cohort, planning.whittle_act(wi, 2, (4, 2)), 100, seed=1)
         cap = 2.0 / (1 - cohort.setup.gamma)
         assert result.mean_budget_used <= cap + 1e-9
         # top-B acts on exactly B arms at every one of the H rollout steps
         discounted_steps = sum(0.9**t for t in range(simulation_horizon(cohort.setup, 4)))
         assert abs(result.mean_budget_used - 2 * discounted_steps) <= 1e-9
-        all_act = FixedPerArmPolicy(np.full(4, 2**2 - 1))
-        result = simulate_joint(cohort, all_act, 100, seed=1)
+        all_act = planning.policy_bits_act(np.full(4, 2**2 - 1), (4, 2))
+        result = _simulate(cohort, all_act, 100, seed=1)
         assert abs(result.mean_budget_used - 4 * discounted_steps) <= 1e-9
 
-    def test_unknown_policy_rejected(self):
-        rng = np.random.default_rng(4)
-        cohort = _cohort(rng)
-        with pytest.raises(TypeError):
-            simulate_joint(cohort, object(), 10, seed=0)
-
     def test_fixed_policy_indices_checked(self):
-        # 3 two-state arms take 3 per-arm policy indices in [0, 4)
-        rng = np.random.default_rng(4)
-        cohort = _cohort(rng)
+        # 3 two-state arms take 3 per-arm policy indices in [0, 4); the act
+        # refuses the rest when it is made, before any rollout step
         for bad in ([4, 4, 4], [-1, -1, -1], [3], [0.0, 0.0, 0.0]):
             with pytest.raises(ValueError):
-                simulate_joint(cohort, FixedPerArmPolicy(np.array(bad)), 10, seed=0)
+                planning.policy_bits_act(np.array(bad), (3, 2))
 
     def test_whittle_tables_checked(self):
-        # 4 two-state arms take 4 tables of 2 finite indices
-        rng = np.random.default_rng(4)
-        cohort = _cohort(rng, n=4, budget=2.0)
+        # 4 two-state arms take 4 x 2 finite indices; the act refuses the
+        # rest when it is made, before any rollout step
         ragged = [np.zeros(2)] * 3 + [np.zeros(3)]
         for bad in (np.zeros((6, 2)), np.zeros((4, 3)), np.zeros((3, 2)), np.zeros((4, 1)),
                     ragged, [[0.0, np.nan]] * 4, [[np.inf, 0.0]] * 4):
-            policy = WhittleTopB(tables=[WhittleTable(wi=np.asarray(w)) for w in bad], budget=2)
             with pytest.raises(ValueError):
-                simulate_joint(cohort, policy, 10, seed=0)
+                planning.whittle_act(bad, 2, (4, 2))
 
     def test_needs_trajectories(self):
         rng = np.random.default_rng(4)
         cohort = _cohort(rng)
         with pytest.raises(ValueError):
-            simulate_joint(cohort, FixedPerArmPolicy(np.zeros(3, dtype=int)), 0, seed=0)
+            _simulate(cohort, planning.policy_bits_act(np.zeros(3, dtype=int), (3, 2)), 0, seed=0)
 
     def test_horizon_truncation_is_tight(self):
         setup = uniform_setup(2, 0.9)
@@ -313,9 +308,9 @@ class TestBudgetAudit:
         rng = np.random.default_rng(5)
         cohort = _cohort(rng, n=4)
         cfg = SolverConfig(budget=cohort.budget, gamma=cohort.setup.gamma)
-        tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
-        sol = forward_pass(tables, RegularizerConfig(alpha=1e-3), cfg)
-        assert budget_audit(cohort, sol.z_star.T) <= 1.0 + 1e-4
+        j_true, j_budget = cohort.true_returns
+        sol = solve_stack(j_true[None], j_budget[None], RegularizerConfig(alpha=1e-3), [cfg])
+        assert budget_audit(cohort, sol.z_star[0]) <= 1.0 + 1e-4
 
     def test_per_step_denominator(self):
         rng = np.random.default_rng(6)
@@ -346,9 +341,9 @@ class TestBruteForce:
         setup = cohort.setup
         value, _ = brute_force_joint(cohort.tensors, setup.initial_dist, setup.gamma, budget=2)
         cfg = SolverConfig(budget=2.0, gamma=cohort.setup.gamma)
-        tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
-        sol = forward_pass(tables, RegularizerConfig(alpha=1e-3), cfg)
-        decomposed = float(np.sum(sol.z_star * tables.j_true))
+        j_true, j_budget = cohort.true_returns
+        sol = solve_stack(j_true[None], j_budget[None], RegularizerConfig(alpha=1e-3), [cfg])
+        decomposed = float(np.sum(sol.z_star[0] * j_true))
         assert value >= decomposed - 1e-3
 
 
@@ -356,10 +351,10 @@ class TestCohortReturnsCache:
     def test_cached_tables_match_build_returns_table(self):
         rng = np.random.default_rng(11)
         cohort = _cohort(rng, n=5, states=3)
-        tables = build_returns_table(cohort.tensors, cohort.tensors, cohort.setup)
+        solved = solve_policies(cohort.tensors, cohort.setup)
         j_true, j_budget = cohort.true_returns
-        assert np.array_equal(j_true.T, tables.j_true)
-        assert np.array_equal(j_budget.T, tables.j_budget)
+        assert np.array_equal(j_true, solved.returns(RewardSpec(ENGAGEMENT)))
+        assert np.array_equal(j_budget, solved.returns(RewardSpec(BUDGET)))
 
     def test_solved_once_on_first_use(self, monkeypatch):
         rng = np.random.default_rng(12)
